@@ -28,11 +28,6 @@ def merge_dirs(a: tuple, b: tuple) -> Optional[tuple[int, tuple]]:
     return (-1 if inversions % 2 else 1), merged
 
 
-def remove_dir(dirs: tuple, pos: int) -> tuple[int, tuple]:
-    """Left-derivative sign and remaining tuple after removing position pos."""
-    return (-1 if pos % 2 else 1), dirs[:pos] + dirs[pos + 1 :]
-
-
 class GradedTerms:
     """Homogeneous graded object: degree plus wedge-indexed coefficients."""
 
@@ -55,6 +50,43 @@ class GradedTerms:
         self.terms = tuple(
             sorted((d, c) for d, c in acc.items() if not c.is_zero())
         )
+
+    @classmethod
+    def from_matrix(cls, chart: ChartSpec, entries):
+        """Degree-2 object with coefficient entries[i][j] on the pair i < j."""
+        n = chart.n_dirs
+        return cls(
+            chart,
+            2,
+            (((i, j), entries[i][j]) for i in range(n) for j in range(i + 1, n)),
+        )
+
+    @classmethod
+    def from_factor_images(cls, chart: ChartSpec, w, images, coeff=lambda c: c):
+        """Sum of coeff(c) * images[d_1] ^ ... ^ images[d_k] over the terms of w.
+
+        Pushforwards, pullbacks and the musical maps act factor by factor; a
+        term c with wedge (d_1, ..., d_k) maps to coeff(c) times the images.
+        """
+        out = cls(chart, w.degree, ())
+        for dirs, c in w.terms:
+            piece = cls(chart, 0, (((), coeff(c)),))
+            for d in dirs:
+                piece = piece.wedge(images[d])
+            out = out + piece
+        return out
+
+    def coefficient_matrix(self):
+        """Full antisymmetric matrix of a degree-2 object."""
+        if self.degree != 2:
+            raise ValueError("coefficient_matrix requires degree 2")
+        n = self.chart.n_dirs
+        zero = RingElement.zero(self.chart)
+        mat = [[zero for _ in range(n)] for _ in range(n)]
+        for (i, j), c in self.terms:
+            mat[i][j] = c
+            mat[j][i] = -c
+        return mat
 
     # -- queries ---------------------------------------------------------
 

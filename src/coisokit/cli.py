@@ -30,11 +30,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .coeff_ring import ChartSpec, RingElement, Scalar
+from .coeff_ring import ChartSpec, RingElement, Scalar, make_chart
 from .errors import CoisoKitError, ScenarioError
 from .forms import DifferentialForm, is_in_omega_le, fibrewise_degree_classify
 from .linfty import (
     TwistedElement,
+    _inverted_form_algebra,
+    _per_axis_default,
     coisotropy_check_numeric,
     higher_jacobi_verify,
     make_coiso_algebra,
@@ -45,6 +47,7 @@ from .linfty import (
 from .multivector import (
     MultiVectorField,
     VerticalSection,
+    as_vertical,
     fibre_translate_pushforward,
     projection_P,
 )
@@ -530,7 +533,7 @@ class Scenario:
 
 
 def _parse_chart_line(body: str, line: int) -> ChartSpec:
-    base, fibre, bound = None, (), None
+    base, fibre, bound = None, "", None
     rest = body
     while rest.strip():
         rest = rest.strip()
@@ -550,17 +553,8 @@ def _parse_chart_line(body: str, line: int) -> ChartSpec:
             raise ScenarioError(f"cannot parse chart clause near {rest!r}", line)
     if base is None:
         raise ScenarioError("chart needs base=(...)", line)
-    names, flags = [], []
-    for token in base.replace(",", " ").split():
-        if token.endswith("*"):
-            names.append(token[:-1])
-            flags.append(True)
-        else:
-            names.append(token)
-            flags.append(False)
-    fibre_names = tuple((fibre or "").replace(",", " ").split())
     try:
-        return ChartSpec(tuple(names), tuple(flags), fibre_names, bound)
+        return make_chart(base.replace(",", " "), fibre.replace(",", " "), bound)
     except ValueError as exc:
         raise ScenarioError(str(exc), line)
 
@@ -605,6 +599,8 @@ def parse_scenario(
             tokens = _tokenize(rhs, lineno)
             node = _ExprParser(tokens).parse()
             sources.pop("__last_inv_form__", None)
+            # a rebound name keeps no source unless it is a direct inv_form(...)
+            sources.pop(target, None)
             value = evaluator.eval(node)
             if "__last_inv_form__" in sources and node[0] == "call" and node[1] == "inv_form":
                 sources[target] = sources.pop("__last_inv_form__")
@@ -620,6 +616,20 @@ def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
             raise ScenarioError(f"check {kind} needs {pos_text}", lineno)
         return args[0]
 
+    def int_param(text, what, minimum=None):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ScenarioError(
+                f"check {kind}: {what} must be an integer, found {text!r}", lineno
+            ) from None
+        if minimum is not None and value < minimum:
+            raise ScenarioError(
+                f"check {kind}: {what} must be at least {minimum}, found {value}",
+                lineno,
+            )
+        return value
+
     if kind in ("coisotropic", "kuranishi", "jacobi"):
         if len(args) != 1:
             raise ScenarioError(f"check {kind} takes exactly one name", lineno)
@@ -631,17 +641,17 @@ def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
             raise ScenarioError("check mc takes a name and an optional order", lineno)
         target = need_name("a binding name")
         _require_binding(target, bindings, lineno)
-        param = int(args[1]) if len(args) == 2 else None
+        param = int_param(args[1], "order", 1) if len(args) == 2 else None
         return CheckSpec(kind, target, param, lineno)
     if kind == "omega_le":
         if len(args) != 2:
             raise ScenarioError("check omega_le takes a name and a degree", lineno)
         _require_binding(args[0], bindings, lineno)
-        return CheckSpec(kind, args[0], int(args[1]), lineno)
+        return CheckSpec(kind, args[0], int_param(args[1], "degree"), lineno)
     if kind == "pencil":
         if len(args) != 2:
             raise ScenarioError("check pencil takes a file and an order", lineno)
-        return CheckSpec(kind, args[0], int(args[1]), lineno)
+        return CheckSpec(kind, args[0], int_param(args[1], "order", 0), lineno)
     raise ScenarioError(f"unknown check kind {kind!r}", lineno)
 
 
@@ -703,9 +713,7 @@ class CheckResult:
     table: Optional[object] = None
     timing_ms: float = 0.0
 
-    def label(self) -> str:
-        extra = "" if self.param is None else f" {self.param}"
-        return f"{self.kind} {self.target}{extra}"
+    label = CheckSpec.label  # reads only kind, target and param
 
 
 @dataclass
@@ -743,11 +751,12 @@ class _AlgebraCache:
                 raise CoisoKitError(
                     "checks need a degree-2 multivector bound to the name 'pi'"
                 )
-            self._alg = make_coiso_algebra(
-                pi,
-                require_poisson=True,
-                source_form=self.scenario.sources.get("pi"),
-            )
+            source = self.scenario.sources.get("pi")
+            if source is None:
+                self._alg = make_coiso_algebra(pi, require_poisson=True)
+            else:
+                # inv_form built this pi, and its inversion checked [pi, pi] = 0
+                self._alg = _inverted_form_algebra(pi, source)
         return self._alg
 
 
@@ -784,13 +793,9 @@ def _binding(scenario, name):
 
 
 def _as_section(value) -> VerticalSection:
-    if isinstance(value, VerticalSection):
-        return value
-    if isinstance(value, MultiVectorField):
-        from .multivector import as_vertical
-
-        return as_vertical(value)
-    raise CoisoKitError("check target must be a vertical section")
+    if not isinstance(value, MultiVectorField):
+        raise CoisoKitError("check target must be a vertical section")
+    return as_vertical(value)
 
 
 def _run_check(scenario, cache, check, flags):
@@ -853,11 +858,8 @@ def _run_check(scenario, cache, check, flags):
 
 
 def _per_axis(flags: RunFlags, alg, alpha) -> int:
-    names = sorted(alg.pi.support_names() | alpha.support_names())
-    if not names:
-        return 1
-    per = int(4096 ** (1.0 / len(names)) + 1e-9)
-    return max(2, min(flags.samples, per))
+    names = alg.pi.support_names() | alpha.support_names()
+    return _per_axis_default(len(names), hard_cap=flags.samples)
 
 
 def _run_mc(scenario, cache, check, flags):

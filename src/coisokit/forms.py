@@ -45,27 +45,6 @@ class DifferentialForm(GradedTerms):
         d = chart.direction_index(name)
         return cls(chart, 1, (((d,), RingElement.one(chart)),))
 
-    @classmethod
-    def from_matrix(cls, chart: ChartSpec, entries) -> "DifferentialForm":
-        out = []
-        n = chart.n_dirs
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append(((i, j), entries[i][j]))
-        return cls(chart, 2, out)
-
-    def coefficient_matrix(self):
-        """Full antisymmetric matrix of a degree-2 form."""
-        if self.degree != 2:
-            raise ValueError("coefficient_matrix requires degree 2")
-        n = self.chart.n_dirs
-        zero = RingElement.zero(self.chart)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j), c in self.terms:
-            mat[i][j] = c
-            mat[j][i] = -c
-        return mat
-
 
 @dataclass(frozen=True)
 class SubbundleSpec:
@@ -214,13 +193,9 @@ def linear_fibre_change(w: DifferentialForm, matrix) -> DifferentialForm:
                         )
                     )
             mapped[d] = DifferentialForm(chart, 1, terms)
-    out = DifferentialForm.zero(chart, w.degree)
-    for dirs, coeff in w.terms:
-        piece = DifferentialForm.function(chart, coeff.substitute_fibre(exprs))
-        for d in dirs:
-            piece = piece.wedge(mapped[d])
-        out = out + piece
-    return out
+    return DifferentialForm.from_factor_images(
+        chart, w, mapped, lambda c: c.substitute_fibre(exprs)
+    )
 
 
 # -- musical maps over a constant bivector ---------------------------------------
@@ -271,13 +246,7 @@ def sharp_star(pi: MultiVectorField, w: DifferentialForm) -> MultiVectorField:
             if not S[j][i].is_zero():
                 terms.append(((j,), RingElement.constant(chart, 1).scale(S[j][i])))
         images.append(MultiVectorField(chart, 1, terms))
-    out = MultiVectorField.zero(chart, w.degree)
-    for dirs, coeff in w.terms:
-        piece = MultiVectorField.function(chart, coeff)
-        for d in dirs:
-            piece = piece.wedge(images[d])
-        out = out + piece
-    return out
+    return MultiVectorField.from_factor_images(chart, w, images)
 
 
 def _full_inverse_images(pi: MultiVectorField):
@@ -351,17 +320,14 @@ def leafwise_sharp_star(pi: MultiVectorField, w: DifferentialForm) -> VerticalSe
             if not b.is_zero():
                 terms.append(((m + j,), RingElement.constant(chart, 1).scale(b)))
         images[d] = MultiVectorField(chart, 1, terms)
-    out = MultiVectorField.zero(chart, w.degree)
-    base = chart.base_chart()
-    if w.chart != base:
+    if w.chart != chart.base_chart():
         raise UnknownCoordinateError("leafwise form must live on the base chart")
-    for dirs, coeff in w.terms:
-        piece = MultiVectorField.function(chart, coeff.extend_to(chart))
-        for d in dirs:
-            if d not in images:
-                raise NotVerticalError(f"factor {d} is not an F direction")
-            piece = piece.wedge(images[d])
-        out = out + piece
+    stray = [d for dirs, _ in w.terms for d in dirs if d not in images]
+    if stray:
+        raise NotVerticalError(f"factor {stray[0]} is not an F direction")
+    out = MultiVectorField.from_factor_images(
+        chart, w, images, lambda c: c.extend_to(chart)
+    )
     return as_vertical(out)
 
 
@@ -379,34 +345,22 @@ def leafwise_sharp_inverse(pi: MultiVectorField, z: MultiVectorField) -> Differe
     Bt = [[B[f][j] for f in range(n)] for j in range(n)]
     BtInv = scalar_matrix_inverse(Bt)
     base = chart.base_chart()
-    images = []
+    images = {}
     for j in range(n):
         terms = []
         for f in range(n):
             c = BtInv[f][j]
             if not c.is_zero():
                 terms.append(((fdirs[f],), RingElement.constant(base, 1).scale(c)))
-        images.append(DifferentialForm(base, 1, terms))
-    out = DifferentialForm.zero(base, section.degree)
-    for dirs, coeff in section.terms:
-        piece = DifferentialForm.function(base, coeff.restrict_to_base())
-        for d in dirs:
-            piece = piece.wedge(images[d - m])
-        out = out + piece
-    return out
+        images[m + j] = DifferentialForm(base, 1, terms)
+    return DifferentialForm.from_factor_images(
+        base, section, images, lambda c: c.restrict_to_base()
+    )
 
 
 def sharp_star_inverse(pi: MultiVectorField, Z: MultiVectorField) -> DifferentialForm:
     """The factorwise inverse of sharp_star on full multivectors."""
-    chart = pi.chart
-    images = _full_inverse_images(pi)
-    out = DifferentialForm.zero(chart, Z.degree)
-    for dirs, coeff in Z.terms:
-        piece = DifferentialForm.function(chart, coeff)
-        for d in dirs:
-            piece = piece.wedge(images[d])
-        out = out + piece
-    return out
+    return DifferentialForm.from_factor_images(pi.chart, Z, _full_inverse_images(pi))
 
 
 def musical_inverse(pi: MultiVectorField, Z: MultiVectorField) -> DifferentialForm:

@@ -16,7 +16,7 @@ govern simultaneous deformation of the bivector and the submanifold.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -36,8 +36,10 @@ from .forms import DifferentialForm
 from .multivector import (
     MultiVectorField,
     VerticalSection,
+    ad_series,
     as_vertical,
     default_exp_cap,
+    is_poisson,
     projection_P,
     schouten_bracket,
 )
@@ -71,17 +73,20 @@ def make_coiso_algebra(
         raise NotCoisotropicError(
             "zero section is not coisotropic: P(pi) != 0"
         )
-    verified = False
-    if require_poisson:
-        jac = schouten_bracket(pi, pi)
-        if pi.jet_order() is None:
-            ok = jac.is_zero()
-        else:
-            ok = jac.truncate(pi.jet_order() - 1).is_zero()
-        if not ok:
-            raise NotPoissonError("bivector fails the Jacobi identity")
-        verified = True
-    return CoisoAlgebra(pi.chart, pi, verified, source_form)
+    if require_poisson and not is_poisson(pi):
+        raise NotPoissonError("bivector fails the Jacobi identity")
+    return CoisoAlgebra(pi.chart, pi, require_poisson, source_form)
+
+
+def _inverted_form_algebra(
+    pi: MultiVectorField, omega: DifferentialForm
+) -> CoisoAlgebra:
+    """Wrap pi = symplectic_to_poisson(omega, N), which has checked [pi, pi] = 0.
+
+    Only P(pi) = 0 is validated here; the Jacobi identity is not checked twice.
+    """
+    alg = make_coiso_algebra(pi, require_poisson=False, source_form=omega)
+    return replace(alg, poisson_verified=True)
 
 
 def coiso_algebra_from_form(
@@ -90,8 +95,7 @@ def coiso_algebra_from_form(
     """Invert a fibrewise affine symplectic form and wrap it as an algebra."""
     from .symplectic_model import symplectic_to_poisson
 
-    pi = symplectic_to_poisson(omega, truncation)
-    return make_coiso_algebra(pi, require_poisson=True, source_form=omega)
+    return _inverted_form_algebra(symplectic_to_poisson(omega, truncation), omega)
 
 
 # -- brackets -----------------------------------------------------------------
@@ -106,18 +110,15 @@ def lambda_n(alg: CoisoAlgebra, *sections: MultiVectorField) -> VerticalSection:
 
 
 def kuranishi_rep(alg: CoisoAlgebra, a: MultiVectorField) -> VerticalSection:
-    """The Kuranishi representative lambda_2(a, a) of a lambda_1-closed a."""
-    if not lambda_n(alg, a).is_zero():
+    """The Kuranishi representative lambda_2(a, a) of a lambda_1-closed a.
+
+    [pi, a] is bracketed once and serves both lambda_1(a) and lambda_2(a, a).
+    """
+    a = as_vertical(a)
+    first = schouten_bracket(alg.pi, a)
+    if not projection_P(first).is_zero():
         raise NotClosedError("section is not lambda_1-closed: P([pi, a]) != 0")
-    return lambda_n(alg, a, a)
-
-
-def _ad_chain(start: MultiVectorField, alpha: VerticalSection, cap: int):
-    """Yield [ ... [start, alpha], ..., alpha] for k = 1, 2, ... up to cap."""
-    cur = start
-    for _ in range(cap):
-        cur = schouten_bracket(cur, alpha)
-        yield cur
+    return projection_P(schouten_bracket(first, a))
 
 
 def mc_series_exact(
@@ -139,12 +140,10 @@ def mc_series_exact(
     if cap is None:
         cap = default_exp_cap(alg.pi)
     acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
-    fact = Fraction(1)
-    for k, term in enumerate(_ad_chain(alg.pi, alpha, cap), start=1):
+    for term, coeff in itertools.islice(ad_series(alg.pi, alpha), cap):
         if term.is_zero():
             break
-        fact *= k
-        acc = acc + projection_P(term).scale(Scalar.rational(1, fact))
+        acc = acc + projection_P(term).scale(coeff)
     else:
         raise TruncationCapError(
             f"Maurer-Cartan series did not terminate within {cap} brackets"
@@ -335,13 +334,9 @@ def mc_partial_table(
     comp_names = ["".join(chart.direction_name(d) for d in dirs) for dirs in comp_dirs]
     partials = []
     acc = MultiVectorField.zero(chart, alg.pi.degree)
-    cur = alg.pi
-    fact = Fraction(1)
-    for k in range(1, order + 1):
-        cur = schouten_bracket(cur, alpha)
-        fact *= k
-        if not cur.is_zero():
-            acc = acc + projection_P(cur).scale(Scalar.rational(1, fact))
+    for term, coeff in itertools.islice(ad_series(alg.pi, alpha), order):
+        if not term.is_zero():
+            acc = acc + projection_P(term).scale(coeff)
         partials.append(acc)
     rows = []
     for x in points:
@@ -552,10 +547,7 @@ def twisted_lambda(
             continue
         mv_pos = [i for i, pick in enumerate(combo) if pick == 0]
         if len(mv_pos) == 0:
-            cur = alg.pi
-            for a in parts:
-                cur = schouten_bracket(cur, a)
-            sec_acc = sec_acc + projection_P(cur)
+            sec_acc = sec_acc + lambda_n(alg, *parts)
         elif len(mv_pos) == 1:
             pos = mv_pos[0]
             X = parts[pos]

@@ -8,7 +8,7 @@ computed through the odd-cotangent composition
     [X, Y] = X o Y - (-1)^{(p-1)(q-1)} Y o X,
 
 where theta_i marks the i-th coordinate direction and the theta-derivative is
-the left superderivative.  With this convention [X, f] = X(f) for vector
+the right superderivative.  With this convention [X, f] = X(f) for vector
 fields, the bracket restricts to the Lie bracket in degree 1, and the torus
 obstruction example reproduces +8*pi^2*cos*cos exactly; that example is the
 sign calibration for the whole package.
@@ -16,7 +16,7 @@ sign calibration for the whole package.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 from typing import Optional, Sequence
 
 from ._graded import GradedTerms, merge_dirs
@@ -45,28 +45,6 @@ class MultiVectorField(GradedTerms):
     def basis_vector(cls, chart: ChartSpec, name: str) -> "MultiVectorField":
         d = chart.direction_index(name)
         return cls(chart, 1, (((d,), RingElement.one(chart)),))
-
-    @classmethod
-    def from_matrix(cls, chart: ChartSpec, entries) -> "MultiVectorField":
-        """Degree-2 field sum_{i<j} entries[i][j] @u_i /\\ @u_j."""
-        out = []
-        n = chart.n_dirs
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append(((i, j), entries[i][j]))
-        return cls(chart, 2, out)
-
-    def coefficient_matrix(self):
-        """Full antisymmetric matrix of a degree-2 field."""
-        if self.degree != 2:
-            raise ValueError("coefficient_matrix requires degree 2")
-        n = self.chart.n_dirs
-        zero = RingElement.zero(self.chart)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j), c in self.terms:
-            mat[i][j] = c
-            mat[j][i] = -c
-        return mat
 
 
 class VerticalSection(MultiVectorField):
@@ -114,91 +92,54 @@ def as_vertical(x: MultiVectorField) -> VerticalSection:
     return VerticalSection(x.chart, x.degree, x.terms)
 
 
-def _bracket_with_function(chart, f, I, g):
-    """Terms of [f * @I, g] = sum_k (-1)^{p-k} f (d g / d u_{i_k}) @I\\k."""
+def _compose(X: MultiVectorField, Y: MultiVectorField) -> list:
+    """Terms of X o Y = sum_i (d X / d theta_i) ^ (d Y / d u_i), right derivative."""
+    chart = X.chart
+    p = X.degree
+    partials: dict[int, list] = {}
     out = []
-    p = len(I)
-    for k in range(1, p + 1):
-        dg = g.partial(chart.direction_name(I[k - 1]))
-        if dg.is_zero():
-            continue
-        coeff = f * dg
-        if (p - k) % 2:
-            coeff = -coeff
-        out.append((I[:k - 1] + I[k:], coeff))
-    return out
-
-
-def _bracket_term_pair(chart, f, I, g, J):
-    """Terms of [f * @I, g * @J] on wedge monomials, both of degree >= 1.
-
-    Views the terms as (f @i1) ^ @i2 ^ ... and (g @j1) ^ @j2 ^ ... and sums
-    (-1)^{k+l} [U_k, V_l] ^ (remaining factors in order).
-    """
-    out = []
-    one = RingElement.one(chart)
-    p, q = len(I), len(J)
-    for k in range(1, p + 1):
-        u = I[k - 1]
-        a = f if k == 1 else one
-        rest_i = I[:k - 1] + I[k:]
-        for l in range(1, q + 1):
-            v = J[l - 1]
-            b = g if l == 1 else one
-            rest_j = J[:l - 1] + J[l:]
-            m = merge_dirs(rest_i, rest_j)
-            if m is None:
-                continue
-            rest_sign, rest = m
-            c_rest = one
-            if k != 1:
-                c_rest = c_rest * f
-            if l != 1:
-                c_rest = c_rest * g
-            sign = rest_sign if (k + l) % 2 == 0 else -rest_sign
-            # Lie bracket [a @u, b @v] = a (db/du) @v - b (da/dv) @u
-            for d, c in (
-                (v, a * b.partial(chart.direction_name(u))),
-                (u, -(b * a.partial(chart.direction_name(v)))),
-            ):
-                if c.is_zero() or d in rest:
+    for I, f in X.terms:
+        for k, i in enumerate(I):
+            dY = partials.get(i)
+            if dY is None:
+                name = chart.direction_name(i)
+                dY = partials[i] = [
+                    (J, dg) for J, g in Y.terms if not (dg := g.partial(name)).is_zero()
+                ]
+            # the right derivative moves theta_i past the p - 1 - k factors after it
+            flip = (p - 1 - k) % 2 == 1
+            rest = I[:k] + I[k + 1 :]
+            for J, dg in dY:
+                m = merge_dirs(rest, J)
+                if m is None:
                     continue
-                pos = sum(1 for r in rest if r < d)
-                s = sign if pos % 2 == 0 else -sign
-                dirs = tuple(sorted(rest + (d,)))
-                out.append((dirs, c * c_rest if s > 0 else -(c * c_rest)))
+                sign, dirs = m
+                c = f * dg
+                out.append((dirs, -c if (sign < 0) != flip else c))
     return out
 
 
 def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorField:
-    """Schouten-Nijenhuis bracket; degree p+q-1, graded Lie on the shift by 1.
+    """Schouten-Nijenhuis bracket [X, Y] = X o Y - (-1)^{(p-1)(q-1)} Y o X.
 
-    Characterised by: the Lie bracket on vector fields, [X, f] = X(f) for
-    vector fields, graded antisymmetry [X,Y] = -(-1)^{(p-1)(q-1)}[Y,X], and
-    the Leibniz rule [X, Y^Z] = [X,Y]^Z + (-1)^{(p-1) q} Y^[X,Z].
+    Degree p+q-1, graded Lie on the shift by 1.  Characterised by: the Lie
+    bracket on vector fields, [X, f] = X(f) for vector fields, graded
+    antisymmetry [X,Y] = -(-1)^{(p-1)(q-1)}[Y,X], and the Leibniz rule
+    [X, Y^Z] = [X,Y]^Z + (-1)^{(p-1) q} Y^[X,Z].
     """
     X._check(Y)
-    chart = X.chart
     p, q = X.degree, Y.degree
-    out = []
-    if p == 0 and q == 0:
-        return MultiVectorField.zero(chart, 0)
-    if q == 0:
-        for I, f in X.terms:
-            for _, g in Y.terms:
-                out.extend(_bracket_with_function(chart, f, I, g))
-    elif p == 0:
-        # antisymmetry: [f, Y] = -(-1)^{q-1} [Y, f]
-        flip = 1 if (q - 1) % 2 else -1
-        for J, g in Y.terms:
-            for _, f in X.terms:
-                for dirs, c in _bracket_with_function(chart, g, J, f):
-                    out.append((dirs, c if flip > 0 else -c))
-    else:
-        for I, f in X.terms:
-            for J, g in Y.terms:
-                out.extend(_bracket_term_pair(chart, f, I, g, J))
-    return MultiVectorField(chart, max(p + q - 1, 0), out)
+    yx = _compose(Y, X)
+    if (p - 1) * (q - 1) % 2 == 0:
+        yx = [(dirs, -c) for dirs, c in yx]
+    return MultiVectorField(X.chart, max(p + q - 1, 0), _compose(X, Y) + yx)
+
+
+def is_poisson(pi: MultiVectorField) -> bool:
+    """[pi, pi] = 0: exactly, or through fibre order N - 1 for a jet of order N."""
+    jac = schouten_bracket(pi, pi)
+    order = pi.jet_order()
+    return (jac if order is None else jac.truncate(order - 1)).is_zero()
 
 
 def projection_P(X: MultiVectorField) -> VerticalSection:
@@ -248,17 +189,25 @@ def fibre_translate_pushforward(
                 if not da.is_zero():
                     terms.append(((m + j,), da))
             pushed[d] = MultiVectorField(chart, 1, terms)
-    out = MultiVectorField.zero(chart, X.degree)
-    for dirs, coeff in X.terms:
-        piece = MultiVectorField.function(chart, coeff.shift_fibre(neg))
-        for d in dirs:
-            piece = piece.wedge(pushed[d])
-        out = out + piece
-    return out
+    return MultiVectorField.from_factor_images(
+        chart, X, pushed, lambda c: c.shift_fibre(neg)
+    )
 
 
 def default_exp_cap(X: MultiVectorField) -> int:
     return X.max_y_degree() + X.degree + 2
+
+
+def ad_series(X: MultiVectorField, alpha: MultiVectorField):
+    """Yield ([...[X, alpha], ..., alpha], 1/k!) with k brackets, for k = 1, 2, ...
+
+    Never stops by itself; each caller applies its own stopping rule.
+    """
+    term, fact = X, 1
+    for k in itertools.count(1):
+        term = schouten_bracket(term, alpha)
+        fact *= k
+        yield term, Scalar.rational(1, fact)
 
 
 def exp_ad(
@@ -273,12 +222,7 @@ def exp_ad(
     if cap is None:
         cap = default_exp_cap(X)
     acc = X
-    term = X
-    fact = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        term = schouten_bracket(term, alpha)
+    for k, (term, coeff) in enumerate(ad_series(X, alpha), start=1):
         if term.is_zero():
             return acc
         if k > cap:
@@ -286,8 +230,7 @@ def exp_ad(
                 f"adjoint series did not terminate within {cap} brackets; "
                 "use jet or numeric mode"
             )
-        fact *= k
-        acc = acc + term.scale(Scalar.rational(1, fact))
+        acc = acc + term.scale(coeff)
 
 
 def sharp_contract(pi: MultiVectorField, xi) -> MultiVectorField:

@@ -23,8 +23,8 @@ from .forms import (
     leaf_subbundle,
     leafwise_sharp_inverse,
 )
-from .linfty import CoisoAlgebra, coiso_algebra_from_form, lambda_n
-from .multivector import MultiVectorField, VerticalSection, as_vertical
+from .linfty import CoisoAlgebra, coiso_algebra_from_form, kuranishi_rep
+from .multivector import MultiVectorField, VerticalSection
 from .symplectic_model import PresymplecticData, gotay_local_model
 
 
@@ -119,11 +119,7 @@ def _leaf_directions(alg: CoisoAlgebra) -> SubbundleSpec:
 
 def beta_of(alg: CoisoAlgebra, a: MultiVectorField) -> DifferentialForm:
     """The leafwise 2-form representing the Kuranishi class of a closed section."""
-    a = as_vertical(a)
-    if not lambda_n(alg, a).is_zero():
-        raise NotClosedError("section is not lambda_1-closed")
-    rep = lambda_n(alg, a, a)
-    return leafwise_sharp_inverse(alg.pi, rep)
+    return leafwise_sharp_inverse(alg.pi, kuranishi_rep(alg, a))
 
 
 def fibre_torus_integral(beta: DifferentialForm, torus_directions) -> RingElement:
@@ -169,10 +165,10 @@ def obstructedness_certificate(
 ) -> ObstructionReport:
     """Run the full certificate for a degree-1 vertical section."""
     F = _leaf_directions(alg)
-    a = as_vertical(a)
-    if not lambda_n(alg, a).is_zero():
+    try:
+        rep = kuranishi_rep(alg, a)
+    except NotClosedError:
         return ObstructionReport(False, None, None, None, "INCONCLUSIVE")
-    rep = lambda_n(alg, a, a)
     beta = leafwise_sharp_inverse(alg.pi, rep)
     integral = fibre_torus_integral(beta, F.directions)
     verdict = "NONZERO" if _has_nonconstant_part(integral) else "INCONCLUSIVE"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._linalg import mat_mul, ring_det, ring_matrix_inverse, scalar_det
 from .coeff_ring import ChartSpec, RingElement, Scalar
@@ -37,7 +37,8 @@ from .forms import (
     is_in_omega_le,
     pullback_zero_section,
 )
-from .multivector import MultiVectorField, schouten_bracket
+from .linfty import sample_grid
+from .multivector import MultiVectorField, is_poisson
 
 
 @dataclass(frozen=True)
@@ -129,33 +130,12 @@ def _check_nondegenerate(omega: DifferentialForm) -> None:
         # sample the base for zeros of the determinant near the zero section
         support = sorted(det.support_names())
         chart = omega.chart
-        pts = _base_sample_points(chart, support, per_axis=8)
-        for x in pts:
+        for x in sample_grid(chart, support, per_axis=8):
             point = tuple(x) + (0.0,) * chart.n_fibre
             if abs(det.eval(point)) < 1e-9:
                 raise DegenerateBivectorError(
                     f"form is numerically degenerate at {point}"
                 )
-
-
-def _base_sample_points(chart: ChartSpec, names: Sequence[str], per_axis: int):
-    axes = []
-    for i, name in enumerate(chart.base):
-        if name in names:
-            if chart.periodic[i]:
-                axes.append([j / per_axis for j in range(per_axis)])
-            else:
-                axes.append(
-                    [-1.0 + 2.0 * j / (per_axis - 1) for j in range(per_axis)]
-                    if per_axis > 1
-                    else [0.0]
-                )
-        else:
-            axes.append([0.0])
-    out = [()]
-    for vals in axes:
-        out = [p + (v,) for p in out for v in vals]
-    return out
 
 
 @dataclass(frozen=True)
@@ -310,14 +290,13 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVecto
             ) from exc
         pi_entries = [[-minv[i][j] for j in range(n)] for i in range(n)]
         pi = MultiVectorField.from_matrix(chart, pi_entries)
-        if not schouten_bracket(pi, pi).is_zero():
+        if not is_poisson(pi):
             raise NotPoissonError("inverse bivector fails the Jacobi identity")
         return pi
     minv = _neumann_inverse(a, bs, chart, order)
     pi_entries = [[(-minv[i][j]).truncate(order) for j in range(n)] for i in range(n)]
     pi = MultiVectorField.from_matrix(chart, pi_entries)
-    jac = schouten_bracket(pi, pi)
-    if not jac.truncate(order - 1).is_zero():
+    if not is_poisson(pi):
         raise NotPoissonError(
             "inverse bivector fails the Jacobi identity through the checked "
             "order; the input form is probably not closed"

@@ -2,7 +2,10 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from coisokit import (
     MultiVectorField,
@@ -116,3 +119,27 @@ def small_chart():
 def rng_for(name: str) -> random.Random:
     # str seeds hash deterministically across processes, unlike hash()
     return random.Random(name)
+
+
+@pytest.fixture
+def self_brackets(monkeypatch):
+    """Record pi for every schouten_bracket(pi, pi) of a bivector with itself.
+
+    The counter is bound in every coisokit namespace that holds the bracket,
+    so no module's own reference escapes it.
+    """
+    from coisokit import multivector
+
+    original = multivector.schouten_bracket
+    seen = []
+
+    def counting(X, Y):
+        if X.degree == 2 and X == Y:
+            seen.append(X)
+        return original(X, Y)
+
+    for name, module in list(sys.modules.items()):
+        if name == "coisokit" or name.startswith("coisokit."):
+            if getattr(module, "schouten_bracket", None) is original:
+                monkeypatch.setattr(module, "schouten_bracket", counting)
+    return seen

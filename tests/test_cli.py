@@ -124,7 +124,62 @@ class TestParsing:
             assert s.bindings["f"] == value, rendered
 
 
+    @pytest.mark.parametrize(
+        "line", ["check mc a x", "check mc a 0", "check pencil rational_pencil.txt -1"]
+    )
+    def test_invalid_check_parameter_is_a_parse_error(self, line, tmp_path, capsys):
+        text = T4_TEXT.split("check")[0] + line + "\n"
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, base_dir=DATA)
+        assert err.value.line == text.count("\n")
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        assert main(["run", str(scn)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+
+REBOUND_PI = (
+    "chart base=(x1,x2) fibre=(p1,p2)\n"
+    "pi = @x1/\\@p1 + @x2/\\@p2 + @x1/\\@x2\n"
+    "a = (x1, x2)\n"
+    "check coisotropic a\n"
+)
+
+
 class TestRun:
+    def test_rebinding_pi_drops_its_inv_form_source(self):
+        fresh = run(parse_scenario(REBOUND_PI))
+        rebound_text = (
+            REBOUND_PI.splitlines(keepends=True)[0]
+            + "pi = inv_form(dx1/\\dp1 + dx2/\\dp2)\n"
+            + "".join(REBOUND_PI.splitlines(keepends=True)[1:])
+        )
+        s = parse_scenario(rebound_text)
+        assert "pi" not in s.sources
+        rebound = run(s)
+        for report in (fresh, rebound):
+            assert report.results[0].status == "fail"
+            assert report.results[0].defect == 1.0
+            assert report.exit_code() == 1
+
+    def test_rebound_pi_is_still_jacobi_checked(self):
+        text = (
+            "chart base=(x1,x2) fibre=(y1,y2)\n"
+            "pi = inv_form(dx1/\\dy1 + dx2/\\dy2)\n"
+            "pi = @x1/\\@y1 + y1*@x2/\\@y2\n"
+            "a = (0, 0)\n"
+            "check coisotropic a\n"
+        )
+        result = run(parse_scenario(text)).results[0]
+        assert result.status == "error"
+        assert dict(result.details)["message"] == "bivector fails the Jacobi identity"
+
+    def test_inv_form_pi_is_jacobi_checked_once(self, self_brackets):
+        s = t4_scenario()
+        report = run(s)
+        assert [r.status for r in report.results] == ["pass"] * 6
+        assert self_brackets == [s.bindings["pi"]]
+
     def test_t4_checks_all_pass(self):
         report = run(t4_scenario())
         assert [r.status for r in report.results] == ["pass"] * 6

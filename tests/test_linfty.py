@@ -88,6 +88,30 @@ class TestCoisoAlgebra:
         assert t4.algebra.poisson_verified
         assert t4.algebra.source_form is not None
 
+    @pytest.mark.parametrize("fibre_term", [False, True])
+    def test_inverted_form_is_jacobi_checked_once(self, self_brackets, fibre_term):
+        # exact inversion, or a jet when the form depends on the fibre
+        chart = make_chart("x1 x2 q1 q2", "p1 p2")
+        one = RingElement.one(chart)
+        omega = DifferentialForm(
+            chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one))
+        )
+        if fibre_term:
+            p1, x2 = (RingElement.coordinate(chart, n) for n in ("p1", "x2"))
+            omega = omega + de_rham_d(DifferentialForm(chart, 1, (((0,), p1 * x2),)))
+        alg = coiso_algebra_from_form(omega, truncation=4)
+        assert (alg.pi.jet_order() is not None) == fibre_term
+        assert self_brackets == [alg.pi]
+        assert alg.poisson_verified and alg.source_form == omega
+
+    def test_outside_bivector_is_checked_once(self, self_brackets):
+        chart = small_chart()
+        one = RingElement.one(chart)
+        pi = MultiVectorField(chart, 2, (((0, 2), one), ((1, 3), one)))
+        alg = make_coiso_algebra(pi)
+        assert self_brackets == [pi]
+        assert alg.poisson_verified
+
 
 class TestLambdaN:
     def test_t4_values(self, t4):

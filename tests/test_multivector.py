@@ -75,15 +75,24 @@ class TestSchoutenBracket:
             assert schouten_bracket(X, X).is_zero()
 
     def test_function_bracket_is_directional_derivative(self, chart):
+        # [f @I, g] = sum_k (-1)^{p-k} f (dg/du_{i_k}) @I\k, which is X(g) for
+        # p = 1; for p = 2 a left theta-derivative would flip the sign
         rng = rng_for("fn-bracket")
-        for _ in range(20):
-            X = rand_multivector(rng, chart, 1)
-            f = rand_ring(rng, chart)
-            Xf = schouten_bracket(X, MultiVectorField.function(chart, f))
-            acc = RingElement.zero(chart)
-            for (d,), c in X.terms:
-                acc = acc + c * f.partial(chart.direction_name(d))
-            assert Xf == MultiVectorField.function(chart, acc)
+        for p in (1, 2, 3):
+            for _ in range(20):
+                X = rand_multivector(rng, chart, p)
+                g = rand_ring(rng, chart)
+                out = []
+                for I, f in X.terms:
+                    for k in range(1, p + 1):
+                        c = f * g.partial(chart.direction_name(I[k - 1]))
+                        out.append((I[: k - 1] + I[k:], c if (p - k) % 2 == 0 else -c))
+                expected = MultiVectorField(chart, p - 1, out)
+                G = MultiVectorField.function(chart, g)
+                assert schouten_bracket(X, G) == expected
+                # antisymmetry: [g, X] = -(-1)^{p-1} [X, g]
+                flip = Scalar.rational(1 if p % 2 == 0 else -1)
+                assert schouten_bracket(G, X) == expected.scale(flip)
 
     def test_graded_antisymmetry(self, chart):
         rng = rng_for("antisym")
