@@ -535,22 +535,26 @@ class Scenario:
 def _parse_chart_line(body: str, line: int) -> ChartSpec:
     base, fibre, bound = None, "", None
     rest = body
-    while rest.strip():
-        rest = rest.strip()
-        if rest.startswith("base=("):
-            end = rest.index(")")
-            base = rest[len("base=(") : end]
-            rest = rest[end + 1 :]
-        elif rest.startswith("fibre=("):
-            end = rest.index(")")
-            fibre = rest[len("fibre=(") : end]
-            rest = rest[end + 1 :]
-        elif rest.startswith("domain="):
-            value = rest[len("domain="):].split()[0]
-            bound = Fraction(value)
-            rest = rest[len("domain=") + len(value) :]
-        else:
-            raise ScenarioError(f"cannot parse chart clause near {rest!r}", line)
+    try:
+        while rest.strip():
+            rest = rest.strip()
+            if rest.startswith("base=("):
+                end = rest.index(")")
+                base = rest[len("base=(") : end]
+                rest = rest[end + 1 :]
+            elif rest.startswith("fibre=("):
+                end = rest.index(")")
+                fibre = rest[len("fibre=(") : end]
+                rest = rest[end + 1 :]
+            elif rest.startswith("domain="):
+                value = rest[len("domain="):].split()[0]
+                bound = Fraction(value)
+                rest = rest[len("domain=") + len(value) :]
+            else:
+                raise ScenarioError(f"cannot parse chart clause near {rest!r}", line)
+    except (ValueError, ZeroDivisionError, IndexError):
+        # a missing ')', an empty or non-rational domain bound
+        raise ScenarioError(f"malformed chart clause {rest!r}", line) from None
     if base is None:
         raise ScenarioError("chart needs base=(...)", line)
     try:
@@ -696,7 +700,6 @@ def _render_value(value) -> str:
 class RunFlags:
     truncation: int = 6
     samples: int = 32
-    seed: int = 0
     strict: bool = False
     timings: bool = False
 
@@ -913,7 +916,7 @@ def _report_text(report: RunReport) -> str:
     lines = [
         "coiso-kit report",
         f"scenario: {report.scenario}",
-        f"flags: truncation={f.truncation} samples={f.samples} seed={f.seed} "
+        f"flags: truncation={f.truncation} samples={f.samples} "
         f"strict={'true' if f.strict else 'false'}",
         "",
     ]
@@ -940,7 +943,6 @@ def _report_json(report: RunReport) -> str:
         "flags": {
             "truncation": f.truncation,
             "samples": f.samples,
-            "seed": f.seed,
             "strict": f.strict,
         },
         "checks": [
@@ -998,12 +1000,14 @@ def main(argv=None) -> int:
     runp.add_argument("file")
     runp.add_argument("--truncation", type=int, default=6)
     runp.add_argument("--samples", type=int, default=32)
-    runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     runp.add_argument("--out", default=None)
     runp.add_argument("--strict", action="store_true")
     runp.add_argument("--timings", action="store_true")
     args = parser.parse_args(argv)
+    for flag, low in (("truncation", 1), ("samples", 2)):
+        if getattr(args, flag) < low:
+            runp.error(f"--{flag} must be at least {low}, found {getattr(args, flag)}")
 
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -1024,7 +1028,6 @@ def main(argv=None) -> int:
     flags = RunFlags(
         truncation=args.truncation,
         samples=args.samples,
-        seed=args.seed,
         strict=args.strict,
         timings=args.timings,
     )

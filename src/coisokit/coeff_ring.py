@@ -589,7 +589,10 @@ class RingElement:
                 n = k[idx]
                 if n:
                     out.append((xe, k, ye, s * Scalar.pi_power(1, 2 * n) * Scalar.imag_unit()))
-        return RingElement(self.chart, out, self.jet_order)
+        jet = self.jet_order
+        if kind == "fibre" and jet is not None:
+            jet -= 1  # y^N + O(y^(N+1)) differentiates to order N - 1
+        return RingElement(self.chart, out, jet)
 
     def substitute_fibre(self, exprs: Sequence["RingElement"]) -> "RingElement":
         """Replace each fibre coordinate y_j by exprs[j], fully expanded."""

@@ -204,27 +204,37 @@ def sample_grid(
     return tuple(itertools.product(*axes))
 
 
-def _numeric_matrix(alg_or_pi, point) -> np.ndarray:
-    """True bivector matrix at a full chart point, preferring the source form."""
-    if isinstance(alg_or_pi, CoisoAlgebra):
-        if alg_or_pi.source_form is not None:
-            w = alg_or_pi.source_form.coefficient_matrix()
-            wn = np.array([[c.eval(point) for c in row] for row in w])
-            return -np.linalg.inv(wn)
-        pi = alg_or_pi.pi
-    else:
-        pi = alg_or_pi
-    mat = pi.coefficient_matrix()
-    return np.array([[c.eval(point) for c in row] for row in mat])
+def _pushforward_block(alg_or_pi, alpha: VerticalSection):
+    """The numeric Maurer-Cartan oracle of one check: x -> (J Pi J^T)[m:, m:].
 
-
-def _alpha_jacobian(alpha: VerticalSection):
-    """Symbolic entries d alpha_j / d x_i, indexed [j][i]."""
-    chart = alpha.chart
+    Pi is the true bivector at (x, -alpha(x)) (the inverted source form if
+    any, else pi) and J the Jacobian of the fibre translation by alpha.  The
+    block is P of the pushed bivector at (x, 0); it vanishes exactly where
+    graph(-alpha) is coisotropic, so it is also the coisotropy defect.
+    """
+    true = alg_or_pi
+    if isinstance(true, CoisoAlgebra):
+        true = true.pi if true.source_form is None else true.source_form
+    m, n = alpha.chart.n_base, alpha.chart.n_fibre
     comps = alpha.components()
-    return [
-        [c.partial(chart.base[i]) for i in range(chart.n_base)] for c in comps
-    ]
+    dalpha = [((m + j, i), d) for j, c in enumerate(comps)
+              for i, d in enumerate(map(c.partial, alpha.chart.base)) if d.terms]
+
+    def block(x) -> np.ndarray:
+        base_point = tuple(x) + (0.0,) * n
+        point = tuple(x) + tuple(-c.eval(base_point) for c in comps)
+        mat = np.zeros((m + n, m + n), dtype=complex)
+        for ij, c in true.terms:
+            mat[ij] = c.eval(point)
+        mat = mat - mat.T
+        if isinstance(true, DifferentialForm):
+            mat = -np.linalg.inv(mat)
+        jac = np.eye(m + n, dtype=complex)
+        for ij, d in dalpha:
+            jac[ij] = d.eval(base_point)
+        return (jac @ mat @ jac.T)[m:, m:]
+
+    return block
 
 
 def pushforward_oracle_numeric(alg_or_pi, alpha: VerticalSection, x) -> np.ndarray:
@@ -233,20 +243,7 @@ def pushforward_oracle_numeric(alg_or_pi, alpha: VerticalSection, x) -> np.ndarr
     Evaluates the true matrix at (x, -alpha(x)) and conjugates with the
     translation Jacobian; independent of the symbolic bracket machinery.
     """
-    chart = alpha.chart
-    comps = alpha.components()
-    base_point = tuple(x) + (0.0,) * chart.n_fibre
-    avals = [c.eval(base_point) for c in comps]
-    point = tuple(x) + tuple(-v for v in avals)
-    piv = _numeric_matrix(alg_or_pi, point)
-    m, n = chart.n_base, chart.n_fibre
-    jac = np.eye(m + n, dtype=complex)
-    dalpha = _alpha_jacobian(alpha)
-    for j in range(n):
-        for i in range(m):
-            jac[m + j, i] = dalpha[j][i].eval(base_point)
-    pushed = jac @ piv @ jac.T
-    return pushed[m:, m:]
+    return _pushforward_block(alg_or_pi, alpha)(x)
 
 
 # -- partial-sum convergence tables ---------------------------------------------
@@ -338,9 +335,10 @@ def mc_partial_table(
         if not term.is_zero():
             acc = acc + projection_P(term).scale(coeff)
         partials.append(acc)
+    oracle_at = _pushforward_block(alg, alpha)
     rows = []
     for x in points:
-        oracle_mat = pushforward_oracle_numeric(alg, alpha, x)
+        oracle_mat = oracle_at(x)
         oracle = tuple(
             _real_part(oracle_mat[i - chart.n_base, j - chart.n_base])
             for i, j in comp_dirs
@@ -375,35 +373,22 @@ def coisotropy_check_numeric(
     per_axis: Optional[int] = None,
     tol: float = 1e-9,
 ) -> CoisotropyResult:
-    """Measure the conormal defect of graph(-alpha) on a sample grid.
+    """Measure the coisotropy defect of graph(-alpha) on a sample grid.
 
-    At each point the conormal of the graph is spanned by
-    xi_j = dy_j + sum_i (d alpha_j / d x_i) dx_i; the graph is coisotropic
-    exactly when the bivector vanishes on conormal pairs, so the defect is
-    max |xi_k . Pi . xi_j| over the frame.
+    The defect is the max over the grid of |(J Pi J^T)[m:, m:]|, the numeric
+    pushforward block at (x, -alpha(x)): the numeric Maurer-Cartan value,
+    the same quantity as the oracle columns of ``mc_partial_table``.  The
+    graph is coisotropic exactly when it vanishes.
     """
     alpha = as_vertical(alpha)
-    chart = alpha.chart
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
     if points is None:
         names = sorted(pi.support_names() | alpha.support_names())
-        points = sample_grid(chart, names, per_axis=per_axis)
-    comps = alpha.components()
-    dalpha = _alpha_jacobian(alpha)
-    m, n = chart.n_base, chart.n_fibre
+        points = sample_grid(alpha.chart, names, per_axis=per_axis)
+    block = _pushforward_block(alg_or_pi, alpha)
     worst = 0.0
     for x in points:
-        base_point = tuple(x) + (0.0,) * n
-        avals = [c.eval(base_point) for c in comps]
-        point = tuple(x) + tuple(-v for v in avals)
-        piv = _numeric_matrix(alg_or_pi, point)
-        xi = np.zeros((n, m + n), dtype=complex)
-        for j in range(n):
-            xi[j, m + j] = 1.0
-            for i in range(m):
-                xi[j, i] = dalpha[j][i].eval(base_point)
-        defect = xi @ piv @ xi.T
-        worst = max(worst, float(np.max(np.abs(defect))))
+        worst = max(worst, float(np.max(np.abs(block(x)))))
     return CoisotropyResult(worst <= tol, worst)
 
 

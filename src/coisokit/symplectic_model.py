@@ -22,6 +22,7 @@ from ._linalg import mat_mul, ring_det, ring_matrix_inverse, scalar_det
 from .coeff_ring import ChartSpec, RingElement, Scalar
 from .errors import (
     DegenerateBivectorError,
+    JetOrderError,
     NonAffineFibreError,
     NonInvertibleScalarError,
     NotPoissonError,
@@ -173,14 +174,17 @@ class AffinePencil:
 def parse_pencil_text(text: str) -> AffinePencil:
     """Plain-text pencil: blocks of rational rows separated by blank lines."""
     blocks, cur = [], []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             if cur:
                 blocks.append(cur)
                 cur = []
             continue
-        cur.append([Fraction(tok) for tok in line.split()])
+        try:
+            cur.append([Fraction(tok) for tok in line.split()])
+        except (ValueError, ZeroDivisionError):
+            raise PencilError(f"line {lineno}: not a rational row: {line!r}") from None
     if cur:
         blocks.append(cur)
     if not blocks:
@@ -293,6 +297,8 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVecto
         if not is_poisson(pi):
             raise NotPoissonError("inverse bivector fails the Jacobi identity")
         return pi
+    if order < 1:
+        raise JetOrderError(f"jet order {order} < 1 checks no order of [pi, pi]")
     minv = _neumann_inverse(a, bs, chart, order)
     pi_entries = [[(-minv[i][j]).truncate(order) for j in range(n)] for i in range(n)]
     pi = MultiVectorField.from_matrix(chart, pi_entries)

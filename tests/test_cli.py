@@ -137,6 +137,19 @@ class TestParsing:
         assert main(["run", str(scn)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("truncation", [0, 1, 6])
+    def test_unclosed_form_is_rejected_at_every_truncation(self, truncation):
+        # an order-0 jet would truncate [pi, pi] at order -1 and check nothing
+        text = (
+            "chart base=(x1,x2,q1,q2) fibre=(p1,p2)\n"
+            "omega = dx1/\\dx2 + dq1/\\dp1 + dq2/\\dp2"
+            " + p1*x2*dx2/\\dx1 + x1*dp1/\\dx2\n"
+            "pi = inv_form(omega)\n"
+        )
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, truncation=truncation)
+        assert err.value.line == 3
+
 
 REBOUND_PI = (
     "chart base=(x1,x2) fibre=(p1,p2)\n"
@@ -295,6 +308,43 @@ class TestMain:
 
         assert main(["run", str(tmp_path / "missing.scn")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag", [["--truncation", "0"], ["--samples", "1"], ["--samples", "0"]]
+    )
+    def test_flag_below_its_minimum_is_rejected(self, flag, tmp_path, capsys):
+        scn = tmp_path / "ok.scn"
+        scn.write_text(T4_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scn), *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, pencil, code",
+        [
+            ("chart base=(y1*) fibre=(p1) domain=abc\n", None, 2),
+            ("chart base=(y1*) fibre=(p1) domain=\n", None, 2),
+            ("chart base=(y1*\n", None, 2),
+            (T4_TEXT, "1 0\n3 x\n", 3),
+        ],
+        ids=["domain_abc", "empty_domain", "missing_paren", "pencil_token"],
+    )
+    def test_malformed_input_has_a_documented_outcome(
+        self, scenario, pencil, code, tmp_path, capsys
+    ):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(scenario)
+        if pencil is not None:
+            (tmp_path / "rational_pencil.txt").write_text(pencil)
+        assert main(["run", str(scn)]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert err.startswith("parse error: line 1:")
+        else:
+            # the pencil check reports its error and the other checks still run
+            assert "pencil rational_pencil.txt 6: error\n    message: line 2:" in out
+            assert "pass=5 fail=0 inconclusive=0 error=1" in out
 
     def test_out_flag(self, tmp_path, capsys):
         scn = tmp_path / "t.scn"

@@ -150,6 +150,11 @@ class TestPartialDerivative:
         y2 = RingElement.coordinate(chart, "y2")
         f = y1 ** 2 * y2
         assert partial_derivative(f, "y1") == y1.scale(2) * y2
+        # d/dy of y^3 + O(y^4) is known only through y^2; d/dx keeps the order
+        jet = (y1 ** 3).truncate(3)
+        assert partial_derivative(jet, "y1") == (y1 ** 2).scale(3).truncate(2)
+        x1 = RingElement.coordinate(chart, "x1")
+        assert partial_derivative(x1 * jet, "x1") == jet
 
     def test_unknown_coordinate(self, chart):
         with pytest.raises(UnknownCoordinateError):

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -39,6 +40,7 @@ from coisokit import (
     mc_partial_table,
     mc_series_exact,
     projection_P,
+    pushforward_oracle_numeric,
     sample_grid,
     schouten_bracket,
     twisted_brackets,
@@ -62,6 +64,22 @@ def algebra_for(pi, **kw):
 @pytest.fixture(scope="module")
 def t4():
     return build_T4_example()
+
+
+def t4_family(chart):
+    """Twelve seeded sections on the T^4 chart: constants, sines and cos(q1)."""
+    rng = rng_for("coiso-mc")
+    for _ in range(12):
+        comps = []
+        for nm in ("y1", "y2"):
+            kind = rng.randrange(3)
+            if kind == 0:
+                comps.append(RingElement.constant(chart, Fraction(rng.randint(-2, 2), 3)))
+            elif kind == 1:
+                comps.append(RingElement.sin_of(chart, {nm: 1}).scale(rng.randint(1, 2)))
+            else:
+                comps.append(RingElement.cos_of(chart, {"q1": 1}).scale(Fraction(1, 2)))
+        yield VerticalSection.from_components(chart, comps)
 
 
 class TestCoisoAlgebra:
@@ -316,22 +334,58 @@ class TestCoisotropyNumeric:
 
     def test_agrees_with_exact_mc_on_t4_family(self, t4):
         alg = t4.algebra
-        chart = alg.chart
-        rng = rng_for("coiso-mc")
-        for _ in range(12):
-            comps = []
-            for nm in ("y1", "y2"):
-                kind = rng.randrange(3)
-                if kind == 0:
-                    comps.append(RingElement.constant(chart, Fraction(rng.randint(-2, 2), 3)))
-                elif kind == 1:
-                    comps.append(RingElement.sin_of(chart, {nm: 1}).scale(rng.randint(1, 2)))
-                else:
-                    comps.append(RingElement.cos_of(chart, {"q1": 1}).scale(Fraction(1, 2)))
-            alpha = VerticalSection.from_components(chart, comps)
+        for alpha in t4_family(alg.chart):
             exact_zero = mc_series_exact(alg, alpha).is_zero()
             res = coisotropy_check_numeric(alg, alpha, per_axis=8)
             assert exact_zero == res.coisotropic
+
+    def test_defect_is_the_sup_norm_of_the_oracle(self, t4):
+        alg = t4.algebra
+        chart = alg.chart
+        const = VerticalSection.from_components(
+            chart,
+            [RingElement.constant(chart, Fraction(2, 7)), RingElement.constant(chart, -1)],
+        )
+        for alpha in (t4.section, const, *t4_family(chart)):
+            names = sorted(alg.pi.support_names() | alpha.support_names())
+            points = sample_grid(chart, names, per_axis=8)
+            oracle = max(
+                np.max(np.abs(pushforward_oracle_numeric(alg, alpha, x))) for x in points
+            )
+            res = coisotropy_check_numeric(alg, alpha, per_axis=8)
+            assert res.max_defect == oracle
+
+    def test_partials_are_taken_once_per_check(self, t4, monkeypatch):
+        original = RingElement.partial
+        calls = []
+
+        def counting(self, name):
+            calls.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(RingElement, "partial", counting)
+        checks = (
+            lambda k: mc_partial_table(t4.algebra, t4.section, 2, per_axis=k),
+            lambda k: coisotropy_check_numeric(t4.algebra, t4.section, per_axis=k),
+        )
+        for check in checks:
+            counts = []
+            for per_axis in (2, 8):
+                calls.clear()
+                check(per_axis)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] > 0
+
+    def test_oracle_uses_no_symbolic_code(self, t4, monkeypatch):
+        from coisokit import linfty
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric oracle routed through symbolic code")
+
+        for name in ("schouten_bracket", "projection_P", "ad_series"):
+            monkeypatch.setattr(linfty, name, forbidden)
+        res = coisotropy_check_numeric(t4.algebra, t4.section, per_axis=4)
+        assert not res.coisotropic
 
 
 class TestTwistedAlgebra:
