@@ -113,9 +113,23 @@ def _tokenize(text: str, line: int):
 
 
 class _ExprParser:
+    # Parentheses, call arguments and unary minus nest at most this deep.
+    # A parenthesised factor costs the parser seven Python frames per level,
+    # so the bound keeps parsing and evaluation far below the interpreter's
+    # default recursion limit of 1000.
+    MAX_DEPTH = 64
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, line, col):
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise ScenarioError(
+                f"expression nested deeper than {self.MAX_DEPTH} levels", line, col
+            )
 
     def peek(self):
         return self.tokens[self.pos]
@@ -167,7 +181,10 @@ class _ExprParser:
     def parse_unary(self):
         if self.peek()[0] == "op" and self.peek()[1] == "-":
             _, _, line, col = self.next()
-            return ("neg", self.parse_unary(), (line, col))
+            self.enter(line, col)
+            node = ("neg", self.parse_unary(), (line, col))
+            self.depth -= 1
+            return node
         return self.parse_pow()
 
     def parse_pow(self):
@@ -193,23 +210,25 @@ class _ExprParser:
         if kind == "name":
             if self.peek()[0] == "op" and self.peek()[1] == "(":
                 self.next()
-                args = [self.parse_add()]
-                while self.peek()[0] == "op" and self.peek()[1] == ",":
-                    self.next()
-                    args.append(self.parse_add())
-                self.expect_op(")")
-                return ("call", text, args, (line, col))
+                return ("call", text, self.parse_list(line, col), (line, col))
             return ("name", text, (line, col))
         if kind == "op" and text == "(":
-            items = [self.parse_add()]
-            while self.peek()[0] == "op" and self.peek()[1] == ",":
-                self.next()
-                items.append(self.parse_add())
-            self.expect_op(")")
+            items = self.parse_list(line, col)
             if len(items) == 1:
                 return items[0]
             return ("tuple", items, (line, col))
         raise ScenarioError(f"unexpected token {text!r}", line, col)
+
+    def parse_list(self, line, col):
+        """Comma-separated expressions up to the closing ')', one level deeper."""
+        self.enter(line, col)
+        items = [self.parse_add()]
+        while self.peek()[0] == "op" and self.peek()[1] == ",":
+            self.next()
+            items.append(self.parse_add())
+        self.expect_op(")")
+        self.depth -= 1
+        return items
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -243,7 +262,16 @@ class _Evaluator:
         if tag == "call":
             return self._call(node[1], node[2], node[3])
         if tag == "bin":
-            return self._bin(node[1], node[2], node[3], node[4])
+            # walk the left spine of a chain such as x1 + x1 + ... iteratively,
+            # so a long flat sum or product needs no frame per operand
+            spine = []
+            while node[0] == "bin":
+                spine.append(node)
+                node = node[2]
+            value = self.eval(node)
+            for _, op, _, rnode, pos in reversed(spine):
+                value = self._bin(op, value, self.eval(rnode), pos)
+            return value
         raise AssertionError(f"unknown node {tag}")
 
     def _name(self, name, pos):
@@ -289,15 +317,13 @@ class _Evaluator:
                 return RingElement.constant(self.chart, inv) ** (-n)
         raise ScenarioError("'^' needs a scalar base (negative powers: constants)", *pos)
 
-    def _bin(self, op, lnode, rnode, pos):
+    def _bin(self, op, lv, rv, pos):
         if op == "/\\":
-            lv, rv = self.eval(lnode), self.eval(rnode)
             if isinstance(lv, MultiVectorField) and isinstance(rv, MultiVectorField):
                 return lv.wedge(rv)
             if isinstance(lv, DifferentialForm) and isinstance(rv, DifferentialForm):
                 return lv.wedge(rv)
             raise ScenarioError("wedge needs two vectors or two forms", *pos)
-        lv, rv = self.eval(lnode), self.eval(rnode)
         try:
             if op == "+":
                 return self._add(lv, rv, pos)
@@ -373,37 +399,45 @@ class _Evaluator:
                 raise ScenarioError("negative powers not allowed here", *node[3])
             return (p * n, c ** n, {})
         if tag == "bin":
-            op = node[1]
-            if op in "+-":
-                p1, c1, l1 = self._phase(node[2])
-                p2, c2, l2 = self._phase(node[3])
-                if p1 != p2:
-                    raise ScenarioError("mixed pi-degrees in sin/cos argument", *node[4])
-                sgn = 1 if op == "+" else -1
-                lin = dict(l1)
-                for k, v in l2.items():
-                    lin[k] = lin.get(k, Fraction(0)) + sgn * v
-                return (p1, c1 + sgn * c2, {k: v for k, v in lin.items() if v})
-            if op == "*":
-                p1, c1, l1 = self._phase(node[2])
-                p2, c2, l2 = self._phase(node[3])
-                if l1 and l2:
-                    raise ScenarioError("sin/cos argument must be linear", *node[4])
-                lin = l1 or l2
-                cmul = c2 if l1 else c1
-                return (
-                    p1 + p2,
-                    c1 * c2,
-                    {k: v * cmul for k, v in lin.items()},
-                )
-            if op == "/":
-                p1, c1, l1 = self._phase(node[2])
-                p2, c2, l2 = self._phase(node[3])
-                if l2 or p2 != 0 or c2 == 0:
-                    raise ScenarioError("can only divide by a rational here", *node[4])
-                return (p1, c1 / c2, {k: v / c2 for k, v in l1.items()})
-            raise ScenarioError(f"operator {op!r} not allowed inside sin/cos", *node[4])
+            # the left spine is walked iteratively, as in eval
+            spine = []
+            while node[0] == "bin":
+                if node[1] not in ("+", "-", "*", "/"):
+                    raise ScenarioError(
+                        f"operator {node[1]!r} not allowed inside sin/cos", *node[4]
+                    )
+                spine.append(node)
+                node = node[2]
+            value = self._phase(node)
+            for _, op, _, rnode, pos in reversed(spine):
+                value = self._phase_bin(op, value, self._phase(rnode), pos)
+            return value
         raise ScenarioError("unsupported sin/cos argument")
+
+    @staticmethod
+    def _phase_bin(op, left, right, pos):
+        (p1, c1, l1), (p2, c2, l2) = left, right
+        if op in "+-":
+            if p1 != p2:
+                raise ScenarioError("mixed pi-degrees in sin/cos argument", *pos)
+            sgn = 1 if op == "+" else -1
+            lin = dict(l1)
+            for k, v in l2.items():
+                lin[k] = lin.get(k, Fraction(0)) + sgn * v
+            return (p1, c1 + sgn * c2, {k: v for k, v in lin.items() if v})
+        if op == "*":
+            if l1 and l2:
+                raise ScenarioError("sin/cos argument must be linear", *pos)
+            lin = l1 or l2
+            cmul = c2 if l1 else c1
+            return (
+                p1 + p2,
+                c1 * c2,
+                {k: v * cmul for k, v in lin.items()},
+            )
+        if l2 or p2 != 0 or c2 == 0:
+            raise ScenarioError("can only divide by a rational here", *pos)
+        return (p1, c1 / c2, {k: v / c2 for k, v in l1.items()})
 
     def _trig(self, fn, node, pos):
         p, c, lin = self._phase(node)
@@ -532,6 +566,15 @@ class Scenario:
         )
 
 
+def _is_name_token(text: str) -> bool:
+    """True when the tokenizer reads ``text`` back as one ``name`` token."""
+    try:
+        tokens = _tokenize(text, 0)
+    except ScenarioError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("name", text)
+
+
 def _parse_chart_line(body: str, line: int) -> ChartSpec:
     base, fibre, bound = None, "", None
     rest = body
@@ -557,8 +600,13 @@ def _parse_chart_line(body: str, line: int) -> ChartSpec:
         raise ScenarioError(f"malformed chart clause {rest!r}", line) from None
     if base is None:
         raise ScenarioError("chart needs base=(...)", line)
+    base, fibre = base.replace(",", " "), fibre.replace(",", " ")
+    names = [n[:-1] if n.endswith("*") else n for n in base.split()] + fibre.split()
+    for name in names:
+        if not _is_name_token(name):
+            raise ScenarioError(f"invalid chart coordinate name {name!r}", line)
     try:
-        return make_chart(base.replace(",", " "), fibre.replace(",", " "), bound)
+        return make_chart(base, fibre, bound)
     except ValueError as exc:
         raise ScenarioError(str(exc), line)
 

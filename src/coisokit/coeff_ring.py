@@ -16,6 +16,12 @@ Terms are kept sorted by the lexicographic key (x-exponents, Fourier modes,
 y-exponents) with no zero scalars, so equal elements are equal tuples and can
 be hashed and compared bit for bit.
 
+Coefficients are accumulated once per operation.  A product or sum collects
+the Gaussian rationals of every contribution in one accumulator per output
+key (a dict from pi-exponent to ``[re, im]``) and builds each output Scalar
+once; a product skips the term pairs above the jet order before any
+arithmetic, and no per-pair Scalar is built.
+
 Jets (finite fibre order) are ordinary elements with ``jet_order`` set;
 binary operations between jets truncate to the minimum order.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -49,24 +56,64 @@ def _frac(v) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(v).__name__}")
 
 
+def _acc_add(acc: dict, terms) -> None:
+    """Add (e, re, im) triples into an accumulator {e: [re, im]}."""
+    for e, re, im in terms:
+        slot = acc.get(e)
+        if slot is None:
+            acc[e] = [re, im]
+        else:
+            slot[0] += re
+            slot[1] += im
+
+
+def _acc_mul(acc: dict, left, right) -> None:
+    """Add the product of two canonical term tuples into an accumulator."""
+    for e1, a, b in left:
+        for e2, c, d in right:
+            e = e1 + e2
+            slot = acc.get(e)
+            if b or d:
+                re, im = a * c - b * d, a * d + b * c
+                if slot is None:
+                    acc[e] = [re, im]
+                else:
+                    slot[0] += re
+                    slot[1] += im
+            elif slot is None:  # both real: no imaginary cross terms
+                acc[e] = [a * c, _F0]
+            else:
+                slot[0] += a * c
+
+
+def _acc_terms(acc: dict) -> tuple:
+    """The sorted term tuple of an accumulator, zero coefficients dropped."""
+    return tuple((e, re, im) for e, (re, im) in sorted(acc.items()) if re or im)
+
+
 class Scalar:
     """Exact number of the form sum_e (a_e + i*b_e) * pi^e.
 
     The map from pi-exponent e to the Gaussian rational a_e + i*b_e is
     finite and stores no zero coefficients.  Multiplication adds
-    pi-exponents; all arithmetic is exact.
+    pi-exponents; all arithmetic is exact.  Every operation fills one
+    accumulator {e: [re, im]} and sorts it once; results that are canonical
+    by construction (negation, conjugation, inverse) are wrapped as they are.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[int, Fraction, Fraction]] = ()):
-        acc: dict[int, tuple[Fraction, Fraction]] = {}
-        for e, re, im in terms:
-            re0, im0 = acc.get(e, (_F0, _F0))
-            acc[e] = (re0 + re, im0 + im)
-        self._terms = tuple(
-            sorted((e, re, im) for e, (re, im) in acc.items() if re or im)
-        )
+        acc: dict[int, list] = {}
+        _acc_add(acc, terms)
+        self._terms = tuple((e, _frac(re), _frac(im)) for e, re, im in _acc_terms(acc))
+
+    @classmethod
+    def _wrap(cls, terms: tuple) -> "Scalar":
+        """A Scalar over an already canonical term tuple of Fractions."""
+        s = object.__new__(cls)
+        s._terms = terms
+        return s
 
     # -- constructors -------------------------------------------------
 
@@ -140,12 +187,16 @@ class Scalar:
 
     def __add__(self, other):
         other = Scalar.of(other)
-        return Scalar(self._terms + other._terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return _scalar_sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar((e, -re, -im) for e, re, im in self._terms)
+        return Scalar._wrap(tuple((e, -re, -im) for e, re, im in self._terms))
 
     def __sub__(self, other):
         return self + (-Scalar.of(other))
@@ -155,16 +206,14 @@ class Scalar:
 
     def __mul__(self, other):
         other = Scalar.of(other)
-        out = []
-        for e1, a, b in self._terms:
-            for e2, c, d in other._terms:
-                out.append((e1 + e2, a * c - b * d, a * d + b * c))
-        return Scalar(out)
+        acc: dict[int, list] = {}
+        _acc_mul(acc, self._terms, other._terms)
+        return Scalar._wrap(_acc_terms(acc))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
-        return Scalar((e, re, -im) for e, re, im in self._terms)
+        return Scalar._wrap(tuple((e, re, -im) for e, re, im in self._terms))
 
     def inverse(self) -> "Scalar":
         """Exact inverse; defined only for single-term scalars c * pi^e."""
@@ -175,7 +224,7 @@ class Scalar:
             )
         e, a, b = t
         n = a * a + b * b
-        return Scalar(((-e, a / n, -b / n),))
+        return Scalar._wrap(((-e, a / n, -b / n),))
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inverse()
@@ -233,6 +282,14 @@ class Scalar:
                 body = _join_factors("(" + _gauss_text(re, im) + ")", _pi_text(e))
             pieces.append(body)
         return 1, "(" + " + ".join(pieces) + ")"
+
+
+def _scalar_sum(parts) -> Scalar:
+    """The sum of several Scalars, accumulated once."""
+    acc: dict[int, list] = {}
+    for part in parts:
+        _acc_add(acc, part._terms)
+    return Scalar._wrap(_acc_terms(acc))
 
 
 def _frac_text(q: Fraction) -> str:
@@ -373,20 +430,30 @@ class RingElement:
     __slots__ = ("chart", "terms", "jet_order")
 
     def __init__(self, chart: ChartSpec, terms, jet_order: Optional[int] = None):
-        # terms: iterable of (xexp, modes, yexp, Scalar); canonicalised here
-        acc: dict[tuple, Scalar] = {}
+        # terms: iterable of (xexp, modes, yexp, Scalar); canonicalised here.
+        # A key met once keeps its Scalar; the coefficients of a key met
+        # more than once are summed in one accumulator.
+        groups: dict[tuple, list] = {}
         for xe, k, ye, s in terms:
+            if jet_order is not None and sum(ye) > jet_order:
+                continue
+            if type(s) is not Scalar:
+                s = Scalar.of(s)
+            if not s._terms:
+                continue
             key = (tuple(xe), tuple(k), tuple(ye))
-            acc[key] = acc.get(key, Scalar.zero()) + s
-        if jet_order is not None:
-            acc = {key: s for key, s in acc.items() if sum(key[2]) <= jet_order}
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [s]
+            else:
+                group.append(s)
+        out = []
+        for key, group in sorted(groups.items()):
+            s = group[0] if len(group) == 1 else _scalar_sum(group)
+            if s._terms:
+                out.append(key + (s,))
         self.chart = chart
-        self.terms = tuple(
-            sorted(
-                ((xe, k, ye, s) for (xe, k, ye), s in acc.items() if not s.is_zero()),
-                key=lambda t: (t[0], t[1], t[2]),
-            )
-        )
+        self.terms = tuple(out)
         self.jet_order = jet_order
 
     # -- constructors --------------------------------------------------
@@ -497,7 +564,7 @@ class RingElement:
     # -- arithmetic -------------------------------------------------------
 
     def _check_chart(self, other: "RingElement"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(
                 f"operands live on different charts: {self.chart} vs {other.chart}"
             )
@@ -545,18 +612,29 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check_chart(other)
-        out = []
+        jet = _min_order(self.jet_order, other.jet_order)
+        right = [(xe, k, ye, sum(ye), s._terms) for xe, k, ye, s in other.terms]
+        accs: dict[tuple, dict] = {}
         for xe1, k1, ye1, s1 in self.terms:
-            for xe2, k2, ye2, s2 in other.terms:
-                out.append(
-                    (
-                        _tadd(xe1, xe2),
-                        _tadd(k1, k2),
-                        _tadd(ye1, ye2),
-                        s1 * s2,
-                    )
-                )
-        return RingElement(self.chart, out, _min_order(self.jet_order, other.jet_order))
+            deg1 = sum(ye1)
+            left = s1._terms
+            for xe2, k2, ye2, deg2, t2 in right:
+                if jet is not None and deg1 + deg2 > jet:
+                    continue
+                key = (_tadd(xe1, xe2), _tadd(k1, k2), _tadd(ye1, ye2))
+                acc = accs.get(key)
+                if acc is None:
+                    accs[key] = acc = {}
+                _acc_mul(acc, left, t2)
+        out = []
+        for key, acc in sorted(accs.items()):
+            terms = _acc_terms(acc)
+            if terms:
+                out.append(key + (Scalar._wrap(terms),))
+        # the keys are tuples and sorted already: no second canonicalisation
+        f = object.__new__(RingElement)
+        f.chart, f.terms, f.jet_order = self.chart, tuple(out), jet
+        return f
 
     __rmul__ = __mul__
 
@@ -857,7 +935,7 @@ def _real_basis(modes: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
 
 
 def _tadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _bump(t: tuple, i: int, delta: int = 1) -> tuple:

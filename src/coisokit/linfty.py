@@ -24,6 +24,7 @@ import numpy as np
 
 from .coeff_ring import ChartSpec, Scalar
 from .errors import (
+    DegenerateBivectorError,
     DomainBoundError,
     JetOrderError,
     NotClosedError,
@@ -211,6 +212,7 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
     any, else pi) and J the Jacobian of the fibre translation by alpha.  The
     block is P of the pushed bivector at (x, 0); it vanishes exactly where
     graph(-alpha) is coisotropic, so it is also the coisotropy defect.
+    Raises DegenerateBivectorError where the source form is singular.
     """
     true = alg_or_pi
     if isinstance(true, CoisoAlgebra):
@@ -228,7 +230,13 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
             mat[ij] = c.eval(point)
         mat = mat - mat.T
         if isinstance(true, DifferentialForm):
-            mat = -np.linalg.inv(mat)
+            try:
+                mat = -np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                raise DegenerateBivectorError(
+                    "source form is degenerate on the graph over base point "
+                    f"{tuple(map(float, x))}"
+                ) from None
         jac = np.eye(m + n, dtype=complex)
         for ij, d in dalpha:
             jac[ij] = d.eval(base_point)

@@ -137,6 +137,28 @@ class TestParsing:
         assert main(["run", str(scn)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, value",
+        [
+            ("(" * 3000 + "x1" + ")" * 3000, None),
+            ("-" * 3000 + "x1", None),
+            ("+".join(["x1"] * 3000), "3000*x1"),
+            ("sin(" + "+".join(["2*pi*y1"] * 3000) + ")", "sin(6000*pi*y1)"),
+        ],
+        ids=["nested_parens", "leading_minus", "flat_sum", "flat_sum_in_sin"],
+    )
+    def test_deep_expressions_end_in_a_documented_outcome(self, body, value):
+        # nesting beyond _ExprParser.MAX_DEPTH is a positioned parse error;
+        # a long flat sum is valid input and evaluates
+        text = "chart base=(x1 y1*) fibre=(p1)\nf = " + body + "\n"
+        if value is not None:
+            assert parse_scenario(text).bindings["f"].render() == value
+            return
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert err.value.line == 2 and err.value.col is not None
+        assert "nested deeper than 64 levels" in str(err.value)
+
     @pytest.mark.parametrize("truncation", [0, 1, 6])
     def test_unclosed_form_is_rejected_at_every_truncation(self, truncation):
         # an order-0 jet would truncate [pi, pi] at order -1 and check nothing
@@ -236,6 +258,28 @@ class TestRun:
         assert report.results[1].status == "pass"
         assert report.exit_code() == 3
 
+    def test_degenerate_graph_point_is_a_per_check_error(self, tmp_path, capsys):
+        # the source form is singular on the graph of a = (-1, 0): the numeric
+        # oracle of both checks reports the base point instead of crashing
+        text = (
+            "chart base=(x1 x2 q1 q2) fibre=(p1 p2)\n"
+            "omega = dx1/\\dx2 + dq1/\\dp1 + dq2/\\dp2"
+            " + x2*dp1/\\dx1 + p1*dx2/\\dx1\n"
+            "pi = inv_form(omega)\n"
+            "a = (-1, 0)\n"
+            "check coisotropic a\n"
+            "check mc a 2\n"
+        )
+        report = run(parse_scenario(text))
+        assert [r.status for r in report.results] == ["error", "error"]
+        for r in report.results:
+            message = dict(r.details)["message"]
+            assert "degenerate on the graph over base point" in message
+        scn = tmp_path / "degenerate.scn"
+        scn.write_text(text)
+        assert main(["run", str(scn)]) == 3
+        assert "error=2" in capsys.readouterr().out
+
     def test_inconclusive_with_strict(self):
         text = (
             "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
@@ -326,9 +370,13 @@ class TestMain:
             ("chart base=(y1*) fibre=(p1) domain=abc\n", None, 2),
             ("chart base=(y1*) fibre=(p1) domain=\n", None, 2),
             ("chart base=(y1*\n", None, 2),
+            ("chart base=(y1* fibre=(p1)\n", None, 2),
             (T4_TEXT, "1 0\n3 x\n", 3),
         ],
-        ids=["domain_abc", "empty_domain", "missing_paren", "pencil_token"],
+        ids=[
+            "domain_abc", "empty_domain", "missing_paren", "unclosed_base",
+            "pencil_token",
+        ],
     )
     def test_malformed_input_has_a_documented_outcome(
         self, scenario, pencil, code, tmp_path, capsys

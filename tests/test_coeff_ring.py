@@ -1,11 +1,12 @@
 """Exact coefficient ring: canonical form, calculus, evaluation, rendering."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_ring, rng_for, small_chart
+from conftest import rand_fraction, rand_ring, rng_for, small_chart
 from coisokit import (
     ChartMismatchError,
     DimensionMismatchError,
@@ -136,6 +137,110 @@ class TestRingMul:
         f = (1 + y1) ** 3
         assert (f.truncate(2) * f.truncate(4)).jet_order == 2
         assert f.truncate(2) * f == (f * f).truncate(2)
+        rng = rng_for("jet-minimum")
+        for _ in range(30):
+            f, g = (rand_ring(rng, chart, max_ydeg=3, nterms=3) for _ in range(2))
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            assert f.truncate(a) * g.truncate(b) == (f * g).truncate(min(a, b))
+
+
+def _schoolbook(contributions, jet=None):
+    """Canonical terms from (xe, k, ye, pi_exp, re, im) contributions, summed
+    per (xe, k, ye, pi_exp), in the layout ((xe, k, ye, scalar terms), ...)."""
+    acc = {}
+    for xe, k, ye, e, re, im in contributions:
+        if jet is None or sum(ye) <= jet:
+            a, b = acc.get((xe, k, ye, e), (0, 0))
+            acc[(xe, k, ye, e)] = (a + re, b + im)
+    out = {}
+    for (xe, k, ye, e), (re, im) in sorted(acc.items()):
+        if re or im:
+            out.setdefault((xe, k, ye), []).append((e, Fraction(re), Fraction(im)))
+    return tuple(key + (tuple(ts),) for key, ts in out.items())
+
+
+def _flat(f):
+    return [
+        (xe, k, ye, e, re, im) for xe, k, ye, s in f.terms for e, re, im in s.terms
+    ]
+
+
+def _product(f, g):
+    def add(u, v):
+        return tuple(map(operator.add, u, v))
+
+    return [
+        (add(xe1, xe2), add(k1, k2), add(ye1, ye2), e1 + e2,
+         a * c - b * d, a * d + b * c)
+        for xe1, k1, ye1, e1, a, b in _flat(f)
+        for xe2, k2, ye2, e2, c, d in _flat(g)
+    ]
+
+
+def _rand_scalar(rng):
+    return Scalar(
+        (rng.randint(-2, 2), rand_fraction(rng), rand_fraction(rng) * rng.randint(0, 1))
+        for _ in range(rng.randint(0, 3))
+    )
+
+
+def _rand_jet(rng, chart):
+    """Complex element with Fourier modes, several pi-powers per key and a
+    random jet order (or none)."""
+    f = rand_ring(rng, chart, max_ydeg=3, nterms=3, real=False)
+    f = f.scale(_rand_scalar(rng)) + rand_ring(rng, chart, nterms=2, real=False)
+    order = rng.choice((None, 0, 1, 2, 3))
+    return f if order is None else f.truncate(order)
+
+
+def _terms(f):
+    return tuple((xe, k, ye, s.terms) for xe, k, ye, s in f.terms)
+
+
+def _assert_canonical_scalar(s):
+    exps = [e for e, _, _ in s.terms]
+    assert all(a < b for a, b in zip(exps, exps[1:]))
+    for _, re, im in s.terms:
+        assert (re, im) != (0, 0)
+        assert type(re) is Fraction and type(im) is Fraction
+
+
+class TestFlatAccumulation:
+    """Ring and scalar products against a schoolbook sum over term pairs."""
+
+    def test_products_and_sums_match_schoolbook(self, chart):
+        rng = rng_for("flat-accumulation")
+        for _ in range(60):
+            f, g = _rand_jet(rng, chart), _rand_jet(rng, chart)
+            orders = [o for o in (f.jet_order, g.jet_order) if o is not None]
+            jet = min(orders, default=None)
+            assert _terms(f * g) == _schoolbook(_product(f, g), jet)
+            assert _terms(f + g) == _schoolbook(_flat(f) + _flat(g), jet)
+            s, t = _rand_scalar(rng), _rand_scalar(rng)
+            one = RingElement.one(chart)
+            expected = _schoolbook(_product(one.scale(s), one.scale(t)))
+            assert (s * t).terms == (expected[0][3] if expected else ())
+
+    def test_canonical_form(self, chart):
+        rng = rng_for("flat-canonical")
+        for _ in range(40):
+            f, g = _rand_jet(rng, chart), _rand_jet(rng, chart)
+            for h in (f, f * g, f + g, f - f, f.scale(_rand_scalar(rng))):
+                keys = [t[:3] for t in h.terms]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                for *_, s in h.terms:
+                    assert not s.is_zero()
+                    _assert_canonical_scalar(s)
+        s = Scalar([(0, 1, 0)])
+        assert s.terms == ((0, Fraction(1), Fraction(0)),)
+        _assert_canonical_scalar(s)
+        assert Scalar([(0, 1, 0), (0, -1, 0)]).terms == ()
+        mixed = Scalar([(1, 2, 3), (0, Fraction(1, 2), 0), (1, -2, 0)])
+        assert mixed.terms == (
+            (0, Fraction(1, 2), Fraction(0)),
+            (1, Fraction(0), Fraction(3)),
+        )
+        _assert_canonical_scalar(mixed)
 
 
 class TestPartialDerivative:
