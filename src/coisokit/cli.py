@@ -8,12 +8,15 @@ A scenario is line oriented:
     a = (sin(2*pi*y1), sin(2*pi*y2))
     check kuranishi a
 
-Expressions cover rationals, ``pi``, ``i``, coordinate names, ``sin``/``cos``
-of integer multiples of ``2*pi`` times periodic coordinates, ``+ - * / ^``,
-wedge ``/\\``, vector symbols ``@p1``, form symbols ``dp1``, and the
-constructors ``inv_form(...)`` and ``gotay(...)``.  Inside expressions the
+Expressions cover rationals, ``pi``, ``i``, coordinate names, ``sin``/``cos``,
+``+ - * / ^``, wedge ``/\\``, vector symbols ``@p1``, form symbols ``dp1``,
+and the constructors ``inv_form(...)`` and ``gotay(...)``.  A sin/cos
+argument is an expression in ``pi``, ``i``, rationals and the periodic
+coordinates that must come out as 2*pi times an integer combination of
+periodic coordinates, such as ``2*pi*(y1 - 3*y2)``.  Inside expressions the
 name ``pi`` always denotes the constant; checks that need the Poisson
-bivector look up the binding named ``pi``.
+bivector look up the binding named ``pi``.  Parse errors give the line and
+the column counted from the start of the line.
 
 Reports are deterministic for fixed scenario and flags; timings are only
 included when explicitly requested so that outputs stay byte-stable.
@@ -68,7 +71,8 @@ CHECK_KINDS = ("coisotropic", "mc", "kuranishi", "jacobi", "omega_le", "pencil")
 # -- tokenizer -------------------------------------------------------------------
 
 
-def _tokenize(text: str, line: int):
+def _tokenize(text: str, line: int, offset: int = 0):
+    """Tokens of ``text``, which starts ``offset`` columns into its line."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -76,7 +80,7 @@ def _tokenize(text: str, line: int):
         if ch in " \t":
             i += 1
             continue
-        col = i + 1
+        col = offset + i + 1
         if ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
@@ -105,7 +109,7 @@ def _tokenize(text: str, line: int):
             i += 1
         else:
             raise ScenarioError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", "", line, len(text) + 1))
+    tokens.append(("end", "", line, offset + n + 1))
     return tokens
 
 
@@ -370,96 +374,32 @@ class _Evaluator:
             raise ScenarioError(str(exc), *pos)
         return a.scale(inv)
 
-    # -- sin/cos phases ------------------------------------------------------
-
-    def _phase(self, node):
-        """Evaluate a sin/cos argument as (pi-degree, constant, linear map)."""
-        tag = node[0]
-        if tag == "num":
-            return (0, Fraction(node[1]), {})
-        if tag == "name":
-            name = node[1]
-            if name == "pi":
-                return (1, Fraction(1), {})
-            if name in self.chart.names and self.chart.kind(name)[0] == "periodic":
-                return (0, Fraction(0), {name: Fraction(1)})
-            raise ScenarioError(
-                f"{name!r} is not allowed inside sin/cos (periodic coordinates only)",
-                *node[2],
-            )
-        if tag == "neg":
-            p, c, lin = self._phase(node[1])
-            return (p, -c, {k: -v for k, v in lin.items()})
-        if tag == "pow":
-            p, c, lin = self._phase(node[1])
-            if lin:
-                raise ScenarioError("argument must stay linear", *node[3])
-            n = node[2]
-            if n < 0:
-                raise ScenarioError("negative powers not allowed here", *node[3])
-            return (p * n, c ** n, {})
-        if tag == "bin":
-            # the left spine is walked iteratively, as in eval
-            spine = []
-            while node[0] == "bin":
-                if node[1] not in ("+", "-", "*", "/"):
-                    raise ScenarioError(
-                        f"operator {node[1]!r} not allowed inside sin/cos", *node[4]
-                    )
-                spine.append(node)
-                node = node[2]
-            value = self._phase(node)
-            for _, op, _, rnode, pos in reversed(spine):
-                value = self._phase_bin(op, value, self._phase(rnode), pos)
-            return value
-        raise ScenarioError("unsupported sin/cos argument")
-
-    @staticmethod
-    def _phase_bin(op, left, right, pos):
-        (p1, c1, l1), (p2, c2, l2) = left, right
-        if op in "+-":
-            if p1 != p2:
-                raise ScenarioError("mixed pi-degrees in sin/cos argument", *pos)
-            sgn = 1 if op == "+" else -1
-            lin = dict(l1)
-            for k, v in l2.items():
-                lin[k] = lin.get(k, Fraction(0)) + sgn * v
-            return (p1, c1 + sgn * c2, {k: v for k, v in lin.items() if v})
-        if op == "*":
-            if l1 and l2:
-                raise ScenarioError("sin/cos argument must be linear", *pos)
-            lin = l1 or l2
-            cmul = c2 if l1 else c1
-            return (
-                p1 + p2,
-                c1 * c2,
-                {k: v * cmul for k, v in lin.items()},
-            )
-        if l2 or p2 != 0 or c2 == 0:
-            raise ScenarioError("can only divide by a rational here", *pos)
-        return (p1, c1 / c2, {k: v / c2 for k, v in l1.items()})
-
     def _trig(self, fn, node, pos):
-        p, c, lin = self._phase(node)
-        if p != 1 or c != 0:
-            raise ScenarioError(
-                "sin/cos argument must be 2*pi times periodic coordinates", *pos
-            )
+        """sin/cos of 2*pi times an integer combination of periodic coordinates.
+
+        The argument is evaluated by ``eval`` itself, on a chart where the
+        periodic coordinates are plain variables, with no bindings.  It is
+        accepted iff every term of the result is an even integer times pi
+        times one coordinate; an argument with no terms is a zero phase.
+        """
+        names = [self.chart.base[i] for i in self.chart.periodic_axes]
+        phase = _Evaluator(make_chart(" ".join(names)), {}, self.truncation, {}).eval(node)
         modes = {}
-        for name, coeff in lin.items():
-            k = coeff / 2
-            if k.denominator != 1:
-                raise ScenarioError(
-                    f"mode of {name!r} must be an integer multiple of 2*pi", *pos
-                )
-            if k:
-                modes[name] = int(k)
-        if not modes:
-            return (
-                RingElement.zero(self.chart)
-                if fn == "sin"
-                else RingElement.one(self.chart)
+        ok = isinstance(phase, RingElement)
+        for xe, _, _, s in phase.terms if ok else ():
+            single = s.single_term()
+            ok = (sum(xe) == 1 and single is not None and single[0] == 1
+                  and not single[2] and (single[1] / 2).denominator == 1)
+            if not ok:
+                break
+            modes[names[xe.index(1)]] = int(single[1] / 2)
+        if not ok:
+            raise ScenarioError(
+                "sin/cos argument must be 2*pi times an integer combination "
+                "of periodic coordinates",
+                *pos,
             )
+        # with no modes, sin_of and cos_of give 0 and 1
         maker = RingElement.sin_of if fn == "sin" else RingElement.cos_of
         return maker(self.chart, modes)
 
@@ -474,8 +414,8 @@ class _Evaluator:
             if len(args) != 1:
                 raise ScenarioError("inv_form takes one form argument", *pos)
             form = self.eval(args[0])
-            if not isinstance(form, DifferentialForm):
-                raise ScenarioError("inv_form needs a differential form", *pos)
+            if not isinstance(form, DifferentialForm) or form.degree != 2:
+                raise ScenarioError("inv_form needs a differential 2-form", *pos)
             try:
                 pi = symplectic_to_poisson(form, self.truncation)
             except CoisoKitError as exc:
@@ -648,7 +588,7 @@ def parse_scenario(
                 raise ScenarioError(f"invalid binding name {target!r}", lineno)
             if chart is None or evaluator is None:
                 raise ScenarioError("bindings need a chart declared first", lineno)
-            tokens = _tokenize(rhs, lineno)
+            tokens = _tokenize(rhs, lineno, len(line) - len(rhs))
             node = _ExprParser(tokens).parse()
             sources.pop("__last_inv_form__", None)
             # a rebound name keeps no source unless it is a direct inv_form(...)

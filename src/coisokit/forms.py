@@ -229,6 +229,13 @@ def _sharp_matrix(pi: MultiVectorField):
     return mat  # sharp(xi)_j = sum_i xi_i Pi_{ij}, so S = Pi itself
 
 
+def _image(cls, chart: ChartSpec, dirs, coeffs):
+    """The degree-1 field or form sum_k coeffs[k] * (direction dirs[k])."""
+    return cls(
+        chart, 1, (((d,), RingElement.constant(chart, c)) for d, c in zip(dirs, coeffs))
+    )
+
+
 def sharp_star(pi: MultiVectorField, w: DifferentialForm) -> MultiVectorField:
     """The dualized musical map wedge T*E -> wedge TE, factor by factor.
 
@@ -239,13 +246,10 @@ def sharp_star(pi: MultiVectorField, w: DifferentialForm) -> MultiVectorField:
     chart = pi.chart
     S = _sharp_matrix(pi)
     n = chart.n_dirs
-    images = []
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            if not S[j][i].is_zero():
-                terms.append(((j,), RingElement.constant(chart, 1).scale(S[j][i])))
-        images.append(MultiVectorField(chart, 1, terms))
+    images = [
+        _image(MultiVectorField, chart, range(n), [S[j][i] for j in range(n)])
+        for i in range(n)
+    ]
     return MultiVectorField.from_factor_images(chart, w, images)
 
 
@@ -259,14 +263,10 @@ def _full_inverse_images(pi: MultiVectorField):
     S = _sharp_matrix(pi)
     Sinv = scalar_matrix_inverse(S)
     n = chart.n_dirs
-    images = []
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            if not Sinv[j][i].is_zero():
-                terms.append(((j,), RingElement.constant(chart, 1).scale(Sinv[j][i])))
-        images.append(DifferentialForm(chart, 1, terms))
-    return images
+    return [
+        _image(DifferentialForm, chart, range(n), [Sinv[j][i] for j in range(n)])
+        for i in range(n)
+    ]
 
 
 def _tilde_matrix(pi: MultiVectorField):
@@ -311,15 +311,10 @@ def leafwise_sharp_star(pi: MultiVectorField, w: DifferentialForm) -> VerticalSe
     chart = pi.chart
     fdirs, B = _tilde_matrix(pi)
     m, n = chart.n_base, chart.n_fibre
-    pos = {d: r for r, d in enumerate(fdirs)}
-    images = {}
-    for d in fdirs:
-        terms = []
-        for j in range(n):
-            b = B[pos[d]][j]
-            if not b.is_zero():
-                terms.append(((m + j,), RingElement.constant(chart, 1).scale(b)))
-        images[d] = MultiVectorField(chart, 1, terms)
+    images = {
+        d: _image(MultiVectorField, chart, range(m, m + n), B[r])
+        for r, d in enumerate(fdirs)
+    }
     if w.chart != chart.base_chart():
         raise UnknownCoordinateError("leafwise form must live on the base chart")
     stray = [d for dirs, _ in w.terms for d in dirs if d not in images]
@@ -345,14 +340,10 @@ def leafwise_sharp_inverse(pi: MultiVectorField, z: MultiVectorField) -> Differe
     Bt = [[B[f][j] for f in range(n)] for j in range(n)]
     BtInv = scalar_matrix_inverse(Bt)
     base = chart.base_chart()
-    images = {}
-    for j in range(n):
-        terms = []
-        for f in range(n):
-            c = BtInv[f][j]
-            if not c.is_zero():
-                terms.append(((fdirs[f],), RingElement.constant(base, 1).scale(c)))
-        images[m + j] = DifferentialForm(base, 1, terms)
+    images = {
+        m + j: _image(DifferentialForm, base, fdirs, [BtInv[f][j] for f in range(n)])
+        for j in range(n)
+    }
     return DifferentialForm.from_factor_images(
         base, section, images, lambda c: c.restrict_to_base()
     )

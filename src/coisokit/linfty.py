@@ -10,14 +10,15 @@ sum_{k>=1} (1/k!) lambda_k(alpha, ..., alpha); for fibrewise polynomial pi it
 terminates and equals the projection of the exact pushforward of pi under the
 fibre translation by alpha, which is the identity every exact test here leans
 on.  The twisted brackets extend this to pairs (multivector, section) and
-govern simultaneous deformation of the bivector and the submanifold.
+govern simultaneous deformation of the bivector and the submanifold; the
+twisted series of (tau[1], a) is the series above for pi + tau, paired with
+the Jacobi defect -[pi, tau] - [tau, tau] / 2 of pi + tau.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .multivector import (
     ad_series,
     as_vertical,
     default_exp_cap,
+    exp_ad,
     is_poisson,
     projection_P,
     schouten_bracket,
@@ -102,12 +104,16 @@ def coiso_algebra_from_form(
 # -- brackets -----------------------------------------------------------------
 
 
+def _bracket_chain(X: MultiVectorField, sections) -> VerticalSection:
+    """P([...[X, a_1], ..., a_n]) for vertical sections a_i."""
+    for a in sections:
+        X = schouten_bracket(X, as_vertical(a))
+    return projection_P(X)
+
+
 def lambda_n(alg: CoisoAlgebra, *sections: MultiVectorField) -> VerticalSection:
     """P([...[pi, a_1], ..., a_n]) for vertical sections a_i."""
-    cur = alg.pi
-    for a in sections:
-        cur = schouten_bracket(cur, as_vertical(a))
-    return projection_P(cur)
+    return _bracket_chain(alg.pi, sections)
 
 
 def kuranishi_rep(alg: CoisoAlgebra, a: MultiVectorField) -> VerticalSection:
@@ -152,13 +158,14 @@ def mc_series_exact(
     return as_vertical(acc)
 
 
-def _check_domain(alg: CoisoAlgebra, alpha: VerticalSection, per_axis: int = 32):
+def _check_domain(alg: CoisoAlgebra, alpha: VerticalSection):
+    """Sample |alpha| against the fibre bound on the shared grid budget."""
     bound = alg.chart.fibre_bound
     if bound is None:
         return
     comps = alpha.components()
     names = sorted(alpha.support_names())
-    for x in sample_grid(alg.chart, names, per_axis=per_axis):
+    for x in sample_grid(alg.chart, names):
         point = tuple(x) + (0.0,) * alg.chart.n_fibre
         sup = max((abs(c.eval(point)) for c in comps), default=0.0)
         if sup > float(bound):
@@ -527,43 +534,23 @@ def twisted_lambda(
     result_deg = sum(e.degree for e in elements) + 1
     mv_acc = MultiVectorField.zero(chart, result_deg + 2)
     sec_acc = MultiVectorField.zero(chart, result_deg + 1)
-    for combo in itertools.product((0, 1), repeat=n):
-        parts = []
-        ok = True
-        for e, pick in zip(elements, combo):
-            part = e.mv if pick == 0 else e.section
-            if part is None:
-                ok = False
-                break
-            parts.append(part)
-        if not ok:
+    if all(e.section is not None for e in elements):
+        sec_acc = sec_acc + lambda_n(alg, *(e.section for e in elements))
+    # one multivector slot X, every other slot a section
+    for pos, e in enumerate(elements):
+        others = [o.section for i, o in enumerate(elements) if i != pos]
+        if e.mv is None or any(o is None for o in others):
             continue
-        mv_pos = [i for i, pick in enumerate(combo) if pick == 0]
-        if len(mv_pos) == 0:
-            sec_acc = sec_acc + lambda_n(alg, *parts)
-        elif len(mv_pos) == 1:
-            pos = mv_pos[0]
-            X = parts[pos]
-            if n == 1:
-                mv_acc = mv_acc - schouten_bracket(alg.pi, X)
-                sec_acc = sec_acc + projection_P(X)
-            else:
-                koszul = sum(elements[i].degree for i in range(pos)) * elements[
-                    pos
-                ].degree
-                cur = X
-                for i, a in enumerate(parts):
-                    if i != pos:
-                        cur = schouten_bracket(cur, a)
-                term = projection_P(cur)
-                sec_acc = sec_acc + (term if koszul % 2 == 0 else -term)
-        elif len(mv_pos) == 2 and n == 2:
-            X, Y = parts
-            term = schouten_bracket(X, Y)
-            if (X.degree - 1) % 2:
-                term = -term
-            mv_acc = mv_acc + term
-        # three or more multivector slots, or two with sections: zero
+        if n == 1:
+            mv_acc = mv_acc - schouten_bracket(alg.pi, e.mv)
+        term = _bracket_chain(e.mv, others)
+        koszul = sum(o.degree for o in elements[:pos]) * e.degree
+        sec_acc = sec_acc + (-term if koszul % 2 else term)
+    # two multivector slots; three or more, or two with sections, vanish
+    if n == 2 and elements[0].mv is not None and elements[1].mv is not None:
+        X, Y = elements[0].mv, elements[1].mv
+        term = schouten_bracket(X, Y)
+        mv_acc = mv_acc + (-term if (X.degree - 1) % 2 else term)
     return TwistedElement(
         chart,
         mv=None if mv_acc.is_zero() else mv_acc,
@@ -586,22 +573,24 @@ def coisotropic_brackets(alg: CoisoAlgebra) -> Callable:
     return family
 
 
-def twisted_mc(
-    alg: CoisoAlgebra, w: TwistedElement, cap: Optional[int] = None
-) -> TwistedElement:
-    """Maurer-Cartan series of a W-degree-0 element in the twisted algebra."""
+def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
+    """Maurer-Cartan series sum_k lambda_k(w, ..., w) / k! of w = (tau[1], a).
+
+    Its closed form is (-[pi, tau] - [tau, tau] / 2, P(exp(ad_a)(pi + tau)))
+    with ad_a = [., a]: the slots of lambda_k(w, ..., w) holding tau add up to
+    k P(ad_a^{k-1} tau) with Koszul sign +, and P(pi) = 0.  Given [pi, pi] = 0
+    it vanishes iff pi + tau is Poisson and graph(-a) is coisotropic for
+    pi + tau.  ``exp_ad`` sums the series; past its cap it raises
+    TruncationCapError.
+    """
     if w.degree != 0:
         raise ValueError("twisted Maurer-Cartan input must have W-degree 0")
-    if cap is None:
-        cap = default_exp_cap(alg.pi) + default_exp_cap(w.mv_part()) + 1
-    acc = TwistedElement.zero(alg.chart, degree=1)
-    fact = Fraction(1)
-    for k in range(1, cap + 1):
-        fact *= k
-        term = twisted_lambda(alg, [w] * k)
-        if not term.is_zero():
-            acc = acc + term.scale(Fraction(1, fact))
-    return acc
+    tau = w.mv_part()
+    mv = -schouten_bracket(alg.pi, tau) - schouten_bracket(tau, tau).scale(
+        Scalar.rational(1, 2)
+    )
+    section = projection_P(exp_ad(alg.pi + tau, w.section_part()))
+    return TwistedElement(alg.chart, mv=mv, section=section, degree=1)
 
 
 # -- higher Jacobi identities ------------------------------------------------------

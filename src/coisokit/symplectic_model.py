@@ -196,20 +196,25 @@ def parse_pencil_text(text: str) -> AffinePencil:
 
 
 def _neumann_inverse(a_ring, b_rings, chart: ChartSpec, order: int):
-    """Truncated Neumann series of (A + sum y_k B_k)^{-1} over ring matrices."""
+    """(A + sum_k y_k B_k)^{-1}: exactly A^{-1} when every B_k is zero, else the
+    Neumann series truncated at fibre order ``order``.  Inversion errors of A
+    are left to the caller."""
     n = len(a_ring)
     zero = RingElement.zero(chart)
-    try:
-        ainv = ring_matrix_inverse(a_ring)
-    except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
-        raise PencilError(f"constant part is not exactly invertible: {exc}") from exc
+    ainv = ring_matrix_inverse(a_ring)
     x = [[zero for _ in range(n)] for _ in range(n)]
     for k, bk in enumerate(b_rings):
+        # an all-zero B_k adds nothing; skipping it saves a full mat_mul
+        if all(e.is_zero() for row in bk for e in row):
+            continue
         yk = RingElement.coordinate(chart, chart.fibre[k])
         ab = mat_mul(ainv, bk, zero)
         for i in range(n):
             for j in range(n):
                 x[i][j] = x[i][j] - yk * ab[i][j]
+    # x = -A^{-1} sum_k y_k B_k is zero iff every B_k is
+    if all(e.is_zero() for row in x for e in row):
+        return ainv
     total = [row[:] for row in ainv]
     power = [row[:] for row in ainv]
     for _ in range(order):
@@ -217,7 +222,7 @@ def _neumann_inverse(a_ring, b_rings, chart: ChartSpec, order: int):
         for i in range(n):
             for j in range(n):
                 total[i][j] = total[i][j] + power[i][j]
-    return total
+    return [[e.truncate(order) for e in row] for row in total]
 
 
 def invert_affine_pencil(
@@ -233,7 +238,12 @@ def invert_affine_pencil(
     lift = lambda m: [
         [RingElement.constant(chart, s) for s in row] for row in m
     ]
-    total = _neumann_inverse(lift(pencil.a), [lift(bk) for bk in pencil.b], chart, order)
+    try:
+        total = _neumann_inverse(
+            lift(pencil.a), [lift(bk) for bk in pencil.b], chart, order
+        )
+    except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
+        raise PencilError(f"constant part is not exactly invertible: {exc}") from exc
     return tuple(tuple(e.truncate(order) for e in row) for row in total)
 
 
@@ -248,16 +258,16 @@ def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
         for i in range(n):
             for j in range(n):
                 m[i][j] = m[i][j] + yk.scale(bk[i][j])
-    inv_exact = [[e.without_truncation() for e in row] for row in inverse]
-    prod = mat_mul(m, inv_exact, zero)
+    # M has fibre degree <= 1, so the terms of M * inverse through ``order``
+    # only need the terms of the inverse through ``order``
+    inv_jet = [[RingElement(chart, e.terms, order) for e in row] for row in inverse]
+    prod = mat_mul(m, inv_jet, zero)
     bad = []
     for i in range(n):
         for j in range(n):
-            expected = RingElement.one(chart) if i == j else zero
-            diff = prod[i][j] - expected
-            low = RingElement(chart, diff.terms, order)
-            if not low.is_zero():
-                bad.append(((i, j), low))
+            diff = prod[i][j] - (RingElement.one(chart) if i == j else zero)
+            if not diff.is_zero():
+                bad.append(((i, j), diff))
     return bad
 
 
@@ -265,9 +275,9 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVecto
     """Invert a fibrewise affine symplectic form into a Poisson bivector.
 
     Constant forms invert exactly; forms with genuine fibre dependence return
-    a jet of the stated order.  The coefficient matrix at y = 0 must have an
-    exactly invertible determinant.  The sign is calibrated so that
-    Omega = dq /\\ dp inverts to pi = @q /\\ @p.
+    a jet of the stated order, which must then be at least 1.  The
+    coefficient matrix at y = 0 must have an exactly invertible determinant.
+    The sign is calibrated so that Omega = dq /\\ dp inverts to pi = @q /\\ @p.
     """
     chart = omega.chart
     if not is_in_omega_le(omega, 1):
@@ -278,33 +288,22 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVecto
     mat = omega.coefficient_matrix()
     n = chart.n_dirs
     a = [[mat[i][j].at_zero_fibre() for j in range(n)] for i in range(n)]
-    bs = []
-    for k in range(chart.n_fibre):
-        bk = [[mat[i][j].y_component(k) for j in range(n)] for i in range(n)]
-        bs.append(bk)
-    has_fibre_dep = any(
-        not bk[i][j].is_zero() for bk in bs for i in range(n) for j in range(n)
-    )
-    if not has_fibre_dep:
-        try:
-            minv = ring_matrix_inverse(a)
-        except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
-            raise DegenerateBivectorError(
-                f"form is not exactly invertible at y = 0: {exc}"
-            ) from exc
-        pi_entries = [[-minv[i][j] for j in range(n)] for i in range(n)]
-        pi = MultiVectorField.from_matrix(chart, pi_entries)
-        if not is_poisson(pi):
-            raise NotPoissonError("inverse bivector fails the Jacobi identity")
-        return pi
-    if order < 1:
+    bs = [
+        [[mat[i][j].y_component(k) for j in range(n)] for i in range(n)]
+        for k in range(chart.n_fibre)
+    ]
+    try:
+        minv = _neumann_inverse(a, bs, chart, order)
+    except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
+        raise DegenerateBivectorError(
+            f"form is not exactly invertible at y = 0: {exc}"
+        ) from exc
+    if order < 1 and minv[0][0].jet_order is not None:
         raise JetOrderError(f"jet order {order} < 1 checks no order of [pi, pi]")
-    minv = _neumann_inverse(a, bs, chart, order)
-    pi_entries = [[(-minv[i][j]).truncate(order) for j in range(n)] for i in range(n)]
-    pi = MultiVectorField.from_matrix(chart, pi_entries)
+    pi = MultiVectorField.from_matrix(chart, [[-e for e in row] for row in minv])
     if not is_poisson(pi):
         raise NotPoissonError(
-            "inverse bivector fails the Jacobi identity through the checked "
-            "order; the input form is probably not closed"
+            "inverse bivector fails the Jacobi identity (through the checked "
+            "order for a jet); the input form is probably not closed"
         )
     return pi

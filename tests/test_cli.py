@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from coisokit import ScenarioError, VerticalSection
+from coisokit import RingElement, ScenarioError, VerticalSection
 from coisokit.cli import (
     RunFlags,
     emit_report,
@@ -19,6 +19,10 @@ from coisokit.cli import (
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 T4_TEXT = open(os.path.join(DATA, "t4.scn"), encoding="utf-8").read()
+
+
+# two periodic coordinates and one plain one
+CHART = "chart base=(y1*,y2*,x) fibre=(p1)\n"
 
 
 def t4_scenario():
@@ -65,6 +69,23 @@ class TestParsing:
         text = "chart base=(x*) fibre=(y)\nf = sin(3*x)\n"
         with pytest.raises(ScenarioError):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "arg, maker, modes",
+        [
+            ("sin(2*pi*(y1 + y2))", "sin_of", {"y1": 1, "y2": 1}),
+            ("cos(-4*pi*y1)", "cos_of", {"y1": -2}),
+            ("sin(6*pi*y1 - 2*pi*y2)", "sin_of", {"y1": 3, "y2": -1}),
+            ("cos(2*pi*y1 - 2*pi*y1)", None, None),
+        ],
+    )
+    def test_sin_cos_argument_is_a_linear_phase(self, arg, maker, modes):
+        s = parse_scenario(CHART + f"f = {arg}\n")
+        if maker is None:
+            expected = RingElement.one(s.chart)
+        else:
+            expected = getattr(RingElement, maker)(s.chart, modes)
+        assert s.bindings["f"] == expected
 
     def test_rationals_pi_powers_and_wedge(self):
         text = (
@@ -365,21 +386,37 @@ class TestMain:
         assert f"{flag[0]} must be at least" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scenario, pencil, code",
+        "scenario, pencil, code, where",
         [
-            ("chart base=(y1*) fibre=(p1) domain=abc\n", None, 2),
-            ("chart base=(y1*) fibre=(p1) domain=\n", None, 2),
-            ("chart base=(y1*\n", None, 2),
-            ("chart base=(y1* fibre=(p1)\n", None, 2),
-            (T4_TEXT, "1 0\n3 x\n", 3),
+            ("chart base=(y1*) fibre=(p1) domain=abc\n", None, 2, "line 1"),
+            ("chart base=(y1*) fibre=(p1) domain=\n", None, 2, "line 1"),
+            ("chart base=(y1*\n", None, 2, "line 1"),
+            ("chart base=(y1* fibre=(p1)\n", None, 2, "line 1"),
+            (T4_TEXT, "1 0\n3 x\n", 3, "line 2"),
+            # columns count from the start of the line, not from the '='
+            (CHART + "f = 1 + * 2\n", None, 2, "line 2, col 9"),
+            (CHART + "longname = 1 + * 2\n", None, 2, "line 2, col 16"),
+            (CHART + "  g = sin(pi*y1)\n", None, 2, "line 2, col 7"),
+            # sin/cos arguments that are not 2*pi times an integer combination
+            # of periodic coordinates
+            (CHART + "f = sin(pi*y1)\n", None, 2, "line 2, col 5"),
+            (CHART + "f = sin(2*pi*y1 + 1)\n", None, 2, "line 2, col 5"),
+            (CHART + "f = sin(2*pi*y1^2)\n", None, 2, "line 2, col 5"),
+            (CHART + "f = sin(2*i*pi*y1)\n", None, 2, "line 2, col 5"),
+            (CHART + "f = sin(2*pi*x)\n", None, 2, "line 2, col 14"),
+            (CHART + "f = sin(@y1)\n", None, 2, "line 2, col 5"),
+            (CHART + "f = inv_form(dy1)\n", None, 2, "line 2, col 5"),
         ],
         ids=[
             "domain_abc", "empty_domain", "missing_paren", "unclosed_base",
-            "pencil_token",
+            "pencil_token", "col_after_short_name", "col_after_long_name",
+            "col_after_indent", "sin_odd_multiple", "sin_constant_phase",
+            "sin_square", "sin_imaginary", "sin_non_periodic", "sin_vector",
+            "inv_form_of_a_1_form",
         ],
     )
     def test_malformed_input_has_a_documented_outcome(
-        self, scenario, pencil, code, tmp_path, capsys
+        self, scenario, pencil, code, where, tmp_path, capsys
     ):
         scn = tmp_path / "bad.scn"
         scn.write_text(scenario)
@@ -388,10 +425,10 @@ class TestMain:
         assert main(["run", str(scn)]) == code
         out, err = capsys.readouterr()
         if code == 2:
-            assert err.startswith("parse error: line 1:")
+            assert err.startswith(f"parse error: {where}:")
         else:
             # the pencil check reports its error and the other checks still run
-            assert "pencil rational_pencil.txt 6: error\n    message: line 2:" in out
+            assert f"pencil rational_pencil.txt 6: error\n    message: {where}:" in out
             assert "pass=5 fail=0 inconclusive=0 error=1" in out
 
     def test_out_flag(self, tmp_path, capsys):

@@ -48,6 +48,7 @@ from coisokit import (
     twisted_mc,
     DifferentialForm,
 )
+from coisokit.multivector import default_exp_cap
 
 
 def centered_bivector(rng, chart, **kw):
@@ -246,6 +247,29 @@ class TestMCSeries:
         )
         with pytest.raises(DomainBoundError):
             mc_series_exact(alg, big)
+
+    def test_domain_check_keeps_the_grid_budget(self, monkeypatch):
+        # a section on four coordinates is sampled on at most 4096 points,
+        # not 32 per axis
+        chart = make_chart("u1* u2* u3* u4*", "y1 y2", bound=Fraction(1, 2))
+        one = RingElement.one(chart)
+        pi = MultiVectorField(chart, 2, (((0, 4), one), ((1, 5), one)))
+        cos = [RingElement.cos_of(chart, {f"u{i}": 1}) for i in range(1, 5)]
+        quarter = Fraction(1, 4)
+        small = VerticalSection.from_components(
+            chart, [(cos[0] * cos[1]).scale(quarter), (cos[2] * cos[3]).scale(quarter)]
+        )
+        grids = []
+
+        def recording(*args, **kw):
+            grids.append(sample_grid(*args, **kw))
+            return grids[-1]
+
+        from coisokit import linfty
+
+        monkeypatch.setattr(linfty, "sample_grid", recording)
+        mc_series_exact(algebra_for(pi), small)
+        assert len(grids) == 1 and 2 <= len(grids[0]) <= 4096
 
 
 class TestConvergenceTable:
@@ -493,6 +517,28 @@ class TestTwistedAlgebra:
             numeric = coisotropy_check_numeric(pt, alpha, per_axis=6)
             assert numeric.coisotropic == coiso
             assert mc.is_zero() == (jac_zero and coiso)
+
+    def test_twisted_mc_is_the_defining_series(self, t4):
+        # the closed form equals sum_{k <= K} lambda_k(w, ..., w) / k!, summed
+        # here slot by slot through twisted_lambda, to a bound K past the last
+        # nonzero term
+        rng = rng_for("tw-mc-series")
+        small = make_coiso_algebra(rand_poisson_disjoint(rng, small_chart()))
+        for alg in (t4.algebra, small):
+            chart = alg.chart
+            for ydeg in (0, 1, 2):
+                tau = rand_multivector(rng, chart, 2, max_ydeg=ydeg)
+                w = TwistedElement(chart, mv=tau, section=rand_section(rng, chart))
+                bound = default_exp_cap(alg.pi) + default_exp_cap(tau) + 1
+                series = TwistedElement.zero(chart, degree=1)
+                fact = 1
+                for k in range(1, bound + 1):
+                    fact *= k
+                    term = twisted_lambda(alg, [w] * k)
+                    series = series + term.scale(Fraction(1, fact))
+                mc = twisted_mc(alg, w)
+                assert mc.mv_part().terms == series.mv_part().terms
+                assert mc.section_part().terms == series.section_part().terms
 
 
 class TestKuranishi:

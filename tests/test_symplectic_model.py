@@ -9,6 +9,7 @@ from coisokit import (
     AffinePencil,
     DegenerateBivectorError,
     DifferentialForm,
+    JetOrderError,
     MultiVectorField,
     NonAffineFibreError,
     PencilError,
@@ -161,6 +162,46 @@ class TestPencilInversion:
                 [[1, 1], [1, 1]], [[[0, 0], [0, 0]]], ("v1",)
             )
 
+    def test_inexactly_invertible_a_is_a_pencil_error(self):
+        # det A = 1 - pi is nonzero but has no exact inverse in the ring
+        one, pi = Scalar.one(), Scalar.pi_power(1)
+        zero = Scalar.zero()
+        b = ((zero, zero), (zero, one))
+        pencil = AffinePencil(((one, pi), (one, one)), (b,), ("v1",))
+        with pytest.raises(PencilError, match="not exactly invertible"):
+            invert_affine_pencil(pencil, 3)
+
+    def test_defect_of_a_planted_error_matches_the_exact_product(self):
+        rng = rng_for("pencil-planted")
+        a = [[Fraction(rng.randint(-2, 2)) + (3 if i == j else 0) for j in range(3)]
+             for i in range(3)]
+        bs = [[[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+              for _ in range(2)]
+        pencil = AffinePencil.from_rationals(a, bs, ("v1", "v2"))
+        inv = [list(row) for row in invert_affine_pencil(pencil, 4)]
+        chart = inv[0][0].chart
+        v1, v2 = (RingElement.coordinate(chart, n) for n in ("v1", "v2"))
+        inv[0][1] = inv[0][1] + v1 * v2
+        inv[2][2] = inv[2][2] - v2 ** 4
+        # reference: the exact product M * inverse - I, cut to degree <= order
+        m = [[RingElement.constant(chart, Scalar.of(a[i][j]))
+              + sum((RingElement.constant(chart, Scalar.of(b[i][j])) * v
+                     for b, v in zip(bs, (v1, v2))), RingElement.zero(chart))
+              for j in range(3)] for i in range(3)]
+        for order in (2, 4, 6):
+            expected = []
+            for i in range(3):
+                for j in range(3):
+                    exact = sum(
+                        (m[i][k] * inv[k][j].without_truncation() for k in range(3)),
+                        RingElement.zero(chart),
+                    ) - (1 if i == j else 0)
+                    low = RingElement(chart, exact.terms, order)
+                    if not low.is_zero():
+                        expected.append(((i, j), low))
+            assert pencil_product_defect(pencil, inv, order) == expected
+            assert expected  # the planted terms show at every order
+
     def test_parse_pencil_text(self):
         text = "1 0\n0 1\n\n0 1\n1 0\n"
         pencil = parse_pencil_text(text)
@@ -181,6 +222,9 @@ class TestSymplecticToPoisson:
             chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one))
         )
         assert pi == expected
+        assert pi.jet_order() is None
+        # an exact inverse needs no jet order, so order 0 is no error here
+        assert symplectic_to_poisson(omega, 0) == expected
         assert projection_P(pi).is_zero()
         assert schouten_bracket(pi, pi).is_zero()
 
@@ -208,6 +252,8 @@ class TestSymplecticToPoisson:
         order = 4
         pi = symplectic_to_poisson(omega, order)
         assert pi.jet_order() == order
+        with pytest.raises(JetOrderError):
+            symplectic_to_poisson(omega, 0)
         # product identity M * (-pi) = I + O(y^{order+1}), checked exactly
         w = omega.coefficient_matrix()
         minus_pi = [
