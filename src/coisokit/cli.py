@@ -252,10 +252,7 @@ class _Evaluator:
         if tag == "name":
             return self._name(node[1], node[2])
         if tag == "at":
-            try:
-                return MultiVectorField.basis_vector(self.chart, node[1])
-            except CoisoKitError as exc:
-                raise ScenarioError(str(exc), *node[2])
+            return self._vector(node[1], node[2])
         if tag == "neg":
             return -self.eval(node[1])
         if tag == "pow":
@@ -297,6 +294,12 @@ class _Evaluator:
         if name in self.bindings:
             return self.bindings[name]
         raise ScenarioError(f"undefined name {name!r}", *pos)
+
+    def _vector(self, name, pos):
+        try:
+            return MultiVectorField.basis_vector(self.chart, name)
+        except CoisoKitError as exc:
+            raise ScenarioError(str(exc), *pos)
 
     def _section(self, items, pos):
         comps = []
@@ -377,13 +380,13 @@ class _Evaluator:
     def _trig(self, fn, node, pos):
         """sin/cos of 2*pi times an integer combination of periodic coordinates.
 
-        The argument is evaluated by ``eval`` itself, on a chart where the
+        The argument is evaluated by ``_PhaseEvaluator``, on a chart where the
         periodic coordinates are plain variables, with no bindings.  It is
         accepted iff every term of the result is an even integer times pi
         times one coordinate; an argument with no terms is a zero phase.
         """
         names = [self.chart.base[i] for i in self.chart.periodic_axes]
-        phase = _Evaluator(make_chart(" ".join(names)), {}, self.truncation, {}).eval(node)
+        phase = _PhaseEvaluator(names, self.truncation).eval(node)
         modes = {}
         ok = isinstance(phase, RingElement)
         for xe, _, _, s in phase.terms if ok else ():
@@ -470,6 +473,31 @@ class _Evaluator:
                 for dirs, coeff in model.omega.terms
             ),
         )
+
+
+class _PhaseEvaluator(_Evaluator):
+    """Evaluates a sin/cos argument: pi, i, rationals and periodic coordinates.
+
+    The periodic coordinates are plain variables of its chart; any other
+    name or vector symbol is a positioned ScenarioError saying so.
+    """
+
+    def __init__(self, periodic, truncation: int):
+        super().__init__(make_chart(" ".join(periodic)), {}, truncation, {})
+
+    def _name(self, name, pos):
+        names = self.chart.names
+        if name in ("pi", "i") or name in names or (name[:1] == "d" and name[1:] in names):
+            return super()._name(name, pos)
+        raise ScenarioError(_PHASE_NAMES.format(repr(name)), *pos)
+
+    def _vector(self, name, pos):
+        if name in self.chart.names:
+            return super()._vector(name, pos)
+        raise ScenarioError(_PHASE_NAMES.format(repr("@" + name)), *pos)
+
+
+_PHASE_NAMES = "only periodic coordinates may appear in a sin/cos argument, not {}"
 
 
 # -- scenario ------------------------------------------------------------------------

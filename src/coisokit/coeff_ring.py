@@ -29,11 +29,14 @@ binary operations between jets truncate to the minimum order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     ChartMismatchError,
@@ -158,12 +161,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == ((0, _F1, _F0),)
-
-    def is_real(self) -> bool:
-        return all(im == 0 for _, _, im in self._terms)
-
     def is_rational(self) -> bool:
         """True when the value is a plain rational (pi-free and real)."""
         return self.is_zero() or (
@@ -171,13 +168,6 @@ class Scalar:
             and self._terms[0][0] == 0
             and self._terms[0][2] == 0
         )
-
-    def as_fraction(self) -> Fraction:
-        if self.is_zero():
-            return _F0
-        if not self.is_rational():
-            raise NonInvertibleScalarError(f"{self!r} is not a plain rational")
-        return self._terms[0][1]
 
     def single_term(self):
         """The (exponent, re, im) triple when there is exactly one, else None."""
@@ -345,12 +335,15 @@ class ChartSpec:
     def n_dirs(self) -> int:
         return len(self.base) + len(self.fibre)
 
-    @property
+    # computed once per chart: a cached_property writes the instance
+    # __dict__ directly, which a frozen dataclass without slots allows, and
+    # eq/hash/repr read only the fields
+    @functools.cached_property
     def poly_axes(self) -> tuple[int, ...]:
         """Indices (into base) of the non-periodic base coordinates."""
         return tuple(i for i, p in enumerate(self.periodic) if not p)
 
-    @property
+    @functools.cached_property
     def periodic_axes(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.periodic) if p)
 
@@ -541,9 +534,6 @@ class RingElement:
 
     def y_degree(self) -> int:
         return max((sum(ye) for _, _, ye, _ in self.terms), default=0)
-
-    def y_degrees(self) -> frozenset:
-        return frozenset(sum(ye) for _, _, ye, _ in self.terms)
 
     def support_names(self) -> frozenset:
         """Coordinate names this element actually depends on."""
@@ -822,12 +812,6 @@ class RingElement:
             val += term
         return val
 
-    def eval_real(self, point: Sequence[float]) -> float:
-        v = self.eval(point)
-        if abs(v.imag) > 1e-12 * (abs(v) + 1.0):
-            raise ValueError(f"value {v} is not real within tolerance")
-        return v.real
-
     # -- structure ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -940,6 +924,123 @@ def _tadd(a: tuple, b: tuple) -> tuple:
 
 def _bump(t: tuple, i: int, delta: int = 1) -> tuple:
     return t[:i] + (t[i] + delta,) + t[i + 1 :]
+
+
+# -- compiled grid evaluation ----------------------------------------------------
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in real arithmetic, as Python forms the product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _distinct(rows: list) -> tuple[list, np.ndarray]:
+    """The distinct rows in sorted order and, per input row, its index there."""
+    distinct = sorted(set(rows))
+    index = {row: i for i, row in enumerate(distinct)}
+    return distinct, np.array([index[row] for row in rows], dtype=int)
+
+
+def _float_powers(col: np.ndarray, exps: list) -> np.ndarray:
+    """(N, len(exps)) array of Python's ``v ** e``, taken once per distinct v."""
+    powers: dict[float, list] = {}
+    rows = []
+    for v in col.tolist():
+        row = powers.get(v)
+        if row is None:
+            row = powers[v] = [v ** e for e in exps]
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(col), len(exps))
+
+
+def _complex_powers(vr: np.ndarray, vi: np.ndarray, exps: list):
+    """(vr + i vi) ** e for each e, by Python's square-and-multiply, as (re, im)."""
+    squares = [(vr, vi)]
+    while 1 << len(squares) <= exps[-1]:
+        squares.append(_cmul(*squares[-1], *squares[-1]))
+    out_r, out_i = [], []
+    for e in exps:
+        rr, ri = 1.0, 0.0
+        for bit, (sr, si) in enumerate(squares):
+            if e >> bit & 1:
+                rr, ri = _cmul(rr, ri, sr, si)
+        out_r.append(np.broadcast_to(rr, vr.shape))
+        out_i.append(np.broadcast_to(ri, vr.shape))
+    return np.stack(out_r, axis=1), np.stack(out_i, axis=1)
+
+
+class GridEvaluator:
+    """Ring elements compiled once into numpy arrays, evaluated on whole grids.
+
+    The terms of all elements become one complex coefficient vector
+    (``Scalar.evalf`` once per term) and, for each polynomial base axis,
+    the Fourier modes and each fibre axis, the distinct exponents (modes)
+    with one index per term.  A call evaluates every element at N points in
+    one pass and returns an (N, len(elements)) complex array.  ``base`` is
+    an (N, n_base) real array; ``fibre`` is an (N, n_fibre) complex array,
+    needed only when an element depends on the fibre.
+
+    Only ``.terms`` is read.  A value is formed with the operations of
+    ``RingElement.eval`` in its order: the coefficient times each base power
+    (Python's float power, taken once per distinct coordinate value), the
+    Fourier phase and each fibre power (Python's square-and-multiply), with
+    complex products in real arithmetic and terms summed in order from 0.
+    A factor an ``eval`` term skips is multiplied in here as exactly 1, which
+    can change only the sign of a zero term, and no sum.  So both agree bit
+    for bit wherever numpy's cos and sin agree with the math module's.
+    """
+
+    def __init__(self, elements: Sequence["RingElement"]):
+        self.n_out = len(elements)
+        terms = [(out, rank, t) for out, el in enumerate(elements)
+                 for rank, t in enumerate(el.terms)]
+        self._coeff = np.array([t[3].evalf() for _, _, t in terms], dtype=complex)
+        out = np.array([o for o, _, _ in terms], dtype=int)
+        rank = np.array([r for _, r, _ in terms], dtype=int)
+        self._ranks = [(np.flatnonzero(rank == r), out[rank == r])
+                       for r in range(int(rank.max(initial=-1)) + 1)]
+        self._poly, self._phase, self._fibre = [], None, []
+        if not terms:
+            return
+        chart = elements[0].chart
+        for pos, axis in enumerate(chart.poly_axes):
+            exps, at = _distinct([t[0][pos] for _, _, t in terms])
+            if exps != [0]:
+                self._poly.append((axis, exps, at))
+        modes, at = _distinct([t[1] for _, _, t in terms])
+        if any(map(any, modes)):
+            self._phase = (chart.periodic_axes, np.array(modes, dtype=float), at)
+        for j in range(chart.n_fibre):
+            exps, at = _distinct([t[2][j] for _, _, t in terms])
+            if exps != [0]:
+                self._fibre.append((j, exps, at))
+
+    def __call__(self, base: np.ndarray, fibre: Optional[np.ndarray] = None) -> np.ndarray:
+        n_pts = len(base)
+        re = np.repeat(self._coeff.real[None, :], n_pts, axis=0)
+        im = np.repeat(self._coeff.imag[None, :], n_pts, axis=0)
+        for axis, exps, at in self._poly:
+            f = _float_powers(base[:, axis], exps)[:, at]
+            re *= f
+            im *= f
+        if self._phase is not None:
+            axes, modes, at = self._phase
+            # sum_j k_j x_j as eval adds it; a zero phase turns by exactly 1
+            phase = np.zeros((n_pts, len(modes)))
+            for pos, axis in enumerate(axes):
+                phase = phase + modes[:, pos] * base[:, axis, None]
+            theta = (2 * math.pi) * phase
+            re, im = _cmul(re, im, np.cos(theta)[:, at], np.sin(theta)[:, at])
+        for j, exps, at in self._fibre:
+            if fibre is None:
+                raise DimensionMismatchError("an element depends on the fibre: pass fibre values")
+            f_re, f_im = _complex_powers(fibre[:, j].real, fibre[:, j].imag, exps)
+            re, im = _cmul(re, im, f_re[:, at], f_im[:, at])
+        val = np.zeros((n_pts, self.n_out), dtype=complex)
+        for cols, outs in self._ranks:
+            val.real[:, outs] += re[:, cols]
+            val.imag[:, outs] += im[:, cols]
+        return val
 
 
 # -- spec-level operation names ------------------------------------------------

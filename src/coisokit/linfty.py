@@ -23,9 +23,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coeff_ring import ChartSpec, Scalar
+from .coeff_ring import ChartSpec, GridEvaluator, Scalar
 from .errors import (
     DegenerateBivectorError,
+    DimensionMismatchError,
     DomainBoundError,
     JetOrderError,
     NotClosedError,
@@ -128,13 +129,13 @@ def kuranishi_rep(alg: CoisoAlgebra, a: MultiVectorField) -> VerticalSection:
     return projection_P(schouten_bracket(first, a))
 
 
-def mc_series_exact(
-    alg: CoisoAlgebra, alpha: MultiVectorField, cap: Optional[int] = None
-) -> VerticalSection:
+def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSection:
     """Sum the Maurer-Cartan series of a degree-1 section to termination.
 
     Requires a fibrewise polynomial bivector (no jet truncation); equals
-    P of the pushforward of pi under the fibre translation by alpha.
+    P of the pushforward of pi under the fibre translation by alpha.  Each
+    bracket is projected as it is summed, which measured faster than
+    P(exp_ad(pi, alpha)) projecting the full sum once.
     """
     alpha = as_vertical(alpha)
     if alpha.degree != 1:
@@ -144,8 +145,7 @@ def mc_series_exact(
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
     _check_domain(alg, alpha)
-    if cap is None:
-        cap = default_exp_cap(alg.pi)
+    cap = default_exp_cap(alg.pi)
     acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
     for term, coeff in itertools.islice(ad_series(alg.pi, alpha), cap):
         if term.is_zero():
@@ -164,14 +164,15 @@ def _check_domain(alg: CoisoAlgebra, alpha: VerticalSection):
     if bound is None:
         return
     comps = alpha.components()
-    names = sorted(alpha.support_names())
-    for x in sample_grid(alg.chart, names):
-        point = tuple(x) + (0.0,) * alg.chart.n_fibre
-        sup = max((abs(c.eval(point)) for c in comps), default=0.0)
-        if sup > float(bound):
+    points = sample_grid(alg.chart, sorted(alpha.support_names()))
+    values = GridEvaluator(comps)
+    for start, base in _grid_chunks(alg.chart, points):
+        sups = np.abs(values(base)).max(axis=1, initial=0.0)
+        over = np.flatnonzero(sups > float(bound))
+        if len(over):
             raise DomainBoundError(
-                f"graph(-alpha) leaves the tubular domain: |alpha| = {sup:.6g} "
-                f"> {float(bound):.6g} at {x}"
+                f"graph(-alpha) leaves the tubular domain: |alpha| = {sups[over[0]]:.6g} "
+                f"> {float(bound):.6g} at {points[start + over[0]]}"
             )
 
 
@@ -212,44 +213,80 @@ def sample_grid(
     return tuple(itertools.product(*axes))
 
 
+# Grid points per numpy pass: bounds the (points, terms) and (points, n, n)
+# work arrays whatever the grid size.
+_GRID_CHUNK = 256
+
+
+def _grid_chunks(chart: ChartSpec, points):
+    """(start, (k, n_base) real array) for consecutive chunks of base points."""
+    base = np.array(points, dtype=float)
+    if len(base) and (base.ndim != 2 or base.shape[1] != chart.n_base):
+        raise DimensionMismatchError(
+            f"base points need {chart.n_base} coordinates, got {base.shape[1:]}"
+        )
+    for start in range(0, len(base), _GRID_CHUNK):
+        yield start, base[start : start + _GRID_CHUNK]
+
+
 def _pushforward_block(alg_or_pi, alpha: VerticalSection):
-    """The numeric Maurer-Cartan oracle of one check: x -> (J Pi J^T)[m:, m:].
+    """The numeric Maurer-Cartan oracle of one check: (J Pi J^T)[m:, m:] on a grid.
 
     Pi is the true bivector at (x, -alpha(x)) (the inverted source form if
     any, else pi) and J the Jacobian of the fibre translation by alpha.  The
     block is P of the pushed bivector at (x, 0); it vanishes exactly where
     graph(-alpha) is coisotropic, so it is also the coisotropy defect.
-    Raises DegenerateBivectorError where the source form is singular.
+
+    The section's components, their base partials and the entries of the
+    true matrix are compiled once (``GridEvaluator``); the returned function
+    maps a (k, m) array of base points (a chunk of ``_grid_chunks``) to the
+    (k, n, n) stack of blocks in one numpy pass: evaluation, a batched
+    inverse and stacked products.  Raises DegenerateBivectorError at the
+    first point where the source form is singular.
     """
     true = alg_or_pi
     if isinstance(true, CoisoAlgebra):
         true = true.pi if true.source_form is None else true.source_form
-    m, n = alpha.chart.n_base, alpha.chart.n_fibre
+    chart = alpha.chart
+    m, n = chart.n_base, chart.n_fibre
     comps = alpha.components()
     dalpha = [((m + j, i), d) for j, c in enumerate(comps)
-              for i, d in enumerate(map(c.partial, alpha.chart.base)) if d.terms]
+              for i, d in enumerate(map(c.partial, chart.base)) if d.terms]
+    at_base = GridEvaluator(comps + [d for _, d in dalpha])
+    entries = GridEvaluator([c for _, c in true.terms])
+    mat_at = tuple(np.array([ij for ij, _ in true.terms], dtype=int).reshape(-1, 2).T)
+    jac_at = tuple(np.array([ij for ij, _ in dalpha], dtype=int).reshape(-1, 2).T)
+    invert = isinstance(true, DifferentialForm)
 
-    def block(x) -> np.ndarray:
-        base_point = tuple(x) + (0.0,) * n
-        point = tuple(x) + tuple(-c.eval(base_point) for c in comps)
-        mat = np.zeros((m + n, m + n), dtype=complex)
-        for ij, c in true.terms:
-            mat[ij] = c.eval(point)
-        mat = mat - mat.T
-        if isinstance(true, DifferentialForm):
+    def block(base: np.ndarray) -> np.ndarray:
+        k = len(base)
+        at_x = at_base(base)
+        mat = np.zeros((k, m + n, m + n), dtype=complex)
+        mat[(slice(None),) + mat_at] = entries(base, -at_x[:, :n])
+        mat = mat - mat.transpose(0, 2, 1)
+        if invert:
+            mat = -_inverse_or_degenerate(mat, base)
+        jac = np.repeat(np.eye(m + n, dtype=complex)[None], k, axis=0)
+        jac[(slice(None),) + jac_at] = at_x[:, n:]
+        return (jac @ mat @ jac.transpose(0, 2, 1))[:, m:, m:]
+
+    return block
+
+
+def _inverse_or_degenerate(mats: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Batched inverse; the first singular matrix names its base point."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        for mat, x in zip(mats, base):
             try:
-                mat = -np.linalg.inv(mat)
+                np.linalg.inv(mat)
             except np.linalg.LinAlgError:
                 raise DegenerateBivectorError(
                     "source form is degenerate on the graph over base point "
                     f"{tuple(map(float, x))}"
                 ) from None
-        jac = np.eye(m + n, dtype=complex)
-        for ij, d in dalpha:
-            jac[ij] = d.eval(base_point)
-        return (jac @ mat @ jac.T)[m:, m:]
-
-    return block
+        raise
 
 
 def pushforward_oracle_numeric(alg_or_pi, alpha: VerticalSection, x) -> np.ndarray:
@@ -257,8 +294,10 @@ def pushforward_oracle_numeric(alg_or_pi, alpha: VerticalSection, x) -> np.ndarr
 
     Evaluates the true matrix at (x, -alpha(x)) and conjugates with the
     translation Jacobian; independent of the symbolic bracket machinery.
+    The same code as a grid check, on a one-point grid.
     """
-    return _pushforward_block(alg_or_pi, alpha)(x)
+    (_, base), = _grid_chunks(alpha.chart, [x])
+    return _pushforward_block(alg_or_pi, alpha)(base)[0]
 
 
 # -- partial-sum convergence tables ---------------------------------------------
@@ -320,10 +359,13 @@ def _component_dirs(chart: ChartSpec, degree: int):
     return list(itertools.combinations(fdirs, degree))
 
 
-def _real_part(value: complex) -> float:
-    if abs(value.imag) > 1e-9 * (abs(value) + 1.0):
+def _real_parts(values: np.ndarray) -> list:
+    """Rows of real parts; the first value that is not real raises ValueError."""
+    bad = np.abs(values.imag) > 1e-9 * (np.abs(values) + 1.0)
+    if bad.any():
+        value = values.flat[np.flatnonzero(bad)[0]].item()
         raise ValueError(f"expected a real value, got {value}")
-    return value.real
+    return values.real.tolist()
 
 
 def mc_partial_table(
@@ -342,6 +384,7 @@ def mc_partial_table(
     if points is None:
         names = sorted(alg.pi.support_names() | alpha.support_names())
         points = sample_grid(chart, names, per_axis=per_axis)
+    points = tuple(points)
     comp_dirs = _component_dirs(chart, alg.pi.degree)
     comp_names = ["".join(chart.direction_name(d) for d in dirs) for dirs in comp_dirs]
     partials = []
@@ -350,23 +393,27 @@ def mc_partial_table(
         if not term.is_zero():
             acc = acc + projection_P(term).scale(coeff)
         partials.append(acc)
+    at = np.array(comp_dirs, dtype=int).reshape(-1, 2) - chart.n_base
+    partial_at = GridEvaluator(
+        [beta.coefficient(dirs) for beta in partials for dirs in comp_dirs]
+    )
     oracle_at = _pushforward_block(alg, alpha)
+    width = len(comp_dirs)
     rows = []
-    for x in points:
-        oracle_mat = oracle_at(x)
-        oracle = tuple(
-            _real_part(oracle_mat[i - chart.n_base, j - chart.n_base])
-            for i, j in comp_dirs
-        )
-        full = tuple(x) + (0.0,) * chart.n_fibre
-        for n, beta in enumerate(partials, start=1):
-            vals = tuple(
-                _real_part(beta.coefficient(dirs).eval(full)) for dirs in comp_dirs
-            )
-            err = max(
-                (abs(v - o) for v, o in zip(vals, oracle)), default=0.0
-            )
-            rows.append(ConvergenceRow(tuple(x), n, vals, oracle, err))
+    for start, base in _grid_chunks(chart, points):
+        # per point: the oracle components, then each partial sum's, in the
+        # order they are checked for reality
+        values = _real_parts(np.concatenate(
+            [oracle_at(base)[:, at[:, 0], at[:, 1]], partial_at(base)], axis=1
+        ))
+        for x, vals in zip(points[start : start + len(base)], values):
+            oracle = tuple(vals[:width])
+            for n in range(1, len(partials) + 1):
+                part = tuple(vals[n * width : (n + 1) * width])
+                err = max(
+                    (abs(v - o) for v, o in zip(part, oracle)), default=0.0
+                )
+                rows.append(ConvergenceRow(tuple(x), n, part, oracle, err))
     return ConvergenceTable(
         tuple(comp_names), tuple(chart.base), tuple(rows)
     )
@@ -400,10 +447,12 @@ def coisotropy_check_numeric(
     if points is None:
         names = sorted(pi.support_names() | alpha.support_names())
         points = sample_grid(alpha.chart, names, per_axis=per_axis)
+    points = tuple(points)
     block = _pushforward_block(alg_or_pi, alpha)
     worst = 0.0
-    for x in points:
-        worst = max(worst, float(np.max(np.abs(block(x)))))
+    for _, base in _grid_chunks(alpha.chart, points):
+        # np.maximum keeps a NaN, so a NaN defect fails the check
+        worst = float(np.maximum(worst, np.max(np.abs(block(base)))))
     return CoisotropyResult(worst <= tol, worst)
 
 

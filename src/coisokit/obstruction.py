@@ -59,15 +59,6 @@ class ObstructionReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def to_text(self) -> str:
-        d = self.to_dict()
-        lines = [f"closed: {'true' if d['closed'] else 'false'}"]
-        for key in ("kuranishi", "beta", "integral"):
-            if d[key] is not None:
-                lines.append(f"{key}: {d[key]}")
-        lines.append(f"verdict: {d['verdict']}")
-        return "\n".join(lines) + "\n"
-
 
 def _has_nonconstant_part(f: RingElement) -> bool:
     zero_key = RingElement._zero_key(f.chart)

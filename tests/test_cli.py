@@ -431,6 +431,28 @@ class TestMain:
             assert f"pencil rational_pencil.txt 6: error\n    message: {where}:" in out
             assert "pass=5 fail=0 inconclusive=0 error=1" in out
 
+    @pytest.mark.parametrize(
+        "body, name, where",
+        [
+            ("f = sin(2*pi*x)\n", "'x'", "line 2, col 14"),
+            ("f = sin(@x)\n", "'@x'", "line 2, col 9"),
+            ("f = cos(2*pi*p1)\n", "'p1'", "line 2, col 14"),
+            ("g = 1/2\nf = sin(2*pi*g)\n", "'g'", "line 3, col 14"),
+        ],
+        ids=["plain_base", "vector_symbol", "fibre", "binding"],
+    )
+    def test_sin_cos_argument_names_only_periodic_coordinates(
+        self, body, name, where, tmp_path, capsys
+    ):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(CHART + body)
+        assert main(["run", str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"parse error: {where}: only periodic coordinates may appear "
+            f"in a sin/cos argument, not {name}\n"
+        )
+
     def test_out_flag(self, tmp_path, capsys):
         scn = tmp_path / "t.scn"
         scn.write_text(

@@ -3,6 +3,7 @@
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from coisokit import (
     ring_mul,
     taylor_shift,
 )
+from coisokit.coeff_ring import GridEvaluator
 
 
 class TestScalar:
@@ -377,6 +379,48 @@ class TestEvalPoint:
             p = tuple(rng.uniform(-1, 1) for _ in range(4))
             v = f.eval(p)
             assert abs(v.imag) <= 1e-12 * (abs(v) + 1)
+
+
+class TestGridEvaluator:
+    """The compiled evaluator against ``RingElement.eval``, its reference."""
+
+    @staticmethod
+    def _elements(rng, chart):
+        yield from (rand_ring(rng, chart, max_ydeg=0, nterms=3).fourier_zero_mode(["x2"])
+                    for _ in range(5))
+        yield from (rand_ring(rng, chart, max_xdeg=0, max_ydeg=0, real=False)
+                    for _ in range(5))
+        yield from (rand_ring(rng, chart, max_ydeg=4, nterms=4, real=False)
+                    for _ in range(10))
+        yield from (_rand_jet(rng, chart) for _ in range(10))
+        yield RingElement.zero(chart)
+
+    def test_matches_eval_at_complex_fibre_points(self, chart):
+        rng = rng_for("grid-eval")
+        for _ in range(4):
+            elements = list(self._elements(rng, chart))
+            base = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(40)])
+            base[:4, 1] = (0.0, 0.25, 0.5, -0.75)  # exact phases, including zero
+            fibre = np.array(
+                [[complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                  for _ in range(2)] for _ in range(40)]
+            )
+            got = GridEvaluator(elements)(base, fibre)
+            assert got.shape == (40, len(elements))
+            for p in range(40):
+                point = tuple(base[p].tolist()) + tuple(fibre[p].tolist())
+                for k, f in enumerate(elements):
+                    want = f.eval(point)
+                    assert abs(got[p, k] - want) <= 1e-12 * abs(want)
+
+    def test_fibre_values_needed_only_for_fibre_terms(self, chart):
+        x1 = RingElement.coordinate(chart, "x1")
+        y1 = RingElement.coordinate(chart, "y1")
+        base = np.array([[0.5, 0.125]])
+        assert GridEvaluator([x1 ** 3])(base)[0, 0] == 0.125
+        with pytest.raises(DimensionMismatchError):
+            GridEvaluator([x1 + y1])(base)
+        assert GridEvaluator([])(base).shape == (1, 0)
 
 
 class TestReality:

@@ -15,6 +15,7 @@ from conftest import (
     zero_section,
 )
 from coisokit import (
+    DegenerateBivectorError,
     DomainBoundError,
     JetOrderError,
     MultiVectorField,
@@ -406,10 +407,78 @@ class TestCoisotropyNumeric:
         def forbidden(*args, **kwargs):
             raise AssertionError("numeric oracle routed through symbolic code")
 
-        for name in ("schouten_bracket", "projection_P", "ad_series"):
-            monkeypatch.setattr(linfty, name, forbidden)
+        def forbid_symbolic():
+            for name in ("schouten_bracket", "projection_P", "ad_series"):
+                monkeypatch.setattr(linfty, name, forbidden)
+
+        build_oracle = linfty._pushforward_block
+
+        def guarded(*args):
+            # a table asks for its oracle once its symbolic partial sums are
+            # built; its oracle columns and partial values must not go back
+            forbid_symbolic()
+            return build_oracle(*args)
+
+        monkeypatch.setattr(linfty, "_pushforward_block", guarded)
+        table = mc_partial_table(t4.algebra, t4.section, 3, per_axis=4)
+        assert len(table.rows) == 3 * 16
+        assert max(abs(v) for r in table.rows for v in r.oracle) > 1.0
         res = coisotropy_check_numeric(t4.algebra, t4.section, per_axis=4)
         assert not res.coisotropic
+
+    def test_grid_of_several_chunks_matches_the_pointwise_oracle(self, t4):
+        from coisokit.linfty import _GRID_CHUNK
+
+        alg = t4.algebra
+        names = sorted(alg.pi.support_names() | t4.section.support_names())
+        points = sample_grid(alg.chart, names)  # 32 x 32
+        assert len(points) > 3 * _GRID_CHUNK
+        blocks = [pushforward_oracle_numeric(alg, t4.section, x) for x in points]
+        res = coisotropy_check_numeric(alg, t4.section)
+        assert res.max_defect == max(np.max(np.abs(b)) for b in blocks)
+        table = mc_partial_table(alg, t4.section, 1, points=points)
+        # one row per point; the one oracle column is the p1 p2 entry
+        assert [r.oracle for r in table.rows] == [(b[0, 1].real,) for b in blocks]
+
+    def test_nan_in_an_early_chunk_fails_the_check(self, t4, monkeypatch):
+        from coisokit import linfty
+
+        def block_at(alg_or_pi, alpha):
+            def block(base):
+                out = np.zeros((len(base), 2, 2), dtype=complex)
+                if not base[0].any():  # the first point of the grid
+                    out[0, 0, 1] = np.nan
+                return out
+            return block
+
+        monkeypatch.setattr(linfty, "_pushforward_block", block_at)
+        res = coisotropy_check_numeric(t4.algebra, t4.section)
+        assert not res.coisotropic and np.isnan(res.max_defect)
+
+    def test_singular_form_at_a_later_point_names_it(self):
+        # omega is singular exactly where p1 = 1, so on graph(-a) where x1 = 1:
+        # the last 32 points of the 32 x 32 grid, in its fourth chunk
+        chart = make_chart("x1 x2 q1 q2", "p1 p2")
+        d = lambda name: DifferentialForm.basis_covector(chart, name)  # noqa: E731
+        x1, x2, p1 = (RingElement.coordinate(chart, n) for n in ("x1", "x2", "p1"))
+        omega = (
+            d("x1").wedge(d("x2")) + d("q1").wedge(d("p1")) + d("q2").wedge(d("p2"))
+            + d("p1").wedge(d("x1")).scale(x2) + d("x2").wedge(d("x1")).scale(p1)
+        )
+        alg = coiso_algebra_from_form(omega, 2)
+        a = VerticalSection.from_components(chart, [-x1, RingElement.zero(chart)])
+        points = sample_grid(chart, ["p1", "x1", "x2"], per_axis=32)
+        assert points.index((1.0, -1.0, 0.0, 0.0)) == 992
+        message = (
+            "source form is degenerate on the graph over base point "
+            "(1.0, -1.0, 0.0, 0.0)"
+        )
+        with pytest.raises(DegenerateBivectorError) as exc:
+            coisotropy_check_numeric(alg, a, per_axis=32)
+        assert str(exc.value) == message
+        with pytest.raises(DegenerateBivectorError) as exc:
+            mc_partial_table(alg, a, 2, per_axis=32)
+        assert str(exc.value) == message
 
 
 class TestTwistedAlgebra:
