@@ -5,73 +5,77 @@ happens once, by the determinant.  A determinant is exactly invertible when
 it is a single term (one pi-power for scalars; additionally one monomial and
 Fourier mode for ring elements), which covers every matrix this package
 needs to invert exactly.
+
+Every determinant and cofactor is one minor over row and column bitmasks,
+memoised in a table.  The inverse takes one table per removed row, so the n
+cofactors of that row share their sub-minors; one table for all n^2
+cofactors would share more but holds more minors at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .coeff_ring import RingElement, Scalar
 from .errors import DegenerateBivectorError, NonInvertibleScalarError
 
 
-def _det(mat, zero, is_zero: Callable) -> object:
-    """Determinant by column-subset expansion with memoisation."""
-    n = len(mat)
-    if n == 0:
+def _minor(mat, zero, table: dict, rows: int, cols: int):
+    """The determinant of ``mat`` on the row and column bitmasks, expanded
+    along the lowest remaining row and memoised in ``table``.  The empty
+    minor is ``None``, the multiplicative identity.
+
+    The table is an argument, not a closure cell: a closure that calls itself
+    is a reference cycle, so its table would outlive the call until the
+    cyclic collector runs."""
+    if not rows:
+        return None
+    key = (rows, cols)
+    if key in table:
+        return table[key]
+    entries = mat[(rows & -rows).bit_length() - 1]
+    rest = rows & (rows - 1)
+    total = zero
+    pos = 0
+    for col in range(len(mat)):
+        bit = 1 << col
+        if not cols & bit:
+            continue
+        entry = entries[col]
+        if not entry.is_zero():
+            sub = _minor(mat, zero, table, rest, cols ^ bit)
+            piece = entry if sub is None else entry * sub
+            total = total + (piece if pos % 2 == 0 else -piece)
+        pos += 1
+    table[key] = total
+    return total
+
+
+def _det(mat, zero):
+    if not mat:
         raise ValueError("empty matrix")
-    cache: dict[tuple[int, int], object] = {}
-
-    def minor(row: int, colmask: int):
-        if row == n:
-            return None  # multiplicative identity marker
-        key = (row, colmask)
-        if key in cache:
-            return cache[key]
-        total = zero
-        pos = 0
-        for col in range(n):
-            if colmask & (1 << col):
-                continue
-            entry = mat[row][col]
-            if not is_zero(entry):
-                sub = minor(row + 1, colmask | (1 << col))
-                piece = entry if sub is None else entry * sub
-                total = total + (piece if pos % 2 == 0 else -piece)
-            pos += 1
-        cache[key] = total
-        return total
-
-    out = minor(0, 0)
-    return zero if out is None else out
+    full = (1 << len(mat)) - 1
+    return _minor(mat, zero, {}, full, full)
 
 
 def scalar_det(mat: Sequence[Sequence[Scalar]]) -> Scalar:
-    return _det(mat, Scalar.zero(), lambda s: s.is_zero())
+    return _det(mat, Scalar.zero())
 
 
 def ring_det(mat: Sequence[Sequence[RingElement]]) -> RingElement:
-    chart = mat[0][0].chart
-    return _det(mat, RingElement.zero(chart), lambda e: e.is_zero())
+    return _det(mat, RingElement.zero(mat[0][0].chart))
 
 
-def _inverse(mat, det_fn, det_inv, zero):
+def _inverse(mat, det_inv, zero):
     n = len(mat)
-    out = [[zero for _ in range(n)] for _ in range(n)]
+    full = (1 << n) - 1
+    out = [[zero] * n for _ in range(n)]
     for i in range(n):
+        table: dict = {}
         for j in range(n):
-            if n == 1:
-                cof = det_inv
-            else:
-                sub = [
-                    [mat[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = det_fn(sub) * det_inv
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof
+            sub = _minor(mat, zero, table, full ^ (1 << i), full ^ (1 << j))
+            cof = det_inv if sub is None else sub * det_inv
+            out[j][i] = -cof if (i + j) % 2 else cof
     return out
 
 
@@ -86,7 +90,7 @@ def scalar_matrix_inverse(mat: Sequence[Sequence[Scalar]]):
         raise NonInvertibleScalarError(
             f"determinant {det.render()} has no exact inverse in the ring"
         ) from exc
-    return _inverse(mat, scalar_det, dinv, Scalar.zero())
+    return _inverse(mat, dinv, Scalar.zero())
 
 
 def ring_element_inverse(e: RingElement) -> RingElement:
@@ -110,16 +114,20 @@ def ring_matrix_inverse(mat: Sequence[Sequence[RingElement]]):
     if det.is_zero():
         raise DegenerateBivectorError("matrix is singular over the ring")
     dinv = ring_element_inverse(det)
-    return _inverse(mat, ring_det, dinv, RingElement.zero(mat[0][0].chart))
+    return _inverse(mat, dinv, RingElement.zero(det.chart))
 
 
-def mat_mul(a, b, zero):
-    n, mid, m = len(a), len(b), len(b[0])
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = zero
-            for k in range(mid):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+def mat_mul(a, b):
+    """The product of two ring matrices with a non-empty inner dimension."""
+    inner = range(1, len(b))
+    out = []
+    for row in a:
+        first = row[0]
+        out_row = []
+        for j in range(len(b[0])):
+            acc = first * b[0][j]
+            for k in inner:
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
     return out

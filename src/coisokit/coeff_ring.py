@@ -161,14 +161,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        """True when the value is a plain rational (pi-free and real)."""
-        return self.is_zero() or (
-            len(self._terms) == 1
-            and self._terms[0][0] == 0
-            and self._terms[0][2] == 0
-        )
-
     def single_term(self):
         """The (exponent, re, im) triple when there is exactly one, else None."""
         return self._terms[0] if len(self._terms) == 1 else None
@@ -322,6 +314,8 @@ class ChartSpec:
             raise ValueError(f"coordinate names must be distinct: {names}")
         if len(self.periodic) != len(self.base):
             raise ValueError("one periodicity flag per base coordinate required")
+        if self.fibre_bound is not None and self.fibre_bound <= 0:
+            raise ValueError(f"domain bound {self.fibre_bound} must be positive")
 
     @property
     def n_base(self) -> int:
@@ -725,14 +719,6 @@ class RingElement:
             ((xe, k, ye, s) for xe, k, ye, s in self.terms if sum(ye) == 0),
             None,
         )
-
-    def y_component(self, j: int) -> "RingElement":
-        """The coefficient of y_j among terms linear in y."""
-        out = []
-        for xe, k, ye, s in self.terms:
-            if sum(ye) == 1 and ye[j] == 1:
-                out.append((xe, k, (0,) * self.chart.n_fibre, s))
-        return RingElement(self.chart, out)
 
     def restrict_to_base(self) -> "RingElement":
         """Reinterpret a base-only element on the base chart of C."""

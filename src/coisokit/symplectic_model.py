@@ -3,10 +3,11 @@
 A presymplectic base (C, omega_C) with declared coordinate-spanned kernel F
 produces the local model Omega = (pullback of omega_C) + sum_f dq_f ^ dp_f
 on the dual bundle chart.  A form whose fibrewise degrees lie in {0, 1} has a
-coefficient matrix M(y) = A(x) + sum_k y_k B_k(x); its inverse is the
-truncated Neumann series
+coefficient matrix M = A + Y, where A = M at y = 0 and Y = M - A is
+fibre-linear (Y = sum_k y_k B_k(x)).  Its inverse is the truncated Neumann
+series
 
-    M^{-1} = sum_{r>=0} (-A^{-1} sum_k y_k B_k)^r A^{-1},
+    M^{-1} = sum_{r>=0} (-A^{-1} Y)^r A^{-1},
 
 computed exactly over the ring whenever det A is an invertible element
 (a single scalar-times-mode term; in particular any rational constant).
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ._linalg import mat_mul, ring_det, ring_matrix_inverse, scalar_det
 from .coeff_ring import ChartSpec, RingElement, Scalar
@@ -195,53 +195,44 @@ def parse_pencil_text(text: str) -> AffinePencil:
     return AffinePencil.from_rationals(a, bs, labels)
 
 
-def _neumann_inverse(a_ring, b_rings, chart: ChartSpec, order: int):
-    """(A + sum_k y_k B_k)^{-1}: exactly A^{-1} when every B_k is zero, else the
-    Neumann series truncated at fibre order ``order``.  Inversion errors of A
-    are left to the caller."""
-    n = len(a_ring)
-    zero = RingElement.zero(chart)
-    ainv = ring_matrix_inverse(a_ring)
-    x = [[zero for _ in range(n)] for _ in range(n)]
-    for k, bk in enumerate(b_rings):
-        # an all-zero B_k adds nothing; skipping it saves a full mat_mul
-        if all(e.is_zero() for row in bk for e in row):
-            continue
-        yk = RingElement.coordinate(chart, chart.fibre[k])
-        ab = mat_mul(ainv, bk, zero)
-        for i in range(n):
-            for j in range(n):
-                x[i][j] = x[i][j] - yk * ab[i][j]
-    # x = -A^{-1} sum_k y_k B_k is zero iff every B_k is
-    if all(e.is_zero() for row in x for e in row):
+def _neumann_inverse(m, order: int):
+    """M^{-1} for M = A + Y, A = M at y = 0: exactly A^{-1} when Y = 0, else
+    the Neumann series truncated at fibre order ``order``.  Inversion errors
+    of A are left to the caller."""
+    a = [[e.at_zero_fibre() for e in row] for row in m]
+    ainv = ring_matrix_inverse(a)
+    minus_y = [[e0 - e for e0, e in zip(row0, row)] for row0, row in zip(a, m)]
+    if all(e.is_zero() for row in minus_y for e in row):
         return ainv
+    x = mat_mul(ainv, minus_y)  # -A^{-1} Y
+    n = len(m)
     total = [row[:] for row in ainv]
     power = [row[:] for row in ainv]
     for _ in range(order):
-        power = mat_mul(x, power, zero)
+        power = mat_mul(x, power)
         for i in range(n):
             for j in range(n):
                 total[i][j] = total[i][j] + power[i][j]
     return [[e.truncate(order) for e in row] for row in total]
 
 
-def invert_affine_pencil(
-    pencil: AffinePencil, order: int, chart: Optional[ChartSpec] = None
-):
+def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):
+    """M(lambda) = A + sum_k lambda_k B_k as a ring matrix on ``chart``."""
+    m = [[RingElement.constant(chart, s) for s in row] for row in pencil.a]
+    for label, bk in zip(pencil.labels, pencil.b):
+        lam = RingElement.coordinate(chart, label)
+        m = [
+            [e + lam.scale(s) for e, s in zip(row, brow)]
+            for row, brow in zip(m, bk)
+        ]
+    return m
+
+
+def invert_affine_pencil(pencil: AffinePencil, order: int):
     """Truncated Neumann inverse; entries are jets of fibre order ``order``."""
-    if chart is None:
-        chart = ChartSpec((), (), pencil.labels)
-    if chart.fibre != pencil.labels:
-        raise PencilError(
-            f"chart fibre coordinates {chart.fibre} do not match labels {pencil.labels}"
-        )
-    lift = lambda m: [
-        [RingElement.constant(chart, s) for s in row] for row in m
-    ]
+    chart = ChartSpec((), (), pencil.labels)
     try:
-        total = _neumann_inverse(
-            lift(pencil.a), [lift(bk) for bk in pencil.b], chart, order
-        )
+        total = _neumann_inverse(_pencil_matrix(pencil, chart), order)
     except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
         raise PencilError(f"constant part is not exactly invertible: {exc}") from exc
     return tuple(tuple(e.truncate(order) for e in row) for row in total)
@@ -252,16 +243,11 @@ def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
     chart = inverse[0][0].chart
     n = pencil.size
     zero = RingElement.zero(chart)
-    m = [[RingElement.constant(chart, pencil.a[i][j]) for j in range(n)] for i in range(n)]
-    for k, bk in enumerate(pencil.b):
-        yk = RingElement.coordinate(chart, chart.fibre[k])
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = m[i][j] + yk.scale(bk[i][j])
+    m = _pencil_matrix(pencil, chart)
     # M has fibre degree <= 1, so the terms of M * inverse through ``order``
     # only need the terms of the inverse through ``order``
     inv_jet = [[RingElement(chart, e.terms, order) for e in row] for row in inverse]
-    prod = mat_mul(m, inv_jet, zero)
+    prod = mat_mul(m, inv_jet)
     bad = []
     for i in range(n):
         for j in range(n):
@@ -285,15 +271,8 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVecto
             f"fibrewise degrees {sorted(fibrewise_degree_classify(omega))} "
             "exceed the affine range {0, 1}"
         )
-    mat = omega.coefficient_matrix()
-    n = chart.n_dirs
-    a = [[mat[i][j].at_zero_fibre() for j in range(n)] for i in range(n)]
-    bs = [
-        [[mat[i][j].y_component(k) for j in range(n)] for i in range(n)]
-        for k in range(chart.n_fibre)
-    ]
     try:
-        minv = _neumann_inverse(a, bs, chart, order)
+        minv = _neumann_inverse(omega.coefficient_matrix(), order)
     except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
         raise DegenerateBivectorError(
             f"form is not exactly invertible at y = 0: {exc}"

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from coisokit import (
     MultiVectorField,
@@ -15,6 +16,11 @@ from coisokit import (
     as_vertical,
     make_chart,
 )
+
+# the @given tests draw the same examples on every run and keep no example
+# database, so a tier-1 run neither varies nor writes .hypothesis/
+settings.register_profile("fixed-seed", derandomize=True, database=None)
+settings.load_profile("fixed-seed")
 
 
 def rand_fraction(rng, lo=-3, hi=3):

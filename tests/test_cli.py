@@ -390,6 +390,9 @@ class TestMain:
         [
             ("chart base=(y1*) fibre=(p1) domain=abc\n", None, 2, "line 1"),
             ("chart base=(y1*) fibre=(p1) domain=\n", None, 2, "line 1"),
+            # a bound <= 0 leaves no tubular domain, not even the zero section
+            ("chart base=(y1*) fibre=(p1) domain=-1\n", None, 2, "line 1"),
+            ("chart base=(y1*) fibre=(p1) domain=0\n", None, 2, "line 1"),
             ("chart base=(y1*\n", None, 2, "line 1"),
             ("chart base=(y1* fibre=(p1)\n", None, 2, "line 1"),
             (T4_TEXT, "1 0\n3 x\n", 3, "line 2"),
@@ -408,7 +411,8 @@ class TestMain:
             (CHART + "f = inv_form(dy1)\n", None, 2, "line 2, col 5"),
         ],
         ids=[
-            "domain_abc", "empty_domain", "missing_paren", "unclosed_base",
+            "domain_abc", "empty_domain", "negative_domain", "zero_domain",
+            "missing_paren", "unclosed_base",
             "pencil_token", "col_after_short_name", "col_after_long_name",
             "col_after_indent", "sin_odd_multiple", "sin_constant_phase",
             "sin_square", "sin_imaginary", "sin_non_periodic", "sin_vector",
