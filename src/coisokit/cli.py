@@ -38,8 +38,6 @@ from .errors import CoisoKitError, ScenarioError
 from .forms import DifferentialForm, is_in_omega_le, fibrewise_degree_classify
 from .linfty import (
     TwistedElement,
-    _inverted_form_algebra,
-    _per_axis_default,
     coisotropy_check_numeric,
     higher_jacobi_verify,
     make_coiso_algebra,
@@ -239,11 +237,11 @@ class _ExprParser:
 
 
 class _Evaluator:
-    def __init__(self, chart: ChartSpec, bindings, truncation: int, sources):
+    def __init__(self, chart: ChartSpec, bindings, truncation: int):
         self.chart = chart
         self.bindings = bindings
         self.truncation = truncation
-        self.sources = sources
+        self.inv_form = None  # the latest form inverted by inv_form(...)
 
     def eval(self, node):
         tag = node[0]
@@ -342,7 +340,8 @@ class _Evaluator:
                 return self._div(lv, rv, pos)
         except ScenarioError:
             raise
-        except CoisoKitError as exc:
+        except (CoisoKitError, ValueError) as exc:
+            # ValueError: a sum of two nonzero fields of different degrees
             raise ScenarioError(str(exc), *pos)
         raise AssertionError(op)
 
@@ -423,7 +422,7 @@ class _Evaluator:
                 pi = symplectic_to_poisson(form, self.truncation)
             except CoisoKitError as exc:
                 raise ScenarioError(str(exc), *pos)
-            self.sources["__last_inv_form__"] = form
+            self.inv_form = form
             return pi
         if name == "gotay":
             return self._gotay(args, pos)
@@ -483,7 +482,7 @@ class _PhaseEvaluator(_Evaluator):
     """
 
     def __init__(self, periodic, truncation: int):
-        super().__init__(make_chart(" ".join(periodic)), {}, truncation, {})
+        super().__init__(make_chart(" ".join(periodic)), {}, truncation)
 
     def _name(self, name, pos):
         names = self.chart.names
@@ -597,7 +596,7 @@ def parse_scenario(
             if chart is not None:
                 raise ScenarioError("chart is already declared", lineno)
             chart = _parse_chart_line(stripped[len("chart "):], lineno)
-            evaluator = _Evaluator(chart, bindings, truncation, sources)
+            evaluator = _Evaluator(chart, bindings, truncation)
             continue
         if stripped.startswith("check ") or stripped == "check":
             parts = stripped.split()
@@ -618,13 +617,12 @@ def parse_scenario(
                 raise ScenarioError("bindings need a chart declared first", lineno)
             tokens = _tokenize(rhs, lineno, len(line) - len(rhs))
             node = _ExprParser(tokens).parse()
-            sources.pop("__last_inv_form__", None)
+            bindings[target] = evaluator.eval(node)
             # a rebound name keeps no source unless it is a direct inv_form(...)
-            sources.pop(target, None)
-            value = evaluator.eval(node)
-            if "__last_inv_form__" in sources and node[0] == "call" and node[1] == "inv_form":
-                sources[target] = sources.pop("__last_inv_form__")
-            bindings[target] = value
+            if node[0] == "call" and node[1] == "inv_form":
+                sources[target] = evaluator.inv_form
+            else:
+                sources.pop(target, None)
             continue
         raise ScenarioError(f"cannot parse line {stripped!r}", lineno)
     return Scenario(chart, bindings, tuple(checks), name, base_dir, sources)
@@ -771,11 +769,7 @@ class _AlgebraCache:
                     "checks need a degree-2 multivector bound to the name 'pi'"
                 )
             source = self.scenario.sources.get("pi")
-            if source is None:
-                self._alg = make_coiso_algebra(pi, require_poisson=True)
-            else:
-                # inv_form built this pi, and its inversion checked [pi, pi] = 0
-                self._alg = _inverted_form_algebra(pi, source)
+            self._alg = make_coiso_algebra(pi, source_form=source)
         return self._alg
 
 
@@ -822,7 +816,7 @@ def _run_check(scenario, cache, check, flags):
     if kind == "coisotropic":
         alg = cache.get()
         alpha = _as_section(_binding(scenario, check.target))
-        res = coisotropy_check_numeric(alg, alpha, per_axis=_per_axis(flags, alg, alpha))
+        res = coisotropy_check_numeric(alg, alpha, per_axis=flags.samples)
         status = "pass" if res.coisotropic else "fail"
         details = (("max_defect", f"{res.max_defect:.12e}"),)
         return status, details, res.max_defect, None
@@ -876,11 +870,6 @@ def _run_check(scenario, cache, check, flags):
     raise CoisoKitError(f"unknown check kind {kind!r}")
 
 
-def _per_axis(flags: RunFlags, alg, alpha) -> int:
-    names = alg.pi.support_names() | alpha.support_names()
-    return _per_axis_default(len(names), hard_cap=flags.samples)
-
-
 def _run_mc(scenario, cache, check, flags):
     alg = cache.get()
     alpha = _as_section(_binding(scenario, check.target))
@@ -896,9 +885,7 @@ def _run_mc(scenario, cache, check, flags):
             ("exact_match", "true" if ok else "false"),
         )
         return ("pass" if ok else "fail"), details, None, None
-    table = mc_partial_table(
-        alg, alpha, check.param, per_axis=_per_axis(flags, alg, alpha)
-    )
+    table = mc_partial_table(alg, alpha, check.param, per_axis=flags.samples)
     err = table.max_error_at(check.param)
     ok = err <= 1e-8
     details = (

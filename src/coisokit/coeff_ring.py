@@ -353,7 +353,9 @@ class ChartSpec:
         try:
             return self.names.index(name)
         except ValueError:
-            raise UnknownCoordinateError(f"{name!r} is not a coordinate of {self}")
+            raise UnknownCoordinateError(
+                f"{name!r} is not a coordinate of ({', '.join(self.names)})"
+            )
 
     def is_fibre_dir(self, d: int) -> bool:
         return d >= len(self.base)
@@ -373,7 +375,9 @@ class ChartSpec:
             if self.periodic[i]:
                 return "periodic", self.periodic_axes.index(i)
             return "poly", self.poly_axes.index(i)
-        raise UnknownCoordinateError(f"{name!r} is not a coordinate of {self}")
+        raise UnknownCoordinateError(
+            f"{name!r} is not a coordinate of ({', '.join(self.names)})"
+        )
 
     def base_chart(self) -> "ChartSpec":
         return ChartSpec(self.base, self.periodic, (), None)

@@ -18,7 +18,7 @@ the Jacobi defect -[pi, tau] - [tau, tau] / 2 of pi + tau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,27 +70,22 @@ def make_coiso_algebra(
     require_poisson: bool = True,
     source_form: Optional[DifferentialForm] = None,
 ) -> CoisoAlgebra:
-    """Validate P(pi) = 0 (always) and the Jacobi identity (unless waived)."""
+    """Validate P(pi) = 0 (always) and the Jacobi identity (unless waived).
+
+    A ``source_form`` says that pi is ``symplectic_to_poisson(source_form, N)``,
+    whose inversion has checked [pi, pi] = 0; the Jacobi identity is then not
+    checked again and ``poisson_verified`` is True.
+    """
     if pi.degree != 2:
         raise NotCoisotropicError("a coisotropic algebra needs a degree-2 field")
     if not projection_P(pi).is_zero():
         raise NotCoisotropicError(
             "zero section is not coisotropic: P(pi) != 0"
         )
-    if require_poisson and not is_poisson(pi):
+    verified = require_poisson or source_form is not None
+    if require_poisson and source_form is None and not is_poisson(pi):
         raise NotPoissonError("bivector fails the Jacobi identity")
-    return CoisoAlgebra(pi.chart, pi, require_poisson, source_form)
-
-
-def _inverted_form_algebra(
-    pi: MultiVectorField, omega: DifferentialForm
-) -> CoisoAlgebra:
-    """Wrap pi = symplectic_to_poisson(omega, N), which has checked [pi, pi] = 0.
-
-    Only P(pi) = 0 is validated here; the Jacobi identity is not checked twice.
-    """
-    alg = make_coiso_algebra(pi, require_poisson=False, source_form=omega)
-    return replace(alg, poisson_verified=True)
+    return CoisoAlgebra(pi.chart, pi, verified, source_form)
 
 
 def coiso_algebra_from_form(
@@ -99,7 +94,9 @@ def coiso_algebra_from_form(
     """Invert a fibrewise affine symplectic form and wrap it as an algebra."""
     from .symplectic_model import symplectic_to_poisson
 
-    return _inverted_form_algebra(symplectic_to_poisson(omega, truncation), omega)
+    return make_coiso_algebra(
+        symplectic_to_poisson(omega, truncation), source_form=omega
+    )
 
 
 # -- brackets -----------------------------------------------------------------
@@ -179,33 +176,25 @@ def _check_domain(alg: CoisoAlgebra, alpha: VerticalSection):
 # -- numeric grids and oracles -----------------------------------------------
 
 
-def _per_axis_default(n_axes: int, budget: int = 4096, hard_cap: int = 32) -> int:
-    if n_axes <= 0:
-        return 1
-    per = int(budget ** (1.0 / n_axes) + 1e-9)
-    return max(2, min(hard_cap, per))
+def sample_grid(chart: ChartSpec, names: Sequence[str], per_axis: int = 32):
+    """Deterministic base-point grid varying only the named base coordinates.
 
-
-def sample_grid(
-    chart: ChartSpec, names: Sequence[str], per_axis: Optional[int] = None
-):
-    """Deterministic base-point grid varying only the named coordinates.
-
-    Periodic axes take ``per_axis`` points in [0, 1); non-periodic axes take
-    them in [-1, 1].  All other coordinates stay at 0.
+    Fibre names in ``names`` are ignored.  With k base coordinates varied,
+    each takes max(2, min(per_axis, floor(4096^(1/k)))) points, so
+    ``per_axis`` is an upper bound and the grid keeps within 4096 points
+    while it has at least 2 per axis.  Periodic axes take their points in
+    [0, 1), non-periodic axes in [-1, 1]; all other coordinates stay at 0.
     """
     wanted = set(names)
     active = [i for i, nm in enumerate(chart.base) if nm in wanted]
-    if per_axis is None:
-        per_axis = _per_axis_default(len(active))
+    if active:
+        per_axis = max(2, min(per_axis, int(4096 ** (1.0 / len(active)) + 1e-9)))
     axes = []
     for i in range(chart.n_base):
         if i not in active:
             axes.append((0.0,))
         elif chart.periodic[i]:
             axes.append(tuple(j / per_axis for j in range(per_axis)))
-        elif per_axis == 1:
-            axes.append((0.0,))
         else:
             axes.append(
                 tuple(-1.0 + 2.0 * j / (per_axis - 1) for j in range(per_axis))
@@ -373,7 +362,7 @@ def mc_partial_table(
     alpha: MultiVectorField,
     order: int,
     points=None,
-    per_axis: Optional[int] = None,
+    per_axis: int = 32,
 ) -> ConvergenceTable:
     """Numeric partial sums beta_n for n = 1..order against the pushforward oracle."""
     alpha = as_vertical(alpha)
@@ -432,15 +421,15 @@ def coisotropy_check_numeric(
     alg_or_pi,
     alpha: MultiVectorField,
     points=None,
-    per_axis: Optional[int] = None,
-    tol: float = 1e-9,
+    per_axis: int = 32,
 ) -> CoisotropyResult:
     """Measure the coisotropy defect of graph(-alpha) on a sample grid.
 
     The defect is the max over the grid of |(J Pi J^T)[m:, m:]|, the numeric
     pushforward block at (x, -alpha(x)): the numeric Maurer-Cartan value,
     the same quantity as the oracle columns of ``mc_partial_table``.  The
-    graph is coisotropic exactly when it vanishes.
+    graph is coisotropic exactly when it vanishes; the check passes when it
+    is at most 1e-9.
     """
     alpha = as_vertical(alpha)
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
@@ -453,7 +442,7 @@ def coisotropy_check_numeric(
     for _, base in _grid_chunks(alpha.chart, points):
         # np.maximum keeps a NaN, so a NaN defect fails the check
         worst = float(np.maximum(worst, np.max(np.abs(block(base)))))
-    return CoisotropyResult(worst <= tol, worst)
+    return CoisotropyResult(worst <= 1e-9, worst)
 
 
 # -- twisted algebra ---------------------------------------------------------------

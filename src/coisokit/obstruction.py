@@ -42,7 +42,7 @@ class ObstructionReport:
         if self.verdict not in ("NONZERO", "INCONCLUSIVE"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == "NONZERO":
-            if self.integral is None or not _has_nonconstant_part(self.integral):
+            if self.integral is None or self.integral.is_constant():
                 raise ValueError(
                     "NONZERO requires a non-constant integral function"
                 )
@@ -58,11 +58,6 @@ class ObstructionReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def _has_nonconstant_part(f: RingElement) -> bool:
-    zero_key = RingElement._zero_key(f.chart)
-    return any((xe, k, ye) != zero_key for xe, k, ye, _ in f.terms)
 
 
 class TorusExample(NamedTuple):
@@ -162,5 +157,5 @@ def obstructedness_certificate(
         return ObstructionReport(False, None, None, None, "INCONCLUSIVE")
     beta = leafwise_sharp_inverse(alg.pi, rep)
     integral = fibre_torus_integral(beta, F.directions)
-    verdict = "NONZERO" if _has_nonconstant_part(integral) else "INCONCLUSIVE"
+    verdict = "INCONCLUSIVE" if integral.is_constant() else "NONZERO"
     return ObstructionReport(True, rep, beta, integral, verdict)

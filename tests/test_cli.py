@@ -15,6 +15,7 @@ from coisokit.cli import (
     report_from_json,
     run,
 )
+from coisokit.linfty import make_coiso_algebra, mc_partial_table
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -59,6 +60,10 @@ class TestParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(text)
         assert err.value.line == 2
+
+    def test_zero_field_adds_to_a_field_of_any_degree(self):
+        s = parse_scenario(CHART + "v = 0*@p1 + @x/\\@p1\n")
+        assert s.bindings["v"].degree == 2
 
     def test_periodic_coordinate_outside_trig_rejected(self):
         text = "chart base=(x*) fibre=(y)\nf = x\n"
@@ -348,6 +353,25 @@ class TestReports:
         assert header[:5] == ["y1", "y2", "q1", "q2", "n"]
         assert header[-1] == "abs_error"
 
+    def test_mc_table_samples_the_library_grid(self):
+        # pi depends on the fibre coordinate p1, which is not a grid axis:
+        # the grid varies x1 and x2 only, 32 points each
+        text = (
+            "chart base=(x1*,x2*,q1*,q2*) fibre=(p1,p2)\n"
+            "omega = gotay(dx1/\\dx2, q1, q2) + sin(2*pi*x1)*dp1/\\dx2"
+            " + 2*pi*p1*cos(2*pi*x1)*dx1/\\dx2\n"
+            "pi = inv_form(omega)\n"
+            "a = (sin(2*pi*x1)/100, sin(2*pi*x2)/100)\n"
+            "check mc a 3\n"
+        )
+        s = parse_scenario(text)
+        assert "p1" in s.bindings["pi"].support_names()
+        lines = emit_report(run(s), "csv").splitlines()
+        alg = make_coiso_algebra(s.bindings["pi"], source_form=s.sources["pi"])
+        table = mc_partial_table(alg, s.bindings["a"], 3)
+        assert len(lines) - 2 == len(table.rows) == 32 * 32 * 3
+        assert lines[2:] == table.to_csv().splitlines()[1:]
+
     def test_writes_to_file(self, tmp_path):
         report = run(t4_scenario())
         path = tmp_path / "out.json"
@@ -409,6 +433,9 @@ class TestMain:
             (CHART + "f = sin(2*pi*x)\n", None, 2, "line 2, col 14"),
             (CHART + "f = sin(@y1)\n", None, 2, "line 2, col 5"),
             (CHART + "f = inv_form(dy1)\n", None, 2, "line 2, col 5"),
+            # a sum of two nonzero fields of different degrees
+            (CHART + "v = @p1 + @x/\\@p1\n", None, 2, "line 2, col 9"),
+            (CHART + "w = dp1 - dx/\\dp1\n", None, 2, "line 2, col 9"),
         ],
         ids=[
             "domain_abc", "empty_domain", "negative_domain", "zero_domain",
@@ -416,7 +443,7 @@ class TestMain:
             "pencil_token", "col_after_short_name", "col_after_long_name",
             "col_after_indent", "sin_odd_multiple", "sin_constant_phase",
             "sin_square", "sin_imaginary", "sin_non_periodic", "sin_vector",
-            "inv_form_of_a_1_form",
+            "inv_form_of_a_1_form", "mixed_degree_vectors", "mixed_degree_forms",
         ],
     )
     def test_malformed_input_has_a_documented_outcome(
@@ -434,6 +461,30 @@ class TestMain:
             # the pencil check reports its error and the other checks still run
             assert f"pencil rational_pencil.txt 6: error\n    message: {where}:" in out
             assert "pass=5 fail=0 inconclusive=0 error=1" in out
+
+    @pytest.mark.parametrize(
+        "chart, body, message",
+        [
+            (
+                "chart base=(x) fibre=(p)\n", "v = @z\n",
+                "line 2, col 5: 'z' is not a coordinate of (x, p)",
+            ),
+            (
+                "chart base=(x,q) fibre=(p)\n", "omega = gotay(dx/\\dq, p)\n",
+                "line 2, col 9: 'p' is not a coordinate of (x, q)",
+            ),
+        ],
+        ids=["vector_symbol", "gotay_kernel"],
+    )
+    def test_unknown_coordinate_lists_the_chart_names(
+        self, chart, body, message, tmp_path, capsys
+    ):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(chart + body)
+        assert main(["run", str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: {message}\n"
+        assert "ChartSpec(" not in err
 
     @pytest.mark.parametrize(
         "body, name, where",

@@ -645,3 +645,24 @@ class TestSampleGrid:
         assert len(g1) == 4
         assert all(p[1] == 0.0 and p[2] == 0.0 for p in g1)
         assert g1 == sample_grid(chart, ("a",), per_axis=4)
+
+    @pytest.mark.parametrize(
+        "names, per_axis, count",
+        [
+            (("a",), 32, 32),
+            (("a", "y"), 32, 32),  # a fibre name is not a grid axis
+            (("a", "b"), 32, 32),
+            (("a", "b", "c"), 32, 16),  # 16^3 = 4096 points
+            (("a", "b", "c", "y"), 32, 16),
+            (("a", "b", "c"), 8, 8),
+            (("a", "b"), 1, 2),  # at least 2 points per axis
+            (("y",), 32, 1),  # no base axis varies
+        ],
+    )
+    def test_per_axis_is_an_upper_bound_within_the_budget(self, names, per_axis, count):
+        chart = make_chart("a* b c*", "y")
+        grid = sample_grid(chart, names, per_axis)
+        varied = sum(1 for nm in chart.base if nm in names)
+        assert len(grid) == count ** varied
+        for i, nm in enumerate(chart.base):
+            assert len({p[i] for p in grid}) == (count if nm in names else 1)
