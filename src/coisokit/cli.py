@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .coeff_ring import ChartSpec, RingElement, Scalar, make_chart
+from .coeff_ring import NAME, ChartSpec, RingElement, Scalar, make_chart
 from .errors import CoisoKitError, ScenarioError
 from .forms import DifferentialForm, is_in_omega_le, fibrewise_degree_classify
 from .linfty import (
@@ -68,6 +70,10 @@ CHECK_KINDS = ("coisotropic", "mc", "kuranishi", "jacobi", "omega_le", "pencil")
 
 # -- tokenizer -------------------------------------------------------------------
 
+# a number is a run of decimal digits, exactly what int() reads; a name or an
+# '@' symbol is read with the chart's coordinate-name pattern
+_DIGITS = re.compile(r"\d+")
+
 
 def _tokenize(text: str, line: int, offset: int = 0):
     """Tokens of ``text``, which starts ``offset`` columns into its line."""
@@ -79,26 +85,15 @@ def _tokenize(text: str, line: int, offset: int = 0):
             i += 1
             continue
         col = offset + i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j], line, col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], line, col))
-            i = j
+        if (m := _DIGITS.match(text, i)) or (m := NAME.match(text, i)):
+            tokens.append(("num" if m.re is _DIGITS else "name", m.group(), line, col))
+            i = m.end()
         elif ch == "@":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
+            m = NAME.match(text, i + 1)
+            if m is None:
                 raise ScenarioError("'@' must be followed by a coordinate", line, col)
-            tokens.append(("at", text[i + 1 : j], line, col))
-            i = j
+            tokens.append(("at", m.group(), line, col))
+            i = m.end()
         elif ch == "/" and i + 1 < n and text[i + 1] == "\\":
             tokens.append(("wedge", "/\\", line, col))
             i += 2
@@ -216,17 +211,21 @@ class _ExprParser:
             return ("name", text, (line, col))
         if kind == "op" and text == "(":
             items = self.parse_list(line, col)
-            if len(items) == 1:
+            # '(e)' is e itself; '(e,)' and '(e1, e2)' are sections
+            if len(items) == 1 and self.tokens[self.pos - 2][:2] != ("op", ","):
                 return items[0]
             return ("tuple", items, (line, col))
         raise ScenarioError(f"unexpected token {text!r}", line, col)
 
     def parse_list(self, line, col):
-        """Comma-separated expressions up to the closing ')', one level deeper."""
+        """Comma-separated expressions up to the closing ')', one level deeper;
+        a trailing comma is allowed."""
         self.enter(line, col)
         items = [self.parse_add()]
-        while self.peek()[0] == "op" and self.peek()[1] == ",":
+        while self.peek()[:2] == ("op", ","):
             self.next()
+            if self.peek()[:2] == ("op", ")"):
+                break
             items.append(self.parse_add())
         self.expect_op(")")
         self.depth -= 1
@@ -234,6 +233,14 @@ class _ExprParser:
 
 
 # -- evaluation -------------------------------------------------------------------
+
+
+_ADD_KINDS = "cannot add values of different kinds"
+_ARITHMETIC = {
+    "+": (operator.add, _ADD_KINDS),
+    "-": (operator.sub, _ADD_KINDS),
+    "*": (operator.mul, "'*' multiplies scalars or scales by a scalar"),
+}
 
 
 class _Evaluator:
@@ -329,43 +336,17 @@ class _Evaluator:
             if isinstance(lv, DifferentialForm) and isinstance(rv, DifferentialForm):
                 return lv.wedge(rv)
             raise ScenarioError("wedge needs two vectors or two forms", *pos)
+        if op == "/":
+            return self._div(lv, rv, pos)
+        apply, mismatch = _ARITHMETIC[op]
         try:
-            if op == "+":
-                return self._add(lv, rv, pos)
-            if op == "-":
-                return self._add(lv, self._negate(rv), pos)
-            if op == "*":
-                return self._mul(lv, rv, pos)
-            if op == "/":
-                return self._div(lv, rv, pos)
-        except ScenarioError:
-            raise
+            # the value types decide which operand kinds combine
+            return apply(lv, rv)
+        except TypeError:
+            raise ScenarioError(mismatch, *pos) from None
         except (CoisoKitError, ValueError) as exc:
             # ValueError: a sum of two nonzero fields of different degrees
             raise ScenarioError(str(exc), *pos)
-        raise AssertionError(op)
-
-    @staticmethod
-    def _negate(v):
-        return -v
-
-    def _add(self, a, b, pos):
-        if isinstance(a, RingElement) and isinstance(b, RingElement):
-            return a + b
-        if isinstance(a, MultiVectorField) and isinstance(b, MultiVectorField):
-            return a + b
-        if isinstance(a, DifferentialForm) and isinstance(b, DifferentialForm):
-            return a + b
-        raise ScenarioError("cannot add values of different kinds", *pos)
-
-    def _mul(self, a, b, pos):
-        if isinstance(a, RingElement) and isinstance(b, RingElement):
-            return a * b
-        if isinstance(a, RingElement) and isinstance(b, (MultiVectorField, DifferentialForm)):
-            return b.scale(a)
-        if isinstance(b, RingElement) and isinstance(a, (MultiVectorField, DifferentialForm)):
-            return a.scale(b)
-        raise ScenarioError("'*' multiplies scalars or scales by a scalar", *pos)
 
     def _div(self, a, b, pos):
         if not isinstance(b, RingElement) or not b.is_constant():
@@ -450,28 +431,16 @@ class _Evaluator:
                 ),
             )
             data = PresymplecticData(base, omega_c, SubbundleSpec(tuple(kernel)))
-            model = gotay_local_model(data)
+            model = gotay_local_model(data, self.chart.fibre_bound)
         except CoisoKitError as exc:
             raise ScenarioError(str(exc), *pos)
-        built = model.chart
-        if (built.base, built.periodic, built.fibre) != (
-            self.chart.base,
-            self.chart.periodic,
-            self.chart.fibre,
-        ):
+        if model.chart != self.chart:
             raise ScenarioError(
-                f"gotay produces fibre coordinates {built.fibre}, "
+                f"gotay produces fibre coordinates {model.chart.fibre}, "
                 f"scenario chart has {self.chart.fibre}",
                 *pos,
             )
-        return DifferentialForm(
-            self.chart,
-            2,
-            (
-                (dirs, RingElement(self.chart, coeff.terms, coeff.jet_order))
-                for dirs, coeff in model.omega.terms
-            ),
-        )
+        return model.omega
 
 
 class _PhaseEvaluator(_Evaluator):
@@ -516,30 +485,14 @@ class CheckSpec:
 
 @dataclass
 class Scenario:
+    """A parsed scenario; equal scenarios have equal charts, bindings and checks."""
+
     chart: Optional[ChartSpec]
     bindings: dict
     checks: tuple
-    name: str = "<scenario>"
-    base_dir: str = "."
+    name: str = field(default="<scenario>", compare=False)
+    base_dir: str = field(default=".", compare=False)
     sources: dict = field(default_factory=dict, compare=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.bindings == other.bindings
-            and self.checks == other.checks
-        )
-
-
-def _is_name_token(text: str) -> bool:
-    """True when the tokenizer reads ``text`` back as one ``name`` token."""
-    try:
-        tokens = _tokenize(text, 0)
-    except ScenarioError:
-        return False
-    return len(tokens) == 2 and tokens[0][:2] == ("name", text)
 
 
 def _parse_chart_line(body: str, line: int) -> ChartSpec:
@@ -567,13 +520,8 @@ def _parse_chart_line(body: str, line: int) -> ChartSpec:
         raise ScenarioError(f"malformed chart clause {rest!r}", line) from None
     if base is None:
         raise ScenarioError("chart needs base=(...)", line)
-    base, fibre = base.replace(",", " "), fibre.replace(",", " ")
-    names = [n[:-1] if n.endswith("*") else n for n in base.split()] + fibre.split()
-    for name in names:
-        if not _is_name_token(name):
-            raise ScenarioError(f"invalid chart coordinate name {name!r}", line)
     try:
-        return make_chart(base, fibre, bound)
+        return make_chart(base.replace(",", " "), fibre.replace(",", " "), bound)
     except ValueError as exc:
         raise ScenarioError(str(exc), line)
 
@@ -629,11 +577,6 @@ def parse_scenario(
 
 
 def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
-    def need_name(pos_text):
-        if not args:
-            raise ScenarioError(f"check {kind} needs {pos_text}", lineno)
-        return args[0]
-
     def int_param(text, what, minimum=None):
         try:
             value = int(text)
@@ -651,16 +594,14 @@ def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
     if kind in ("coisotropic", "kuranishi", "jacobi"):
         if len(args) != 1:
             raise ScenarioError(f"check {kind} takes exactly one name", lineno)
-        target = need_name("a binding name")
-        _require_binding(target, bindings, lineno)
-        return CheckSpec(kind, target, None, lineno)
+        _require_binding(args[0], bindings, lineno)
+        return CheckSpec(kind, args[0], None, lineno)
     if kind == "mc":
         if len(args) not in (1, 2):
             raise ScenarioError("check mc takes a name and an optional order", lineno)
-        target = need_name("a binding name")
-        _require_binding(target, bindings, lineno)
+        _require_binding(args[0], bindings, lineno)
         param = int_param(args[1], "order", 1) if len(args) == 2 else None
-        return CheckSpec(kind, target, param, lineno)
+        return CheckSpec(kind, args[0], param, lineno)
     if kind == "omega_le":
         if len(args) != 2:
             raise ScenarioError("check omega_le takes a name and a degree", lineno)
@@ -703,7 +644,9 @@ def render_scenario(s: Scenario) -> str:
 def _render_value(value) -> str:
     if isinstance(value, VerticalSection) and value.degree == 1:
         comps = value.components()
-        return "(" + ", ".join(c.render() for c in comps) + ")"
+        inner = ", ".join(c.render() for c in comps)
+        # a one-component section keeps its comma: '(e)' is just e
+        return f"({inner}{',' if len(comps) == 1 else ''})"
     return value.render()
 
 

@@ -32,6 +32,7 @@ import cmath
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -289,6 +290,13 @@ def _gauss_text(re: Fraction, im: Fraction) -> str:
     return f"{_frac_text(re)} {'+' if im > 0 else '-'} {im_part}"
 
 
+# A coordinate name: word characters (Unicode letters, digits and numerics,
+# and '_') not starting with a decimal digit.  The scenario grammar reads
+# names with the same pattern, so every chart coordinate renders as one name
+# token.
+NAME = re.compile(r"[^\W\d]\w*")
+
+
 def _join_factors(*parts: str) -> str:
     parts = [p for p in parts if p not in ("", "1")]
     return "*".join(parts) if parts else "1"
@@ -299,8 +307,9 @@ class ChartSpec:
     """A chart of a vector bundle E -> C.
 
     ``base`` lists the base coordinate names, ``periodic`` the matching
-    period-1 flags, ``fibre`` the fibre coordinate names.  ``fibre_bound``
-    optionally bounds the fibre max-norm and defines the tubular domain U.
+    period-1 flags, ``fibre`` the fibre coordinate names, each matching
+    ``NAME``.  ``fibre_bound`` optionally bounds the fibre max-norm and
+    defines the tubular domain U.
     """
 
     base: tuple[str, ...]
@@ -310,6 +319,9 @@ class ChartSpec:
 
     def __post_init__(self):
         names = self.base + self.fibre
+        for name in names:
+            if not NAME.fullmatch(name):
+                raise ValueError(f"invalid chart coordinate name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"coordinate names must be distinct: {names}")
         if len(self.periodic) != len(self.base):

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._linalg import mat_mul, ring_det, ring_matrix_inverse, scalar_det
-from .coeff_ring import ChartSpec, RingElement, Scalar
+from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar
 from .errors import (
     DegenerateBivectorError,
     JetOrderError,
@@ -128,15 +130,15 @@ def _check_nondegenerate(omega: DifferentialForm) -> None:
     if det.is_zero():
         raise DegenerateBivectorError("form is degenerate along the zero section")
     if not det.is_constant():
-        # sample the base for zeros of the determinant near the zero section
-        support = sorted(det.support_names())
+        # sample the base for zeros of the determinant near the zero section,
+        # all grid points in one numpy pass
         chart = omega.chart
-        for x in sample_grid(chart, support, per_axis=8):
-            point = tuple(x) + (0.0,) * chart.n_fibre
-            if abs(det.eval(point)) < 1e-9:
-                raise DegenerateBivectorError(
-                    f"form is numerically degenerate at {point}"
-                )
+        points = sample_grid(chart, sorted(det.support_names()), per_axis=8)
+        values = GridEvaluator([det])(np.array(points, dtype=float))[:, 0]
+        small = np.flatnonzero(np.abs(values) < 1e-9)
+        if len(small):
+            point = points[small[0]] + (0.0,) * chart.n_fibre
+            raise DegenerateBivectorError(f"form is numerically degenerate at {point}")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coisokit import RingElement, ScenarioError, VerticalSection
 from coisokit.cli import (
@@ -24,6 +26,7 @@ T4_TEXT = open(os.path.join(DATA, "t4.scn"), encoding="utf-8").read()
 
 # two periodic coordinates and one plain one
 CHART = "chart base=(y1*,y2*,x) fibre=(p1)\n"
+CHART2 = "chart base=(y1*,y2*,x) fibre=(p1,p2)\n"
 
 
 def t4_scenario():
@@ -149,6 +152,41 @@ class TestParsing:
             s = parse_scenario(chart_line + f"f = {rendered}\n")
             assert s.bindings["f"] == value, rendered
 
+
+    def test_one_component_section_is_written_with_a_trailing_comma(self):
+        # '(x)' is the scalar x; '(x,)' is the section with the one component x
+        text = (
+            CHART
+            + "pi = inv_form(dx/\\dp1 + dy1/\\dy2)\n"
+            + "f = (x)\n"
+            + "a = (x,)\n"
+            + "check mc a\n"
+            + "check coisotropic a\n"
+            + "check jacobi a\n"
+        )
+        s = parse_scenario(text)
+        assert isinstance(s.bindings["f"], RingElement)
+        a = s.bindings["a"]
+        assert isinstance(a, VerticalSection)
+        assert [c.render() for c in a.components()] == ["x"]
+        report = run(s, RunFlags(samples=4))
+        assert [r.status for r in report.results] == ["pass"] * 3
+        assert dict(report.results[0].details)["exact_match"] == "true"
+        rendered = render_scenario(s)
+        assert "a = (x,)\n" in rendered
+        assert parse_scenario(rendered) == s
+
+    @pytest.mark.parametrize(
+        "body, value",
+        [("f = sin(2*pi*y1,)\n", "sin(2*pi*y1)"), ("f = (1, 2,)\n", None)],
+    )
+    def test_argument_lists_take_a_trailing_comma(self, body, value):
+        chart = "chart base=(y1*,y2*,x) fibre=(p1,p2)\n"
+        f = parse_scenario(chart + body).bindings["f"]
+        if value is None:
+            assert [c.render() for c in f.components()] == ["1", "2"]
+        else:
+            assert f.render() == value
 
     @pytest.mark.parametrize(
         "line", ["check mc a x", "check mc a 0", "check pencil rational_pencil.txt -1"]
@@ -305,6 +343,21 @@ class TestRun:
         scn.write_text(text)
         assert main(["run", str(scn)]) == 3
         assert "error=2" in capsys.readouterr().out
+
+    def test_gotay_form_lives_on_the_bounded_scenario_chart(self):
+        text = (
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2) domain=1/2\n"
+            "omega = gotay(dy1/\\dy2, q1, q2)\n"
+            "pi = inv_form(omega)\n"
+            "c = (1/4, -1/3)\n"
+            "check mc c\n"
+            "check coisotropic c\n"
+        )
+        s = parse_scenario(text)
+        assert s.bindings["omega"].chart == s.chart
+        assert s.chart.fibre_bound == Fraction(1, 2)
+        report = run(s)
+        assert [r.status for r in report.results] == ["pass", "pass"]
 
     def test_inconclusive_with_strict(self):
         text = (
@@ -508,6 +561,83 @@ class TestMain:
             f"in a sin/cos argument, not {name}\n"
         )
 
+    @pytest.mark.parametrize(
+        "chart, body, message",
+        [
+            # the library's value types decide which operand kinds combine
+            (CHART2, "f = dx * @p1\n",
+             "line 2, col 8: '*' multiplies scalars or scales by a scalar"),
+            (CHART2, "f = @p1 * @p2\n",
+             "line 2, col 9: '*' multiplies scalars or scales by a scalar"),
+            (CHART2, "f = x - dx\n", "line 2, col 7: cannot add values of different kinds"),
+            (CHART2, "f = @x + dx\n", "line 2, col 8: cannot add values of different kinds"),
+            (CHART2, "f = 2 + @x\n", "line 2, col 7: cannot add values of different kinds"),
+            # a number is a run of decimal digits; '²' is read as a name
+            (CHART2, "f = ²\n", "line 2, col 5: undefined name '²'"),
+            (CHART2, "f = x^²\n", "line 2, col 7: exponent must be an integer"),
+            (CHART2, "f = @1x\n", "line 2, col 5: '@' must be followed by a coordinate"),
+            # chart names follow the ChartSpec rule, reported on the chart line
+            ("chart base=(x-1)\n", "", "line 1: invalid chart coordinate name 'x-1'"),
+            ("chart base=(x,y1**) fibre=(p)\n", "",
+             "line 1: invalid chart coordinate name 'y1*'"),
+            ("chart base=(x) fibre=(p,1q)\n", "",
+             "line 1: invalid chart coordinate name '1q'"),
+            # a Gotay model whose fibre names differ from the chart's
+            ("chart base=(y1*,y2*,q*) fibre=(r)\n", "omega = gotay(dy1/\\dy2, q)\n",
+             "line 2, col 9: gotay produces fibre coordinates ('p',), "
+             "scenario chart has ('r',)"),
+            # the Gotay determinant vanishes at a sampled base point
+            ("chart base=(y1*,y2*,q*) fibre=(p)\n",
+             "omega = gotay(sin(2*pi*y1)*dy1/\\dy2, q)\n",
+             "line 2, col 9: form is numerically degenerate at (0.0, 0.0, 0.0, 0.0)"),
+        ],
+        ids=[
+            "form_times_vector", "vector_times_vector", "scalar_minus_form",
+            "vector_plus_form", "scalar_plus_vector", "superscript_two",
+            "superscript_exponent", "vector_symbol_digit", "chart_difference",
+            "chart_double_star", "chart_digit_start", "gotay_fibre_names",
+            "gotay_degenerate",
+        ],
+    )
+    def test_parse_error_message(self, chart, body, message, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(chart + body, encoding="utf-8")
+        assert main(["run", str(scn)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_nondegenerate_gotay_determinant_passes_the_sampling(self, tmp_path, capsys):
+        scn = tmp_path / "ok.scn"
+        scn.write_text(
+            "chart base=(y1*,y2*,q*) fibre=(p)\n"
+            "omega = gotay((2 + cos(2*pi*y1))*dy1/\\dy2, q)\n"
+            "check omega_le omega 1\n"
+        )
+        assert main(["run", str(scn)]) == 0
+        assert "summary: total=1 pass=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_timings_flag(self, fmt, tmp_path, capsys):
+        scn = tmp_path / "t4.scn"
+        scn.write_text(T4_TEXT)
+        (tmp_path / "rational_pencil.txt").write_text(
+            open(os.path.join(DATA, "rational_pencil.txt"), encoding="utf-8").read()
+        )
+        reports = []
+        for extra in ([], ["--timings"]):
+            assert main(["run", str(scn), "--format", fmt, "--samples", "2", *extra]) == 0
+            reports.append(capsys.readouterr().out)
+        plain, timed = reports
+        if fmt == "text":
+            assert "time_ms" not in plain
+            times = [ln for ln in timed.splitlines() if ln.startswith("    time_ms: ")]
+            assert len(times) == 6
+            assert [ln for ln in timed.splitlines() if "time_ms" not in ln] == plain.splitlines()
+        else:
+            checks = [json.loads(out)["checks"] for out in reports]
+            assert all("time_ms" not in c for c in checks[0])
+            assert all(c["time_ms"] >= 0 for c in checks[1])
+            assert [{k: v for k, v in c.items() if k != "time_ms"} for c in checks[1]] == checks[0]
+
     def test_out_flag(self, tmp_path, capsys):
         scn = tmp_path / "t.scn"
         scn.write_text(
@@ -522,3 +652,53 @@ class TestMain:
         assert code == 0
         assert "NONZERO" in out.read_text()
         assert capsys.readouterr().out == ""
+
+
+# characters of the scenario grammar, a few non-ASCII digits and letters, and
+# any other character hypothesis draws
+FUZZ_CHARS = st.one_of(
+    st.sampled_from(list("xyp12()+-*/^\\@d,=#* \n") + ["²", "½", "٣", "ξ"]),
+    st.characters(),
+)
+
+
+@st.composite
+def t4_mutations(draw):
+    """t4.scn with up to three short spans replaced by fuzz text."""
+    text = T4_TEXT
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.text(FUZZ_CHARS, max_size=3)) + text[j:]
+    return text
+
+
+class TestFrontEndFuzz:
+    """Any scenario text ends in an exit code of 0-3, never in a traceback."""
+
+    @staticmethod
+    def run_text(text, directory):
+        scn = directory / "fuzz.scn"
+        scn.write_text(text, encoding="utf-8")
+        code = main(["run", str(scn), "--samples", "2", "--truncation", "1"])
+        assert code in (0, 1, 2, 3)
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "rational_pencil.txt").write_text(
+            open(os.path.join(DATA, "rational_pencil.txt"), encoding="utf-8").read()
+        )
+        return path
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.text(FUZZ_CHARS, max_size=30))
+    @example(body="f = ²")
+    @example(body="f = x^²")
+    def test_binding_lines(self, body, directory):
+        self.run_text(CHART2 + body + "\n", directory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=t4_mutations())
+    def test_t4_mutations(self, text, directory):
+        self.run_text(text, directory)

@@ -1,6 +1,7 @@
 """Exact coefficient ring: canonical form, calculus, evaluation, rendering."""
 
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from coisokit import (
     ring_mul,
     taylor_shift,
 )
-from coisokit.coeff_ring import GridEvaluator
+from coisokit.coeff_ring import ChartSpec, GridEvaluator
 
 
 class TestScalar:
@@ -466,6 +467,25 @@ class TestChartSpec:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             make_chart("x x", "y")
+
+    @pytest.mark.parametrize(
+        "base, fibre, bad",
+        [("a-b", "p", "a-b"), ("1x", "", "1x"), ("y1**", "", "y1*"),
+         ("x", "p q²+", "q²+")],
+    )
+    def test_names_the_grammar_cannot_read_back_are_rejected(self, base, fibre, bad):
+        # a name like 'a-b' would render as a difference
+        message = f"invalid chart coordinate name {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_chart(base, fibre)
+
+    def test_pencil_labels_follow_the_name_rule(self):
+        with pytest.raises(ValueError, match="invalid chart coordinate name 'v 1'"):
+            ChartSpec((), (), ("v 1",))
+
+    def test_unicode_letters_and_underscores_are_names(self):
+        chart = make_chart("ξ1* _x", "p_ξ x²")
+        assert chart.names == ("ξ1", "_x", "p_ξ", "x²")
 
     def test_kind_classification(self, chart):
         assert chart.kind("x1") == ("poly", 0)

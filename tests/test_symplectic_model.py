@@ -105,6 +105,43 @@ class TestGotayModel:
             PresymplecticData(base, omega_c, SubbundleSpec(("y1",)))
 
 
+class TestGotayNondegeneracy:
+    """A non-constant determinant at y = 0 is sampled on the base for zeros."""
+
+    @staticmethod
+    def model(coeff):
+        base = torus_base(["y1", "y2", "q"])
+        omega_c = DifferentialForm(base, 2, (((0, 1), coeff(base)),))
+        return gotay_local_model(PresymplecticData(base, omega_c, SubbundleSpec(("q",))))
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        from coisokit import symplectic_model
+
+        seen = []
+        original = symplectic_model.sample_grid
+
+        def recording(chart, names, per_axis=32):
+            seen.append((tuple(names), per_axis))
+            return original(chart, names, per_axis)
+
+        monkeypatch.setattr(symplectic_model, "sample_grid", recording)
+        return seen
+
+    def test_zero_of_the_determinant_names_the_first_point(self, grids):
+        with pytest.raises(DegenerateBivectorError) as err:
+            self.model(lambda c: RingElement.cos_of(c, {"y2": 1}))
+        assert str(err.value) == "form is numerically degenerate at (0.0, 0.25, 0.0, 0.0)"
+        assert grids == [(("y2",), 8)]
+
+    def test_determinant_without_zeros_passes_the_sampling(self, grids):
+        model = self.model(
+            lambda c: RingElement.constant(c, 2) + RingElement.cos_of(c, {"y1": 1})
+        )
+        assert model.chart.fibre == ("p",)
+        assert grids == [(("y1",), 8)]
+
+
 class TestPencilInversion:
     def test_all_b_zero_gives_exact_inverse(self):
         rng = rng_for("pencil-azero")
