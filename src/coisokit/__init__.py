@@ -12,6 +12,7 @@ from .coeff_ring import (
     make_chart,
     partial_derivative,
     ring_mul,
+    sample_grid,
     taylor_shift,
 )
 from .errors import (
@@ -69,7 +70,6 @@ from .linfty import (
     mc_partial_table,
     mc_series_exact,
     pushforward_oracle_numeric,
-    sample_grid,
     twisted_brackets,
     twisted_lambda,
     twisted_mc,
@@ -78,6 +78,7 @@ from .multivector import (
     MultiVectorField,
     VerticalSection,
     as_vertical,
+    deformation_section,
     exp_ad,
     fibre_translate_pushforward,
     projection_P,
@@ -95,6 +96,7 @@ from .obstruction import (
 from .symplectic_model import (
     AffinePencil,
     GotayModel,
+    InvertedBivector,
     PresymplecticData,
     gotay_local_model,
     invert_affine_pencil,

@@ -248,7 +248,6 @@ class _Evaluator:
         self.chart = chart
         self.bindings = bindings
         self.truncation = truncation
-        self.inv_form = None  # the latest form inverted by inv_form(...)
 
     def eval(self, node):
         tag = node[0]
@@ -400,11 +399,9 @@ class _Evaluator:
             if not isinstance(form, DifferentialForm) or form.degree != 2:
                 raise ScenarioError("inv_form needs a differential 2-form", *pos)
             try:
-                pi = symplectic_to_poisson(form, self.truncation)
+                return symplectic_to_poisson(form, self.truncation)
             except CoisoKitError as exc:
                 raise ScenarioError(str(exc), *pos)
-            self.inv_form = form
-            return pi
         if name == "gotay":
             return self._gotay(args, pos)
         raise ScenarioError(f"unknown function {name!r}", *pos)
@@ -485,14 +482,17 @@ class CheckSpec:
 
 @dataclass
 class Scenario:
-    """A parsed scenario; equal scenarios have equal charts, bindings and checks."""
+    """A parsed scenario; equal scenarios have equal charts, bindings and checks.
+
+    ``truncation`` is the jet order ``inv_form(...)`` inverted at.
+    """
 
     chart: Optional[ChartSpec]
     bindings: dict
     checks: tuple
     name: str = field(default="<scenario>", compare=False)
     base_dir: str = field(default=".", compare=False)
-    sources: dict = field(default_factory=dict, compare=False)
+    truncation: int = field(default=6, compare=False)
 
 
 def _parse_chart_line(body: str, line: int) -> ChartSpec:
@@ -532,7 +532,6 @@ def parse_scenario(
     """Parse and evaluate a scenario; raises ScenarioError with positions."""
     chart: Optional[ChartSpec] = None
     bindings: dict = {}
-    sources: dict = {}
     checks: list[CheckSpec] = []
     evaluator: Optional[_Evaluator] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -566,14 +565,9 @@ def parse_scenario(
             tokens = _tokenize(rhs, lineno, len(line) - len(rhs))
             node = _ExprParser(tokens).parse()
             bindings[target] = evaluator.eval(node)
-            # a rebound name keeps no source unless it is a direct inv_form(...)
-            if node[0] == "call" and node[1] == "inv_form":
-                sources[target] = evaluator.inv_form
-            else:
-                sources.pop(target, None)
             continue
         raise ScenarioError(f"cannot parse line {stripped!r}", lineno)
-    return Scenario(chart, bindings, tuple(checks), name, base_dir, sources)
+    return Scenario(chart, bindings, tuple(checks), name, base_dir, truncation)
 
 
 def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
@@ -655,7 +649,6 @@ def _render_value(value) -> str:
 
 @dataclass(frozen=True)
 class RunFlags:
-    truncation: int = 6
     samples: int = 32
     strict: bool = False
     timings: bool = False
@@ -681,6 +674,7 @@ class RunReport:
     scenario: str
     flags: RunFlags
     results: tuple
+    truncation: int  # Scenario.truncation of the scenario run
 
     def counts(self) -> dict:
         out = {"pass": 0, "fail": 0, "inconclusive": 0, "error": 0}
@@ -711,8 +705,7 @@ class _AlgebraCache:
                 raise CoisoKitError(
                     "checks need a degree-2 multivector bound to the name 'pi'"
                 )
-            source = self.scenario.sources.get("pi")
-            self._alg = make_coiso_algebra(pi, source_form=source)
+            self._alg = make_coiso_algebra(pi)
         return self._alg
 
 
@@ -738,7 +731,7 @@ def run(scenario: Scenario, flags: RunFlags = RunFlags()) -> RunReport:
                 status, details, defect, table, elapsed,
             )
         )
-    return RunReport(scenario.name, flags, tuple(results))
+    return RunReport(scenario.name, flags, tuple(results), scenario.truncation)
 
 
 def _binding(scenario, name):
@@ -862,7 +855,7 @@ def _report_text(report: RunReport) -> str:
     lines = [
         "coiso-kit report",
         f"scenario: {report.scenario}",
-        f"flags: truncation={f.truncation} samples={f.samples} "
+        f"flags: truncation={report.truncation} samples={f.samples} "
         f"strict={'true' if f.strict else 'false'}",
         "",
     ]
@@ -887,7 +880,7 @@ def _report_json(report: RunReport) -> str:
         "schema": "coisokit-report/1",
         "scenario": report.scenario,
         "flags": {
-            "truncation": f.truncation,
+            "truncation": report.truncation,
             "samples": f.samples,
             "strict": f.strict,
         },
@@ -971,12 +964,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    flags = RunFlags(
-        truncation=args.truncation,
-        samples=args.samples,
-        strict=args.strict,
-        timings=args.timings,
-    )
+    flags = RunFlags(samples=args.samples, strict=args.strict, timings=args.timings)
     report = run(scenario, flags)
     try:
         out = emit_report(report, args.format, args.out)

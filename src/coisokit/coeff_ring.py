@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 import re
@@ -293,7 +294,8 @@ def _gauss_text(re: Fraction, im: Fraction) -> str:
 # A coordinate name: word characters (Unicode letters, digits and numerics,
 # and '_') not starting with a decimal digit.  The scenario grammar reads
 # names with the same pattern, so every chart coordinate renders as one name
-# token.
+# token.  It reads ``pi`` and ``i`` as constants and ``d<name>`` as the form
+# symbol of the coordinate <name>, so a chart reserves those.
 NAME = re.compile(r"[^\W\d]\w*")
 
 
@@ -322,6 +324,11 @@ class ChartSpec:
         for name in names:
             if not NAME.fullmatch(name):
                 raise ValueError(f"invalid chart coordinate name {name!r}")
+            if name in ("pi", "i") or (name[:1] == "d" and name[1:] in names):
+                raise ValueError(
+                    f"chart coordinate name {name!r} is reserved for a constant "
+                    "or a form symbol"
+                )
         if len(set(names)) != len(names):
             raise ValueError(f"coordinate names must be distinct: {names}")
         if len(self.periodic) != len(self.base):
@@ -1043,6 +1050,32 @@ class GridEvaluator:
             val.real[:, outs] += re[:, cols]
             val.imag[:, outs] += im[:, cols]
         return val
+
+
+def sample_grid(chart: ChartSpec, names: Sequence[str], per_axis: int = 32):
+    """Deterministic base-point grid varying only the named base coordinates.
+
+    Fibre names in ``names`` are ignored.  With k base coordinates varied,
+    each takes max(2, min(per_axis, floor(4096^(1/k)))) points, so
+    ``per_axis`` is an upper bound and the grid keeps within 4096 points
+    while it has at least 2 per axis.  Periodic axes take their points in
+    [0, 1), non-periodic axes in [-1, 1]; all other coordinates stay at 0.
+    """
+    wanted = set(names)
+    active = [i for i, nm in enumerate(chart.base) if nm in wanted]
+    if active:
+        per_axis = max(2, min(per_axis, int(4096 ** (1.0 / len(active)) + 1e-9)))
+    axes = []
+    for i in range(chart.n_base):
+        if i not in active:
+            axes.append((0.0,))
+        elif chart.periodic[i]:
+            axes.append(tuple(j / per_axis for j in range(per_axis)))
+        else:
+            axes.append(
+                tuple(-1.0 + 2.0 * j / (per_axis - 1) for j in range(per_axis))
+            )
+    return tuple(itertools.product(*axes))
 
 
 # -- spec-level operation names ------------------------------------------------

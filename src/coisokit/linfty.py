@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeff_ring import ChartSpec, GridEvaluator, Scalar
+from .coeff_ring import ChartSpec, GridEvaluator, Scalar, sample_grid
 from .errors import (
     DegenerateBivectorError,
     DimensionMismatchError,
@@ -32,8 +32,6 @@ from .errors import (
     NotClosedError,
     NotCoisotropicError,
     NotPoissonError,
-    NotVerticalError,
-    TruncationCapError,
 )
 from .forms import DifferentialForm
 from .multivector import (
@@ -41,12 +39,13 @@ from .multivector import (
     VerticalSection,
     ad_series,
     as_vertical,
-    default_exp_cap,
+    deformation_section,
     exp_ad,
     is_poisson,
     projection_P,
     schouten_bracket,
 )
+from .symplectic_model import InvertedBivector, symplectic_to_poisson
 
 
 @dataclass(frozen=True)
@@ -54,27 +53,21 @@ class CoisoAlgebra:
     """A chart with a bivector for which the zero section is coisotropic.
 
     ``poisson_verified`` records whether [pi, pi] = 0 was checked (exactly,
-    or through the jet order for jets).  ``source_form`` optionally keeps the
-    symplectic form the bivector was inverted from; numeric oracles prefer it
-    because it is exact where the bivector may only be a jet.
+    or through the jet order for jets).
     """
 
     chart: ChartSpec
     pi: MultiVectorField
     poisson_verified: bool = False
-    source_form: Optional[DifferentialForm] = None
 
 
 def make_coiso_algebra(
-    pi: MultiVectorField,
-    require_poisson: bool = True,
-    source_form: Optional[DifferentialForm] = None,
+    pi: MultiVectorField, require_poisson: bool = True
 ) -> CoisoAlgebra:
     """Validate P(pi) = 0 (always) and the Jacobi identity (unless waived).
 
-    A ``source_form`` says that pi is ``symplectic_to_poisson(source_form, N)``,
-    whose inversion has checked [pi, pi] = 0; the Jacobi identity is then not
-    checked again and ``poisson_verified`` is True.
+    An ``InvertedBivector`` was checked by its inversion; the Jacobi
+    identity is then not checked again and ``poisson_verified`` is True.
     """
     if pi.degree != 2:
         raise NotCoisotropicError("a coisotropic algebra needs a degree-2 field")
@@ -82,21 +75,17 @@ def make_coiso_algebra(
         raise NotCoisotropicError(
             "zero section is not coisotropic: P(pi) != 0"
         )
-    verified = require_poisson or source_form is not None
-    if require_poisson and source_form is None and not is_poisson(pi):
+    inverted = isinstance(pi, InvertedBivector)
+    if require_poisson and not inverted and not is_poisson(pi):
         raise NotPoissonError("bivector fails the Jacobi identity")
-    return CoisoAlgebra(pi.chart, pi, verified, source_form)
+    return CoisoAlgebra(pi.chart, pi, require_poisson or inverted)
 
 
 def coiso_algebra_from_form(
     omega: DifferentialForm, truncation: int = 6
 ) -> CoisoAlgebra:
     """Invert a fibrewise affine symplectic form and wrap it as an algebra."""
-    from .symplectic_model import symplectic_to_poisson
-
-    return make_coiso_algebra(
-        symplectic_to_poisson(omega, truncation), source_form=omega
-    )
+    return make_coiso_algebra(symplectic_to_poisson(omega, truncation))
 
 
 # -- brackets -----------------------------------------------------------------
@@ -119,7 +108,7 @@ def kuranishi_rep(alg: CoisoAlgebra, a: MultiVectorField) -> VerticalSection:
 
     [pi, a] is bracketed once and serves both lambda_1(a) and lambda_2(a, a).
     """
-    a = as_vertical(a)
+    a = deformation_section(a)
     first = schouten_bracket(alg.pi, a)
     if not projection_P(first).is_zero():
         raise NotClosedError("section is not lambda_1-closed: P([pi, a]) != 0")
@@ -134,24 +123,15 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
     bracket is projected as it is summed, which measured faster than
     P(exp_ad(pi, alpha)) projecting the full sum once.
     """
-    alpha = as_vertical(alpha)
-    if alpha.degree != 1:
-        raise NotVerticalError("Maurer-Cartan input must have degree 1")
+    alpha = deformation_section(alpha)
     if alg.pi.jet_order() is not None:
         raise JetOrderError(
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
     _check_domain(alg, alpha)
-    cap = default_exp_cap(alg.pi)
     acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
-    for term, coeff in itertools.islice(ad_series(alg.pi, alpha), cap):
-        if term.is_zero():
-            break
+    for term, coeff in ad_series(alg.pi, alpha):
         acc = acc + projection_P(term).scale(coeff)
-    else:
-        raise TruncationCapError(
-            f"Maurer-Cartan series did not terminate within {cap} brackets"
-        )
     return as_vertical(acc)
 
 
@@ -176,32 +156,6 @@ def _check_domain(alg: CoisoAlgebra, alpha: VerticalSection):
 # -- numeric grids and oracles -----------------------------------------------
 
 
-def sample_grid(chart: ChartSpec, names: Sequence[str], per_axis: int = 32):
-    """Deterministic base-point grid varying only the named base coordinates.
-
-    Fibre names in ``names`` are ignored.  With k base coordinates varied,
-    each takes max(2, min(per_axis, floor(4096^(1/k)))) points, so
-    ``per_axis`` is an upper bound and the grid keeps within 4096 points
-    while it has at least 2 per axis.  Periodic axes take their points in
-    [0, 1), non-periodic axes in [-1, 1]; all other coordinates stay at 0.
-    """
-    wanted = set(names)
-    active = [i for i, nm in enumerate(chart.base) if nm in wanted]
-    if active:
-        per_axis = max(2, min(per_axis, int(4096 ** (1.0 / len(active)) + 1e-9)))
-    axes = []
-    for i in range(chart.n_base):
-        if i not in active:
-            axes.append((0.0,))
-        elif chart.periodic[i]:
-            axes.append(tuple(j / per_axis for j in range(per_axis)))
-        else:
-            axes.append(
-                tuple(-1.0 + 2.0 * j / (per_axis - 1) for j in range(per_axis))
-            )
-    return tuple(itertools.product(*axes))
-
-
 # Grid points per numpy pass: bounds the (points, terms) and (points, n, n)
 # work arrays whatever the grid size.
 _GRID_CHUNK = 256
@@ -221,10 +175,11 @@ def _grid_chunks(chart: ChartSpec, points):
 def _pushforward_block(alg_or_pi, alpha: VerticalSection):
     """The numeric Maurer-Cartan oracle of one check: (J Pi J^T)[m:, m:] on a grid.
 
-    Pi is the true bivector at (x, -alpha(x)) (the inverted source form if
-    any, else pi) and J the Jacobian of the fibre translation by alpha.  The
-    block is P of the pushed bivector at (x, 0); it vanishes exactly where
-    graph(-alpha) is coisotropic, so it is also the coisotropy defect.
+    Pi is the true bivector at (x, -alpha(x)) (an ``InvertedBivector``'s
+    source form, inverted, else pi) and J the Jacobian of the fibre
+    translation by alpha.  The block is P of the pushed bivector at (x, 0);
+    it vanishes exactly where graph(-alpha) is coisotropic, so it is also
+    the coisotropy defect.
 
     The section's components, their base partials and the entries of the
     true matrix are compiled once (``GridEvaluator``); the returned function
@@ -233,9 +188,9 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
     inverse and stacked products.  Raises DegenerateBivectorError at the
     first point where the source form is singular.
     """
-    true = alg_or_pi
-    if isinstance(true, CoisoAlgebra):
-        true = true.pi if true.source_form is None else true.source_form
+    pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
+    invert = isinstance(pi, InvertedBivector)
+    true = pi.source_form if invert else pi
     chart = alpha.chart
     m, n = chart.n_base, chart.n_fibre
     comps = alpha.components()
@@ -245,7 +200,6 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
     entries = GridEvaluator([c for _, c in true.terms])
     mat_at = tuple(np.array([ij for ij, _ in true.terms], dtype=int).reshape(-1, 2).T)
     jac_at = tuple(np.array([ij for ij, _ in dalpha], dtype=int).reshape(-1, 2).T)
-    invert = isinstance(true, DifferentialForm)
 
     def block(base: np.ndarray) -> np.ndarray:
         k = len(base)
@@ -285,6 +239,7 @@ def pushforward_oracle_numeric(alg_or_pi, alpha: VerticalSection, x) -> np.ndarr
     translation Jacobian; independent of the symbolic bracket machinery.
     The same code as a grid check, on a one-point grid.
     """
+    alpha = deformation_section(alpha)
     (_, base), = _grid_chunks(alpha.chart, [x])
     return _pushforward_block(alg_or_pi, alpha)(base)[0]
 
@@ -361,27 +316,27 @@ def mc_partial_table(
     alg: CoisoAlgebra,
     alpha: MultiVectorField,
     order: int,
-    points=None,
     per_axis: int = 32,
 ) -> ConvergenceTable:
-    """Numeric partial sums beta_n for n = 1..order against the pushforward oracle."""
-    alpha = as_vertical(alpha)
+    """Numeric partial sums beta_n for n = 1..order against the pushforward oracle.
+
+    Once the series has ended, beta_n repeats its last partial sum.
+    """
+    alpha = deformation_section(alpha)
     jet = alg.pi.jet_order()
     if jet is not None and jet < order:
         raise JetOrderError(f"jet order {jet} is below the requested order {order}")
     chart = alg.chart
-    if points is None:
-        names = sorted(alg.pi.support_names() | alpha.support_names())
-        points = sample_grid(chart, names, per_axis=per_axis)
-    points = tuple(points)
+    names = sorted(alg.pi.support_names() | alpha.support_names())
+    points = sample_grid(chart, names, per_axis=per_axis)
     comp_dirs = _component_dirs(chart, alg.pi.degree)
     comp_names = ["".join(chart.direction_name(d) for d in dirs) for dirs in comp_dirs]
     partials = []
     acc = MultiVectorField.zero(chart, alg.pi.degree)
     for term, coeff in itertools.islice(ad_series(alg.pi, alpha), order):
-        if not term.is_zero():
-            acc = acc + projection_P(term).scale(coeff)
+        acc = acc + projection_P(term).scale(coeff)
         partials.append(acc)
+    partials += [acc] * (order - len(partials))
     at = np.array(comp_dirs, dtype=int).reshape(-1, 2) - chart.n_base
     partial_at = GridEvaluator(
         [beta.coefficient(dirs) for beta in partials for dirs in comp_dirs]
@@ -418,10 +373,7 @@ class CoisotropyResult:
 
 
 def coisotropy_check_numeric(
-    alg_or_pi,
-    alpha: MultiVectorField,
-    points=None,
-    per_axis: int = 32,
+    alg_or_pi, alpha: MultiVectorField, per_axis: int = 32
 ) -> CoisotropyResult:
     """Measure the coisotropy defect of graph(-alpha) on a sample grid.
 
@@ -431,12 +383,10 @@ def coisotropy_check_numeric(
     graph is coisotropic exactly when it vanishes; the check passes when it
     is at most 1e-9.
     """
-    alpha = as_vertical(alpha)
+    alpha = deformation_section(alpha)
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
-    if points is None:
-        names = sorted(pi.support_names() | alpha.support_names())
-        points = sample_grid(alpha.chart, names, per_axis=per_axis)
-    points = tuple(points)
+    names = sorted(pi.support_names() | alpha.support_names())
+    points = sample_grid(alpha.chart, names, per_axis=per_axis)
     block = _pushforward_block(alg_or_pi, alpha)
     worst = 0.0
     for _, base in _grid_chunks(alpha.chart, points):
@@ -618,8 +568,7 @@ def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
     with ad_a = [., a]: the slots of lambda_k(w, ..., w) holding tau add up to
     k P(ad_a^{k-1} tau) with Koszul sign +, and P(pi) = 0.  Given [pi, pi] = 0
     it vanishes iff pi + tau is Poisson and graph(-a) is coisotropic for
-    pi + tau.  ``exp_ad`` sums the series; past its cap it raises
-    TruncationCapError.
+    pi + tau.  ``exp_ad`` sums the series, which ends (see ``ad_series``).
     """
     if w.degree != 0:
         raise ValueError("twisted Maurer-Cartan input must have W-degree 0")

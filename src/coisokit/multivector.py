@@ -17,7 +17,7 @@ sign calibration for the whole package.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._graded import GradedTerms, merge_dirs
 from .coeff_ring import ChartSpec, RingElement, Scalar
@@ -76,9 +76,8 @@ class VerticalSection(MultiVectorField):
         )
 
     def components(self):
-        """Component list of a degree-1 section."""
-        if self.degree != 1:
-            raise ValueError("components() requires degree 1")
+        """Component list of a degree-1 section (``deformation_section``)."""
+        deformation_section(self)
         out = [RingElement.zero(self.chart)] * self.chart.n_fibre
         m = self.chart.n_base
         for (d,), c in self.terms:
@@ -90,6 +89,18 @@ def as_vertical(x: MultiVectorField) -> VerticalSection:
     if isinstance(x, VerticalSection):
         return x
     return VerticalSection(x.chart, x.degree, x.terms)
+
+
+def deformation_section(a: MultiVectorField) -> VerticalSection:
+    """``a`` as a deformation section: vertical, of degree 1.
+
+    graph(-a) is a submanifold only for a degree-1 section; every function
+    that deforms by a section checks it here.
+    """
+    a = as_vertical(a)
+    if a.degree != 1:
+        raise NotVerticalError(f"a deformation section has degree 1, not {a.degree}")
+    return a
 
 
 def _compose(X: MultiVectorField, Y: MultiVectorField) -> list:
@@ -159,12 +170,6 @@ def projection_P(X: MultiVectorField) -> VerticalSection:
     return VerticalSection(chart, X.degree, out)
 
 
-def _check_translation(alpha: MultiVectorField) -> Sequence[RingElement]:
-    if alpha.degree != 1:
-        raise NotVerticalError("translation section must have degree 1")
-    return as_vertical(alpha).components()
-
-
 def fibre_translate_pushforward(
     X: MultiVectorField, alpha: MultiVectorField
 ) -> MultiVectorField:
@@ -174,7 +179,7 @@ def fibre_translate_pushforward(
     sum_j (d alpha_j / d x_i) @y_j and the fibre directions are fixed.
     """
     chart = X.chart
-    comps = _check_translation(alpha)
+    comps = deformation_section(alpha).components()
     neg = [-a for a in comps]
     m = chart.n_base
     pushed: dict[int, MultiVectorField] = {}
@@ -198,14 +203,30 @@ def default_exp_cap(X: MultiVectorField) -> int:
     return X.max_y_degree() + X.degree + 2
 
 
-def ad_series(X: MultiVectorField, alpha: MultiVectorField):
-    """Yield ([...[X, alpha], ..., alpha], 1/k!) with k brackets, for k = 1, 2, ...
+def ad_series(X: MultiVectorField, alpha: VerticalSection, cap: Optional[int] = None):
+    """Yield ([...[X, alpha], ..., alpha], 1/k!) with k brackets, k = 1, 2, ...,
+    up to the last nonzero bracket.
 
-    Never stops by itself; each caller applies its own stopping rule.
+    The series ends: alpha is vertical with base-only coefficients, so in
+    every term a bracket with alpha lowers the fibre degree of the
+    coefficient plus the number of base wedge factors by one ([., alpha]
+    either differentiates a fibre coordinate, or trades a base wedge factor
+    for a fibre one and differentiates alpha along the base).  So at most
+    ``X.max_y_degree() + X.degree`` brackets are nonzero.  ``cap`` (default
+    ``default_exp_cap(X)``) is a guard that valid input never reaches: a
+    nonzero bracket past it raises TruncationCapError.
     """
+    if cap is None:
+        cap = default_exp_cap(X)
     term, fact = X, 1
     for k in itertools.count(1):
         term = schouten_bracket(term, alpha)
+        if term.is_zero():
+            return
+        if k > cap:
+            raise TruncationCapError(
+                f"adjoint series did not terminate within {cap} brackets"
+            )
         fact *= k
         yield term, Scalar.rational(1, fact)
 
@@ -213,24 +234,11 @@ def ad_series(X: MultiVectorField, alpha: MultiVectorField):
 def exp_ad(
     X: MultiVectorField, alpha: MultiVectorField, cap: Optional[int] = None
 ) -> MultiVectorField:
-    """The series sum_k (1/k!) [...[X, alpha], ..., alpha] summed to termination.
-
-    For fibrewise polynomial X the series is finite; exceeding ``cap``
-    iterations raises instead of truncating silently.
-    """
-    _check_translation(alpha)
-    if cap is None:
-        cap = default_exp_cap(X)
+    """The series sum_k (1/k!) [...[X, alpha], ..., alpha] of ``ad_series``."""
     acc = X
-    for k, (term, coeff) in enumerate(ad_series(X, alpha), start=1):
-        if term.is_zero():
-            return acc
-        if k > cap:
-            raise TruncationCapError(
-                f"adjoint series did not terminate within {cap} brackets; "
-                "use jet or numeric mode"
-            )
+    for term, coeff in ad_series(X, deformation_section(alpha), cap):
         acc = acc + term.scale(coeff)
+    return acc
 
 
 def sharp_contract(pi: MultiVectorField, xi) -> MultiVectorField:

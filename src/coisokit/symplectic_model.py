@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._linalg import mat_mul, ring_det, ring_matrix_inverse, scalar_det
-from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar
+from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar, sample_grid
 from .errors import (
     DegenerateBivectorError,
     JetOrderError,
@@ -40,7 +40,6 @@ from .forms import (
     is_in_omega_le,
     pullback_zero_section,
 )
-from .linfty import sample_grid
 from .multivector import MultiVectorField, is_poisson
 
 
@@ -259,13 +258,29 @@ def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
     return bad
 
 
-def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVectorField:
+class InvertedBivector(MultiVectorField):
+    """A Poisson bivector inverted from a symplectic form, which it keeps.
+
+    ``symplectic_to_poisson`` returns one after checking [pi, pi] = 0, so
+    ``make_coiso_algebra`` does not check it again, and the numeric oracles
+    invert ``source_form``, which is exact where the bivector may be a jet.
+    Arithmetic builds plain fields, so a value that differs from the
+    inversion's result carries no source.
+    """
+
+    def __init__(self, source_form: DifferentialForm, terms):
+        super().__init__(source_form.chart, 2, terms)
+        self.source_form = source_form
+
+
+def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> InvertedBivector:
     """Invert a fibrewise affine symplectic form into a Poisson bivector.
 
     Constant forms invert exactly; forms with genuine fibre dependence return
     a jet of the stated order, which must then be at least 1.  The
     coefficient matrix at y = 0 must have an exactly invertible determinant.
-    The sign is calibrated so that Omega = dq /\\ dp inverts to pi = @q /\\ @p.
+    The result is an ``InvertedBivector`` that keeps ``omega``.  The sign is
+    calibrated so that Omega = dq /\\ dp inverts to pi = @q /\\ @p.
     """
     chart = omega.chart
     if not is_in_omega_le(omega, 1):
@@ -287,4 +302,4 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> MultiVecto
             "inverse bivector fails the Jacobi identity (through the checked "
             "order for a jet); the input form is probably not closed"
         )
-    return pi
+    return InvertedBivector(omega, pi.terms)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coisokit import RingElement, ScenarioError, VerticalSection
+from coisokit import InvertedBivector, RingElement, ScenarioError, VerticalSection
 from coisokit.cli import (
     RunFlags,
     emit_report,
@@ -49,7 +49,7 @@ class TestParsing:
             "sin(2*pi*y2)",
         ]
         assert s.bindings["pi"].degree == 2
-        assert "pi" in s.sources  # the inv_form source is remembered
+        assert s.bindings["pi"].source_form == s.bindings["omega"]
         assert len(s.checks) == 6
 
     def test_undefined_name_in_check_has_line(self):
@@ -254,7 +254,7 @@ class TestRun:
             + "".join(REBOUND_PI.splitlines(keepends=True)[1:])
         )
         s = parse_scenario(rebound_text)
-        assert "pi" not in s.sources
+        assert not isinstance(s.bindings["pi"], InvertedBivector)
         rebound = run(s)
         for report in (fresh, rebound):
             assert report.results[0].status == "fail"
@@ -278,6 +278,36 @@ class TestRun:
         report = run(s)
         assert [r.status for r in report.results] == ["pass"] * 6
         assert self_brackets == [s.bindings["pi"]]
+
+    def test_aliased_inv_form_keeps_its_source(self, self_brackets):
+        # pi bound to a name that holds inv_form(...) is the same bivector:
+        # its inversion checked [pi, pi] = 0 and the oracle inverts the form
+        text = (
+            "chart base=(x1*,x2*,q1*,q2*) fibre=(p1,p2)\n"
+            "omega = gotay(dx1/\\dx2, q1, q2) + sin(2*pi*x1)*dp1/\\dx2"
+            " + 2*pi*p1*cos(2*pi*x1)*dx1/\\dx2\n"
+            "sigma = inv_form(omega)\n"
+            "pi = sigma\n"
+            "a = (sin(2*pi*x1)/100, sin(2*pi*x2)/100)\n"
+            "check mc a 3\n"
+        )
+        s = parse_scenario(text)
+        assert s.bindings["pi"].source_form == s.bindings["omega"]
+        report = run(s, RunFlags(samples=4))
+        assert self_brackets == [s.bindings["pi"]]
+        direct = parse_scenario(text.replace("sigma = inv_form(omega)\npi = sigma",
+                                             "pi = inv_form(omega)"))
+        assert emit_report(report, "csv") == emit_report(
+            run(direct, RunFlags(samples=4)), "csv"
+        )
+
+    def test_report_states_the_parse_truncation(self):
+        s = parse_scenario(T4_TEXT, name="t4.scn", base_dir=DATA, truncation=9)
+        assert s.truncation == 9
+        report = run(s)
+        text = emit_report(report, "text")
+        assert text.splitlines()[2] == "flags: truncation=9 samples=32 strict=false"
+        assert json.loads(emit_report(report, "json"))["flags"]["truncation"] == 9
 
     def test_t4_checks_all_pass(self):
         report = run(t4_scenario())
@@ -420,7 +450,7 @@ class TestReports:
         s = parse_scenario(text)
         assert "p1" in s.bindings["pi"].support_names()
         lines = emit_report(run(s), "csv").splitlines()
-        alg = make_coiso_algebra(s.bindings["pi"], source_form=s.sources["pi"])
+        alg = make_coiso_algebra(s.bindings["pi"])
         table = mc_partial_table(alg, s.bindings["a"], 3)
         assert len(lines) - 2 == len(table.rows) == 32 * 32 * 3
         assert lines[2:] == table.to_csv().splitlines()[1:]
@@ -472,6 +502,11 @@ class TestMain:
             ("chart base=(y1*) fibre=(p1) domain=0\n", None, 2, "line 1"),
             ("chart base=(y1*\n", None, 2, "line 1"),
             ("chart base=(y1* fibre=(p1)\n", None, 2, "line 1"),
+            # names the grammar reads as a constant or a form symbol
+            ("chart base=(pi,x) fibre=(p)\n", None, 2, "line 1"),
+            ("chart base=(i) fibre=(p)\n", None, 2, "line 1"),
+            ("chart base=(x,dx) fibre=(p)\n", None, 2, "line 1"),
+            ("chart base=(x) fibre=(dx)\n", None, 2, "line 1"),
             (T4_TEXT, "1 0\n3 x\n", 3, "line 2"),
             # columns count from the start of the line, not from the '='
             (CHART + "f = 1 + * 2\n", None, 2, "line 2, col 9"),
@@ -493,6 +528,7 @@ class TestMain:
         ids=[
             "domain_abc", "empty_domain", "negative_domain", "zero_domain",
             "missing_paren", "unclosed_base",
+            "coordinate_pi", "coordinate_i", "base_form_symbol", "fibre_form_symbol",
             "pencil_token", "col_after_short_name", "col_after_long_name",
             "col_after_indent", "sin_odd_multiple", "sin_constant_phase",
             "sin_square", "sin_imaginary", "sin_non_periodic", "sin_vector",
@@ -514,6 +550,25 @@ class TestMain:
             # the pencil check reports its error and the other checks still run
             assert f"pencil rational_pencil.txt 6: error\n    message: {where}:" in out
             assert "pass=5 fail=0 inconclusive=0 error=1" in out
+
+    @pytest.mark.parametrize("check", ["coisotropic a", "mc a 2", "mc a", "kuranishi a"])
+    def test_section_of_degree_two_is_a_per_check_error(self, check, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
+            "omega = gotay(dy1/\\dy2, q1, q2)\n"
+            "pi = inv_form(omega)\n"
+            "a = @p1/\\@p2\n"
+            f"check {check}\n"
+            "check jacobi a\n"
+        )
+        assert main(["run", str(scn)]) == 3
+        out = capsys.readouterr().out
+        assert (
+            f"[1] {check}: error\n"
+            "    message: a deformation section has degree 1, not 2\n"
+            "[2] jacobi a: pass\n"
+        ) in out
 
     @pytest.mark.parametrize(
         "chart, body, message",

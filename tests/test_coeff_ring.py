@@ -479,6 +479,22 @@ class TestChartSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_chart(base, fibre)
 
+    @pytest.mark.parametrize(
+        "base, fibre, bad",
+        [("pi x", "p", "pi"), ("i", "p", "i"), ("x dx", "", "dx"),
+         ("x", "dx", "dx"), ("dy", "y", "dy")],
+    )
+    def test_names_the_grammar_reads_as_something_else_are_rejected(
+        self, base, fibre, bad
+    ):
+        # 'pi' and 'i' are constants, 'dx' is the form symbol of a coordinate x
+        message = f"chart coordinate name {bad!r} is reserved"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make_chart(base, fibre)
+
+    def test_d_prefixed_names_without_their_coordinate_are_names(self):
+        assert make_chart("dx pix", "ii d").names == ("dx", "pix", "ii", "d")
+
     def test_pencil_labels_follow_the_name_rule(self):
         with pytest.raises(ValueError, match="invalid chart coordinate name 'v 1'"):
             ChartSpec((), (), ("v 1",))

@@ -59,7 +59,7 @@ class TestDeRham:
 
     def test_constant_two_form_closed(self):
         ex = build_T4_example()
-        omega = ex.algebra.source_form
+        omega = ex.algebra.pi.source_form
         assert de_rham_d(omega).is_zero()
 
     def test_d_squared_zero(self, chart):
@@ -108,7 +108,7 @@ class TestFibrewiseDegree:
 class TestPullbackZeroSection:
     def test_gotay_form_pulls_back(self):
         ex = build_T4_example()
-        omega = ex.algebra.source_form
+        omega = ex.algebra.pi.source_form
         base = ex.algebra.chart.base_chart()
         expected = DifferentialForm(base, 2, (((0, 1), RingElement.one(base)),))
         assert pullback_zero_section(omega) == expected

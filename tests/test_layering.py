@@ -5,6 +5,9 @@ modules ``_graded`` and ``_linalg`` are private as a whole, shared helpers
 of the package, so the names they export may be imported; every other
 module keeps its underscore names, and the underscore attributes of its
 classes, to itself.
+
+Every coisokit import sits at module level: an import inside a function
+hides an import cycle instead of breaking it.
 """
 
 import ast
@@ -90,3 +93,42 @@ def test_module_reads_no_private_name_of_another(module):
 )
 def test_guard_flags_what_it_should(source, expected):
     assert layering_violations(source) == expected
+
+
+def function_local_imports(source: str) -> list:
+    """(line, what) for each coisokit module imported inside a function."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and _source_module(node) is not None:
+                found.append((node.lineno, f"imports {node.module or '.'} in {func.name}"))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "coisokit" or alias.name.startswith("coisokit."):
+                        found.append((node.lineno, f"imports {alias.name} in {func.name}"))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_coisokit_at_module_level_only(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert function_local_imports(source) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (
+            "def f():\n    from .symplectic_model import symplectic_to_poisson\n",
+            [(2, "imports symplectic_model in f")],
+        ),
+        ("def f():\n    import coisokit.cli\n", [(2, "imports coisokit.cli in f")]),
+        ("def f():\n    import numpy\n    from numpy import linalg\n", []),
+        ("from .linfty import sample_grid\n", []),
+    ],
+    ids=["relative", "absolute", "outside_package", "module_level"],
+)
+def test_local_import_guard_flags_what_it_should(source, expected):
+    assert function_local_imports(source) == expected

@@ -17,15 +17,18 @@ from conftest import (
 from coisokit import (
     DegenerateBivectorError,
     DomainBoundError,
+    InvertedBivector,
     JetOrderError,
     MultiVectorField,
     NotClosedError,
     NotCoisotropicError,
     NotPoissonError,
+    NotVerticalError,
     RingElement,
     Scalar,
     TwistedElement,
     VerticalSection,
+    beta_of,
     build_T4_example,
     coiso_algebra_from_form,
     coisotropic_brackets,
@@ -40,10 +43,12 @@ from coisokit import (
     make_coiso_algebra,
     mc_partial_table,
     mc_series_exact,
+    obstructedness_certificate,
     projection_P,
     pushforward_oracle_numeric,
     sample_grid,
     schouten_bracket,
+    symplectic_to_poisson,
     twisted_brackets,
     twisted_lambda,
     twisted_mc,
@@ -106,7 +111,7 @@ class TestCoisoAlgebra:
 
     def test_t4_flags(self, t4):
         assert t4.algebra.poisson_verified
-        assert t4.algebra.source_form is not None
+        assert t4.algebra.pi.source_form is not None
 
     @pytest.mark.parametrize("fibre_term", [False, True])
     def test_inverted_form_is_jacobi_checked_once(self, self_brackets, fibre_term):
@@ -122,7 +127,22 @@ class TestCoisoAlgebra:
         alg = coiso_algebra_from_form(omega, truncation=4)
         assert (alg.pi.jet_order() is not None) == fibre_term
         assert self_brackets == [alg.pi]
-        assert alg.poisson_verified and alg.source_form == omega
+        assert alg.poisson_verified and alg.pi.source_form == omega
+
+    def test_arithmetic_on_an_inverted_bivector_drops_its_source(self, self_brackets):
+        chart = make_chart("x1 x2 q1 q2", "p1 p2")
+        one = RingElement.one(chart)
+        omega = DifferentialForm(
+            chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one))
+        )
+        pi = symplectic_to_poisson(omega)
+        assert isinstance(pi, InvertedBivector) and pi.source_form == omega
+        del self_brackets[:]
+        same = -(-pi)  # equal to pi, but not the inversion's result
+        assert same == pi and type(same) is MultiVectorField
+        assert not hasattr(same, "source_form")
+        assert make_coiso_algebra(same).poisson_verified
+        assert self_brackets == [same]
 
     def test_outside_bivector_is_checked_once(self, self_brackets):
         chart = small_chart()
@@ -284,6 +304,17 @@ class TestConvergenceTable:
         table = mc_partial_table(alg, alpha, order, per_axis=3)
         assert table.max_error_at(order) <= 1e-9
 
+    def test_partial_sums_repeat_once_the_series_has_ended(self, t4):
+        # constant-coefficient pi: lambda_3 and later vanish on the T^4 model
+        table = mc_partial_table(t4.algebra, t4.section, 5, per_axis=2)
+        by_point = {}
+        for row in table.rows:
+            by_point.setdefault(row.point, []).append(row.partial)
+        for partials in by_point.values():
+            assert len(partials) == 5
+            assert partials[1] == partials[2] == partials[3] == partials[4]
+        assert table.max_error_at(2) == table.max_error_at(5) <= 1e-9
+
     def test_zero_section_rows_are_zero(self, t4):
         table = mc_partial_table(
             t4.algebra, zero_section(t4.algebra.chart), 3, per_axis=2
@@ -321,13 +352,6 @@ class TestConvergenceTable:
         alg = algebra_for(pi)
         with pytest.raises(JetOrderError):
             mc_partial_table(alg, zero_section(chart), 5, per_axis=2)
-
-    def test_explicit_points_are_respected(self, t4):
-        pts = ((0.0, 0.25, 0.5, 0.75), (0.125, 0.0, 0.0, 0.0))
-        table = mc_partial_table(t4.algebra, t4.section, 2, points=pts)
-        assert tuple(sorted({r.point for r in table.rows})) == tuple(sorted(pts))
-        res = coisotropy_check_numeric(t4.algebra, t4.section, points=pts)
-        assert not res.coisotropic
 
     def test_csv_column_order(self, t4):
         table = mc_partial_table(t4.algebra, t4.section, 2, per_axis=2)
@@ -436,7 +460,7 @@ class TestCoisotropyNumeric:
         blocks = [pushforward_oracle_numeric(alg, t4.section, x) for x in points]
         res = coisotropy_check_numeric(alg, t4.section)
         assert res.max_defect == max(np.max(np.abs(b)) for b in blocks)
-        table = mc_partial_table(alg, t4.section, 1, points=points)
+        table = mc_partial_table(alg, t4.section, 1)
         # one row per point; the one oracle column is the p1 p2 entry
         assert [r.oracle for r in table.rows] == [(b[0, 1].real,) for b in blocks]
 
@@ -636,6 +660,34 @@ class TestKuranishi:
         assert not lambda_n(t4.algebra, bad).is_zero()
         with pytest.raises(NotClosedError):
             kuranishi_rep(t4.algebra, bad)
+
+
+DEFORMATION_ENTRY_POINTS = {
+    "mc_series_exact": mc_series_exact,
+    "mc_partial_table": lambda alg, a: mc_partial_table(alg, a, 2, per_axis=2),
+    "coisotropy_check_numeric": lambda alg, a: coisotropy_check_numeric(alg, a, per_axis=2),
+    "pushforward_oracle_numeric": lambda alg, a: pushforward_oracle_numeric(
+        alg, a, (0.0, 0.0, 0.0, 0.0)
+    ),
+    "kuranishi_rep": kuranishi_rep,
+    "beta_of": beta_of,
+    "obstructedness_certificate": obstructedness_certificate,
+}
+
+
+class TestDeformationSectionRule:
+    """Every function that deforms by a section takes degree 1 only, with one message."""
+
+    @pytest.mark.parametrize("entry", sorted(DEFORMATION_ENTRY_POINTS))
+    def test_degree_two_section_is_rejected(self, t4, entry):
+        chart = t4.algebra.chart
+        a = MultiVectorField.basis_vector(chart, "p1").wedge(
+            MultiVectorField.basis_vector(chart, "p2")
+        )
+        with pytest.raises(
+            NotVerticalError, match="^a deformation section has degree 1, not 2$"
+        ):
+            DEFORMATION_ENTRY_POINTS[entry](t4.algebra, a)
 
 
 class TestSampleGrid:

@@ -18,12 +18,14 @@ from coisokit import (
     Scalar,
     TruncationCapError,
     VerticalSection,
+    deformation_section,
     exp_ad,
     fibre_translate_pushforward,
     projection_P,
     schouten_bracket,
     sharp_contract,
 )
+from coisokit.multivector import ad_series
 
 
 @pytest.fixture
@@ -151,6 +153,34 @@ class TestVerticalSection:
         assert s.components() == comps
 
 
+class TestDeformationSection:
+    """A deformation section is vertical of degree 1, one rule for every caller."""
+
+    def test_degree_one_section_passes(self, chart):
+        rng = rng_for("deform-ok")
+        a = rand_section(rng, chart)
+        assert deformation_section(a) is a
+        plain = MultiVectorField(a.chart, 1, a.terms)
+        assert deformation_section(plain) == a
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_other_degrees_are_rejected_with_one_message(self, chart, degree):
+        a = rand_section(rng_for(f"deform-{degree}"), chart, degree=degree, nterms=1)
+        message = f"a deformation section has degree 1, not {degree}"
+        with pytest.raises(NotVerticalError, match=f"^{message}$"):
+            deformation_section(a)
+        with pytest.raises(NotVerticalError, match=f"^{message}$"):
+            a.components()
+        X = rand_multivector(rng_for("deform-x"), chart, 2)
+        for call in (exp_ad, fibre_translate_pushforward):
+            with pytest.raises(NotVerticalError, match=f"^{message}$"):
+                call(X, a)
+
+    def test_base_wedge_factor_is_not_vertical(self, chart):
+        with pytest.raises(NotVerticalError, match="base direction"):
+            deformation_section(MultiVectorField.basis_vector(chart, "x1"))
+
+
 class TestProjection:
     def test_keeps_vertical_base_coefficients(self, chart):
         f = rand_base_ring(rng_for("proj"), chart)
@@ -274,6 +304,40 @@ class TestExpAd:
         )
         with pytest.raises(TruncationCapError):
             exp_ad(X, alpha, cap=1)
+
+
+class TestAdSeries:
+    """``ad_series`` yields the nonzero brackets and ends by itself."""
+
+    def test_yields_at_most_the_degree_bound_of_nonzero_brackets(self, chart):
+        # each bracket lowers fibre degree + base wedge factors by one per term
+        rng = rng_for("ad-series-bound")
+        lengths = set()
+        for _ in range(60):
+            X = rand_multivector(rng, chart, rng.randint(1, 3), nterms=3, max_ydeg=3)
+            alpha = rand_section(rng, chart)
+            brackets = [term for term, _ in ad_series(X, alpha)]
+            assert all(not term.is_zero() for term in brackets)
+            assert len(brackets) <= X.max_y_degree() + X.degree
+            # the bracket after the last one yielded is zero
+            last = brackets[-1] if brackets else X
+            assert schouten_bracket(last, alpha).is_zero()
+            lengths.add(len(brackets))
+        assert len(lengths) > 3  # the draws reach series of several lengths
+
+    def test_exp_ad_raises_exactly_past_its_cap(self, chart):
+        rng = rng_for("ad-series-cap")
+        for _ in range(10):
+            X = rand_multivector(rng, chart, 2, nterms=2, max_ydeg=2)
+            alpha = rand_section(rng, chart)
+            n = len(list(ad_series(X, alpha)))
+            full = exp_ad(X, alpha)
+            for cap in range(n + 2):
+                if cap < n:
+                    with pytest.raises(TruncationCapError):
+                        exp_ad(X, alpha, cap=cap)
+                else:
+                    assert exp_ad(X, alpha, cap=cap) == full
 
 
 class TestSharpContract:
