@@ -28,6 +28,22 @@ def merge_dirs(a: tuple, b: tuple) -> Optional[tuple[int, tuple]]:
     return (-1 if inversions % 2 else 1), merged
 
 
+def dot_by_wedge(products) -> list:
+    """(dirs, sum of sign * f * g) per wedge index over (dirs, sign, f, g).
+
+    The products are grouped by wedge index and each group is summed by one
+    ``RingElement.dot``, so no coefficient is built product by product.
+    """
+    groups: dict[tuple, list] = {}
+    for dirs, sign, f, g in products:
+        group = groups.get(dirs)
+        if group is None:
+            groups[dirs] = [(sign, f, g)]
+        else:
+            group.append((sign, f, g))
+    return [(dirs, RingElement.dot(group)) for dirs, group in groups.items()]
+
+
 class GradedTerms:
     """Homogeneous graded object: degree plus wedge-indexed coefficients."""
 
@@ -167,17 +183,14 @@ class GradedTerms:
         self._check(other)
         if self._base_kind() is not other._base_kind():
             raise TypeError("cannot wedge a multivector with a form")
-        out = []
+        products = []
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:
                 m = merge_dirs(d1, d2)
-                if m is None:
-                    continue
-                sign, dirs = m
-                prod = c1 * c2
-                out.append((dirs, prod if sign > 0 else -prod))
+                if m is not None:
+                    products.append((m[1], m[0], c1, c2))
         cls = self._base_kind()
-        return cls(self.chart, self.degree + other.degree, out)
+        return cls(self.chart, self.degree + other.degree, dot_by_wedge(products))
 
     def __xor__(self, other):
         return self.wedge(other)

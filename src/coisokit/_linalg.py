@@ -7,9 +7,11 @@ Fourier mode for ring elements), which covers every matrix this package
 needs to invert exactly.
 
 Every determinant and cofactor is one minor over row and column bitmasks,
-memoised in a table.  The inverse takes one table per removed row, so the n
-cofactors of that row share their sub-minors; one table for all n^2
-cofactors would share more but holds more minors at once.
+memoised in a table; a minor of two or more rows is one signed ``dot`` over
+its row expansion, for scalar and ring entries alike.  The inverse takes one
+table per removed row, so the n cofactors of that row share their
+sub-minors; one table for all n^2 cofactors would share more but holds more
+minors at once.
 """
 
 from __future__ import annotations
@@ -22,20 +24,26 @@ from .errors import DegenerateBivectorError, NonInvertibleScalarError
 
 def _minor(mat, zero, table: dict, rows: int, cols: int):
     """The determinant of ``mat`` on the row and column bitmasks, expanded
-    along the lowest remaining row and memoised in ``table``.  The empty
-    minor is ``None``, the multiplicative identity.
+    along the lowest remaining row as one signed ``dot`` of its nonzero
+    entries with their sub-minors, and memoised in ``table``.  ``zero`` is a
+    zero entry: the minor of a row of zeros, and through its type the one
+    ``dot`` of scalar and ring entries alike.  The empty minor is ``None``,
+    the multiplicative identity.
 
     The table is an argument, not a closure cell: a closure that calls itself
     is a reference cycle, so its table would outlive the call until the
     cyclic collector runs."""
     if not rows:
         return None
+    entries = mat[(rows & -rows).bit_length() - 1]
+    rest = rows & (rows - 1)
+    if not rest:
+        entry = entries[cols.bit_length() - 1]
+        return zero if entry.is_zero() else entry
     key = (rows, cols)
     if key in table:
         return table[key]
-    entries = mat[(rows & -rows).bit_length() - 1]
-    rest = rows & (rows - 1)
-    total = zero
+    products = []
     pos = 0
     for col in range(len(mat)):
         bit = 1 << col
@@ -44,9 +52,9 @@ def _minor(mat, zero, table: dict, rows: int, cols: int):
         entry = entries[col]
         if not entry.is_zero():
             sub = _minor(mat, zero, table, rest, cols ^ bit)
-            piece = entry if sub is None else entry * sub
-            total = total + (piece if pos % 2 == 0 else -piece)
+            products.append((-1 if pos % 2 else 1, entry, sub))
         pos += 1
+    total = type(zero).dot(products) if products else zero
     table[key] = total
     return total
 
@@ -118,16 +126,10 @@ def ring_matrix_inverse(mat: Sequence[Sequence[RingElement]]):
 
 
 def mat_mul(a, b):
-    """The product of two ring matrices with a non-empty inner dimension."""
-    inner = range(1, len(b))
-    out = []
-    for row in a:
-        first = row[0]
-        out_row = []
-        for j in range(len(b[0])):
-            acc = first * b[0][j]
-            for k in inner:
-                acc = acc + row[k] * b[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    """The product of two ring matrices with a non-empty inner dimension,
+    one ``dot`` per entry."""
+    cols = list(zip(*b))
+    return [
+        [RingElement.dot((1, x, y) for x, y in zip(row, col)) for col in cols]
+        for row in a
+    ]

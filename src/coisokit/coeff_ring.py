@@ -16,11 +16,12 @@ Terms are kept sorted by the lexicographic key (x-exponents, Fourier modes,
 y-exponents) with no zero scalars, so equal elements are equal tuples and can
 be hashed and compared bit for bit.
 
-Coefficients are accumulated once per operation.  A product or sum collects
-the Gaussian rationals of every contribution in one accumulator per output
-key (a dict from pi-exponent to ``[re, im]``) and builds each output Scalar
-once; a product skips the term pairs above the jet order before any
-arithmetic, and no per-pair Scalar is built.
+Coefficients are accumulated once per operation, and a sum of products is
+one operation.  A product, a sum or a signed sum of products (``dot``)
+collects the Gaussian rationals of every contribution in one accumulator per
+output key (a dict from pi-exponent to ``[re, im]``) and builds each output
+Scalar once; a product skips the term pairs above the jet order before any
+arithmetic, and no per-pair Scalar and no partial sum is built.
 
 Jets (finite fibre order) are ordinary elements with ``jet_order`` set;
 binary operations between jets truncate to the minimum order.
@@ -89,6 +90,11 @@ def _acc_mul(acc: dict, left, right) -> None:
                 acc[e] = [a * c, _F0]
             else:
                 slot[0] += a * c
+
+
+def _neg_terms(terms: tuple) -> tuple:
+    """A canonical term tuple with every coefficient negated (still canonical)."""
+    return tuple((e, -re, -im) for e, re, im in terms)
 
 
 def _acc_terms(acc: dict) -> tuple:
@@ -180,7 +186,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._wrap(tuple((e, -re, -im) for e, re, im in self._terms))
+        return Scalar._wrap(_neg_terms(self._terms))
 
     def __sub__(self, other):
         return self + (-Scalar.of(other))
@@ -195,6 +201,22 @@ class Scalar:
         return Scalar._wrap(_acc_terms(acc))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, products) -> "Scalar":
+        """sum_k sign_k * f_k * g_k over (sign, f, g) triples, sign +1 or -1.
+
+        Every product is multiplied into one accumulator, which is sorted
+        once: the same Scalar as the pairwise sum of the signed products.
+        Raises ValueError when there is no product.
+        """
+        products = tuple(products)
+        if not products:
+            raise ValueError("dot needs at least one product")
+        acc: dict[int, list] = {}
+        for sign, f, g in products:
+            _acc_mul(acc, f._terms if sign > 0 else _neg_terms(f._terms), g._terms)
+        return cls._wrap(_acc_terms(acc))
 
     def conjugate(self) -> "Scalar":
         return Scalar._wrap(tuple((e, re, -im) for e, re, im in self._terms))
@@ -618,32 +640,56 @@ class RingElement:
             return self.scale(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        self._check_chart(other)
-        jet = _min_order(self.jet_order, other.jet_order)
-        right = [(xe, k, ye, sum(ye), s._terms) for xe, k, ye, s in other.terms]
+        return RingElement.dot(((1, self, other),))
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, products) -> "RingElement":
+        """sum_k sign_k * f_k * g_k over (sign, f, g) triples, sign +1 or -1.
+
+        Every term pair of every product is multiplied into one accumulator
+        per output key, and the result is sorted and wrapped once.  It is the
+        pairwise sum of the signed products, jet order included: the minimum
+        over all operands, zero ones too; the term pairs above it are skipped
+        before any arithmetic.  A product is the one-pair case.  Raises
+        ValueError when there is no product and ChartMismatchError when the
+        operands live on different charts.
+        """
+        products = tuple(products)
+        if not products:
+            raise ValueError("dot needs at least one product")
+        head = products[0][1]
+        jet = None
+        for _, f, g in products:
+            head._check_chart(f)
+            head._check_chart(g)
+            jet = _min_order(_min_order(jet, f.jet_order), g.jet_order)
         accs: dict[tuple, dict] = {}
-        for xe1, k1, ye1, s1 in self.terms:
-            deg1 = sum(ye1)
-            left = s1._terms
-            for xe2, k2, ye2, deg2, t2 in right:
-                if jet is not None and deg1 + deg2 > jet:
-                    continue
-                key = (_tadd(xe1, xe2), _tadd(k1, k2), _tadd(ye1, ye2))
-                acc = accs.get(key)
-                if acc is None:
-                    accs[key] = acc = {}
-                _acc_mul(acc, left, t2)
+        add = operator.add
+        for sign, f, g in products:
+            right = [(xe, k, ye, sum(ye), s._terms) for xe, k, ye, s in g.terms]
+            for xe1, k1, ye1, s1 in f.terms:
+                deg1 = sum(ye1)
+                left = s1._terms if sign > 0 else _neg_terms(s1._terms)
+                for xe2, k2, ye2, deg2, t2 in right:
+                    if jet is not None and deg1 + deg2 > jet:
+                        continue
+                    key = (tuple(map(add, xe1, xe2)), tuple(map(add, k1, k2)),
+                           tuple(map(add, ye1, ye2)))
+                    acc = accs.get(key)
+                    if acc is None:
+                        accs[key] = acc = {}
+                    _acc_mul(acc, left, t2)
         out = []
         for key, acc in sorted(accs.items()):
             terms = _acc_terms(acc)
             if terms:
                 out.append(key + (Scalar._wrap(terms),))
         # the keys are tuples and sorted already: no second canonicalisation
-        f = object.__new__(RingElement)
-        f.chart, f.terms, f.jet_order = self.chart, tuple(out), jet
-        return f
-
-    __rmul__ = __mul__
+        h = object.__new__(cls)
+        h.chart, h.terms, h.jet_order = head.chart, tuple(out), jet
+        return h
 
     def __pow__(self, n: int):
         if n < 0:
@@ -925,10 +971,6 @@ def _real_basis(modes: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
             put(sin_key, i_unit * (s - sp))
         cur = nxt
     return cur
-
-
-def _tadd(a: tuple, b: tuple) -> tuple:
-    return tuple(map(operator.add, a, b))
 
 
 def _bump(t: tuple, i: int, delta: int = 1) -> tuple:

@@ -128,22 +128,27 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
         raise JetOrderError(
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
-    _check_domain(alg, alpha)
+    _check_domain(alg.chart, alpha)
     acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
     for term, coeff in ad_series(alg.pi, alpha):
         acc = acc + projection_P(term).scale(coeff)
     return as_vertical(acc)
 
 
-def _check_domain(alg: CoisoAlgebra, alpha: VerticalSection):
-    """Sample |alpha| against the fibre bound on the shared grid budget."""
-    bound = alg.chart.fibre_bound
+def _check_domain(chart: ChartSpec, alpha: VerticalSection):
+    """Sample |alpha| against the chart's fibre bound on the shared grid budget.
+
+    The one ``domain=`` rule: ``mc_series_exact``, ``mc_partial_table`` and
+    ``coisotropy_check_numeric`` deform by graph(-alpha), so each refuses a
+    section that leaves the tubular domain (DomainBoundError).
+    """
+    bound = chart.fibre_bound
     if bound is None:
         return
     comps = alpha.components()
-    points = sample_grid(alg.chart, sorted(alpha.support_names()))
+    points = sample_grid(chart, sorted(alpha.support_names()))
     values = GridEvaluator(comps)
-    for start, base in _grid_chunks(alg.chart, points):
+    for start, base in _grid_chunks(chart, points):
         sups = np.abs(values(base)).max(axis=1, initial=0.0)
         over = np.flatnonzero(sups > float(bound))
         if len(over):
@@ -320,13 +325,15 @@ def mc_partial_table(
 ) -> ConvergenceTable:
     """Numeric partial sums beta_n for n = 1..order against the pushforward oracle.
 
-    Once the series has ended, beta_n repeats its last partial sum.
+    Once the series has ended, beta_n repeats its last partial sum.  A
+    section that leaves the chart's tubular domain raises DomainBoundError.
     """
     alpha = deformation_section(alpha)
     jet = alg.pi.jet_order()
     if jet is not None and jet < order:
         raise JetOrderError(f"jet order {jet} is below the requested order {order}")
     chart = alg.chart
+    _check_domain(chart, alpha)
     names = sorted(alg.pi.support_names() | alpha.support_names())
     points = sample_grid(chart, names, per_axis=per_axis)
     comp_dirs = _component_dirs(chart, alg.pi.degree)
@@ -381,9 +388,11 @@ def coisotropy_check_numeric(
     pushforward block at (x, -alpha(x)): the numeric Maurer-Cartan value,
     the same quantity as the oracle columns of ``mc_partial_table``.  The
     graph is coisotropic exactly when it vanishes; the check passes when it
-    is at most 1e-9.
+    is at most 1e-9.  A section that leaves the chart's tubular domain
+    raises DomainBoundError.
     """
     alpha = deformation_section(alpha)
+    _check_domain(alpha.chart, alpha)
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
     names = sorted(pi.support_names() | alpha.support_names())
     points = sample_grid(alpha.chart, names, per_axis=per_axis)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ._graded import GradedTerms, merge_dirs
+from ._graded import GradedTerms, dot_by_wedge, merge_dirs
 from .coeff_ring import ChartSpec, RingElement, Scalar
 from .errors import NotVerticalError, TruncationCapError
 
@@ -104,7 +104,8 @@ def deformation_section(a: MultiVectorField) -> VerticalSection:
 
 
 def _compose(X: MultiVectorField, Y: MultiVectorField) -> list:
-    """Terms of X o Y = sum_i (d X / d theta_i) ^ (d Y / d u_i), right derivative."""
+    """Signed products (dirs, sign, f, g) of X o Y = sum_i (d X / d theta_i) ^
+    (d Y / d u_i), right derivative."""
     chart = X.chart
     p = X.degree
     partials: dict[int, list] = {}
@@ -125,8 +126,7 @@ def _compose(X: MultiVectorField, Y: MultiVectorField) -> list:
                 if m is None:
                     continue
                 sign, dirs = m
-                c = f * dg
-                out.append((dirs, -c if (sign < 0) != flip else c))
+                out.append((dirs, -1 if (sign < 0) != flip else 1, f, dg))
     return out
 
 
@@ -136,14 +136,15 @@ def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorFie
     Degree p+q-1, graded Lie on the shift by 1.  Characterised by: the Lie
     bracket on vector fields, [X, f] = X(f) for vector fields, graded
     antisymmetry [X,Y] = -(-1)^{(p-1)(q-1)}[Y,X], and the Leibniz rule
-    [X, Y^Z] = [X,Y]^Z + (-1)^{(p-1) q} Y^[X,Z].
+    [X, Y^Z] = [X,Y]^Z + (-1)^{(p-1) q} Y^[X,Z].  Each coefficient is one
+    ``dot`` over the products of both compositions.
     """
     X._check(Y)
     p, q = X.degree, Y.degree
     yx = _compose(Y, X)
     if (p - 1) * (q - 1) % 2 == 0:
-        yx = [(dirs, -c) for dirs, c in yx]
-    return MultiVectorField(X.chart, max(p + q - 1, 0), _compose(X, Y) + yx)
+        yx = [(dirs, -sign, f, g) for dirs, sign, f, g in yx]
+    return MultiVectorField(X.chart, max(p + q - 1, 0), dot_by_wedge(_compose(X, Y) + yx))
 
 
 def is_poisson(pi: MultiVectorField) -> bool:

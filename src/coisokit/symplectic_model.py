@@ -15,6 +15,7 @@ computed exactly over the ring whenever det A is an invertible element
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,15 +207,24 @@ def _neumann_inverse(m, order: int):
     if all(e.is_zero() for row in minus_y for e in row):
         return ainv
     x = mat_mul(ainv, minus_y)  # -A^{-1} Y
-    n = len(m)
-    total = [row[:] for row in ainv]
-    power = [row[:] for row in ainv]
+    # each entry's series is summed once, after the last power, at the
+    # lowest jet order of its parts (as pairwise sums keep it); a part that
+    # is exactly zero changes neither, so it is not kept (most are)
+    series = [[[e] for e in row] for row in ainv]
+    power = ainv
     for _ in range(order):
         power = mat_mul(x, power)
-        for i in range(n):
-            for j in range(n):
-                total[i][j] = total[i][j] + power[i][j]
-    return [[e.truncate(order) for e in row] for row in total]
+        for parts_row, row in zip(series, power):
+            for parts, e in zip(parts_row, row):
+                if e.terms or e.jet_order is not None:
+                    parts.append(e)
+
+    def series_sum(parts):
+        jet = min([order] + [e.jet_order for e in parts if e.jet_order is not None])
+        terms = itertools.chain.from_iterable(e.terms for e in parts)
+        return RingElement(parts[0].chart, terms, jet)
+
+    return [[series_sum(parts) for parts in row] for row in series]
 
 
 def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):

@@ -389,6 +389,33 @@ class TestRun:
         report = run(s)
         assert [r.status for r in report.results] == ["pass", "pass"]
 
+    def test_every_check_of_a_section_reads_the_domain_bound(self, tmp_path, capsys):
+        # mc a, mc a N and coisotropic a share one domain rule: a section
+        # outside the tube is an error in each, one inside passes in each
+        text = (
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2) domain=1/2\n"
+            "omega = gotay(dy1/\\dy2, q1, q2)\n"
+            "pi = inv_form(omega)\n"
+            "a = (1, 0)\n"
+            "c = (1/4, -1/3)\n"
+            "check mc a\n"
+            "check mc a 2\n"
+            "check coisotropic a\n"
+            "check mc c\n"
+            "check mc c 2\n"
+            "check coisotropic c\n"
+        )
+        report = run(parse_scenario(text), RunFlags(samples=2))
+        statuses = [r.status for r in report.results]
+        assert statuses == ["error"] * 3 + ["pass"] * 3
+        for r in report.results[:3]:
+            message = dict(r.details)["message"]
+            assert "leaves the tubular domain" in message and "> 0.5" in message
+        scn = tmp_path / "domain.scn"
+        scn.write_text(text)
+        assert main(["run", str(scn), "--samples", "2"]) == 3
+        assert "error=3" in capsys.readouterr().out
+
     def test_inconclusive_with_strict(self):
         text = (
             "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"

@@ -246,6 +246,92 @@ class TestFlatAccumulation:
         _assert_canonical_scalar(mixed)
 
 
+DOT_CHART = small_chart()
+
+
+@st.composite
+def ring_elements(draw):
+    """Elements of DOT_CHART (x1, periodic x2, fibre y1 y2): Fourier modes,
+    several pi-powers per key, zero elements, and an absent or set jet order."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(-2, 2),
+                st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                scalars(),
+            ),
+            max_size=3,
+        )
+    )
+    jet = draw(st.none() | st.integers(0, 3))
+    return RingElement(DOT_CHART, [((a,), (k,), ye, c) for a, k, ye, c in terms], jet)
+
+
+SIGNS = st.sampled_from((1, -1))
+
+
+def _pairwise(products):
+    """The sum of the signed products sign * f * g, one + at a time."""
+    total = None
+    for sign, f, g in products:
+        prod = f * g if sign > 0 else -(f * g)
+        total = prod if total is None else total + prod
+    return total
+
+
+class TestDot:
+    """``dot`` against the pairwise sum of its signed products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(SIGNS, ring_elements(), ring_elements()), min_size=1, max_size=4))
+    def test_ring_dot_is_the_pairwise_sum(self, products):
+        got = RingElement.dot(products)
+        expected = _pairwise(products)
+        assert got.terms == expected.terms
+        assert got.jet_order == expected.jet_order
+        orders = [h.jet_order for _, f, g in products for h in (f, g)]
+        jet = min((o for o in orders if o is not None), default=None)
+        contributions = []
+        for sign, f, g in products:
+            contributions += _product(f if sign > 0 else -f, g)
+        assert _terms(got) == _schoolbook(contributions, jet)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(SIGNS, scalars(), scalars()), min_size=1, max_size=4))
+    def test_scalar_dot_is_the_pairwise_sum(self, products):
+        got = Scalar.dot(products)
+        assert got.terms == _pairwise(products).terms
+        _assert_canonical_scalar(got)
+
+    def test_zero_operands_keep_their_jet_order(self, chart):
+        f = RingElement.coordinate(chart, "y1") + RingElement.coordinate(chart, "x1")
+        zero_jet = RingElement.zero(chart).truncate(0)
+        got = RingElement.dot([(1, f, f), (-1, f, zero_jet)])
+        assert got.jet_order == 0 and got == _pairwise([(1, f, f), (-1, f, zero_jet)])
+        assert got.terms == (f * f).truncate(0).terms
+        assert RingElement.dot([(1, f, RingElement.zero(chart))]).is_zero()
+
+    def test_cancelling_products_leave_zero(self, chart):
+        rng = rng_for("dot-cancel")
+        f, g = _rand_jet(rng, chart), _rand_jet(rng, chart)
+        assert RingElement.dot([(1, f, g), (-1, g, f)]).is_zero()
+
+    def test_chart_mismatch_rejected(self, chart):
+        other = make_chart("a b*", "c d")
+        one, alien = RingElement.one(chart), RingElement.one(other)
+        with pytest.raises(ChartMismatchError):
+            RingElement.dot([(1, one, alien)])
+        with pytest.raises(ChartMismatchError):
+            RingElement.dot([(1, one, one), (-1, alien, alien)])
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            RingElement.dot([])
+        with pytest.raises(ValueError):
+            Scalar.dot(iter(()))
+
+
 class TestPartialDerivative:
     def test_sin_derivative(self, chart):
         # d/dx sin(2 pi x) = 2 pi cos(2 pi x)

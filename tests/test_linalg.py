@@ -1,16 +1,19 @@
 """Exact matrix inversion and determinants over scalars and ring elements."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from coisokit import RingElement, Scalar, make_chart
+from coisokit import AffinePencil, RingElement, Scalar, invert_affine_pencil, make_chart
 from coisokit._linalg import (
+    mat_mul,
     ring_det,
     ring_matrix_inverse,
     scalar_det,
     scalar_matrix_inverse,
 )
+from coisokit.coeff_ring import ChartSpec
 from coisokit.errors import DegenerateBivectorError, NonInvertibleScalarError
 
 from conftest import rand_fraction, rand_ring, rng_for
@@ -154,3 +157,127 @@ class TestScalarInverse:
         one = Scalar.of(1)
         with pytest.raises(NonInvertibleScalarError):
             scalar_matrix_inverse([[one + Scalar.pi_power(1), one], [Scalar.zero(), one]])
+
+
+# -- the fused sums of products against naive loops over * and + ---------------
+
+JET_CHART = make_chart("x y*", "p")
+
+
+def rand_jet_matrix(rng, rows, cols, nonzero=False):
+    """Ring entries in x, y and the fibre p, each exact or a jet of order 1-3."""
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            while True:
+                e = rand_ring(rng, JET_CHART, max_xdeg=1, max_mode=1, max_ydeg=2,
+                              nterms=2, real=False)
+                if not (nonzero and e.is_zero()):
+                    break
+            jet = rng.choice((None, None, 1, 2, 3))
+            row.append(e if jet is None else e.truncate(jet))
+        out.append(row)
+    return out
+
+
+def same(a, b):
+    """Equal terms and equal jet orders."""
+    return a.terms == b.terms and a.jet_order == b.jet_order
+
+
+def leibniz_det(mat):
+    """sum over permutations of sign * prod_i mat[i][perm[i]], by * and +."""
+    n = len(mat)
+    total = None
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = mat[0][perm[0]]
+        for i in range(1, n):
+            prod = prod * mat[i][perm[i]]
+        prod = -prod if inversions % 2 else prod
+        total = prod if total is None else total + prod
+    return total
+
+
+def fraction_inverse(a):
+    """Gauss-Jordan inverse of a rational matrix."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if m[r][c])
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def naive_pencil_inverse(a, bs, labels, order):
+    """sum_{r <= order} (-A^{-1} Y)^r A^{-1}, Y = sum_k lambda_k B_k, by * and +."""
+    chart = ChartSpec((), (), labels)
+    n = len(a)
+    const = lambda m: [[RingElement.constant(chart, x) for x in row] for row in m]
+    ainv = const(fraction_inverse(a))
+    y = const([[0] * n for _ in range(n)])
+    for label, b in zip(labels, bs):
+        lam = RingElement.coordinate(chart, label)
+        y = [[e + lam.scale(Fraction(x)) for e, x in zip(row, brow)]
+             for row, brow in zip(y, b)]
+    x = [[-e for e in row] for row in matmul(ainv, y)]
+    total, power = ainv, ainv
+    for _ in range(order):
+        power = matmul(x, power)
+        total = [[s + t for s, t in zip(row, prow)] for row, prow in zip(total, power)]
+    return [[e.truncate(order) for e in row] for row in total]
+
+
+class TestFusedAgainstNaive:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 5)])
+    def test_mat_mul_is_the_triple_loop(self, shape):
+        rng = rng_for(f"fused-matmul-{shape}")
+        n, k, m = shape
+        for _ in range(3):
+            a, b = rand_jet_matrix(rng, n, k), rand_jet_matrix(rng, k, m)
+            got, expected = mat_mul(a, b), matmul(a, b)
+            assert all(same(g, e) for grow, erow in zip(got, expected)
+                       for g, e in zip(grow, erow))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_ring_det_is_the_leibniz_sum(self, n):
+        rng = rng_for(f"fused-det-{n}")
+        for _ in range(3):
+            # jets need every entry nonzero: an expansion skips zero entries,
+            # so a zero jet entry would lower only the Leibniz order
+            mat = rand_jet_matrix(rng, n, n, nonzero=True)
+            assert same(ring_det(mat), leibniz_det(mat))
+            exact = [[e.without_truncation() for e in row] for row in mat]
+            exact[rng.randrange(n)][rng.randrange(n)] = RingElement.zero(JET_CHART)
+            assert same(ring_det(exact), leibniz_det(exact))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_scalar_det_is_the_leibniz_sum(self, n):
+        rng = rng_for(f"fused-scalar-det-{n}")
+        for _ in range(3):
+            mat = [[rand_pi_scalar(rng) + rand_pi_scalar(rng) for _ in range(n)]
+                   for _ in range(n)]
+            assert scalar_det(mat).terms == leibniz_det(mat).terms
+
+    def test_two_parameter_pencil_inverse_is_the_naive_series(self):
+        rng = rng_for("fused-pencil")
+        labels = ("v1", "v2")
+        for _ in range(2):
+            while True:
+                a = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+                if not scalar_det([[Scalar.of(x) for x in row] for row in a]).is_zero():
+                    break
+            bs = [[[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+                  for _ in labels]
+            pencil = AffinePencil.from_rationals(a, bs, labels)
+            got = invert_affine_pencil(pencil, 4)
+            expected = naive_pencil_inverse(a, bs, labels, 4)
+            assert any(len(e.terms) > 1 for row in got for e in row)
+            assert all(same(g, e) for grow, erow in zip(got, expected)
+                       for g, e in zip(grow, erow))

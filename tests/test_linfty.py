@@ -269,6 +269,24 @@ class TestMCSeries:
         with pytest.raises(DomainBoundError):
             mc_series_exact(alg, big)
 
+    def test_every_deformation_check_reads_the_domain_bound(self):
+        chart = make_chart("u*", "y1 y2", bound=Fraction(1, 2))
+        pi = MultiVectorField(chart, 2, (((0, 1), RingElement.one(chart)),))
+        alg = algebra_for(pi)
+        sin = RingElement.sin_of(chart, {"u": 1})
+        zero = RingElement.zero(chart)
+        small = VerticalSection.from_components(chart, [sin.scale(Fraction(1, 4)), zero])
+        big = VerticalSection.from_components(chart, [sin, zero])
+        checks = (
+            mc_series_exact,
+            lambda alg, a: mc_partial_table(alg, a, 1, per_axis=4),
+            lambda alg, a: coisotropy_check_numeric(alg, a, per_axis=4),
+        )
+        for check in checks:
+            check(alg, small)  # inside the tube
+            with pytest.raises(DomainBoundError, match="leaves the tubular domain"):
+                check(alg, big)
+
     def test_domain_check_keeps_the_grid_budget(self, monkeypatch):
         # a section on four coordinates is sampled on at most 4096 points,
         # not 32 per axis
