@@ -8,12 +8,8 @@ from .coeff_ring import (
     ChartSpec,
     RingElement,
     Scalar,
-    eval_point,
     make_chart,
-    partial_derivative,
-    ring_mul,
     sample_grid,
-    taylor_shift,
 )
 from .errors import (
     ChartMismatchError,

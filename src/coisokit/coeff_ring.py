@@ -16,12 +16,16 @@ Terms are kept sorted by the lexicographic key (x-exponents, Fourier modes,
 y-exponents) with no zero scalars, so equal elements are equal tuples and can
 be hashed and compared bit for bit.
 
+A Scalar stores each Gaussian rational as Python ints: one quad
+(pi-exponent, re, im, den) standing for (re + i*im)/den, in lowest terms.
 Coefficients are accumulated once per operation, and a sum of products is
 one operation.  A product, a sum or a signed sum of products (``dot``)
-collects the Gaussian rationals of every contribution in one accumulator per
-output key (a dict from pi-exponent to ``[re, im]``) and builds each output
-Scalar once; a product skips the term pairs above the jet order before any
-arithmetic, and no per-pair Scalar and no partial sum is built.
+collects every contribution in one accumulator per output key (a dict from
+pi-exponent to ``[re, im, den]``): integer products and sums, unreduced,
+with one gcd only where two denominators differ.  Each output term is then
+reduced by one gcd and each output Scalar built once; a product skips the
+term pairs above the jet order before any arithmetic, and no per-pair
+Scalar, no Fraction and no partial sum is built.
 
 Jets (finite fibre order) are ordinary elements with ``jet_order`` set;
 binary operations between jets truncate to the minimum order.
@@ -50,9 +54,6 @@ from .errors import (
     UnknownCoordinateError,
 )
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 def _frac(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -62,44 +63,79 @@ def _frac(v) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(v).__name__}")
 
 
-def _acc_add(acc: dict, terms) -> None:
-    """Add (e, re, im) triples into an accumulator {e: [re, im]}."""
-    for e, re, im in terms:
+def _acc_put(slot: list, re: int, im: int, den: int) -> None:
+    """Add (re + i*im)/den into a slot of another denominator, with one gcd."""
+    d0 = slot[2]
+    g = math.gcd(d0, den)
+    m0, m1 = den // g, d0 // g
+    slot[0] = slot[0] * m0 + re * m1
+    slot[1] = slot[1] * m0 + im * m1
+    slot[2] = d0 * m0
+
+
+def _acc_add(acc: dict, quads) -> None:
+    """Add (e, re, im, den) quads into an accumulator {e: [re, im, den]}."""
+    for e, re, im, den in quads:
         slot = acc.get(e)
         if slot is None:
-            acc[e] = [re, im]
-        else:
+            acc[e] = [re, im, den]
+        elif slot[2] == den:
             slot[0] += re
             slot[1] += im
+        else:
+            _acc_put(slot, re, im, den)
 
 
 def _acc_mul(acc: dict, left, right) -> None:
-    """Add the product of two canonical term tuples into an accumulator."""
-    for e1, a, b in left:
-        for e2, c, d in right:
+    """Add the product of two quad tuples into an accumulator, unreduced."""
+    for e1, a, b, d1 in left:
+        for e2, c, d, d2 in right:
             e = e1 + e2
+            den = d1 * d2
             slot = acc.get(e)
             if b or d:
                 re, im = a * c - b * d, a * d + b * c
                 if slot is None:
-                    acc[e] = [re, im]
-                else:
+                    acc[e] = [re, im, den]
+                elif slot[2] == den:
                     slot[0] += re
                     slot[1] += im
+                else:
+                    _acc_put(slot, re, im, den)
             elif slot is None:  # both real: no imaginary cross terms
-                acc[e] = [a * c, _F0]
-            else:
+                acc[e] = [a * c, 0, den]
+            elif slot[2] == den:
                 slot[0] += a * c
+            else:
+                _acc_put(slot, a * c, 0, den)
 
 
 def _neg_terms(terms: tuple) -> tuple:
-    """A canonical term tuple with every coefficient negated (still canonical)."""
-    return tuple((e, -re, -im) for e, re, im in terms)
+    """A quad tuple with every coefficient negated (still canonical)."""
+    return tuple((e, -re, -im, den) for e, re, im, den in terms)
 
 
 def _acc_terms(acc: dict) -> tuple:
-    """The sorted term tuple of an accumulator, zero coefficients dropped."""
-    return tuple((e, re, im) for e, (re, im) in sorted(acc.items()) if re or im)
+    """The sorted quad tuple of an accumulator: zero coefficients dropped and
+    each term reduced by one gcd."""
+    out = []
+    gcd = math.gcd
+    for e, (re, im, den) in sorted(acc.items()):
+        if re or im:
+            if den != 1:
+                g = gcd(re, im, den)
+                if g != 1:
+                    re, im, den = re // g, im // g, den // g
+            out.append((e, re, im, den))
+    return tuple(out)
+
+
+def _quad(e: int, re, im) -> tuple:
+    """The quad of (re + i*im) * pi^e for ints or Fractions, over their lcm."""
+    re, im = _frac(re), _frac(im)
+    den = math.lcm(re.denominator, im.denominator)
+    return (e, re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
 
 
 class Scalar:
@@ -107,21 +143,30 @@ class Scalar:
 
     The map from pi-exponent e to the Gaussian rational a_e + i*b_e is
     finite and stores no zero coefficients.  Multiplication adds
-    pi-exponents; all arithmetic is exact.  Every operation fills one
-    accumulator {e: [re, im]} and sorts it once; results that are canonical
-    by construction (negation, conjugation, inverse) are wrapped as they are.
+    pi-exponents; all arithmetic is exact and runs on Python ints.
+
+    Each Gaussian rational is stored as integer numerators over one
+    denominator, as the quad (e, re, im, den) with den > 0,
+    gcd(re, im, den) == 1 and (re, im) != (0, 0), one per exponent and
+    sorted by e, so equal Scalars store equal tuples.  Every operation fills
+    one accumulator {e: [re, im, den]}: numerators add directly over equal
+    denominators, and otherwise both go to a common denominator with one
+    gcd.  The accumulator is sorted once and each output term is reduced by
+    one gcd; results that are canonical by construction (negation,
+    conjugation, inverse) are wrapped as they are.  ``terms`` shows the
+    coefficients as (e, Fraction re, Fraction im) triples.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[int, Fraction, Fraction]] = ()):
         acc: dict[int, list] = {}
-        _acc_add(acc, terms)
-        self._terms = tuple((e, _frac(re), _frac(im)) for e, re, im in _acc_terms(acc))
+        _acc_add(acc, [_quad(e, re, im) for e, re, im in terms])
+        self._terms = _acc_terms(acc)
 
     @classmethod
     def _wrap(cls, terms: tuple) -> "Scalar":
-        """A Scalar over an already canonical term tuple of Fractions."""
+        """A Scalar over an already canonical quad tuple."""
         s = object.__new__(cls)
         s._terms = terms
         return s
@@ -130,48 +175,52 @@ class Scalar:
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls()
+        return cls._wrap(())
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls(((0, _F1, _F0),))
+        return cls._wrap(((0, 1, 0, 1),))
 
     @classmethod
     def rational(cls, num, den=1) -> "Scalar":
-        return cls(((0, Fraction(num, den), _F0),))
+        return cls.of(Fraction(num, den))
 
     @classmethod
     def gaussian(cls, re, im) -> "Scalar":
-        return cls(((0, _frac(re), _frac(im)),))
+        return cls(((0, re, im),))
 
     @classmethod
     def imag_unit(cls) -> "Scalar":
-        return cls(((0, _F0, _F1),))
+        return cls._wrap(((0, 0, 1, 1),))
 
     @classmethod
     def pi_power(cls, exponent: int, coeff=1) -> "Scalar":
-        return cls(((exponent, _frac(coeff), _F0),))
+        return cls(((exponent, coeff, 0),))
 
     @classmethod
     def of(cls, v) -> "Scalar":
         if isinstance(v, Scalar):
             return v
-        if isinstance(v, (int, Fraction)):
-            return cls(((0, _frac(v), _F0),))
+        if isinstance(v, int):
+            return cls._wrap(((0, int(v), 0, 1),) if v else ())
+        if isinstance(v, Fraction):
+            return cls._wrap(((0, v.numerator, 0, v.denominator),) if v else ())
         raise TypeError(f"cannot coerce {type(v).__name__} to Scalar")
 
     # -- queries -------------------------------------------------------
 
     @property
     def terms(self):
-        return self._terms
+        """The coefficients as (e, re, im) triples of Fractions, sorted by e."""
+        return tuple((e, Fraction(re, den), Fraction(im, den))
+                     for e, re, im, den in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def single_term(self):
         """The (exponent, re, im) triple when there is exactly one, else None."""
-        return self._terms[0] if len(self._terms) == 1 else None
+        return self.terms[0] if len(self._terms) == 1 else None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -207,8 +256,8 @@ class Scalar:
         """sum_k sign_k * f_k * g_k over (sign, f, g) triples, sign +1 or -1.
 
         Every product is multiplied into one accumulator, which is sorted
-        once: the same Scalar as the pairwise sum of the signed products.
-        Raises ValueError when there is no product.
+        and reduced once: the same Scalar as the pairwise sum of the signed
+        products.  Raises ValueError when there is no product.
         """
         products = tuple(products)
         if not products:
@@ -219,26 +268,28 @@ class Scalar:
         return cls._wrap(_acc_terms(acc))
 
     def conjugate(self) -> "Scalar":
-        return Scalar._wrap(tuple((e, re, -im) for e, re, im in self._terms))
+        return Scalar._wrap(tuple((e, re, -im, den) for e, re, im, den in self._terms))
 
     def inverse(self) -> "Scalar":
         """Exact inverse; defined only for single-term scalars c * pi^e."""
-        t = self.single_term()
-        if t is None:
+        if len(self._terms) != 1:
             raise NonInvertibleScalarError(
                 f"cannot invert {self!r}: not a single pi-power term"
             )
-        e, a, b = t
-        n = a * a + b * b
-        return Scalar._wrap(((-e, a / n, -b / n),))
+        ((e, a, b, d),) = self._terms
+        # den / (a + i b) = den (a - i b) / (a^2 + b^2)
+        re, im, den = d * a, -d * b, a * a + b * b
+        g = math.gcd(re, im, den)
+        return Scalar._wrap(((-e, re // g, im // g, den // g),))
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inverse()
 
     def evalf(self) -> complex:
+        # int true division rounds correctly, as float(Fraction) does
         val = 0j
-        for e, re, im in self._terms:
-            val += complex(re, im) * math.pi ** e
+        for e, re, im, den in self._terms:
+            val += complex(re / den, im / den) * math.pi ** e
         return val
 
     # -- structural ----------------------------------------------------
@@ -279,7 +330,7 @@ class Scalar:
                 "(" + _gauss_text(re, im) + ")", _pi_text(e)
             )
         pieces = []
-        for e, re, im in self._terms:
+        for e, re, im in self.terms:
             if im == 0:
                 body = _join_factors(_frac_text(re), _pi_text(e))
             elif re == 0:
@@ -711,15 +762,15 @@ class RingElement:
             if kind == "poly":
                 e = xe[idx]
                 if e:
-                    out.append((_bump(xe, idx, -1), k, ye, s * Fraction(e)))
+                    out.append((_bump(xe, idx, -1), k, ye, s * Scalar.of(e)))
             elif kind == "fibre":
                 e = ye[idx]
                 if e:
-                    out.append((xe, k, _bump(ye, idx, -1), s * Fraction(e)))
+                    out.append((xe, k, _bump(ye, idx, -1), s * Scalar.of(e)))
             else:
                 n = k[idx]
-                if n:
-                    out.append((xe, k, ye, s * Scalar.pi_power(1, 2 * n) * Scalar.imag_unit()))
+                if n:  # d/dx e^{2 pi i n x} = 2 pi i n e^{2 pi i n x}
+                    out.append((xe, k, ye, s * Scalar._wrap(((1, 0, 2 * n, 1),))))
         jet = self.jet_order
         if kind == "fibre" and jet is not None:
             jet -= 1  # y^N + O(y^(N+1)) differentiates to order N - 1
@@ -1118,26 +1169,3 @@ def sample_grid(chart: ChartSpec, names: Sequence[str], per_axis: int = 32):
                 tuple(-1.0 + 2.0 * j / (per_axis - 1) for j in range(per_axis))
             )
     return tuple(itertools.product(*axes))
-
-
-# -- spec-level operation names ------------------------------------------------
-
-
-def ring_mul(f: RingElement, g: RingElement) -> RingElement:
-    """Exact product of two ring elements on the same chart."""
-    return f * g
-
-
-def partial_derivative(f: RingElement, coord: str) -> RingElement:
-    """Exact partial derivative of f with respect to a chart coordinate."""
-    return f.partial(coord)
-
-
-def taylor_shift(f: RingElement, alphas: Sequence[RingElement]) -> RingElement:
-    """Exact substitution y_j -> y_j + alphas[j] for base-only alphas."""
-    return f.shift_fibre(alphas)
-
-
-def eval_point(f: RingElement, point: Sequence[float]) -> complex:
-    """Machine-precision value of f, with pi evaluated numerically."""
-    return f.eval(point)

@@ -1,5 +1,6 @@
 """Exact coefficient ring: canonical form, calculus, evaluation, rendering."""
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_scalar as fs
 from conftest import rand_fraction, rand_ring, rng_for, small_chart
 from coisokit import (
     ChartMismatchError,
@@ -18,11 +20,7 @@ from coisokit import (
     RingElement,
     Scalar,
     UnknownCoordinateError,
-    eval_point,
     make_chart,
-    partial_derivative,
-    ring_mul,
-    taylor_shift,
 )
 from coisokit.coeff_ring import ChartSpec, GridEvaluator
 
@@ -89,6 +87,136 @@ class TestScalarAxioms:
         assert a.conjugate().conjugate() == a
 
 
+# operands for the differential tests: numerators above 2**64 and unrelated
+# denominators, so sums take the common-denominator path and products carry
+# large unreduced numerators; pi-exponents of both signs
+_NUMS = st.one_of(st.integers(-6, 6), st.integers(-(2 ** 70), 2 ** 70))
+_DENS = st.one_of(st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12)), st.integers(1, 2 ** 66))
+_WIDE_TERM = st.tuples(st.integers(-3, 3), st.builds(Fraction, _NUMS, _DENS),
+                       st.builds(Fraction, _NUMS, _DENS))
+_WIDE_TERMS = st.lists(_WIDE_TERM, max_size=4)
+_SINGLE_TERM = _WIDE_TERM.filter(lambda t: t[1] or t[2])
+
+
+def _bits(z: complex) -> tuple:
+    """A complex value bit for bit, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def assert_canonical(s: Scalar):
+    """The stored quads: ints, den > 0, gcd 1, no zero pair, increasing e."""
+    exps = [q[0] for q in s._terms]
+    assert exps == sorted(set(exps))
+    for e, re, im, den in s._terms:
+        assert all(type(v) is int for v in (e, re, im, den))
+        assert den > 0 and (re, im) != (0, 0) and math.gcd(re, im, den) == 1
+    back = Scalar(s.terms)
+    assert back == s and hash(back) == hash(s)
+
+
+class TestScalarAgainstFractionReference:
+    """Every operation agrees with Fraction-triple arithmetic (fraction_scalar)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_WIDE_TERMS, _WIDE_TERMS)
+    def test_sums_negation_and_conjugate(self, ta, tb):
+        a, b = Scalar(ta), Scalar(tb)
+        ra, rb = fs.canon(ta), fs.canon(tb)
+        assert a.terms == ra and b.terms == rb
+        assert (a + b).terms == fs.add(ra, rb)
+        assert (a - b).terms == fs.add(ra, fs.neg(rb))
+        assert (-a).terms == fs.neg(ra)
+        assert a.conjugate().terms == fs.conjugate(ra)
+        q = Fraction(3, 4)
+        assert (a + q).terms == fs.add(ra, fs.canon([(0, q, 0)]))
+        assert (2 - a).terms == fs.add(fs.canon([(0, 2, 0)]), fs.neg(ra))
+        for s in (a + b, a - b, -a, a.conjugate(), 2 - a):
+            assert_canonical(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_WIDE_TERMS, _WIDE_TERMS, _WIDE_TERMS)
+    def test_products(self, ta, tb, tc):
+        a, b, c = Scalar(ta), Scalar(tb), Scalar(tc)
+        ra, rb, rc = fs.canon(ta), fs.canon(tb), fs.canon(tc)
+        assert (a * b).terms == fs.mul(ra, rb)
+        assert (a * b * c).terms == fs.mul(fs.mul(ra, rb), rc)
+        assert (a * Fraction(-5, 6)).terms == fs.mul(ra, fs.canon([(0, Fraction(-5, 6), 0)]))
+        for s in (a * b, a * b * c):
+            assert_canonical(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((1, -1)), _WIDE_TERMS, _WIDE_TERMS),
+                    min_size=1, max_size=4))
+    def test_dot(self, products):
+        got = Scalar.dot([(sign, Scalar(f), Scalar(g)) for sign, f, g in products])
+        assert got.terms == fs.dot([(sign, fs.canon(f), fs.canon(g)) for sign, f, g in products])
+        assert_canonical(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SINGLE_TERM, _WIDE_TERMS)
+    def test_inverse_and_division(self, t, ta):
+        s, a = Scalar([t]), Scalar(ta)
+        rs, ra = fs.canon([t]), fs.canon(ta)
+        assert s.inverse().terms == fs.inverse(rs)
+        assert (a / s).terms == fs.mul(ra, fs.inverse(rs))
+        assert_canonical(s.inverse())
+        assert_canonical(a / s)
+        if len(ra) > 1:
+            with pytest.raises(NonInvertibleScalarError):
+                a.inverse()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_WIDE_TERMS, _WIDE_TERMS)
+    def test_render(self, ta, tb):
+        a, b = Scalar(ta), Scalar(tb)
+        ra, rb = fs.canon(ta), fs.canon(tb)
+        assert a.render() == fs.render(ra)
+        assert (a * b).render() == fs.render(fs.mul(ra, rb))
+        assert (a + b).render() == fs.render(fs.add(ra, rb))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_WIDE_TERMS, _WIDE_TERMS)
+    def test_evalf_bit_for_bit(self, ta, tb):
+        a, b = Scalar(ta), Scalar(tb)
+        ra, rb = fs.canon(ta), fs.canon(tb)
+        assert _bits(a.evalf()) == _bits(fs.evalf(ra))
+        assert _bits((a * b).evalf()) == _bits(fs.evalf(fs.mul(ra, rb)))
+        assert _bits((a - b).evalf()) == _bits(fs.evalf(fs.add(ra, fs.neg(rb))))
+
+    def test_signed_zero_parts(self):
+        # a zero real or imaginary part evaluates to +0.0, as float(Fraction(0))
+        for s in (Scalar.imag_unit(), Scalar.rational(-1, 3), -Scalar.imag_unit(),
+                  Scalar.pi_power(-2, Fraction(-7, 2))):
+            assert _bits(s.evalf()) == _bits(fs.evalf(s.terms))
+
+
+class TestScalarCanonicalForm:
+    def test_constructors_store_canonical_quads(self):
+        for s in (Scalar.zero(), Scalar.one(), Scalar.imag_unit(), Scalar.of(True),
+                  Scalar.of(-4), Scalar.of(Fraction(6, -4)), Scalar.rational(10, 4),
+                  Scalar.gaussian(Fraction(1, 6), Fraction(-1, 4)),
+                  Scalar.pi_power(-3, Fraction(9, 12)), Scalar.pi_power(2, 0)):
+            assert_canonical(s)
+
+    def test_two_routes_to_one_value_hash_alike(self):
+        a = Scalar.rational(1, 2) + Scalar.rational(1, 3)
+        b = Scalar.rational(5, 6)
+        assert a == b and hash(a) == hash(b)
+        c = Scalar.gaussian(Fraction(1, 4), Fraction(1, 6)) * Scalar.rational(4)
+        d = Scalar.gaussian(1, Fraction(2, 3))
+        assert c == d and hash(c) == hash(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_WIDE_TERMS, _WIDE_TERMS, _WIDE_TERMS)
+    def test_equal_values_from_different_routes(self, ta, tb, tc):
+        a, b, c = Scalar(ta), Scalar(tb), Scalar(tc)
+        for x, y in (((a + b) + c, a + (b + c)), (a * b, b * a),
+                     (a * (b + c), Scalar.dot([(1, a, b), (1, a, c)])),
+                     (Scalar(ta + tb), a + b)):
+            assert x == y and hash(x) == hash(y)
+            assert_canonical(x)
+
+
 @pytest.fixture
 def chart():
     return small_chart()
@@ -102,7 +230,7 @@ class TestRingMul:
         expected = RingElement.constant(chart, Fraction(1, 2)) + RingElement.cos_of(
             chart, {"x2": 2}
         ).scale(Fraction(-1, 2))
-        assert ring_mul(s, s) == expected
+        assert s * s == expected
 
     def test_multiplicative_identity(self, chart):
         rng = rng_for("ring-one")
@@ -117,7 +245,7 @@ class TestRingMul:
     def test_chart_mismatch_rejected(self, chart):
         other = make_chart("a b*", "c d")
         with pytest.raises(ChartMismatchError):
-            ring_mul(RingElement.one(chart), RingElement.one(other))
+            RingElement.one(chart) * RingElement.one(other)
 
     def test_ring_axioms_random(self, chart):
         rng = rng_for("ring-axioms")
@@ -337,30 +465,30 @@ class TestPartialDerivative:
         # d/dx sin(2 pi x) = 2 pi cos(2 pi x)
         s = RingElement.sin_of(chart, {"x2": 1})
         expected = RingElement.cos_of(chart, {"x2": 1}).scale(Scalar.pi_power(1, 2))
-        assert partial_derivative(s, "x2") == expected
+        assert s.partial("x2") == expected
 
     def test_fibre_power_rule(self, chart):
         y1 = RingElement.coordinate(chart, "y1")
         y2 = RingElement.coordinate(chart, "y2")
         f = y1 ** 2 * y2
-        assert partial_derivative(f, "y1") == y1.scale(2) * y2
+        assert f.partial("y1") == y1.scale(2) * y2
         # d/dy of y^3 + O(y^4) is known only through y^2; d/dx keeps the order
         jet = (y1 ** 3).truncate(3)
-        assert partial_derivative(jet, "y1") == (y1 ** 2).scale(3).truncate(2)
+        assert jet.partial("y1") == (y1 ** 2).scale(3).truncate(2)
         x1 = RingElement.coordinate(chart, "x1")
-        assert partial_derivative(x1 * jet, "x1") == jet
+        assert (x1 * jet).partial("x1") == jet
 
     def test_unknown_coordinate(self, chart):
         with pytest.raises(UnknownCoordinateError):
-            partial_derivative(RingElement.one(chart), "nope")
+            RingElement.one(chart).partial("nope")
 
     def test_product_rule_random(self, chart):
         rng = rng_for("leibniz-ring")
         for _ in range(100):
             f, g = rand_ring(rng, chart), rand_ring(rng, chart)
             nm = rng.choice(["x1", "x2", "y1", "y2"])
-            lhs = partial_derivative(f * g, nm)
-            rhs = partial_derivative(f, nm) * g + f * partial_derivative(g, nm)
+            lhs = (f * g).partial(nm)
+            rhs = f.partial(nm) * g + f * g.partial(nm)
             assert lhs == rhs
 
     def test_mixed_partials_commute(self, chart):
@@ -376,7 +504,7 @@ class TestTaylorShift:
         # (y + c)^2 = y^2 + 2 c y + c^2
         y1 = RingElement.coordinate(chart, "y1")
         c = RingElement.constant(chart, Fraction(3, 2))
-        shifted = taylor_shift(y1 ** 2, [c, RingElement.zero(chart)])
+        shifted = (y1 ** 2).shift_fibre([c, RingElement.zero(chart)])
         assert shifted == y1 ** 2 + y1.scale(3) + RingElement.constant(
             chart, Fraction(9, 4)
         )
@@ -386,7 +514,7 @@ class TestTaylorShift:
         zero = [RingElement.zero(chart)] * 2
         for _ in range(10):
             f = rand_ring(rng, chart)
-            assert taylor_shift(f, zero) == f
+            assert f.shift_fibre(zero) == f
 
     def test_jet_shift_truncates(self, chart):
         # order-2 jet of the shift of y^3 by c = 2: y^3 is dropped, the
@@ -395,16 +523,16 @@ class TestTaylorShift:
         y1 = RingElement.coordinate(chart, "y1")
         zero = RingElement.zero(chart)
         c = RingElement.constant(chart, 2)
-        shifted = taylor_shift(y1 ** 3, [c, zero]).truncate(2)
+        shifted = (y1 ** 3).shift_fibre([c, zero]).truncate(2)
         expected = (y1 ** 2).scale(6) + y1.scale(12) + RingElement.constant(chart, 8)
         assert shifted.without_truncation() == expected
-        via_jet = taylor_shift((y1 ** 3).truncate(3), [c, zero]).truncate(2)
+        via_jet = (y1 ** 3).truncate(3).shift_fibre([c, zero]).truncate(2)
         assert via_jet == shifted
 
     def test_fibre_dependent_shift_rejected(self, chart):
         y1 = RingElement.coordinate(chart, "y1")
         with pytest.raises(FibreDependenceError):
-            taylor_shift(y1, [y1, RingElement.zero(chart)])
+            y1.shift_fibre([y1, RingElement.zero(chart)])
 
     def test_shift_evaluation_identity(self, chart):
         # eval(shift(f, a), (x, 0)) == eval(f, (x, a(x)))
@@ -415,7 +543,7 @@ class TestTaylorShift:
                 rand_ring(rng, chart, max_ydeg=0),
                 rand_ring(rng, chart, max_ydeg=0),
             ]
-            g = taylor_shift(f, alphas)
+            g = f.shift_fibre(alphas)
             x = (rng.uniform(-1, 1), rng.uniform(0, 1))
             base = x + (0.0, 0.0)
             target = x + tuple(a.eval(base).real for a in alphas)
@@ -427,7 +555,7 @@ class TestTaylorShift:
 class TestEvalPoint:
     def test_sin_quarter_period(self, chart):
         s = RingElement.sin_of(chart, {"x2": 1})
-        v = eval_point(s, (0.0, 0.25, 0.0, 0.0))
+        v = s.eval((0.0, 0.25, 0.0, 0.0))
         assert abs(v - 1.0) <= 1e-12
 
     def test_eval_is_multiplicative(self, chart):
@@ -435,8 +563,8 @@ class TestEvalPoint:
         for _ in range(100):
             f, g = rand_ring(rng, chart), rand_ring(rng, chart)
             p = tuple(rng.uniform(-1, 1) for _ in range(4))
-            lhs = eval_point(f * g, p)
-            rhs = eval_point(f, p) * eval_point(g, p)
+            lhs = (f * g).eval(p)
+            rhs = f.eval(p) * g.eval(p)
             assert abs(lhs - rhs) <= 1e-10 * (abs(rhs) + 1)
 
     def test_finite_difference_oracle(self, chart):
@@ -456,7 +584,7 @@ class TestEvalPoint:
 
     def test_dimension_mismatch(self, chart):
         with pytest.raises(DimensionMismatchError):
-            eval_point(RingElement.one(chart), (0.0, 0.0))
+            RingElement.one(chart).eval((0.0, 0.0))
 
     def test_real_element_has_tiny_imaginary_part(self, chart):
         rng = rng_for("eval-real")
@@ -523,7 +651,7 @@ class TestReality:
             assert (f + g).is_real_element()
             assert (f * g).is_real_element()
             assert f.partial("x2").is_real_element()
-            assert taylor_shift(f, alphas).is_real_element()
+            assert f.shift_fibre(alphas).is_real_element()
 
     def test_imaginary_detected(self, chart):
         f = RingElement.fourier_mode(chart, {"x2": 1})

@@ -8,6 +8,10 @@ classes, to itself.
 
 Every coisokit import sits at module level: an import inside a function
 hides an import cycle instead of breaking it.
+
+The stored layout of a ``Scalar`` (``_terms``, integer quads) has one owner,
+``coeff_ring``: every other module reads coefficients through the public
+``Scalar.terms`` view or Scalar arithmetic, whatever the object's name.
 """
 
 import ast
@@ -132,3 +136,31 @@ def test_module_imports_coisokit_at_module_level_only(module):
 )
 def test_local_import_guard_flags_what_it_should(source, expected):
     assert function_local_imports(source) == expected
+
+
+def layout_reads(source: str) -> list:
+    """(line, what) for each read of the stored Scalar layout ``._terms``."""
+    return sorted(
+        (node.lineno, f"reads .{node.attr}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    )
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "coeff_ring"])
+def test_only_coeff_ring_reads_the_scalar_layout(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert layout_reads(source) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("n = len(s._terms)\n", [(1, "reads ._terms")]),
+        ("def f(c):\n    return c.terms[0][3]._terms\n", [(2, "reads ._terms")]),
+        ("s.terms\nx._terms_cache\n", []),
+    ],
+    ids=["local_name", "nested_attribute", "public_view"],
+)
+def test_layout_guard_flags_what_it_should(source, expected):
+    assert layout_reads(source) == expected

@@ -1,0 +1,172 @@
+"""Every exact output stays byte-identical to the recorded one.
+
+Each output below is a text (a report, a ``render()``, the ``repr`` of exact
+terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
+
+- the ``t4.scn`` report in text, json and csv, at the default samples and
+  at ``--samples 8``;
+- ``render()`` and the exact terms of ``mc_series_exact`` and ``exp_ad``
+  over a seeded family of centred bivectors and degree-1 sections;
+- ``repr`` and the exact entry terms of ``invert_affine_pencil`` for
+  ``tests/data/rational_pencil.txt``;
+- the exact terms of ``coiso_algebra_from_form(omega, 12).pi`` for two jet
+  models.
+
+"Exact terms" spell out every coefficient as its ``Scalar.terms`` triples
+``(pi-exponent, Fraction re, Fraction im)`` and every jet order, so a change
+of stored layout that moves any value, or any rendering, fails here.
+
+After a deliberate output change (name the moved outputs in CHANGES.md),
+regenerate the file from the root of the checkout with
+
+    PYTHONPATH=src python tests/test_output_hashes.py --write
+"""
+
+import hashlib
+import itertools
+import json
+import os
+import re
+import sys
+from fractions import Fraction
+
+from conftest import rand_ring, rand_section, rng_for
+from coisokit import (
+    DifferentialForm,
+    MultiVectorField,
+    RingElement,
+    coiso_algebra_from_form,
+    de_rham_d,
+    exp_ad,
+    invert_affine_pencil,
+    make_chart,
+    make_coiso_algebra,
+    mc_series_exact,
+    parse_pencil_text,
+)
+from coisokit.cli import RunFlags, emit_report, parse_scenario, run
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+HASHES = os.path.join(DATA, "output_hashes.json")
+
+
+def _read(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _element_terms(c: RingElement):
+    return (c.jet_order, tuple((xe, k, ye, s.terms) for xe, k, ye, s in c.terms))
+
+
+def _field_terms(field) -> str:
+    return repr(tuple((dirs, _element_terms(c)) for dirs, c in field.terms))
+
+
+def _t4_reports():
+    for samples, fmt in itertools.product((None, 8), ("text", "json", "csv")):
+        scenario = parse_scenario(_read("t4.scn"), name="t4.scn", base_dir=DATA)
+        flags = RunFlags() if samples is None else RunFlags(samples=samples)
+        yield f"t4/{fmt}/samples={samples or 'default'}", emit_report(run(scenario, flags), fmt)
+
+
+# (base spec, fibre spec, y-degree of the bivector, complex coefficients)
+SERIES_FAMILY = (
+    ("x1", "y1", 1, False),
+    ("x1*", "y1 y2", 2, True),
+    ("x1 x2*", "y1 y2", 2, False),
+    ("x1* x2", "y1", 3, True),
+    ("x1* x2", "y1 y2", 3, True),
+    ("b0* b1 b2", "f0 f1", 1, True),
+    ("b0* b1", "f0 f1 f2", 2, False),
+    ("b0* b1", "f0 f1 f2", 2, True),
+)
+
+
+def _series_trial(rng, base, fibre, ydeg, complex_coeffs):
+    """A centred bivector (every wedge pair holds a base direction) and a section."""
+    chart = make_chart(base, fibre)
+    keys = [k for k in itertools.combinations(range(chart.n_dirs), 2) if k[0] < chart.n_base]
+    pi = MultiVectorField.zero(chart, 2)
+    for _ in range(3):
+        coeff = rand_ring(rng, chart, max_xdeg=1, max_mode=2, max_ydeg=ydeg,
+                          nterms=3, real=not complex_coeffs)
+        pi = pi + MultiVectorField(chart, 2, ((rng.choice(keys), coeff.scale(Fraction(5, 7))),))
+    a = rand_section(rng, chart, max_xdeg=1, max_mode=1, real=not complex_coeffs)
+    return pi, a
+
+
+def _series_outputs():
+    rng = rng_for("output-hashes-series")
+    for n, spec in enumerate(SERIES_FAMILY):
+        pi, a = _series_trial(rng, *spec)
+        series = mc_series_exact(make_coiso_algebra(pi, require_poisson=False), a)
+        pushed = exp_ad(pi, a)
+        yield f"series/{n}/mc/render", series.render()
+        yield f"series/{n}/mc/terms", _field_terms(series)
+        yield f"series/{n}/exp_ad/render", pushed.render()
+        yield f"series/{n}/exp_ad/terms", _field_terms(pushed)
+
+
+def _pencil_outputs():
+    inverse = invert_affine_pencil(parse_pencil_text(_read("rational_pencil.txt")), 6)
+    yield "pencil/repr", repr(inverse)
+    yield "pencil/terms", repr(tuple(tuple(_element_terms(e) for e in row) for row in inverse))
+
+
+def _jet_form(chart, theta_dir, theta):
+    one = RingElement.one(chart)
+    return (
+        DifferentialForm(chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one)))
+        + de_rham_d(DifferentialForm(chart, 1, (((theta_dir,), theta),)))
+    )
+
+
+def _jet_outputs():
+    chart = make_chart("x1 x2 q1 q2", "p1 p2")
+    x1, x2, p1, p2 = (RingElement.coordinate(chart, n) for n in ("x1", "x2", "p1", "p2"))
+    models = (
+        _jet_form(chart, 0, p1 * x2),
+        _jet_form(chart, 1, (p2 * x1 * x2).scale(Fraction(-1, 2))),
+    )
+    for n, omega in enumerate(models):
+        yield f"jet/{n}/pi/terms", _field_terms(coiso_algebra_from_form(omega, 12).pi)
+
+
+def outputs():
+    """(name, text) of every hashed output, in a fixed order."""
+    yield from _t4_reports()
+    yield from _series_outputs()
+    yield from _pencil_outputs()
+    yield from _jet_outputs()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_output_matches_its_recorded_hash():
+    with open(HASHES, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    got = {name: _digest(text) for name, text in outputs()}
+    assert sorted(got) == sorted(recorded)
+    assert [name for name in got if got[name] != recorded[name]] == []
+
+
+def test_series_family_has_teeth():
+    """Most series are nonzero and they carry i, powers of pi and several denominators."""
+    mc = [t for name, t in _series_outputs() if name.endswith("mc/render")]
+    assert sum(t != "0" for t in mc) >= len(SERIES_FAMILY) // 2
+    joined = " ".join(mc)
+    assert "*i*" in joined and "*pi*" in joined
+    assert {"/7", "/14", "/21"} <= set(re.findall(r"/\d+", joined))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_output_hashes.py --write")
+    table = {name: _digest(text) for name, text in outputs()}
+    with open(HASHES, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(table)} hashes to {HASHES}")
