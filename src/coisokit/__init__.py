@@ -43,10 +43,8 @@ from .forms import (
     leafwise_d,
     leafwise_sharp_inverse,
     leafwise_sharp_star,
-    linear_fibre_change,
     musical_inverse,
     pullback_zero_section,
-    restrict_to_subbundle,
     sharp_star,
     sharp_star_inverse,
 )
@@ -57,7 +55,6 @@ from .linfty import (
     ConvergenceTable,
     TwistedElement,
     coiso_algebra_from_form,
-    coisotropic_brackets,
     coisotropy_check_numeric,
     higher_jacobi_verify,
     kuranishi_rep,
@@ -79,7 +76,6 @@ from .multivector import (
     fibre_translate_pushforward,
     projection_P,
     schouten_bracket,
-    sharp_contract,
 )
 from .obstruction import (
     ObstructionReport,

@@ -1,17 +1,27 @@
 """Exact linear algebra over scalars and ring elements.
 
 Inverses are computed as adjugate over determinant, so the only division
-happens once, by the determinant.  A determinant is exactly invertible when
-it is a single term (one pi-power for scalars; additionally one monomial and
-Fourier mode for ring elements), which covers every matrix this package
-needs to invert exactly.
+happens once per block, by the block's determinant.  A determinant is
+exactly invertible when it is a single term (one pi-power for scalars;
+additionally one monomial and Fourier mode for ring elements), which covers
+every matrix this package needs to invert exactly.
 
-Every determinant and cofactor is one minor over row and column bitmasks,
-memoised in a table; a minor of two or more rows is one signed ``dot`` over
-its row expansion, for scalar and ring entries alike.  The inverse takes one
-table per removed row, so the n cofactors of that row share their
-sub-minors; one table for all n^2 cofactors would share more but holds more
-minors at once.
+A matrix is first split into its blocks: the connected components of its
+nonzero pattern, read as a bipartite graph of rows and columns joined by
+their nonzero entries.  Up to a permutation of rows and of columns the
+matrix is block diagonal, so its determinant is the permutation sign times
+the product of the block determinants, and its inverse holds each block's
+adjugate over that block's determinant, with zero between blocks.  A
+component with more rows than columns makes the matrix structurally
+singular: its determinant is then the exact ``zero``, with no jet order,
+where a full expansion could give a zero jet.  The inverse of a matrix with
+jet entries carries each block's own jet order.
+
+Every block determinant and cofactor is one minor over row and column
+bitmasks, memoised in a table; a minor of two or more rows is one signed
+``dot`` over its row expansion, for scalar and ring entries alike.  The
+inverse takes one table per removed row of a block, so the cofactors of
+that row share their sub-minors.
 """
 
 from __future__ import annotations
@@ -59,46 +69,106 @@ def _minor(mat, zero, table: dict, rows: int, cols: int):
     return total
 
 
-def _det(mat, zero):
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _components(mat) -> list:
+    """The connected components of the nonzero pattern of ``mat`` as
+    (rows, cols) bitmask pairs, in order of their lowest row.  A zero row is
+    a component with no columns; a zero column is in no component."""
+    pattern = [sum(1 << j for j, e in enumerate(row) if not e.is_zero()) for row in mat]
+    left = (1 << len(mat)) - 1
+    out = []
+    while left:
+        rows = new = left & -left
+        cols = 0
+        while new:
+            reach = 0
+            for i in _bits(new):
+                reach |= pattern[i]
+            reach &= ~cols
+            cols |= reach
+            new = 0
+            if reach:
+                for i in _bits(left & ~rows):
+                    if pattern[i] & reach:
+                        new |= 1 << i
+            rows |= new
+        left &= ~rows
+        out.append((rows, cols))
+    return out
+
+
+def _parity(masks) -> int:
+    """The parity of the permutation that lists the set bits of each mask in
+    turn, each mask in ascending order."""
+    odd, later = 0, 0
+    for mask in reversed(masks):
+        for i in _bits(mask):
+            odd ^= (later & ((1 << i) - 1)).bit_count() & 1
+        later |= mask
+    return odd
+
+
+def _split(mat, zero):
+    """(det, blocks): the determinant of ``mat`` and its blocks as
+    (rows, cols, det) triples, or (``zero``, []) when ``mat`` is
+    structurally singular."""
     if not mat:
         raise ValueError("empty matrix")
-    full = (1 << len(mat)) - 1
-    return _minor(mat, zero, {}, full, full)
+    comps = _components(mat)
+    if any(rows.bit_count() != cols.bit_count() for rows, cols in comps):
+        return zero, []
+    blocks = [(rows, cols, _minor(mat, zero, {}, rows, cols)) for rows, cols in comps]
+    det = blocks[0][2]
+    for _, _, block_det in blocks[1:]:
+        det = det * block_det
+    odd = _parity([rows for rows, _ in comps]) ^ _parity([cols for _, cols in comps])
+    return (-det if odd else det), blocks
 
 
 def scalar_det(mat: Sequence[Sequence[Scalar]]) -> Scalar:
-    return _det(mat, Scalar.zero())
+    return _split(mat, Scalar.zero())[0]
 
 
 def ring_det(mat: Sequence[Sequence[RingElement]]) -> RingElement:
-    return _det(mat, RingElement.zero(mat[0][0].chart))
+    return _split(mat, RingElement.zero(mat[0][0].chart))[0]
 
 
-def _inverse(mat, det_inv, zero):
+def _inverse(mat, blocks, invert, zero):
+    """Each block's adjugate times ``invert`` of its determinant, scattered
+    into ``out[cols][rows]``; entries between blocks are ``zero``."""
     n = len(mat)
-    full = (1 << n) - 1
     out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        table: dict = {}
-        for j in range(n):
-            sub = _minor(mat, zero, table, full ^ (1 << i), full ^ (1 << j))
-            cof = det_inv if sub is None else sub * det_inv
-            out[j][i] = -cof if (i + j) % 2 else cof
+    for rows, cols, det in blocks:
+        det_inv = invert(det)
+        for pos_i, i in enumerate(_bits(rows)):
+            table: dict = {}
+            for pos_j, j in enumerate(_bits(cols)):
+                sub = _minor(mat, zero, table, rows ^ (1 << i), cols ^ (1 << j))
+                cof = det_inv if sub is None else sub * det_inv
+                out[j][i] = -cof if (pos_i + pos_j) % 2 else cof
     return out
 
 
 def scalar_matrix_inverse(mat: Sequence[Sequence[Scalar]]):
     """Exact inverse; requires det to be a single pi-power term."""
-    det = scalar_det(mat)
+    zero = Scalar.zero()
+    det, blocks = _split(mat, zero)
     if det.is_zero():
         raise DegenerateBivectorError("matrix is singular over the scalar ring")
     try:
-        dinv = det.inverse()
+        det.inverse()
     except NonInvertibleScalarError as exc:
         raise NonInvertibleScalarError(
             f"determinant {det.render()} has no exact inverse in the ring"
         ) from exc
-    return _inverse(mat, dinv, Scalar.zero())
+    return _inverse(mat, blocks, Scalar.inverse, zero)
 
 
 def ring_element_inverse(e: RingElement) -> RingElement:
@@ -118,11 +188,12 @@ def ring_element_inverse(e: RingElement) -> RingElement:
 
 def ring_matrix_inverse(mat: Sequence[Sequence[RingElement]]):
     """Exact inverse of a ring matrix whose determinant is invertible."""
-    det = ring_det(mat)
+    zero = RingElement.zero(mat[0][0].chart)
+    det, blocks = _split(mat, zero)
     if det.is_zero():
         raise DegenerateBivectorError("matrix is singular over the ring")
-    dinv = ring_element_inverse(det)
-    return _inverse(mat, dinv, RingElement.zero(det.chart))
+    ring_element_inverse(det)  # the error names the whole determinant
+    return _inverse(mat, blocks, ring_element_inverse, zero)
 
 
 def mat_mul(a, b):

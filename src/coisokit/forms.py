@@ -127,13 +127,6 @@ def interior_product(direction: str, w: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(w.chart, max(w.degree - 1, 0), out)
 
 
-def restrict_to_subbundle(w: DifferentialForm, F: SubbundleSpec) -> DifferentialForm:
-    """Keep only the terms whose every factor lies along F."""
-    fdirs = set(F.indices(w.chart))
-    out = [(dirs, c) for dirs, c in w.terms if set(dirs) <= fdirs]
-    return DifferentialForm(w.chart, w.degree, out)
-
-
 def leafwise_d(w: DifferentialForm, F: SubbundleSpec) -> DifferentialForm:
     """Exterior derivative along the leaves of F only.
 
@@ -161,41 +154,6 @@ def leafwise_d(w: DifferentialForm, F: SubbundleSpec) -> DifferentialForm:
             sign, merged = m
             out.append((merged, dc if sign > 0 else -dc))
     return DifferentialForm(chart, w.degree + 1, out)
-
-
-def linear_fibre_change(w: DifferentialForm, matrix) -> DifferentialForm:
-    """Pull back along the bundle map (x, y) -> (x, M y) for a rational matrix."""
-    chart = w.chart
-    n = chart.n_fibre
-    exprs = []
-    for j in range(n):
-        e = RingElement.zero(chart)
-        for kk in range(n):
-            if matrix[j][kk]:
-                e = e + RingElement.coordinate(chart, chart.fibre[kk]).scale(
-                    Scalar.of(matrix[j][kk])
-                )
-        exprs.append(e)
-    m = chart.n_base
-    mapped: dict[int, DifferentialForm] = {}
-    for d in range(chart.n_dirs):
-        if not chart.is_fibre_dir(d):
-            mapped[d] = DifferentialForm.basis_covector(chart, chart.direction_name(d))
-        else:
-            j = d - m
-            terms = []
-            for kk in range(n):
-                if matrix[j][kk]:
-                    terms.append(
-                        (
-                            (m + kk,),
-                            RingElement.constant(chart, matrix[j][kk]),
-                        )
-                    )
-            mapped[d] = DifferentialForm(chart, 1, terms)
-    return DifferentialForm.from_factor_images(
-        chart, w, mapped, lambda c: c.substitute_fibre(exprs)
-    )
 
 
 # -- musical maps over a constant bivector ---------------------------------------

@@ -563,13 +563,6 @@ def twisted_brackets(alg: CoisoAlgebra) -> Callable:
     return family
 
 
-def coisotropic_brackets(alg: CoisoAlgebra) -> Callable:
-    def family(args):
-        return lambda_n(alg, *args)
-
-    return family
-
-
 def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
     """Maurer-Cartan series sum_k lambda_k(w, ..., w) / k! of w = (tau[1], a).
 

@@ -240,21 +240,3 @@ def exp_ad(
     for term, coeff in ad_series(X, deformation_section(alpha), cap):
         acc = acc + term.scale(coeff)
     return acc
-
-
-def sharp_contract(pi: MultiVectorField, xi) -> MultiVectorField:
-    """The vector field pi(xi, .) for a degree-2 field and a 1-form xi."""
-    if pi.degree != 2:
-        raise ValueError("sharp_contract requires a degree-2 multivector")
-    if getattr(xi, "degree", None) != 1:
-        raise ValueError("covector must have degree 1")
-    chart = pi.chart
-    out: dict[int, RingElement] = {}
-    for (i, j), c in pi.terms:
-        for (d,), xc in xi.terms:
-            # pi(xi, .)_j = sum_i xi_i Pi_{ij} with Pi antisymmetric
-            if d == i:
-                out[j] = out.get(j, RingElement.zero(chart)) + xc * c
-            elif d == j:
-                out[i] = out.get(i, RingElement.zero(chart)) - xc * c
-    return MultiVectorField(chart, 1, (((k,), v) for k, v in out.items()))

@@ -203,7 +203,12 @@ def _neumann_inverse(m, order: int):
     of A are left to the caller."""
     a = [[e.at_zero_fibre() for e in row] for row in m]
     ainv = ring_matrix_inverse(a)
-    minus_y = [[e0 - e for e0, e in zip(row0, row)] for row0, row in zip(a, m)]
+    # -Y is the negated positive-fibre-degree part of each entry, at its jet order
+    minus_y = [
+        [RingElement(e.chart, ((xe, k, ye, -s) for xe, k, ye, s in e.terms if any(ye)),
+                     e.jet_order) for e in row]
+        for row in m
+    ]
     if all(e.is_zero() for row in minus_y for e in row):
         return ainv
     x = mat_mul(ainv, minus_y)  # -A^{-1} Y

@@ -9,11 +9,15 @@ import pytest
 from hypothesis import settings
 
 from coisokit import (
+    DifferentialForm,
     MultiVectorField,
+    PresymplecticData,
     RingElement,
     Scalar,
+    SubbundleSpec,
     VerticalSection,
     as_vertical,
+    gotay_local_model,
     make_chart,
 )
 
@@ -116,6 +120,17 @@ def zero_section(chart):
     return VerticalSection.from_components(
         chart, [RingElement.zero(chart)] * chart.n_fibre
     )
+
+
+def torus_gotay_form(k: int, r: int) -> DifferentialForm:
+    """The Gotay model of T^{2k} x T^r: sum_i dy_{2i-1} ^ dy_{2i} on the
+    base, kernel q1..qr, fibre p1..pr."""
+    ys = [f"y{i + 1}" for i in range(2 * k)]
+    qs = [f"q{j + 1}" for j in range(r)]
+    base = make_chart(" ".join(n + "*" for n in ys + qs))
+    one = RingElement.one(base)
+    omega_c = DifferentialForm(base, 2, (((2 * i, 2 * i + 1), one) for i in range(k)))
+    return gotay_local_model(PresymplecticData(base, omega_c, SubbundleSpec(tuple(qs)))).omega
 
 
 def small_chart():

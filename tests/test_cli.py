@@ -672,13 +672,23 @@ class TestMain:
             ("chart base=(y1*,y2*,q*) fibre=(p)\n",
              "omega = gotay(sin(2*pi*y1)*dy1/\\dy2, q)\n",
              "line 2, col 9: form is numerically degenerate at (0.0, 0.0, 0.0, 0.0)"),
+            # inv_form names the whole determinant, not one of its blocks
+            ("chart base=(y1*,y2*,q1*) fibre=(p1)\n",
+             "omega = dy1/\\dy2 + (1+pi)*dq1/\\dp1\npi = inv_form(omega)\n",
+             "line 3, col 6: form is not exactly invertible at y = 0: "
+             "cannot invert Scalar((1 + 2*pi + pi^2)): not a single pi-power term"),
+            ("chart base=(x,y2*,q1*) fibre=(p1)\n",
+             "omega = x*dx/\\dy2 + dq1/\\dp1\npi = inv_form(omega)\n",
+             "line 3, col 6: form is not exactly invertible at y = 0: "
+             "x^2 has a monomial factor and no inverse in the ring"),
         ],
         ids=[
             "form_times_vector", "vector_times_vector", "scalar_minus_form",
             "vector_plus_form", "scalar_plus_vector", "superscript_two",
             "superscript_exponent", "vector_symbol_digit", "chart_difference",
             "chart_double_star", "chart_digit_start", "gotay_fibre_names",
-            "gotay_degenerate",
+            "gotay_degenerate", "inv_form_pi_polynomial_det",
+            "inv_form_monomial_det",
         ],
     )
     def test_parse_error_message(self, chart, body, message, tmp_path, capsys):

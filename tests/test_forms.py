@@ -20,12 +20,10 @@ from coisokit import (
     leafwise_d,
     leafwise_sharp_inverse,
     leafwise_sharp_star,
-    linear_fibre_change,
     make_chart,
     musical_inverse,
     projection_P,
     pullback_zero_section,
-    restrict_to_subbundle,
     sharp_star,
     sharp_star_inverse,
 )
@@ -34,6 +32,33 @@ from coisokit import (
 @pytest.fixture
 def chart():
     return small_chart()
+
+
+def linear_fibre_change(w, matrix):
+    """The pullback of ``w`` along the bundle map (x, y) -> (x, M y), M an
+    integer matrix."""
+    chart = w.chart
+    m, n = chart.n_base, chart.n_fibre
+    ys = [RingElement.coordinate(chart, name) for name in chart.fibre]
+    exprs = [sum((ys[k].scale(matrix[j][k]) for k in range(n)), RingElement.zero(chart))
+             for j in range(n)]
+    images = [DifferentialForm.basis_covector(chart, chart.direction_name(d)) for d in range(m)]
+    images += [
+        DifferentialForm(chart, 1, (((m + k,), RingElement.constant(chart, matrix[j][k]))
+                                    for k in range(n) if matrix[j][k]))
+        for j in range(n)
+    ]
+    return DifferentialForm.from_factor_images(
+        chart, w, images, lambda c: c.substitute_fibre(exprs)
+    )
+
+
+def restrict_to_subbundle(w, F):
+    """The terms of ``w`` whose every factor lies along F."""
+    fdirs = set(F.indices(w.chart))
+    return DifferentialForm(
+        w.chart, w.degree, [(dirs, c) for dirs, c in w.terms if set(dirs) <= fdirs]
+    )
 
 
 def rand_form(rng, chart, degree, nterms=2, **kw):

@@ -1,6 +1,7 @@
 """Exact matrix inversion and determinants over scalars and ring elements."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from coisokit._linalg import (
 from coisokit.coeff_ring import ChartSpec
 from coisokit.errors import DegenerateBivectorError, NonInvertibleScalarError
 
-from conftest import rand_fraction, rand_ring, rng_for
+import linalg_reference as reference
+from conftest import rand_fraction, rand_ring, rng_for, torus_gotay_form
 
 CHART = make_chart("x y*")
 SIZES = range(1, 7)
@@ -281,3 +283,172 @@ class TestFusedAgainstNaive:
             assert any(len(e.terms) > 1 for row in got for e in row)
             assert all(same(g, e) for grow, erow in zip(got, expected)
                        for g, e in zip(grow, erow))
+
+
+# -- the block split against the single-table Laplace of the whole matrix ------
+
+BLOCK_TRIALS = 40
+
+
+def rand_block_sizes(rng, n):
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(3, n - sum(sizes))))
+    return sizes
+
+
+def scatter_blocks(rng, n, blocks, zero):
+    """The blocks on the diagonal of an n x n matrix of ``zero``, then rows
+    and columns each shuffled by a random permutation."""
+    mat = [[zero] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            mat[at + i][at:at + len(row)] = row
+        at += len(block)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[mat[i][j] for j in cols] for i in rows]
+
+
+def unit_block(rng, size, unit, entry, zero, one):
+    """L * U: L unit lower triangular, U upper triangular with ``unit()`` on
+    its diagonal, the other triangular entries ``entry()`` or zero."""
+    lower = [[one if i == j else entry() if i > j and rng.random() < 0.6 else zero
+              for j in range(size)] for i in range(size)]
+    upper = [[unit() if i == j else entry() if i < j and rng.random() < 0.6 else zero
+              for j in range(size)] for i in range(size)]
+    return matmul(lower, upper)
+
+
+def rand_unit_entry(rng):
+    """A rational times a Fourier mode times pi^e: a unit of the ring."""
+    mode = RingElement.fourier_mode(JET_CHART, {"y": rng.randint(-1, 1)})
+    return mode.scale(Scalar.pi_power(rng.randint(-1, 1), rand_fraction(rng, 1, 3)))
+
+
+def rand_block_entry(rng):
+    """An entry in x, y and the fibre p, with pi-powers, exact or a jet."""
+    e = rand_ring(rng, JET_CHART, max_xdeg=1, max_mode=1, max_ydeg=2, nterms=2, real=False)
+    e = e.scale(Scalar.pi_power(rng.randint(0, 1)))
+    jet = rng.choice((None, None, None, 1, 2))
+    return e if jet is None else e.truncate(jet)
+
+
+def block_ring_matrix(rng, n):
+    zero, one = RingElement.zero(JET_CHART), RingElement.one(JET_CHART)
+    blocks = [
+        unit_block(rng, size, lambda: rand_unit_entry(rng), lambda: rand_block_entry(rng),
+                   zero, one)
+        for size in rand_block_sizes(rng, n)
+    ]
+    return scatter_blocks(rng, n, blocks, zero)
+
+
+def block_scalar_matrix(rng, n):
+    zero, one = Scalar.zero(), Scalar.one()
+    blocks = [
+        unit_block(rng, size,
+                   lambda: Scalar.pi_power(rng.randint(-1, 2), rand_fraction(rng, 1, 3)),
+                   lambda: rand_pi_scalar(rng) + rand_pi_scalar(rng), zero, one)
+        for size in rand_block_sizes(rng, n)
+    ]
+    return scatter_blocks(rng, n, blocks, zero)
+
+
+def agrees_through_reference_jet(got, ref):
+    """``got`` equals ``ref`` through ref's jet order; both exact, identical."""
+    if ref.jet_order is None:
+        return same(got, ref)
+    return same(got.truncate(ref.jet_order), ref)
+
+
+class TestBlockSplitAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ring_det_and_inverse_match_the_full_expansion(self, n):
+        rng = rng_for(f"block-ring-{n}")
+        zero = RingElement.zero(JET_CHART)
+        jets = 0
+        for _ in range(BLOCK_TRIALS // 4):
+            mat = block_ring_matrix(rng, n)
+            jets += any(e.jet_order is not None for row in mat for e in row)
+            assert same(ring_det(mat), reference.det(mat, zero))
+            got, ref = ring_matrix_inverse(mat), reference.ring_inverse(mat)
+            assert all(agrees_through_reference_jet(g, r)
+                       for grow, rrow in zip(got, ref) for g, r in zip(grow, rrow))
+            if all(e.jet_order is None for row in mat for e in row):
+                assert got == ref
+        assert n < 3 or jets
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_scalar_det_and_inverse_match_the_full_expansion(self, n):
+        rng = rng_for(f"block-scalar-{n}")
+        for _ in range(BLOCK_TRIALS // 4):
+            mat = block_scalar_matrix(rng, n)
+            assert scalar_det(mat).terms == reference.det(mat, Scalar.zero()).terms
+            assert scalar_matrix_inverse(mat) == reference.scalar_inverse(mat)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_structurally_singular_determinant_is_the_exact_zero(self, n):
+        """A block with more rows than columns: the determinant is zero with
+        no jet order, where the full expansion may keep a zero jet."""
+        rng = rng_for(f"block-singular-{n}")
+        zero = RingElement.zero(JET_CHART)
+        zero_jets = 0
+        for _ in range(BLOCK_TRIALS // 4):
+            rows = rng.randint(1, n - 1)
+            cols = rng.randint(0, rows - 1)  # rows > cols, the rest is square
+            tall = [[rand_block_entry(rng) for _ in range(cols)] for _ in range(rows)]
+            rest = [[rand_block_entry(rng) for _ in range(n - cols)] for _ in range(n - rows)]
+            mat = [[zero] * n for _ in range(n)]
+            for i, row in enumerate(tall):
+                mat[i][:cols] = row
+            for i, row in enumerate(rest):
+                mat[rows + i][cols:] = row
+            order = list(range(n))
+            rng.shuffle(order)
+            mat = [mat[i] for i in order]
+            det = ring_det(mat)
+            assert det.terms == () and det.jet_order is None
+            full = reference.det(mat, zero)
+            assert full.terms == ()
+            zero_jets += full.jet_order is not None
+            with pytest.raises(DegenerateBivectorError):
+                ring_matrix_inverse(mat)
+        assert zero_jets
+
+    def test_zero_row_and_zero_column_are_singular(self):
+        one = Scalar.one()
+        for mat in ([[one, one], [Scalar.zero()] * 2], [[one, Scalar.zero()]] * 2):
+            assert scalar_det(mat) == Scalar.zero()
+            with pytest.raises(DegenerateBivectorError):
+                scalar_matrix_inverse(mat)
+
+    def test_block_signs_follow_the_permutation(self):
+        """Antidiagonal units: det = sign(reversal) * product of the entries."""
+        for n in range(1, 9):
+            mat = [[Scalar.of(i + 1) if i + j == n - 1 else Scalar.zero()
+                    for j in range(n)] for i in range(n)]
+            sign = -1 if (n * (n - 1) // 2) % 2 else 1
+            assert scalar_det(mat) == Scalar.of(sign * math.factorial(n))
+            assert scalar_det(mat) == reference.det(mat, Scalar.zero())
+
+
+def test_gotay_inverse_takes_at_most_n_squared_dots(monkeypatch):
+    """The 14 x 14 Gotay matrix of T^6 x T^4 splits into 1 x 1 blocks; the
+    whole-matrix expansion took 1469 ``dot`` calls."""
+    mat = [[e.at_zero_fibre() for e in row]
+           for row in torus_gotay_form(3, 4).coefficient_matrix()]
+    calls = []
+    original = RingElement.dot.__func__
+
+    def counting(cls, products):
+        calls.append(1)
+        return original(cls, products)
+
+    monkeypatch.setattr(RingElement, "dot", classmethod(counting))
+    inv = ring_matrix_inverse(mat)
+    assert len(mat) == 14 and len(calls) <= 14 * 14
+    monkeypatch.undo()
+    assert inv == reference.ring_inverse(mat)

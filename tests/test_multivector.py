@@ -23,7 +23,7 @@ from coisokit import (
     fibre_translate_pushforward,
     projection_P,
     schouten_bracket,
-    sharp_contract,
+    sharp_star,
 )
 from coisokit.multivector import ad_series
 
@@ -31,6 +31,19 @@ from coisokit.multivector import ad_series
 @pytest.fixture
 def chart():
     return small_chart()
+
+
+def sharp_contract(pi, xi):
+    """The vector field pi(xi, .) of a bivector and a 1-form."""
+    out = []
+    for (i, j), c in pi.terms:
+        for (d,), xc in xi.terms:
+            # pi(xi, .)_j = sum_i xi_i Pi_{ij} with Pi antisymmetric
+            if d == i:
+                out.append(((j,), xc * c))
+            elif d == j:
+                out.append(((i,), -(xc * c)))
+    return MultiVectorField(pi.chart, 1, out)  # sums repeated directions
 
 
 def lie_bracket_oracle(X, Y):
@@ -345,6 +358,8 @@ class TestSharpContract:
         pi = MultiVectorField(chart, 2, (((0, 2), RingElement.one(chart)),))
         xi = DifferentialForm.basis_covector(chart, "x1")
         assert sharp_contract(pi, xi) == MultiVectorField.basis_vector(chart, "y1")
+        # the library's anchor is the transpose pi(., xi)
+        assert sharp_star(pi, xi) == -sharp_contract(pi, xi)
 
     def test_zero_covector(self, chart):
         rng = rng_for("sharp-zero")

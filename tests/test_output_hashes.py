@@ -10,7 +10,10 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
 - ``repr`` and the exact entry terms of ``invert_affine_pencil`` for
   ``tests/data/rational_pencil.txt``;
 - the exact terms of ``coiso_algebra_from_form(omega, 12).pi`` for two jet
-  models.
+  models;
+- the exact terms of ``symplectic_to_poisson`` of the Gotay model of the
+  product torus T^{2k} x T^r (the scenario ``inv_form(gotay(...))``) for
+  (k, r) in {1, 2, 3} x {2, 4}.
 
 "Exact terms" spell out every coefficient as its ``Scalar.terms`` triples
 ``(pi-exponent, Fraction re, Fraction im)`` and every jet order, so a change
@@ -30,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 
-from conftest import rand_ring, rand_section, rng_for
+from conftest import rand_ring, rand_section, rng_for, torus_gotay_form
 from coisokit import (
     DifferentialForm,
     MultiVectorField,
@@ -43,6 +46,7 @@ from coisokit import (
     make_coiso_algebra,
     mc_series_exact,
     parse_pencil_text,
+    symplectic_to_poisson,
 )
 from coisokit.cli import RunFlags, emit_report, parse_scenario, run
 
@@ -133,12 +137,19 @@ def _jet_outputs():
         yield f"jet/{n}/pi/terms", _field_terms(coiso_algebra_from_form(omega, 12).pi)
 
 
+def _gotay_outputs():
+    for k, r in itertools.product((1, 2, 3), (2, 4)):
+        pi = symplectic_to_poisson(torus_gotay_form(k, r))
+        yield f"gotay/k={k}/r={r}/pi/terms", _field_terms(pi)
+
+
 def outputs():
     """(name, text) of every hashed output, in a fixed order."""
     yield from _t4_reports()
     yield from _series_outputs()
     yield from _pencil_outputs()
     yield from _jet_outputs()
+    yield from _gotay_outputs()
 
 
 def _digest(text: str) -> str:
