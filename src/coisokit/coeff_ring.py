@@ -27,6 +27,25 @@ reduced by one gcd and each output Scalar built once; a product skips the
 term pairs above the jet order before any arithmetic, and no per-pair
 Scalar, no Fraction and no partial sum is built.
 
+A RingElement product is a ``dot`` too.  Its accumulator is keyed by the
+flat tuple ``xe + k + ye``, built once per operand term and added once per
+term pair; the three parts have fixed lengths per chart, so flat keys sort
+as the (xe, k, ye) keys do, and each output key is split once.
+
+Results that are canonical as produced are wrapped as they are
+(``RingElement._wrap``, like ``Scalar._wrap``), with no second
+canonicalisation:
+
+- ``dot``: its keys come sorted out of one accumulator;
+- ``partial``: each key stays or loses 1 from one exponent, so the keys stay
+  distinct and in order; each quad is scaled by the int exponent, or by
+  2*pi*i*n, with one gcd, since gcd(re, im, den) == 1 makes
+  gcd(c*re, c*im, den) == gcd(c, den);
+- negation, and ``scale`` by a nonzero Scalar: the keys stay, and a product
+  of nonzero Scalars is nonzero (a zero Scalar gives the empty element);
+- the filters ``truncate``, ``at_zero_fibre`` and ``fourier_zero_mode``:
+  a subsequence of sorted terms is sorted.
+
 Jets (finite fibre order) are ordinary elements with ``jet_order`` set;
 binary operations between jets truncate to the minimum order.
 """
@@ -113,6 +132,24 @@ def _acc_mul(acc: dict, left, right) -> None:
 def _neg_terms(terms: tuple) -> tuple:
     """A quad tuple with every coefficient negated (still canonical)."""
     return tuple((e, -re, -im, den) for e, re, im, den in terms)
+
+
+def _times_int(terms: tuple, c: int) -> tuple:
+    """A quad tuple times a nonzero int, one gcd per term: gcd(re, im, den)
+    is 1, so gcd(c*re, c*im, den) is gcd(c, den)."""
+    gcd = math.gcd
+    out = []
+    for e, re, im, den in terms:
+        g = gcd(c, den)
+        m = c // g
+        out.append((e, re * m, im * m, den // g))
+    return tuple(out)
+
+
+def _times_pi_i(terms: tuple) -> tuple:
+    """A quad tuple times pi*i (still canonical): each pi-exponent goes up
+    by one and (re, im) turns into (-im, re)."""
+    return tuple((e + 1, -im, re, den) for e, re, im, den in terms)
 
 
 def _acc_terms(acc: dict) -> tuple:
@@ -539,6 +576,14 @@ class RingElement:
         self.terms = tuple(out)
         self.jet_order = jet_order
 
+    @classmethod
+    def _wrap(cls, chart: ChartSpec, terms: tuple, jet_order: Optional[int]) -> "RingElement":
+        """An element over terms that are canonical already: keys strictly
+        increasing, no zero Scalar, no term above ``jet_order``."""
+        h = object.__new__(cls)
+        h.chart, h.terms, h.jet_order = chart, terms, jet_order
+        return h
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -664,9 +709,9 @@ class RingElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(
+        return RingElement._wrap(
             self.chart,
-            ((xe, k, ye, -s) for xe, k, ye, s in self.terms),
+            tuple((xe, k, ye, Scalar._wrap(_neg_terms(s._terms))) for xe, k, ye, s in self.terms),
             self.jet_order,
         )
 
@@ -680,11 +725,9 @@ class RingElement:
 
     def scale(self, s) -> "RingElement":
         s = Scalar.of(s)
-        return RingElement(
-            self.chart,
-            ((xe, k, ye, c * s) for xe, k, ye, c in self.terms),
-            self.jet_order,
-        )
+        # the Scalars have no zero divisors, so a nonzero factor keeps every term
+        terms = tuple((xe, k, ye, c * s) for xe, k, ye, c in self.terms) if s._terms else ()
+        return RingElement._wrap(self.chart, terms, self.jet_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -716,31 +759,34 @@ class RingElement:
             head._check_chart(f)
             head._check_chart(g)
             jet = _min_order(_min_order(jet, f.jet_order), g.jet_order)
+        # one flat key xe + k + ye per operand term, added once per term pair
         accs: dict[tuple, dict] = {}
         add = operator.add
         for sign, f, g in products:
-            right = [(xe, k, ye, sum(ye), s._terms) for xe, k, ye, s in g.terms]
+            if not f.terms or not g.terms:
+                continue
+            right = [(xe + k + ye, sum(ye), s._terms) for xe, k, ye, s in g.terms]
             for xe1, k1, ye1, s1 in f.terms:
+                key1 = xe1 + k1 + ye1
                 deg1 = sum(ye1)
                 left = s1._terms if sign > 0 else _neg_terms(s1._terms)
-                for xe2, k2, ye2, deg2, t2 in right:
+                for key2, deg2, t2 in right:
                     if jet is not None and deg1 + deg2 > jet:
                         continue
-                    key = (tuple(map(add, xe1, xe2)), tuple(map(add, k1, k2)),
-                           tuple(map(add, ye1, ye2)))
+                    key = tuple(map(add, key1, key2))
                     acc = accs.get(key)
                     if acc is None:
                         accs[key] = acc = {}
                     _acc_mul(acc, left, t2)
+        chart = head.chart
+        nx = len(chart.poly_axes)
+        nk = nx + len(chart.periodic_axes)
         out = []
         for key, acc in sorted(accs.items()):
             terms = _acc_terms(acc)
             if terms:
-                out.append(key + (Scalar._wrap(terms),))
-        # the keys are tuples and sorted already: no second canonicalisation
-        h = object.__new__(cls)
-        h.chart, h.terms, h.jet_order = head.chart, tuple(out), jet
-        return h
+                out.append((key[:nx], key[nx:nk], key[nk:], Scalar._wrap(terms)))
+        return cls._wrap(chart, tuple(out), jet)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -757,24 +803,29 @@ class RingElement:
     def partial(self, name: str) -> "RingElement":
         """Exact partial derivative with respect to a chart coordinate."""
         kind, idx = self.chart.kind(name)
+        jet = self.jet_order
+        # each key stays, or loses 1 from one exponent: still distinct and
+        # in order, so the result is wrapped as it is
         out = []
-        for xe, k, ye, s in self.terms:
-            if kind == "poly":
+        if kind == "periodic":
+            # d/dx e^{2 pi i n x} = 2 pi i n e^{2 pi i n x}
+            for xe, k, ye, s in self.terms:
+                n = k[idx]
+                if n:
+                    out.append((xe, k, ye, Scalar._wrap(_times_int(_times_pi_i(s._terms), 2 * n))))
+        elif kind == "poly":
+            for xe, k, ye, s in self.terms:
                 e = xe[idx]
                 if e:
-                    out.append((_bump(xe, idx, -1), k, ye, s * Scalar.of(e)))
-            elif kind == "fibre":
+                    out.append((_bump(xe, idx, -1), k, ye, Scalar._wrap(_times_int(s._terms, e))))
+        else:
+            for xe, k, ye, s in self.terms:
                 e = ye[idx]
                 if e:
-                    out.append((xe, k, _bump(ye, idx, -1), s * Scalar.of(e)))
-            else:
-                n = k[idx]
-                if n:  # d/dx e^{2 pi i n x} = 2 pi i n e^{2 pi i n x}
-                    out.append((xe, k, ye, s * Scalar._wrap(((1, 0, 2 * n, 1),))))
-        jet = self.jet_order
-        if kind == "fibre" and jet is not None:
-            jet -= 1  # y^N + O(y^(N+1)) differentiates to order N - 1
-        return RingElement(self.chart, out, jet)
+                    out.append((xe, k, _bump(ye, idx, -1), Scalar._wrap(_times_int(s._terms, e))))
+            if jet is not None:
+                jet -= 1  # y^N + O(y^(N+1)) differentiates to order N - 1
+        return RingElement._wrap(self.chart, tuple(out), jet)
 
     def substitute_fibre(self, exprs: Sequence["RingElement"]) -> "RingElement":
         """Replace each fibre coordinate y_j by exprs[j], fully expanded."""
@@ -827,17 +878,17 @@ class RingElement:
     def truncate(self, order: int) -> "RingElement":
         """The jet of this element with fibre order ``order``."""
         order = order if self.jet_order is None else min(order, self.jet_order)
-        return RingElement(self.chart, self.terms, order)
+        return RingElement._wrap(
+            self.chart, tuple(t for t in self.terms if sum(t[2]) <= order), order
+        )
 
     def without_truncation(self) -> "RingElement":
         return RingElement(self.chart, self.terms, None)
 
     def at_zero_fibre(self) -> "RingElement":
         """Set all fibre coordinates to zero (drop positive y-degree terms)."""
-        return RingElement(
-            self.chart,
-            ((xe, k, ye, s) for xe, k, ye, s in self.terms if sum(ye) == 0),
-            None,
+        return RingElement._wrap(
+            self.chart, tuple(t for t in self.terms if not any(t[2])), None
         )
 
     def restrict_to_base(self) -> "RingElement":
@@ -867,13 +918,9 @@ class RingElement:
             if kind != "periodic":
                 raise PeriodicCoordinateError(f"{name!r} is not periodic")
             idxs.append(idx)
-        return RingElement(
+        return RingElement._wrap(
             self.chart,
-            (
-                (xe, k, ye, s)
-                for xe, k, ye, s in self.terms
-                if all(k[i] == 0 for i in idxs)
-            ),
+            tuple(t for t in self.terms if not any(t[1][i] for i in idxs)),
             self.jet_order,
         )
 

@@ -325,9 +325,12 @@ def mc_partial_table(
 ) -> ConvergenceTable:
     """Numeric partial sums beta_n for n = 1..order against the pushforward oracle.
 
-    Once the series has ended, beta_n repeats its last partial sum.  A
+    Once the series has ended, beta_n repeats its last partial sum.  An
+    order below 1 raises JetOrderError (the table would have no row).  A
     section that leaves the chart's tubular domain raises DomainBoundError.
     """
+    if order < 1:
+        raise JetOrderError(f"table order {order} < 1: the table would have no partial sum")
     alpha = deformation_section(alpha)
     jet = alg.pi.jet_order()
     if jet is not None and jet < order:

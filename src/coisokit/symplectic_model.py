@@ -11,6 +11,9 @@ series
 
 computed exactly over the ring whenever det A is an invertible element
 (a single scalar-times-mode term; in particular any rational constant).
+M, A^{-1} and Y are block diagonal over the connected components of the
+nonzero pattern of M, so the series runs on each block whose Y is nonzero,
+with b x b products, and skips the others.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import mat_mul, ring_det, ring_matrix_inverse, scalar_det
+from ._linalg import _bits, _components, mat_mul, ring_det, ring_matrix_inverse, scalar_det
 from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar, sample_grid
 from .errors import (
     DegenerateBivectorError,
@@ -200,7 +203,17 @@ def parse_pencil_text(text: str) -> AffinePencil:
 def _neumann_inverse(m, order: int):
     """M^{-1} for M = A + Y, A = M at y = 0: exactly A^{-1} when Y = 0, else
     the Neumann series truncated at fibre order ``order``.  Inversion errors
-    of A are left to the caller."""
+    of A are left to the caller.
+
+    The series runs block by block.  Y and A have no entry outside the
+    nonzero pattern of M, so M, A^{-1}, Y and every power (-A^{-1} Y)^r A^{-1}
+    are block diagonal over the connected components of that pattern (up to
+    a permutation of rows and columns), and each b x b block of M whose Y is
+    nonzero takes its own series; a block with Y = 0 keeps its block of
+    A^{-1}.  Every entry, the zeros between blocks included, is summed at one
+    jet order: ``order``, lowered to the lowest jet order among the entries
+    of M once a power is taken, as the whole-matrix series gives it (each of
+    its products carries the jet orders of a whole row and column)."""
     a = [[e.at_zero_fibre() for e in row] for row in m]
     ainv = ring_matrix_inverse(a)
     # -Y is the negated positive-fibre-degree part of each entry, at its jet order
@@ -211,25 +224,29 @@ def _neumann_inverse(m, order: int):
     ]
     if all(e.is_zero() for row in minus_y for e in row):
         return ainv
-    x = mat_mul(ainv, minus_y)  # -A^{-1} Y
-    # each entry's series is summed once, after the last power, at the
-    # lowest jet order of its parts (as pairwise sums keep it); a part that
-    # is exactly zero changes neither, so it is not kept (most are)
+    jets = [e.jet_order for row in m for e in row if e.jet_order is not None]
+    jet = min([order] + jets) if order > 0 else order
+    # each entry's series is summed once, after the last power; a part that
+    # is exactly zero adds no term, so it is not kept (most are)
     series = [[[e] for e in row] for row in ainv]
-    power = ainv
-    for _ in range(order):
-        power = mat_mul(x, power)
-        for parts_row, row in zip(series, power):
-            for parts, e in zip(parts_row, row):
-                if e.terms or e.jet_order is not None:
-                    parts.append(e)
-
-    def series_sum(parts):
-        jet = min([order] + [e.jet_order for e in parts if e.jet_order is not None])
-        terms = itertools.chain.from_iterable(e.terms for e in parts)
-        return RingElement(parts[0].chart, terms, jet)
-
-    return [[series_sum(parts) for parts in row] for row in series]
+    for rows, cols in _components(m):
+        rows, cols = list(_bits(rows)), list(_bits(cols))
+        y = [[minus_y[i][j] for j in cols] for i in rows]
+        if all(e.is_zero() for row in y for e in row):
+            continue
+        power = [[ainv[j][i] for i in rows] for j in cols]  # the block of A^{-1}
+        x = mat_mul(power, y)  # -A^{-1} Y
+        for _ in range(order):
+            power = mat_mul(x, power)
+            for j, row in zip(cols, power):
+                for i, e in zip(rows, row):
+                    if e.terms:
+                        series[j][i].append(e)
+    return [
+        [RingElement(parts[0].chart, itertools.chain.from_iterable(e.terms for e in parts), jet)
+         for parts in row]
+        for row in series
+    ]
 
 
 def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):
@@ -244,8 +261,15 @@ def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):
     return m
 
 
+def _check_pencil_order(order: int) -> None:
+    if order < 0:
+        raise JetOrderError(f"pencil order {order} < 0: a jet needs fibre order >= 0")
+
+
 def invert_affine_pencil(pencil: AffinePencil, order: int):
-    """Truncated Neumann inverse; entries are jets of fibre order ``order``."""
+    """Truncated Neumann inverse; entries are jets of fibre order ``order``,
+    which must be >= 0 (JetOrderError otherwise)."""
+    _check_pencil_order(order)
     chart = ChartSpec((), (), pencil.labels)
     try:
         total = _neumann_inverse(_pencil_matrix(pencil, chart), order)
@@ -255,7 +279,11 @@ def invert_affine_pencil(pencil: AffinePencil, order: int):
 
 
 def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
-    """Exact check terms of M(lambda) * inverse - I; all must have degree > order."""
+    """Exact check terms of M(lambda) * inverse - I; all must have degree > order.
+
+    ``order`` must be >= 0 (JetOrderError otherwise), so that the check
+    covers at least the constant terms."""
+    _check_pencil_order(order)
     chart = inverse[0][0].chart
     n = pencil.size
     zero = RingElement.zero(chart)

@@ -460,6 +460,138 @@ class TestDot:
             Scalar.dot(iter(()))
 
 
+# charts for the wrap tests: every axis kind, and charts without poly, without
+# periodic and without fibre axes; a pencil chart has fibre labels only
+WRAP_CHARTS = (
+    make_chart("x1 x2*", "y1 y2"),
+    make_chart("a* b*", "y1"),
+    make_chart("x1 x2", "y1 y2"),
+    make_chart("x1 t*"),
+    ChartSpec((), (), ("v1", "v2")),
+)
+
+
+@st.composite
+def wrap_elements(draw, chart):
+    """Elements of ``chart`` built by the canonicalising constructor: keys
+    met more than once, negative Fourier modes, numerators up to 2**70, and
+    jet orders of None, 0 and -1 (the fibre derivative of an order-0 jet)
+    included; an empty element may carry a jet order."""
+    nx, nk, ny = len(chart.poly_axes), len(chart.periodic_axes), chart.n_fibre
+    terms = draw(st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 3)] * nx),
+            st.tuples(*[st.integers(-3, 3)] * nk),
+            st.tuples(*[st.integers(0, 3)] * ny),
+            st.builds(Scalar, _WIDE_TERMS),
+        ),
+        max_size=5,
+    ))
+    return RingElement(chart, terms, draw(st.none() | st.integers(-1, 3)))
+
+
+@st.composite
+def chart_and_elements(draw, n=3):
+    chart = draw(st.sampled_from(WRAP_CHARTS))
+    return chart, [draw(wrap_elements(chart)) for _ in range(n)]
+
+
+def assert_canonical_element(h: RingElement):
+    """Keys strictly increasing, no zero Scalar, no term above the jet order,
+    and every Scalar canonical."""
+    keys = [t[:3] for t in h.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for xe, k, ye, c in h.terms:
+        assert not c.is_zero()
+        assert h.jet_order is None or sum(ye) <= h.jet_order
+        assert_canonical(c)
+
+
+def assert_same(got: RingElement, expected: RingElement):
+    assert got.terms == expected.terms
+    assert got.jet_order == expected.jet_order
+    assert_canonical_element(got)
+
+
+class TestWrapsAgainstConstructor:
+    """Each result wrapped as produced (``partial``, negation, ``scale``,
+    the filters and ``dot``) equals the canonicalising constructor applied
+    to the same terms, as the operation is defined term by term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_and_elements(n=1))
+    def test_partial_along_every_coordinate(self, drawn):
+        chart, (f,) = drawn
+        for name in chart.names:
+            kind, idx = chart.kind(name)
+            out = []
+            for xe, k, ye, c in f.terms:
+                if kind == "periodic" and k[idx]:
+                    out.append((xe, k, ye, c * Scalar.gaussian(0, 2 * k[idx]) * Scalar.pi_power(1)))
+                elif kind == "poly" and xe[idx]:
+                    lowered = xe[:idx] + (xe[idx] - 1,) + xe[idx + 1:]
+                    out.append((lowered, k, ye, c * Scalar.of(xe[idx])))
+                elif kind == "fibre" and ye[idx]:
+                    lowered = ye[:idx] + (ye[idx] - 1,) + ye[idx + 1:]
+                    out.append((xe, k, lowered, c * Scalar.of(ye[idx])))
+            jet = f.jet_order
+            if kind == "fibre" and jet is not None:
+                jet -= 1
+            assert_same(f.partial(name), RingElement(chart, out, jet))
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_and_elements(n=1), _WIDE_TERMS)
+    def test_negation_and_scale(self, drawn, factor):
+        chart, (f,) = drawn
+        minus_one = Scalar.of(-1)
+        assert_same(-f, RingElement(chart, [(xe, k, ye, c * minus_one) for xe, k, ye, c in f.terms],
+                                    f.jet_order))
+        for c in (Scalar(factor), Scalar.zero(), Fraction(-7, 3), 0):
+            s = Scalar.of(c)
+            assert_same(f.scale(c), RingElement(chart, [(xe, k, ye, d * s) for xe, k, ye, d in f.terms],
+                                                f.jet_order))
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_and_elements(n=1), st.integers(-1, 4))
+    def test_filters(self, drawn, order):
+        chart, (f,) = drawn
+        jet = order if f.jet_order is None else min(order, f.jet_order)
+        assert_same(f.truncate(order), RingElement(chart, f.terms, jet))
+        assert_same(f.at_zero_fibre(),
+                     RingElement(chart, [t for t in f.terms if sum(t[2]) == 0], None))
+        periodic = [chart.base[i] for i in chart.periodic_axes]
+        for names in (periodic, periodic[:1], periodic[1:]):
+            idxs = [chart.kind(n)[1] for n in names]
+            kept = [t for t in f.terms if all(t[1][i] == 0 for i in idxs)]
+            assert_same(f.fourier_zero_mode(names), RingElement(chart, kept, f.jet_order))
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_and_elements(n=4), st.lists(SIGNS, min_size=2, max_size=2))
+    def test_dot(self, drawn, signs):
+        chart, (f, g, u, v) = drawn
+        products = [(signs[0], f, g), (signs[1], u, v)]
+        terms = []
+        for sign, a, b in products:
+            for xe1, k1, ye1, c1 in a.terms:
+                for xe2, k2, ye2, c2 in b.terms:
+                    key = tuple(tuple(map(operator.add, p, q))
+                                for p, q in ((xe1, xe2), (k1, k2), (ye1, ye2)))
+                    terms.append(key + (c1 * c2 * Scalar.of(sign),))
+        orders = [h.jet_order for h in (f, g, u, v) if h.jet_order is not None]
+        expected = RingElement(chart, terms, min(orders, default=None))
+        assert_same(RingElement.dot(products), expected)
+        assert_same(-(f * g), RingElement.dot([(-1, f, g)]))
+
+    def test_empty_operands_keep_the_jet_order(self):
+        for chart in WRAP_CHARTS:
+            one = RingElement.one(chart)
+            for empty in (RingElement(chart, (), 2), RingElement(chart, (), -1)):
+                got = RingElement.dot([(1, one, empty), (-1, empty, one)])
+                assert got.terms == () and got.jet_order == empty.jet_order
+                assert (-empty).jet_order == empty.jet_order
+                assert empty.scale(3).jet_order == empty.jet_order
+
+
 class TestPartialDerivative:
     def test_sin_derivative(self, chart):
         # d/dx sin(2 pi x) = 2 pi cos(2 pi x)

@@ -15,6 +15,7 @@ from coisokit._linalg import (
     scalar_matrix_inverse,
 )
 from coisokit.coeff_ring import ChartSpec
+from coisokit.symplectic_model import _neumann_inverse
 from coisokit.errors import DegenerateBivectorError, NonInvertibleScalarError
 
 import linalg_reference as reference
@@ -452,3 +453,62 @@ def test_gotay_inverse_takes_at_most_n_squared_dots(monkeypatch):
     assert len(mat) == 14 and len(calls) <= 14 * 14
     monkeypatch.undo()
     assert inv == reference.ring_inverse(mat)
+
+
+# -- the block-by-block Neumann series against the whole-matrix series ---------
+
+
+def fibre_affine_block(rng, size, flat):
+    """A + Y on one block: A a unit block in x, y with Fourier modes and
+    pi-powers, Y = p * (base entries) on part of the block's pattern, or
+    Y = 0 when ``flat``."""
+    zero, one = RingElement.zero(JET_CHART), RingElement.one(JET_CHART)
+    a = unit_block(rng, size, lambda: rand_unit_entry(rng),
+                   lambda: rand_unit_entry(rng) + rand_unit_entry(rng), zero, one)
+    p = RingElement.coordinate(JET_CHART, "p")
+    out = []
+    for row in a:
+        out_row = []
+        for e in row:
+            if not flat and rng.random() < 0.6:
+                base = rand_ring(rng, JET_CHART, max_xdeg=1, max_mode=1, max_ydeg=0,
+                                 nterms=2, real=False)
+                e = e + p * base.scale(Scalar.pi_power(rng.randint(-1, 1)))
+            out_row.append(e)
+        out.append(out_row)
+    return out
+
+
+def fibre_affine_matrix(rng, n):
+    """A randomly permuted block-diagonal fibre-affine matrix with blocks of
+    size 1-3, one of them with Y = 0 when there are two or more."""
+    sizes = rand_block_sizes(rng, n)
+    flat = rng.randrange(len(sizes)) if len(sizes) > 1 else None
+    blocks = [fibre_affine_block(rng, size, k == flat) for k, size in enumerate(sizes)]
+    return scatter_blocks(rng, n, blocks, RingElement.zero(JET_CHART))
+
+
+def with_one_jet(rng, m):
+    """``m`` with one entry, zero or not, made a jet of order 0, 1 or 2."""
+    i, j = rng.randrange(len(m)), rng.randrange(len(m))
+    m = [list(row) for row in m]
+    m[i][j] = m[i][j].truncate(rng.choice((0, 1, 2)))
+    return m
+
+
+class TestBlockNeumannAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_entry_matches_the_whole_matrix_series(self, n):
+        rng = rng_for(f"block-neumann-{n}")
+        series = 0
+        for trial in range(8):
+            m = fibre_affine_matrix(rng, n)
+            if trial % 4 == 3:
+                m = with_one_jet(rng, m)
+            order = trial % 5
+            got, ref = _neumann_inverse(m, order), reference.neumann_inverse(m, order)
+            for grow, rrow in zip(got, ref):
+                for g, r in zip(grow, rrow):
+                    assert g.terms == r.terms and g.jet_order == r.jet_order
+            series += any(not e.is_base_only() for row in got for e in row)
+        assert series

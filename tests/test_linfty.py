@@ -370,6 +370,13 @@ class TestConvergenceTable:
         with pytest.raises(JetOrderError):
             mc_partial_table(alg, zero_section(chart), 5, per_axis=2)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_a_jet_order_error(self, t4, order):
+        """An order-0 table had no row and passed every check; order -1
+        raised a bare ValueError from itertools.islice."""
+        with pytest.raises(JetOrderError, match=f"table order {order} < 1"):
+            mc_partial_table(t4.algebra, t4.section, order, per_axis=2)
+
     def test_csv_column_order(self, t4):
         table = mc_partial_table(t4.algebra, t4.section, 2, per_axis=2)
         header = table.to_csv().splitlines()[0].split(",")

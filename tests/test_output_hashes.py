@@ -7,10 +7,16 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
   at ``--samples 8``;
 - ``render()`` and the exact terms of ``mc_series_exact`` and ``exp_ad``
   over a seeded family of centred bivectors and degree-1 sections;
-- ``repr`` and the exact entry terms of ``invert_affine_pencil`` for
-  ``tests/data/rational_pencil.txt``;
+- the exact terms of ``fibre_translate_pushforward`` of the same seeded
+  bivectors and sections;
+- ``repr`` and the exact entry terms of ``invert_affine_pencil`` at order 6
+  for ``tests/data/rational_pencil.txt``, for a seeded two-parameter 4x4
+  pencil and for a permuted block-diagonal pencil one of whose blocks has
+  no fibre part (its ``repr`` pins the jet orders of the zeros between the
+  blocks and of the untouched block);
 - the exact terms of ``coiso_algebra_from_form(omega, 12).pi`` for two jet
-  models;
+  models, and ``mc_partial_table(..., 12, per_axis=4).to_csv()`` of each
+  with a polynomial section;
 - the exact terms of ``symplectic_to_poisson`` of the Gotay model of the
   product torus T^{2k} x T^r (the scenario ``inv_form(gotay(...))``) for
   (k, r) in {1, 2, 3} x {2, 4}.
@@ -19,31 +25,44 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
 ``(pi-exponent, Fraction re, Fraction im)`` and every jet order, so a change
 of stored layout that moves any value, or any rendering, fails here.
 
-After a deliberate output change (name the moved outputs in CHANGES.md),
-regenerate the file from the root of the checkout with
+To record the hash of a new output, run from the root of the checkout
 
     PYTHONPATH=src python tests/test_output_hashes.py --write
+
+which adds only the names missing from the file.  It writes nothing and
+exits non-zero when a recorded name's hash has changed (or its output is
+gone), and lists those names.  After a deliberate output change (name the
+moved outputs in CHANGES.md), pass each moved name to ``--rewrite``:
+
+    PYTHONPATH=src python tests/test_output_hashes.py --write --rewrite NAME...
 """
 
+import argparse
 import hashlib
 import itertools
 import json
 import os
 import re
+import shutil
 import sys
 from fractions import Fraction
 
 from conftest import rand_ring, rand_section, rng_for, torus_gotay_form
 from coisokit import (
+    AffinePencil,
     DifferentialForm,
     MultiVectorField,
+    PencilError,
     RingElement,
+    VerticalSection,
     coiso_algebra_from_form,
     de_rham_d,
     exp_ad,
+    fibre_translate_pushforward,
     invert_affine_pencil,
     make_chart,
     make_coiso_algebra,
+    mc_partial_table,
     mc_series_exact,
     parse_pencil_text,
     symplectic_to_poisson,
@@ -110,12 +129,38 @@ def _series_outputs():
         yield f"series/{n}/mc/terms", _field_terms(series)
         yield f"series/{n}/exp_ad/render", pushed.render()
         yield f"series/{n}/exp_ad/terms", _field_terms(pushed)
+        yield f"series/{n}/pushforward/terms", _field_terms(fibre_translate_pushforward(pi, a))
+
+
+def _seeded_pencil(rng) -> AffinePencil:
+    """A two-parameter 4x4 pencil with integer entries and det A != 0."""
+    while True:
+        a = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+        b = [[[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)] for _ in range(2)]
+        try:
+            return AffinePencil.from_rationals(a, b, ("v1", "v2"))
+        except PencilError:
+            continue
+
+
+def _block_pencil() -> AffinePencil:
+    """Blocks on rows/columns {0, 2} and {1, 3}; only the first has B != 0."""
+    a = [[2, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0], [0, 3, 0, 2]]
+    b1 = [[1, 0, -2, 0], [0, 0, 0, 0], [3, 0, 1, 0], [0, 0, 0, 0]]
+    b2 = [[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 2, 0], [0, 0, 0, 0]]
+    return AffinePencil.from_rationals(a, [b1, b2], ("v1", "v2"))
 
 
 def _pencil_outputs():
-    inverse = invert_affine_pencil(parse_pencil_text(_read("rational_pencil.txt")), 6)
-    yield "pencil/repr", repr(inverse)
-    yield "pencil/terms", repr(tuple(tuple(_element_terms(e) for e in row) for row in inverse))
+    pencils = (
+        ("pencil", parse_pencil_text(_read("rational_pencil.txt"))),
+        ("pencil/seeded", _seeded_pencil(rng_for("output-hashes-pencil"))),
+        ("pencil/blocks", _block_pencil()),
+    )
+    for name, pencil in pencils:
+        inverse = invert_affine_pencil(pencil, 6)
+        yield f"{name}/repr", repr(inverse)
+        yield f"{name}/terms", repr(tuple(tuple(_element_terms(e) for e in row) for row in inverse))
 
 
 def _jet_form(chart, theta_dir, theta):
@@ -130,11 +175,15 @@ def _jet_outputs():
     chart = make_chart("x1 x2 q1 q2", "p1 p2")
     x1, x2, p1, p2 = (RingElement.coordinate(chart, n) for n in ("x1", "x2", "p1", "p2"))
     models = (
-        _jet_form(chart, 0, p1 * x2),
-        _jet_form(chart, 1, (p2 * x1 * x2).scale(Fraction(-1, 2))),
+        (_jet_form(chart, 0, p1 * x2), (x1.scale(Fraction(1, 10)), (x1 * x2).scale(Fraction(1, 10)))),
+        (_jet_form(chart, 1, (p2 * x1 * x2).scale(Fraction(-1, 2))),
+         (x2.scale(Fraction(1, 8)), x1.scale(Fraction(1, 8)))),
     )
-    for n, omega in enumerate(models):
-        yield f"jet/{n}/pi/terms", _field_terms(coiso_algebra_from_form(omega, 12).pi)
+    for n, (omega, comps) in enumerate(models):
+        alg = coiso_algebra_from_form(omega, 12)
+        yield f"jet/{n}/pi/terms", _field_terms(alg.pi)
+        alpha = VerticalSection.from_components(chart, comps)
+        yield f"jet/{n}/mc_table/csv", mc_partial_table(alg, alpha, 12, per_axis=4).to_csv()
 
 
 def _gotay_outputs():
@@ -173,11 +222,97 @@ def test_series_family_has_teeth():
     assert {"/7", "/14", "/21"} <= set(re.findall(r"/\d+", joined))
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_output_hashes.py --write")
-    table = {name: _digest(text) for name, text in outputs()}
-    with open(HASHES, "w", encoding="utf-8") as fh:
+def _table_copy(tmp_path):
+    path = tmp_path / "output_hashes.json"
+    shutil.copy(HASHES, path)
+    with open(HASHES, encoding="utf-8") as fh:
+        return str(path), json.load(fh)
+
+
+def test_write_adds_only_missing_names(tmp_path):
+    path, recorded = _table_copy(tmp_path)
+    got = dict(recorded, **{"new/output": "0" * 64})
+    assert main(["--write"], path, lambda: got) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == got
+
+
+def test_write_refuses_a_moved_hash_unless_it_is_rewritten(tmp_path, capsys):
+    path, recorded = _table_copy(tmp_path)
+    changed, gone = sorted(recorded)[:2]
+    got = dict(recorded, **{changed: "f" * 64, "new/output": "0" * 64})
+    del got[gone]
+    with open(path, encoding="utf-8") as fh:
+        before = fh.read()
+    for rewrite in ([], [changed], [gone]):
+        argv = ["--write"] + (["--rewrite"] + rewrite if rewrite else [])
+        assert main(argv, path, lambda: got) == 1
+        err = capsys.readouterr().err
+        assert {changed, gone} - set(rewrite) <= set(err.split())
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == before  # nothing added either
+    assert main(["--write", "--rewrite", "no/such/output"], path, lambda: got) == 2
+    assert main(["--write", "--rewrite", changed, gone], path, lambda: got) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == got
+
+
+def digests() -> dict:
+    return {name: _digest(text) for name, text in outputs()}
+
+
+def _load(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return {}
+
+
+def update_table(path: str, got: dict, rewrite=()) -> list:
+    """Add the names of ``got`` missing from the table at ``path``.
+
+    A recorded name whose hash changed, or whose output is gone, is replaced
+    or removed only when it is in ``rewrite``.  Returns the other such names,
+    sorted; when there are any, the file is left as it was."""
+    table = _load(path)
+    moved = sorted(name for name in table if got.get(name) != table[name])
+    refused = [name for name in moved if name not in rewrite]
+    if refused:
+        return refused
+    for name in moved:
+        del table[name]
+    table = {**got, **table}
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(table)} hashes to {HASHES}")
+    return []
+
+
+def main(argv, path=HASHES, compute=digests) -> int:
+    parser = argparse.ArgumentParser(
+        prog="tests/test_output_hashes.py",
+        description="Record the hashes of new outputs; re-pin only the names given.",
+    )
+    parser.add_argument("--write", action="store_true", required=True)
+    parser.add_argument("--rewrite", nargs="+", default=(), metavar="NAME",
+                        help="a recorded name whose output changed on purpose")
+    args = parser.parse_args(argv)
+    got = compute()
+    unknown = sorted(set(args.rewrite) - set(got) - set(_load(path)))
+    if unknown:
+        print(f"not an output name: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    refused = update_table(path, got, set(args.rewrite))
+    if refused:
+        print("recorded outputs changed (pass each deliberate change to --rewrite):",
+              file=sys.stderr)
+        for name in refused:
+            print(f"  {name}", file=sys.stderr)
+        return 1
+    print(f"{len(got)} hashes up to date in {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

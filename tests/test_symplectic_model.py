@@ -239,6 +239,20 @@ class TestPencilInversion:
             assert pencil_product_defect(pencil, inv, order) == expected
             assert expected  # the planted terms show at every order
 
+    def test_negative_order_is_a_jet_order_error(self):
+        """Order -1 gave a matrix of zero jets, and a defect check at -1
+        compared nothing, so even the zero matrix passed as the inverse."""
+        pencil = AffinePencil.from_rationals([[2, 1], [1, 1]], [[[1, 0], [0, -1]]], ("v1",))
+        with pytest.raises(JetOrderError, match="pencil order -1 < 0"):
+            invert_affine_pencil(pencil, -1)
+        inv = invert_affine_pencil(pencil, 0)
+        zero = RingElement.zero(inv[0][0].chart)
+        for candidate in (inv, [[zero, zero], [zero, zero]]):
+            with pytest.raises(JetOrderError, match="pencil order -1 < 0"):
+                pencil_product_defect(pencil, candidate, -1)
+        assert pencil_product_defect(pencil, inv, 0) == []
+        assert len(pencil_product_defect(pencil, [[zero, zero], [zero, zero]], 0)) == 2
+
     def test_parse_pencil_text(self):
         text = "1 0\n0 1\n\n0 1\n1 0\n"
         pencil = parse_pencil_text(text)
@@ -248,6 +262,26 @@ class TestPencilInversion:
 
 
 class TestSymplecticToPoisson:
+    def test_jet_model_takes_at_most_130_dots(self, monkeypatch):
+        """The 6 x 6 matrix of a jet_pencil-style model splits into blocks,
+        and the series runs only on the block whose Y is nonzero; the
+        whole-matrix series took 482 ``dot`` calls at order 12."""
+        chart = make_chart("x1 x2 q1 q2", "p1 p2")
+        one = RingElement.one(chart)
+        x2, p1 = RingElement.coordinate(chart, "x2"), RingElement.coordinate(chart, "p1")
+        omega = DifferentialForm(chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one))) + \
+            de_rham_d(DifferentialForm(chart, 1, (((0,), p1 * x2),)))
+        calls = []
+        original = RingElement.dot.__func__
+
+        def counting(cls, products):
+            calls.append(1)
+            return original(cls, products)
+
+        monkeypatch.setattr(RingElement, "dot", classmethod(counting))
+        pi = symplectic_to_poisson(omega, 12)
+        assert pi.jet_order() == 12 and len(calls) <= 130
+
     def test_t4_constant_inverse(self):
         chart = make_chart("y1* y2* q1* q2*", "p1 p2")
         one = RingElement.one(chart)
