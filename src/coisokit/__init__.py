@@ -74,6 +74,7 @@ from .multivector import (
     deformation_section,
     exp_ad,
     fibre_translate_pushforward,
+    projected_pushforward,
     projection_P,
     schouten_bracket,
 )

@@ -83,12 +83,16 @@ class GradedTerms:
 
         Pushforwards, pullbacks and the musical maps act factor by factor; a
         term c with wedge (d_1, ..., d_k) maps to coeff(c) times the images.
+        A term with a zero image has a zero wedge; its coeff(c) is not taken.
         """
         out = cls(chart, w.degree, ())
         for dirs, c in w.terms:
+            factors = [images[d] for d in dirs]
+            if any(f.is_zero() for f in factors):
+                continue
             piece = cls(chart, 0, (((), coeff(c)),))
-            for d in dirs:
-                piece = piece.wedge(images[d])
+            for f in factors:
+                piece = piece.wedge(f)
             out = out + piece
         return out
 

@@ -25,6 +25,7 @@ included when explicitly requested so that outputs stay byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -51,8 +52,7 @@ from .multivector import (
     MultiVectorField,
     VerticalSection,
     as_vertical,
-    fibre_translate_pushforward,
-    projection_P,
+    projected_pushforward,
 )
 from .obstruction import obstructedness_certificate
 from .symplectic_model import (
@@ -356,6 +356,12 @@ class _Evaluator:
             raise ScenarioError(str(exc), *pos)
         return a.scale(inv)
 
+    @functools.cached_property
+    def _phase(self) -> "_PhaseEvaluator":
+        """The one evaluator of this scenario's sin/cos arguments."""
+        names = [self.chart.base[i] for i in self.chart.periodic_axes]
+        return _PhaseEvaluator(names, self.truncation)
+
     def _trig(self, fn, node, pos):
         """sin/cos of 2*pi times an integer combination of periodic coordinates.
 
@@ -364,8 +370,8 @@ class _Evaluator:
         accepted iff every term of the result is an even integer times pi
         times one coordinate; an argument with no terms is a zero phase.
         """
-        names = [self.chart.base[i] for i in self.chart.periodic_axes]
-        phase = _PhaseEvaluator(names, self.truncation).eval(node)
+        names = self._phase.chart.base
+        phase = self._phase.eval(node)
         modes = {}
         ok = isinstance(phase, RingElement)
         for xe, _, _, s in phase.terms if ok else ():
@@ -813,7 +819,7 @@ def _run_mc(scenario, cache, check, flags):
         if alg.pi.jet_order() is not None:
             raise CoisoKitError("jet-mode bivector: give an order, e.g. 'check mc a 8'")
         series = mc_series_exact(alg, alpha)
-        oracle = projection_P(fibre_translate_pushforward(alg.pi, alpha))
+        oracle = projected_pushforward(alg.pi, alpha)
         ok = series == oracle
         details = (
             ("mc", series.render()),

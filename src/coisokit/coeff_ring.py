@@ -68,6 +68,7 @@ from .errors import (
     ChartMismatchError,
     DimensionMismatchError,
     FibreDependenceError,
+    JetOrderError,
     NonInvertibleScalarError,
     PeriodicCoordinateError,
     UnknownCoordinateError,
@@ -828,7 +829,12 @@ class RingElement:
         return RingElement._wrap(self.chart, tuple(out), jet)
 
     def substitute_fibre(self, exprs: Sequence["RingElement"]) -> "RingElement":
-        """Replace each fibre coordinate y_j by exprs[j], fully expanded."""
+        """Replace each fibre coordinate y_j by exprs[j], fully expanded.
+
+        A jet admits only expressions without a y-degree-0 term: otherwise
+        each unknown term y^k past its order moves into every order, and
+        JetOrderError is raised.
+        """
         chart = self.chart
         if len(exprs) != chart.n_fibre:
             raise DimensionMismatchError(
@@ -838,6 +844,13 @@ class RingElement:
         for e in exprs:
             self._check_chart(e)
             order = _min_order(order, e.jet_order)
+        if self.jet_order is not None and any(
+            not any(ye) for e in exprs for _, _, ye, _ in e.terms
+        ):
+            raise JetOrderError(
+                f"a jet of order {self.jet_order} cannot take a fibre expression "
+                "with a y-degree-0 term: its unknown terms move into every order"
+            )
         out = RingElement.zero(chart)
         powers: dict[tuple[int, int], RingElement] = {}
 

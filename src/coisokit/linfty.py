@@ -119,7 +119,9 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
     """Sum the Maurer-Cartan series of a degree-1 section to termination.
 
     Requires a fibrewise polynomial bivector (no jet truncation); equals
-    P of the pushforward of pi under the fibre translation by alpha.  Each
+    P of the pushforward of pi under the fibre translation by alpha, which
+    ``multivector.projected_pushforward(pi, alpha)`` computes without a
+    bracket: that is the identity's right-hand side.  Each
     bracket is projected as it is summed, which measured faster than
     P(exp_ad(pi, alpha)) projecting the full sum once.
     """

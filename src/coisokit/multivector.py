@@ -171,6 +171,30 @@ def projection_P(X: MultiVectorField) -> VerticalSection:
     return VerticalSection(chart, X.degree, out)
 
 
+def _translation(X: MultiVectorField, alpha: MultiVectorField):
+    """(images, -alpha) of the fibre translation (x, y) -> (x, y + alpha(x)).
+
+    @x_i maps to @x_i + sum_j (d alpha_j / d x_i) @y_j, the fibre directions
+    are fixed, and the coefficients are taken at y - alpha.
+    """
+    chart = X.chart
+    comps = deformation_section(alpha).components()
+    m = chart.n_base
+    images: dict[int, MultiVectorField] = {}
+    for d in range(chart.n_dirs):
+        if chart.is_fibre_dir(d):
+            images[d] = MultiVectorField.basis_vector(chart, chart.direction_name(d))
+        else:
+            name = chart.direction_name(d)
+            terms = [((d,), RingElement.one(chart))]
+            for j, a in enumerate(comps):
+                da = a.partial(name)
+                if not da.is_zero():
+                    terms.append(((m + j,), da))
+            images[d] = MultiVectorField(chart, 1, terms)
+    return images, [-a for a in comps]
+
+
 def fibre_translate_pushforward(
     X: MultiVectorField, alpha: MultiVectorField
 ) -> MultiVectorField:
@@ -179,25 +203,25 @@ def fibre_translate_pushforward(
     Coefficients are shifted by -alpha, while @x_i picks up
     sum_j (d alpha_j / d x_i) @y_j and the fibre directions are fixed.
     """
-    chart = X.chart
-    comps = deformation_section(alpha).components()
-    neg = [-a for a in comps]
-    m = chart.n_base
-    pushed: dict[int, MultiVectorField] = {}
-    for d in range(chart.n_dirs):
-        if chart.is_fibre_dir(d):
-            pushed[d] = MultiVectorField.basis_vector(chart, chart.direction_name(d))
-        else:
-            name = chart.direction_name(d)
-            terms = [((d,), RingElement.one(chart))]
-            for j, a in enumerate(comps):
-                da = a.partial(name)
-                if not da.is_zero():
-                    terms.append(((m + j,), da))
-            pushed[d] = MultiVectorField(chart, 1, terms)
+    images, neg = _translation(X, alpha)
     return MultiVectorField.from_factor_images(
-        chart, X, pushed, lambda c: c.shift_fibre(neg)
+        X.chart, X, images, lambda c: c.shift_fibre(neg)
     )
+
+
+def projected_pushforward(X: MultiVectorField, alpha: MultiVectorField) -> VerticalSection:
+    """``projection_P(fibre_translate_pushforward(X, alpha))``, projected as built.
+
+    P keeps fibre wedge factors at y = 0, so it acts factor by factor: each
+    coefficient is evaluated once at y = -alpha(x), and each factor image is
+    replaced by its fibre part.  A jet X with alpha != 0 raises JetOrderError
+    (``RingElement.substitute_fibre``).
+    """
+    images, neg = _translation(X, alpha)
+    fibre = {d: projection_P(v) for d, v in images.items()}
+    return as_vertical(MultiVectorField.from_factor_images(
+        X.chart, X, fibre, lambda c: c.substitute_fibre(neg)
+    ))
 
 
 def default_exp_cap(X: MultiVectorField) -> int:

@@ -15,6 +15,7 @@ from coisokit import (
     ChartMismatchError,
     DimensionMismatchError,
     FibreDependenceError,
+    JetOrderError,
     NonInvertibleScalarError,
     PeriodicCoordinateError,
     RingElement,
@@ -650,16 +651,32 @@ class TestTaylorShift:
 
     def test_jet_shift_truncates(self, chart):
         # order-2 jet of the shift of y^3 by c = 2: y^3 is dropped, the
-        # lower terms 3c y^2 + 3c^2 y + c^3 survive; shift-then-truncate
-        # agrees with truncate-at-own-order, shift, re-truncate
+        # lower terms 3c y^2 + 3c^2 y + c^3 survive; a jet cannot be shifted,
+        # since its unknown terms y^k, k > 3, would move into every order
         y1 = RingElement.coordinate(chart, "y1")
         zero = RingElement.zero(chart)
         c = RingElement.constant(chart, 2)
         shifted = (y1 ** 3).shift_fibre([c, zero]).truncate(2)
         expected = (y1 ** 2).scale(6) + y1.scale(12) + RingElement.constant(chart, 8)
         assert shifted.without_truncation() == expected
-        via_jet = (y1 ** 3).truncate(3).shift_fibre([c, zero]).truncate(2)
-        assert via_jet == shifted
+        with pytest.raises(JetOrderError):
+            (y1 ** 3).truncate(3).shift_fibre([c, zero])
+
+    def test_jet_substitution_keeps_only_sound_orders(self):
+        # y^3 known to order 2 shifted by x: the true order-2 jet
+        # 3x y^2 + 3x^2 y + x^3 comes from the unknown y^3, so it raises
+        chart = make_chart("x", "y")
+        x, y = (RingElement.coordinate(chart, n) for n in ("x", "y"))
+        jet = (y ** 3 + x * y).truncate(2)
+        with pytest.raises(JetOrderError):
+            jet.shift_fibre([x])
+        with pytest.raises(JetOrderError):
+            jet.substitute_fibre([y.scale(2) + RingElement.one(chart)])
+        # a zero shift and a linear fibre change keep the order they claim
+        assert jet.shift_fibre([RingElement.zero(chart)]) == jet
+        scaled = jet.substitute_fibre([y.scale(2)])
+        assert scaled == (x * y).scale(2).truncate(2)
+        assert scaled.jet_order == 2
 
     def test_fibre_dependent_shift_rejected(self, chart):
         y1 = RingElement.coordinate(chart, "y1")

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     rand_base_ring,
+    rand_fraction,
     rand_multivector,
     rand_ring,
     rand_section,
@@ -12,6 +13,7 @@ from conftest import (
 )
 from coisokit import (
     DifferentialForm,
+    JetOrderError,
     MultiVectorField,
     NotVerticalError,
     RingElement,
@@ -21,6 +23,8 @@ from coisokit import (
     deformation_section,
     exp_ad,
     fibre_translate_pushforward,
+    make_chart,
+    projected_pushforward,
     projection_P,
     schouten_bracket,
     sharp_star,
@@ -279,6 +283,58 @@ class TestPushforward:
         X = MultiVectorField.basis_vector(chart, "x1")
         with pytest.raises(NotVerticalError):
             fibre_translate_pushforward(X, X)
+
+
+# base with poly and periodic axes, periodic only, poly only, and no base
+PROJECTED_CHARTS = (("x1 x2*", "y1 y2"), ("u1* u2*", "y1"), ("x1 x2", "y1 y2 y3"), ("", "y1 y2"))
+
+
+def _sections(rng, chart):
+    """The zero section, one with constant components and random ones."""
+    zero = RingElement.zero(chart)
+    comps = [RingElement.constant(chart, rand_fraction(rng)) for _ in chart.fibre]
+    yield VerticalSection.from_components(chart, [zero] * chart.n_fibre)
+    yield VerticalSection.from_components(chart, comps)
+    if chart.n_base:
+        # one constant component: its @y direction gets no image from any @x
+        comps[0] = rand_base_ring(rng, chart, nterms=3)
+        yield VerticalSection.from_components(chart, comps)
+    for _ in range(3):
+        yield rand_section(rng, chart, nterms=3)
+
+
+class TestProjectedPushforward:
+    @pytest.mark.parametrize("spec", PROJECTED_CHARTS)
+    def test_equals_projection_of_the_pushforward(self, spec):
+        chart = make_chart(*spec)
+        rng = rng_for(f"projected-push-{spec}")
+        for degree in range(min(3, chart.n_dirs) + 1):
+            for alpha in _sections(rng, chart):
+                X = rand_multivector(rng, chart, degree, nterms=4)
+                got = projected_pushforward(X, alpha)
+                want = projection_P(fibre_translate_pushforward(X, alpha))
+                assert isinstance(got, VerticalSection)
+                assert got == want
+                assert got.render() == want.render()
+
+    def test_needs_no_bracket(self, chart, monkeypatch):
+        from coisokit import multivector
+
+        def forbidden(*args, **kw):
+            raise AssertionError("the projected pushforward took a bracket")
+
+        for name in ("schouten_bracket", "ad_series"):
+            monkeypatch.setattr(multivector, name, forbidden)
+        rng = rng_for("projected-routing")
+        X = rand_multivector(rng, chart, 2, nterms=4)
+        assert projected_pushforward(X, rand_section(rng, chart)).degree == 2
+
+    def test_jet_with_a_nonzero_section_raises(self, chart):
+        rng = rng_for("projected-jet")
+        X = MultiVectorField(chart, 2, (((2, 3), rand_ring(rng, chart).truncate(1)),))
+        alpha = VerticalSection.from_components(chart, [RingElement.one(chart)] * 2)
+        with pytest.raises(JetOrderError):
+            projected_pushforward(X, alpha)
 
 
 class TestExpAd:

@@ -8,7 +8,8 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
 - ``render()`` and the exact terms of ``mc_series_exact`` and ``exp_ad``
   over a seeded family of centred bivectors and degree-1 sections;
 - the exact terms of ``fibre_translate_pushforward`` of the same seeded
-  bivectors and sections;
+  bivectors and sections, and ``render()`` and the exact terms of
+  ``projected_pushforward`` of them;
 - ``repr`` and the exact entry terms of ``invert_affine_pencil`` at order 6
   for ``tests/data/rational_pencil.txt``, for a seeded two-parameter 4x4
   pencil and for a permuted block-diagonal pencil one of whose blocks has
@@ -65,6 +66,7 @@ from coisokit import (
     mc_partial_table,
     mc_series_exact,
     parse_pencil_text,
+    projected_pushforward,
     symplectic_to_poisson,
 )
 from coisokit.cli import RunFlags, emit_report, parse_scenario, run
@@ -130,6 +132,9 @@ def _series_outputs():
         yield f"series/{n}/exp_ad/render", pushed.render()
         yield f"series/{n}/exp_ad/terms", _field_terms(pushed)
         yield f"series/{n}/pushforward/terms", _field_terms(fibre_translate_pushforward(pi, a))
+        projected = projected_pushforward(pi, a)
+        yield f"series/{n}/projected_pushforward/render", projected.render()
+        yield f"series/{n}/projected_pushforward/terms", _field_terms(projected)
 
 
 def _seeded_pencil(rng) -> AffinePencil:
