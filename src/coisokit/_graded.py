@@ -8,6 +8,7 @@ container plus the sign bookkeeping for wedge products.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -26,6 +27,13 @@ def merge_dirs(a: tuple, b: tuple) -> Optional[tuple[int, tuple]]:
                 inversions += 1
     merged = tuple(sorted(a + b))
     return (-1 if inversions % 2 else 1), merged
+
+
+def inversion_sign(seq) -> int:
+    """(-1) to the number of inversions of ``seq``: the sign of the
+    permutation that sorts it."""
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 def dot_by_wedge(products) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._graded import GradedTerms, merge_dirs
 from ._linalg import scalar_matrix_inverse
-from .coeff_ring import ChartSpec, RingElement, Scalar
+from .coeff_ring import ChartSpec, RingElement
 from .errors import (
     DegenerateBivectorError,
     NonInvertibleScalarError,
@@ -68,12 +68,12 @@ class SubbundleSpec:
         return tuple(out)
 
 
-def de_rham_d(w: DifferentialForm) -> DifferentialForm:
-    """Exterior derivative; d o d = 0 exactly."""
+def _d_along(w: DifferentialForm, directions) -> DifferentialForm:
+    """The part of dw that differentiates along the given directions."""
     chart = w.chart
     out = []
     for dirs, coeff in w.terms:
-        for d in range(chart.n_dirs):
+        for d in directions:
             dc = coeff.partial(chart.direction_name(d))
             if dc.is_zero():
                 continue
@@ -83,6 +83,11 @@ def de_rham_d(w: DifferentialForm) -> DifferentialForm:
             sign, merged = m
             out.append((merged, dc if sign > 0 else -dc))
     return DifferentialForm(chart, w.degree + 1, out)
+
+
+def de_rham_d(w: DifferentialForm) -> DifferentialForm:
+    """Exterior derivative; d o d = 0 exactly."""
+    return _d_along(w, range(w.chart.n_dirs))
 
 
 def fibrewise_degree_classify(w: DifferentialForm) -> frozenset:
@@ -133,58 +138,34 @@ def leafwise_d(w: DifferentialForm, F: SubbundleSpec) -> DifferentialForm:
     Requires adapted coordinates: w may only contain dF factors and its
     coefficients must not depend on fibre coordinates.
     """
-    chart = w.chart
-    fdirs = F.indices(chart)
-    fset = set(fdirs)
-    out = []
+    fdirs = F.indices(w.chart)
     for dirs, coeff in w.terms:
-        if not set(dirs) <= fset:
+        if not set(dirs) <= set(fdirs):
             raise NotVerticalError(
                 f"form has a factor outside the subbundle: {dirs}"
             )
         if not coeff.is_base_only():
             raise NotVerticalError("leafwise form has fibre-dependent coefficients")
-        for d in fdirs:
-            dc = coeff.partial(chart.direction_name(d))
-            if dc.is_zero():
-                continue
-            m = merge_dirs((d,), dirs)
-            if m is None:
-                continue
-            sign, merged = m
-            out.append((merged, dc if sign > 0 else -dc))
-    return DifferentialForm(chart, w.degree + 1, out)
+    return _d_along(w, fdirs)
 
 
 # -- musical maps over a constant bivector ---------------------------------------
 
 
-def _constant_matrix(pi: MultiVectorField):
-    """Scalar coefficient matrix of a constant degree-2 field, or None."""
-    mat = pi.coefficient_matrix()
-    out = []
-    for row in mat:
-        srow = []
-        for c in row:
-            if c.is_zero():
-                srow.append(Scalar.zero())
-            elif c.is_constant():
-                srow.append(c.constant_scalar())
-            else:
-                return None
-        out.append(srow)
-    return out
-
-
 def _sharp_matrix(pi: MultiVectorField):
-    """Matrix S with sharp(du_i) = sum_j S[i][j] @u_j, for constant pi."""
-    mat = _constant_matrix(pi)
-    if mat is None:
+    """Matrix S with sharp(du_i) = sum_j S[i][j] @u_j, for constant pi.
+
+    sharp(xi)_j = sum_i xi_i Pi_{ij}, so S is the scalar coefficient matrix
+    of pi itself.
+    """
+    mat = pi.coefficient_matrix()
+    try:
+        return [[c.constant_scalar() for c in row] for row in mat]
+    except ValueError:  # a coefficient that is not constant
         raise NonInvertibleScalarError(
             "musical maps need a constant-coefficient bivector; "
             "use jet mode via the pencil inversion otherwise"
-        )
-    return mat  # sharp(xi)_j = sum_i xi_i Pi_{ij}, so S = Pi itself
+        ) from None
 
 
 def _image(cls, chart: ChartSpec, dirs, coeffs):

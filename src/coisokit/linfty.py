@@ -17,14 +17,17 @@ the Jacobi defect -[pi, tau] - [tau, tau] / 2 of pi + tau.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._graded import inversion_sign
 from .coeff_ring import ChartSpec, GridEvaluator, Scalar, sample_grid
 from .errors import (
+    CoisoKitError,
     DegenerateBivectorError,
     DimensionMismatchError,
     DomainBoundError,
@@ -311,11 +314,11 @@ def _component_dirs(chart: ChartSpec, degree: int):
 
 
 def _real_parts(values: np.ndarray) -> list:
-    """Rows of real parts; the first value that is not real raises ValueError."""
+    """Rows of real parts; the first value that is not real raises CoisoKitError."""
     bad = np.abs(values.imag) > 1e-9 * (np.abs(values) + 1.0)
     if bad.any():
         value = values.flat[np.flatnonzero(bad)[0]].item()
-        raise ValueError(f"expected a real value, got {value}")
+        raise CoisoKitError(f"expected a real value, got {value}")
     return values.real.tolist()
 
 
@@ -412,64 +415,49 @@ def coisotropy_check_numeric(
 # -- twisted algebra ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class TwistedElement:
     """Element (X[1], a) of the twisted algebra W(C, pi).
 
     A multivector of degree p sits in W-degree p - 2; a vertical section of
-    wedge degree q sits in W-degree q - 1.  Maurer-Cartan inputs
-    (tau[1], alpha) are homogeneous of W-degree 0.
+    wedge degree q sits in W-degree q - 1.  Both parts are fields: an absent
+    part is the zero field of the degree the W-degree fixes.  Maurer-Cartan
+    inputs (tau[1], alpha) are homogeneous of W-degree 0.
     """
 
-    __slots__ = ("chart", "mv", "section", "degree")
+    mv: MultiVectorField
+    section: VerticalSection
 
-    def __init__(self, chart, mv=None, section=None, degree=None):
-        if mv is not None and mv.is_zero():
-            mv = None
-        if section is not None and section.is_zero():
-            section = None
-        self.chart = chart
-        self.mv = mv
-        self.section = None if section is None else as_vertical(section)
-        degs = set()
-        if mv is not None:
-            degs.add(mv.degree - 2)
-        if section is not None:
-            degs.add(section.degree - 1)
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous twisted element: W-degrees {degs}")
-        if degs:
-            inferred = degs.pop()
-            if degree is not None and degree != inferred:
-                raise ValueError("stated degree contradicts the components")
-            degree = inferred
-        elif degree is None:
-            degree = 0
-        self.degree = degree
+    def __post_init__(self):
+        if self.mv.degree - 2 != self.section.degree - 1:
+            raise ValueError(
+                f"inhomogeneous twisted element: multivector of degree {self.mv.degree}, "
+                f"section of degree {self.section.degree}"
+            )
+        object.__setattr__(self, "section", as_vertical(self.section))
+
+    @property
+    def chart(self) -> ChartSpec:
+        return self.mv.chart
+
+    @property
+    def degree(self) -> int:
+        return self.mv.degree - 2
 
     @classmethod
     def from_multivector(cls, X: MultiVectorField) -> "TwistedElement":
-        return cls(X.chart, mv=X)
+        return cls(X, VerticalSection(X.chart, X.degree - 1, ()))
 
     @classmethod
     def from_section(cls, a: MultiVectorField) -> "TwistedElement":
-        return cls(a.chart, section=as_vertical(a))
+        return cls(MultiVectorField.zero(a.chart, a.degree + 1), a)
 
     @classmethod
     def zero(cls, chart: ChartSpec, degree: int = 0) -> "TwistedElement":
-        return cls(chart, degree=degree)
+        return cls.from_multivector(MultiVectorField.zero(chart, degree + 2))
 
     def is_zero(self) -> bool:
-        return self.mv is None and self.section is None
-
-    def mv_part(self) -> MultiVectorField:
-        if self.mv is None:
-            return MultiVectorField.zero(self.chart, self.degree + 2)
-        return self.mv
-
-    def section_part(self) -> VerticalSection:
-        if self.section is None:
-            return VerticalSection(self.chart, self.degree + 1, ())
-        return self.section
+        return self.mv.is_zero() and self.section.is_zero()
 
     def __add__(self, other):
         if not isinstance(other, TwistedElement):
@@ -478,14 +466,7 @@ class TwistedElement:
             return other
         if other.is_zero():
             return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add twisted elements of different degree")
-        return TwistedElement(
-            self.chart,
-            mv=self.mv_part() + other.mv_part(),
-            section=self.section_part() + other.section_part(),
-            degree=self.degree,
-        )
+        return TwistedElement(self.mv + other.mv, self.section + other.section)
 
     def __neg__(self):
         return self.scale(-1)
@@ -494,27 +475,7 @@ class TwistedElement:
         return self + (-other)
 
     def scale(self, s) -> "TwistedElement":
-        return TwistedElement(
-            self.chart,
-            mv=None if self.mv is None else self.mv.scale(Scalar.of(s)),
-            section=None if self.section is None else self.section.scale(Scalar.of(s)),
-            degree=self.degree,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedElement):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.mv_part() == other.mv_part()
-            and self.section_part() == other.section_part()
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.mv, self.section))
-
-    def __repr__(self):
-        return f"TwistedElement(mv={self.mv!r}, section={self.section!r})"
+        return TwistedElement(self.mv.scale(s), self.section.scale(s))
 
 
 def twisted_lambda(
@@ -529,43 +490,41 @@ def twisted_lambda(
         lambda_n(a_1, ..., a_n) = P([...[pi, a_1], ..., a_n]),
         lambda_{n+1}(X[1], a_1, ..., a_n) = P([...[X, a_1], ..., a_n]),
     and every other slot pattern vanishes.  Mixed arguments expand
-    multilinearly with Koszul signs over the W-degrees.
+    multilinearly with Koszul signs over the W-degrees; a slot pattern with
+    a zero part is skipped before any bracket is taken.
     """
     n = len(elements)
     chart = alg.chart
+    sections = [e.section for e in elements]
     result_deg = sum(e.degree for e in elements) + 1
+    # every term is added as term + acc: a zero left summand returns the
+    # right one, and a zero bracket may have another degree ([f, g] of two
+    # functions has degree 0, not -1)
     mv_acc = MultiVectorField.zero(chart, result_deg + 2)
     sec_acc = MultiVectorField.zero(chart, result_deg + 1)
-    if all(e.section is not None for e in elements):
-        sec_acc = sec_acc + lambda_n(alg, *(e.section for e in elements))
+    if not any(a.is_zero() for a in sections):
+        sec_acc = lambda_n(alg, *sections) + sec_acc
     # one multivector slot X, every other slot a section
     for pos, e in enumerate(elements):
-        others = [o.section for i, o in enumerate(elements) if i != pos]
-        if e.mv is None or any(o is None for o in others):
+        others = sections[:pos] + sections[pos + 1 :]
+        if e.mv.is_zero() or any(a.is_zero() for a in others):
             continue
         if n == 1:
-            mv_acc = mv_acc - schouten_bracket(alg.pi, e.mv)
+            mv_acc = -schouten_bracket(alg.pi, e.mv) + mv_acc
         term = _bracket_chain(e.mv, others)
         koszul = sum(o.degree for o in elements[:pos]) * e.degree
-        sec_acc = sec_acc + (-term if koszul % 2 else term)
+        sec_acc = (-term if koszul % 2 else term) + sec_acc
     # two multivector slots; three or more, or two with sections, vanish
-    if n == 2 and elements[0].mv is not None and elements[1].mv is not None:
+    if n == 2 and not (elements[0].mv.is_zero() or elements[1].mv.is_zero()):
         X, Y = elements[0].mv, elements[1].mv
         term = schouten_bracket(X, Y)
-        mv_acc = mv_acc + (-term if (X.degree - 1) % 2 else term)
-    return TwistedElement(
-        chart,
-        mv=None if mv_acc.is_zero() else mv_acc,
-        section=None if sec_acc.is_zero() else as_vertical(sec_acc),
-        degree=result_deg,
-    )
+        mv_acc = (-term if (X.degree - 1) % 2 else term) + mv_acc
+    return TwistedElement(mv_acc, sec_acc)
 
 
 def twisted_brackets(alg: CoisoAlgebra) -> Callable:
-    def family(args):
-        return twisted_lambda(alg, list(args))
-
-    return family
+    """The bracket family args -> twisted_lambda(alg, args) of W(C, pi)."""
+    return functools.partial(twisted_lambda, alg)
 
 
 def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
@@ -579,12 +538,11 @@ def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
     """
     if w.degree != 0:
         raise ValueError("twisted Maurer-Cartan input must have W-degree 0")
-    tau = w.mv_part()
+    tau = w.mv
     mv = -schouten_bracket(alg.pi, tau) - schouten_bracket(tau, tau).scale(
         Scalar.rational(1, 2)
     )
-    section = projection_P(exp_ad(alg.pi + tau, w.section_part()))
-    return TwistedElement(alg.chart, mv=mv, section=section, degree=1)
+    return TwistedElement(mv, projection_P(exp_ad(alg.pi + tau, w.section)))
 
 
 # -- higher Jacobi identities ------------------------------------------------------
@@ -596,15 +554,6 @@ def _w_degree(x) -> int:
     if isinstance(x, MultiVectorField):
         return x.degree - 1
     raise TypeError(f"no W-degree for {type(x).__name__}")
-
-
-def _koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
-    sign = 1
-    for pos_b, b in enumerate(order):
-        for a in order[pos_b + 1 :]:
-            if a < b and degrees[a] % 2 and degrees[b] % 2:
-                sign = -sign
-    return sign
 
 
 def higher_jacobi_verify(family: Callable, inputs: Sequence) -> bool:
@@ -626,7 +575,8 @@ def higher_jacobi_verify(family: Callable, inputs: Sequence) -> bool:
     for i in range(1, n + 1):
         for chosen in itertools.combinations(range(n), i):
             rest = tuple(k for k in range(n) if k not in chosen)
-            sign = _koszul_sign(chosen + rest, degrees)
+            # the Koszul sign: only odd-degree inputs anticommute
+            sign = inversion_sign([k for k in chosen + rest if degrees[k] % 2])
             inner = family(tuple(inputs[k] for k in chosen))
             term = family((inner,) + tuple(inputs[k] for k in rest))
             if sign < 0:

@@ -17,7 +17,6 @@ sign calibration for the whole package.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from ._graded import GradedTerms, dot_by_wedge, merge_dirs
 from .coeff_ring import ChartSpec, RingElement, Scalar
@@ -213,14 +212,17 @@ def projected_pushforward(X: MultiVectorField, alpha: MultiVectorField) -> Verti
     """``projection_P(fibre_translate_pushforward(X, alpha))``, projected as built.
 
     P keeps fibre wedge factors at y = 0, so it acts factor by factor: each
-    coefficient is evaluated once at y = -alpha(x), and each factor image is
-    replaced by its fibre part.  A jet X with alpha != 0 raises JetOrderError
-    (``RingElement.substitute_fibre``).
+    coefficient is evaluated once at y = -alpha(x), and the image of each
+    base direction in X's terms is replaced by its fibre part (the fibre
+    directions are their own images).  A jet X with alpha != 0 raises
+    JetOrderError (``RingElement.substitute_fibre``).
     """
     images, neg = _translation(X, alpha)
-    fibre = {d: projection_P(v) for d, v in images.items()}
+    chart = X.chart
+    used = {d for dirs, _ in X.terms for d in dirs}
+    fibre = {d: images[d] if chart.is_fibre_dir(d) else projection_P(images[d]) for d in used}
     return as_vertical(MultiVectorField.from_factor_images(
-        X.chart, X, fibre, lambda c: c.substitute_fibre(neg)
+        chart, X, fibre, lambda c: c.substitute_fibre(neg)
     ))
 
 
@@ -228,7 +230,7 @@ def default_exp_cap(X: MultiVectorField) -> int:
     return X.max_y_degree() + X.degree + 2
 
 
-def ad_series(X: MultiVectorField, alpha: VerticalSection, cap: Optional[int] = None):
+def ad_series(X: MultiVectorField, alpha: VerticalSection):
     """Yield ([...[X, alpha], ..., alpha], 1/k!) with k brackets, k = 1, 2, ...,
     up to the last nonzero bracket.
 
@@ -237,12 +239,11 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection, cap: Optional[int] = 
     coefficient plus the number of base wedge factors by one ([., alpha]
     either differentiates a fibre coordinate, or trades a base wedge factor
     for a fibre one and differentiates alpha along the base).  So at most
-    ``X.max_y_degree() + X.degree`` brackets are nonzero.  ``cap`` (default
-    ``default_exp_cap(X)``) is a guard that valid input never reaches: a
+    ``X.max_y_degree() + X.degree`` brackets are nonzero.
+    ``default_exp_cap(X)`` is a guard that valid input never reaches: a
     nonzero bracket past it raises TruncationCapError.
     """
-    if cap is None:
-        cap = default_exp_cap(X)
+    cap = default_exp_cap(X)
     term, fact = X, 1
     for k in itertools.count(1):
         term = schouten_bracket(term, alpha)
@@ -256,11 +257,9 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection, cap: Optional[int] = 
         yield term, Scalar.rational(1, fact)
 
 
-def exp_ad(
-    X: MultiVectorField, alpha: MultiVectorField, cap: Optional[int] = None
-) -> MultiVectorField:
+def exp_ad(X: MultiVectorField, alpha: MultiVectorField) -> MultiVectorField:
     """The series sum_k (1/k!) [...[X, alpha], ..., alpha] of ``ad_series``."""
     acc = X
-    for term, coeff in ad_series(X, deformation_section(alpha), cap):
+    for term, coeff in ad_series(X, deformation_section(alpha)):
         acc = acc + term.scale(coeff)
     return acc

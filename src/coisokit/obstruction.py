@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._graded import inversion_sign
 from .coeff_ring import RingElement, make_chart
 from .errors import CoisoKitError, NotClosedError
 from .forms import (
@@ -124,7 +125,7 @@ def fibre_torus_integral(beta: DifferentialForm, torus_directions) -> RingElemen
         raise CoisoKitError(
             f"form degree {beta.degree} does not match {len(dirs)} torus directions"
         )
-    sign = _permutation_sign(idx)
+    sign = inversion_sign(idx)
     out = RingElement.zero(chart)
     for wedge, coeff in beta.terms:
         if wedge != ordered:
@@ -135,15 +136,6 @@ def fibre_torus_integral(beta: DifferentialForm, torus_directions) -> RingElemen
             raise CoisoKitError("integrand coefficients must be base functions")
         out = out + coeff.fourier_zero_mode(dirs)
     return out if sign > 0 else -out
-
-
-def _permutation_sign(seq) -> int:
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
 
 
 def obstructedness_certificate(

@@ -294,7 +294,7 @@ def test_criterion_7_twisted_algebra():
         (ydep_tau, sine),
     ):
         pt = alg.pi + tau
-        mc = twisted_mc(alg, TwistedElement(chart, mv=tau, section=alpha))
+        mc = twisted_mc(alg, TwistedElement(tau, alpha))
         poisson = schouten_bracket(pt, pt).is_zero()
         coiso = coisotropy_check_numeric(pt, alpha, per_axis=8).coisotropic
         ok = ok and (mc.is_zero() == (poisson and coiso))

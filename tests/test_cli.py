@@ -374,6 +374,21 @@ class TestRun:
         assert main(["run", str(scn)]) == 3
         assert "error=2" in capsys.readouterr().out
 
+    def test_complex_section_is_a_per_check_error(self, tmp_path, capsys):
+        # the partial sums of an imaginary section are not real: the table
+        # check reports the first such value instead of a traceback
+        scn = tmp_path / "complex.scn"
+        scn.write_text(
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
+            "pi = inv_form(dy1/\\dy2 + dq1/\\dp1 + dq2/\\dp2)\n"
+            "a = (i*sin(2*pi*y1), sin(2*pi*y2))\n"
+            "check mc a 2\n"
+        )
+        assert main(["run", str(scn)]) == 3
+        out = capsys.readouterr().out
+        assert "[1] mc a 2: error\n    message: expected a real value, got " in out
+        assert "error=1" in out
+
     def test_gotay_form_lives_on_the_bounded_scenario_chart(self):
         text = (
             "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2) domain=1/2\n"

@@ -530,6 +530,71 @@ class TestCoisotropyNumeric:
 
 
 class TestTwistedAlgebra:
+    def test_parts_of_disagreeing_degree_raise(self, t4):
+        chart = t4.algebra.chart
+        pi = t4.algebra.pi  # W-degree 0
+        top = VerticalSection(chart, 2, (((4, 5), RingElement.one(chart)),))  # W-degree 1
+        assert TwistedElement(pi, t4.section).degree == 0
+        for mv, section in (
+            (pi, top),
+            (MultiVectorField.zero(chart, 3), t4.section),
+            (pi, VerticalSection(chart, 2, ())),
+        ):
+            with pytest.raises(ValueError, match="inhomogeneous twisted element"):
+                TwistedElement(mv, section)
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1, 2])
+    def test_zero_has_parts_of_the_degrees_its_w_degree_fixes(self, t4, degree):
+        z = TwistedElement.zero(t4.algebra.chart, degree)
+        assert z.is_zero() and z.degree == degree
+        assert (z.mv.degree, z.section.degree) == (degree + 2, degree + 1)
+        assert isinstance(z.section, VerticalSection)
+        assert z.chart == t4.algebra.chart
+
+    def test_brackets_of_functions_keep_their_w_degree(self, t4):
+        # [f, g] of two functions is zero and has no degree -1 field; the
+        # results are still the zero elements of the W-degree sum + 1
+        chart = t4.algebra.chart
+        f = MultiVectorField.function(chart, RingElement.coordinate(chart, "p1"))
+        g = VerticalSection(chart, 0, (((), RingElement.sin_of(chart, {"y1": 1})),))
+        h = VerticalSection(chart, 0, (((), RingElement.sin_of(chart, {"q1": 1})),))
+        fw, gw, hw = (TwistedElement.from_multivector(f), TwistedElement.from_section(g),
+                      TwistedElement.from_section(h))
+        for args, degree in (([fw, fw], -3), ([fw, gw], -2), ([gw, hw, gw], -2)):
+            out = twisted_lambda(t4.algebra, args)
+            assert out.is_zero() and out.degree == degree
+
+    def test_lambda_is_multilinear_over_the_parts(self):
+        # lambda_n of elements with both parts nonzero is the sum, over the
+        # choice of part in each slot, of lambda_n of the pure parts
+        chart = small_chart()
+        rng = rng_for("tw-multilinear")
+        alg = make_coiso_algebra(rand_poisson_disjoint(rng, chart))
+        mixed_terms = 0
+        for n in (1, 2, 3):
+            for _ in range(4):
+                elements = []
+                for _ in range(n):
+                    d = rng.choice((-1, 0, 1))
+                    X = rand_multivector(rng, chart, d + 2, nterms=3, max_ydeg=1)
+                    a = rand_section(rng, chart, d + 1, nterms=3)
+                    assert not (X.is_zero() or a.is_zero())
+                    elements.append(TwistedElement(X, a))
+                pure = [
+                    (TwistedElement.from_multivector(e.mv), TwistedElement.from_section(e.section))
+                    for e in elements
+                ]
+                expected = TwistedElement.zero(chart, sum(e.degree for e in elements) + 1)
+                for choice in itertools.product(*pure):
+                    term = twisted_lambda(alg, list(choice))
+                    mixed = len({c.mv.is_zero() for c in choice}) == 2
+                    mixed_terms += mixed and not term.is_zero()
+                    expected = expected + term
+                got = twisted_lambda(alg, elements)
+                assert got.mv.terms == expected.mv.terms
+                assert got.section.terms == expected.section.terms
+        assert mixed_terms  # a nonzero term has a multivector slot and a section slot
+
     def test_lambda1_of_closed_section(self, t4):
         out = twisted_lambda(t4.algebra, [TwistedElement.from_section(t4.section)])
         assert out.is_zero()
@@ -537,8 +602,8 @@ class TestTwistedAlgebra:
     def test_lambda2_of_sections_matches_kuranishi(self, t4):
         w = TwistedElement.from_section(t4.section)
         out = twisted_lambda(t4.algebra, [w, w])
-        assert out.mv is None
-        assert out.section_part() == lambda_n(t4.algebra, t4.section, t4.section)
+        assert out.mv.is_zero()
+        assert out.section == lambda_n(t4.algebra, t4.section, t4.section)
 
     def test_lambda2_of_bivectors_matches_schouten(self, t4):
         rng = rng_for("tw-schouten")
@@ -548,7 +613,7 @@ class TestTwistedAlgebra:
             w = TwistedElement.from_multivector(X)
             out = twisted_lambda(t4.algebra, [w, w])
             # lambda_2(X[1], X[1]) = (-1)^{|X|}[X, X] with |X| = 1
-            assert out.mv_part() == -schouten_bracket(X, X)
+            assert out.mv == -schouten_bracket(X, X)
 
     def test_lambda1_of_multivector(self, t4):
         rng = rng_for("tw-l1")
@@ -556,8 +621,8 @@ class TestTwistedAlgebra:
         for _ in range(10):
             X = rand_multivector(rng, chart, rng.randint(1, 3), max_ydeg=1)
             out = twisted_lambda(t4.algebra, [TwistedElement.from_multivector(X)])
-            assert out.mv_part() == -schouten_bracket(t4.algebra.pi, X)
-            assert out.section_part() == projection_P(X)
+            assert out.mv == -schouten_bracket(t4.algebra.pi, X)
+            assert out.section == projection_P(X)
 
     def test_higher_jacobi_twisted(self):
         chart = small_chart()
@@ -625,7 +690,7 @@ class TestTwistedAlgebra:
         if not schouten_bracket(alg.pi + ydep_tau, alg.pi + ydep_tau).is_zero():
             cases.append((ydep_tau, alpha_flat, False, True))
         for tau, alpha, want_poisson, _ in cases:
-            w = TwistedElement(chart, mv=tau, section=alpha)
+            w = TwistedElement(tau, alpha)
             mc = twisted_mc(alg, w)
             pt = alg.pi + tau
             jac_zero = schouten_bracket(pt, pt).is_zero()
@@ -645,7 +710,7 @@ class TestTwistedAlgebra:
             chart = alg.chart
             for ydeg in (0, 1, 2):
                 tau = rand_multivector(rng, chart, 2, max_ydeg=ydeg)
-                w = TwistedElement(chart, mv=tau, section=rand_section(rng, chart))
+                w = TwistedElement(tau, rand_section(rng, chart))
                 bound = default_exp_cap(alg.pi) + default_exp_cap(tau) + 1
                 series = TwistedElement.zero(chart, degree=1)
                 fact = 1
@@ -654,8 +719,8 @@ class TestTwistedAlgebra:
                     term = twisted_lambda(alg, [w] * k)
                     series = series + term.scale(Fraction(1, fact))
                 mc = twisted_mc(alg, w)
-                assert mc.mv_part().terms == series.mv_part().terms
-                assert mc.section_part().terms == series.section_part().terms
+                assert mc.mv.terms == series.mv.terms
+                assert mc.section.terms == series.section.terms
 
 
 class TestKuranishi:

@@ -29,6 +29,7 @@ from coisokit import (
     schouten_bracket,
     sharp_star,
 )
+from coisokit import multivector
 from coisokit.multivector import ad_series
 
 
@@ -364,15 +365,16 @@ class TestExpAd:
             rhs = fibre_translate_pushforward(pi, alpha).at_zero_fibre()
             assert lhs == rhs
 
-    def test_cap_exceeded_raises(self, chart):
+    def test_cap_exceeded_raises(self, chart, monkeypatch):
         y1 = RingElement.coordinate(chart, "y1")
         X = MultiVectorField(chart, 2, (((2, 3), y1 ** 3),))
         alpha = VerticalSection.from_components(
             chart,
             [RingElement.constant(chart, 1), RingElement.zero(chart)],
         )
+        monkeypatch.setattr(multivector, "default_exp_cap", lambda X: 1)
         with pytest.raises(TruncationCapError):
-            exp_ad(X, alpha, cap=1)
+            exp_ad(X, alpha)
 
 
 class TestAdSeries:
@@ -394,7 +396,7 @@ class TestAdSeries:
             lengths.add(len(brackets))
         assert len(lengths) > 3  # the draws reach series of several lengths
 
-    def test_exp_ad_raises_exactly_past_its_cap(self, chart):
+    def test_exp_ad_raises_exactly_past_its_cap(self, chart, monkeypatch):
         rng = rng_for("ad-series-cap")
         for _ in range(10):
             X = rand_multivector(rng, chart, 2, nterms=2, max_ydeg=2)
@@ -402,11 +404,13 @@ class TestAdSeries:
             n = len(list(ad_series(X, alpha)))
             full = exp_ad(X, alpha)
             for cap in range(n + 2):
+                monkeypatch.setattr(multivector, "default_exp_cap", lambda X, cap=cap: cap)
                 if cap < n:
                     with pytest.raises(TruncationCapError):
-                        exp_ad(X, alpha, cap=cap)
+                        exp_ad(X, alpha)
                 else:
-                    assert exp_ad(X, alpha, cap=cap) == full
+                    assert exp_ad(X, alpha) == full
+            monkeypatch.undo()
 
 
 class TestSharpContract:

@@ -20,7 +20,14 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
   with a polynomial section;
 - the exact terms of ``symplectic_to_poisson`` of the Gotay model of the
   product torus T^{2k} x T^r (the scenario ``inv_form(gotay(...))``) for
-  (k, r) in {1, 2, 3} x {2, 4}.
+  (k, r) in {1, 2, 3} x {2, 4};
+- the exact terms of both parts of ``twisted_lambda`` for n = 1, 2, 3 on
+  seeded twisted elements of W-degree -1, 0 or 1 with both parts drawn,
+  over the T^4 algebra and a small polynomial-and-periodic chart;
+- the exact terms of both parts of ``twisted_mc`` on the families of
+  ``tests/test_linfty.py::TestTwistedAlgebra``: the four (tau, alpha) cases
+  on T^4 and the seeded (tau, alpha) of each y-degree on T^4 and the small
+  chart.
 
 "Exact terms" spell out every coefficient as its ``Scalar.terms`` triples
 ``(pi-exponent, Fraction re, Fraction im)`` and every jet order, so a change
@@ -48,14 +55,24 @@ import shutil
 import sys
 from fractions import Fraction
 
-from conftest import rand_ring, rand_section, rng_for, torus_gotay_form
+from conftest import (
+    rand_multivector,
+    rand_poisson_disjoint,
+    rand_ring,
+    rand_section,
+    rng_for,
+    small_chart,
+    torus_gotay_form,
+)
 from coisokit import (
     AffinePencil,
     DifferentialForm,
     MultiVectorField,
     PencilError,
     RingElement,
+    TwistedElement,
     VerticalSection,
+    build_T4_example,
     coiso_algebra_from_form,
     de_rham_d,
     exp_ad,
@@ -68,6 +85,8 @@ from coisokit import (
     parse_pencil_text,
     projected_pushforward,
     symplectic_to_poisson,
+    twisted_lambda,
+    twisted_mc,
 )
 from coisokit.cli import RunFlags, emit_report, parse_scenario, run
 
@@ -197,6 +216,62 @@ def _gotay_outputs():
         yield f"gotay/k={k}/r={r}/pi/terms", _field_terms(pi)
 
 
+def _twisted(tau, alpha) -> TwistedElement:
+    return TwistedElement.from_multivector(tau) + TwistedElement.from_section(alpha)
+
+
+def _twisted_parts(name, w):
+    yield f"{name}/mv/terms", _field_terms(w.mv)
+    yield f"{name}/section/terms", _field_terms(w.section)
+
+
+def _twisted_lambda_outputs():
+    rng = rng_for("output-hashes-twisted-lambda")
+    algebras = (
+        ("t4", build_T4_example().algebra),
+        ("small", make_coiso_algebra(rand_poisson_disjoint(rng, small_chart()))),
+    )
+    for label, alg in algebras:
+        for n, trial in itertools.product((1, 2, 3), range(4)):
+            inputs = []
+            for _ in range(n):
+                d = rng.choice((-1, 0, 1))
+                inputs.append(_twisted(
+                    rand_multivector(rng, alg.chart, d + 2, nterms=3, max_ydeg=1),
+                    rand_section(rng, alg.chart, d + 1, nterms=3),
+                ))
+            yield from _twisted_parts(
+                f"twisted_lambda/{label}/n={n}/{trial}", twisted_lambda(alg, inputs)
+            )
+
+
+def _twisted_mc_outputs():
+    alg = build_T4_example().algebra
+    chart = alg.chart
+    one = RingElement.one(chart)
+    alpha_flat = VerticalSection.from_components(
+        chart, [RingElement.constant(chart, Fraction(1, 5)), RingElement.zero(chart)]
+    )
+    alpha_sine = VerticalSection.from_components(
+        chart, [RingElement.sin_of(chart, {"y1": 1}), RingElement.sin_of(chart, {"y2": 1})]
+    )
+    zero2 = MultiVectorField.zero(chart, 2)
+    const_tau = MultiVectorField(chart, 2, (((0, 2), one.scale(Fraction(1, 3))),))
+    ydep_tau = MultiVectorField(chart, 2, (((0, 4), RingElement.coordinate(chart, "p1")),))
+    cases = ((zero2, alpha_flat), (zero2, alpha_sine), (const_tau, alpha_flat),
+             (ydep_tau, alpha_flat))
+    for n, (tau, alpha) in enumerate(cases):
+        yield from _twisted_parts(f"twisted_mc/t4/case={n}", twisted_mc(alg, _twisted(tau, alpha)))
+    # the draws of TestTwistedAlgebra.test_twisted_mc_is_the_defining_series
+    rng = rng_for("tw-mc-series")
+    small = make_coiso_algebra(rand_poisson_disjoint(rng, small_chart()))
+    for label, alg in (("t4", alg), ("small", small)):
+        for ydeg in (0, 1, 2):
+            tau = rand_multivector(rng, alg.chart, 2, max_ydeg=ydeg)
+            w = _twisted(tau, rand_section(rng, alg.chart))
+            yield from _twisted_parts(f"twisted_mc/{label}/ydeg={ydeg}", twisted_mc(alg, w))
+
+
 def outputs():
     """(name, text) of every hashed output, in a fixed order."""
     yield from _t4_reports()
@@ -204,6 +279,8 @@ def outputs():
     yield from _pencil_outputs()
     yield from _jet_outputs()
     yield from _gotay_outputs()
+    yield from _twisted_lambda_outputs()
+    yield from _twisted_mc_outputs()
 
 
 def _digest(text: str) -> str:
