@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ._graded import inversion_sign
 from .coeff_ring import RingElement, Scalar
 from .errors import DegenerateBivectorError, NonInvertibleScalarError
 
@@ -104,17 +105,6 @@ def _components(mat) -> list:
     return out
 
 
-def _parity(masks) -> int:
-    """The parity of the permutation that lists the set bits of each mask in
-    turn, each mask in ascending order."""
-    odd, later = 0, 0
-    for mask in reversed(masks):
-        for i in _bits(mask):
-            odd ^= (later & ((1 << i) - 1)).bit_count() & 1
-        later |= mask
-    return odd
-
-
 def _split(mat, zero):
     """(det, blocks): the determinant of ``mat`` and its blocks as
     (rows, cols, det) triples, or (``zero``, []) when ``mat`` is
@@ -128,8 +118,11 @@ def _split(mat, zero):
     det = blocks[0][2]
     for _, _, block_det in blocks[1:]:
         det = det * block_det
-    odd = _parity([rows for rows, _ in comps]) ^ _parity([cols for _, cols in comps])
-    return (-det if odd else det), blocks
+    # the signs of the row and column orders that list the blocks in turn
+    rows = [i for block_rows, _ in comps for i in _bits(block_rows)]
+    cols = [j for _, block_cols in comps for j in _bits(block_cols)]
+    sign = inversion_sign(rows) * inversion_sign(cols)
+    return (-det if sign < 0 else det), blocks
 
 
 def scalar_det(mat: Sequence[Sequence[Scalar]]) -> Scalar:

@@ -25,6 +25,7 @@ included when explicitly requested so that outputs stay byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import operator
@@ -115,6 +116,9 @@ class _ExprParser:
     # so the bound keeps parsing and evaluation far below the interpreter's
     # default recursion limit of 1000.
     MAX_DEPTH = 64
+    # binary operators as (token kind, operator texts), loosest first; every
+    # level is left-associative, and '^' and unary minus bind tighter still
+    LEVELS = (("op", "+-"), ("wedge", "/\\"), ("op", "*/"))
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -145,33 +149,20 @@ class _ExprParser:
         return self.peek()[0] == "end"
 
     def parse(self):
-        node = self.parse_add()
+        node = self.parse_binary()
         if not self.at_end():
             _, text, line, col = self.peek()
             raise ScenarioError(f"unexpected trailing {text!r}", line, col)
         return node
 
-    def parse_add(self):
-        node = self.parse_wedge()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+    def parse_binary(self, level=0):
+        """A left-associative chain of the operators of ``LEVELS[level]``."""
+        kind, ops = self.LEVELS[level]
+        last = level + 1 == len(self.LEVELS)
+        node = self.parse_unary() if last else self.parse_binary(level + 1)
+        while (tok := self.peek())[0] == kind and tok[1] in ops:
             _, op, line, col = self.next()
-            rhs = self.parse_wedge()
-            node = ("bin", op, node, rhs, (line, col))
-        return node
-
-    def parse_wedge(self):
-        node = self.parse_mul()
-        while self.peek()[0] == "wedge":
-            _, _, line, col = self.next()
-            rhs = self.parse_mul()
-            node = ("bin", "/\\", node, rhs, (line, col))
-        return node
-
-    def parse_mul(self):
-        node = self.parse_unary()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            _, op, line, col = self.next()
-            rhs = self.parse_unary()
+            rhs = self.parse_unary() if last else self.parse_binary(level + 1)
             node = ("bin", op, node, rhs, (line, col))
         return node
 
@@ -221,12 +212,12 @@ class _ExprParser:
         """Comma-separated expressions up to the closing ')', one level deeper;
         a trailing comma is allowed."""
         self.enter(line, col)
-        items = [self.parse_add()]
+        items = [self.parse_binary()]
         while self.peek()[:2] == ("op", ","):
             self.next()
             if self.peek()[:2] == ("op", ")"):
                 break
-            items.append(self.parse_add())
+            items.append(self.parse_binary())
         self.expect_op(")")
         self.depth -= 1
         return items
@@ -241,6 +232,15 @@ _ARITHMETIC = {
     "-": (operator.sub, _ADD_KINDS),
     "*": (operator.mul, "'*' multiplies scalars or scales by a scalar"),
 }
+
+
+@contextlib.contextmanager
+def _located(pos):
+    """Report a library error raised in the block as a ScenarioError at ``pos``."""
+    try:
+        yield
+    except CoisoKitError as exc:
+        raise ScenarioError(str(exc), *pos)
 
 
 class _Evaluator:
@@ -300,10 +300,8 @@ class _Evaluator:
         raise ScenarioError(f"undefined name {name!r}", *pos)
 
     def _vector(self, name, pos):
-        try:
+        with _located(pos):
             return MultiVectorField.basis_vector(self.chart, name)
-        except CoisoKitError as exc:
-            raise ScenarioError(str(exc), *pos)
 
     def _section(self, items, pos):
         comps = []
@@ -311,20 +309,16 @@ class _Evaluator:
             if not isinstance(item, RingElement):
                 raise ScenarioError("tuple entries must be scalar expressions", *pos)
             comps.append(item)
-        try:
+        with _located(pos):
             return VerticalSection.from_components(self.chart, comps)
-        except CoisoKitError as exc:
-            raise ScenarioError(str(exc), *pos)
 
     def _pow(self, value, n, pos):
         if isinstance(value, RingElement):
             if n >= 0:
                 return value ** n
             if value.is_constant():
-                try:
+                with _located(pos):
                     inv = value.constant_scalar().inverse()
-                except CoisoKitError as exc:
-                    raise ScenarioError(str(exc), *pos)
                 return RingElement.constant(self.chart, inv) ** (-n)
         raise ScenarioError("'^' needs a scalar base (negative powers: constants)", *pos)
 
@@ -350,10 +344,8 @@ class _Evaluator:
     def _div(self, a, b, pos):
         if not isinstance(b, RingElement) or not b.is_constant():
             raise ScenarioError("'/' divides by a constant only", *pos)
-        try:
+        with _located(pos):
             inv = b.constant_scalar().inverse()
-        except CoisoKitError as exc:
-            raise ScenarioError(str(exc), *pos)
         return a.scale(inv)
 
     @functools.cached_property
@@ -404,10 +396,8 @@ class _Evaluator:
             form = self.eval(args[0])
             if not isinstance(form, DifferentialForm) or form.degree != 2:
                 raise ScenarioError("inv_form needs a differential 2-form", *pos)
-            try:
+            with _located(pos):
                 return symplectic_to_poisson(form, self.truncation)
-            except CoisoKitError as exc:
-                raise ScenarioError(str(exc), *pos)
         if name == "gotay":
             return self._gotay(args, pos)
         raise ScenarioError(f"unknown function {name!r}", *pos)
@@ -424,7 +414,7 @@ class _Evaluator:
                 raise ScenarioError("gotay kernel entries must be names", *pos)
             kernel.append(arg[1])
         base = self.chart.base_chart()
-        try:
+        with _located(pos):
             omega_c = DifferentialForm(
                 base,
                 form.degree,
@@ -435,8 +425,6 @@ class _Evaluator:
             )
             data = PresymplecticData(base, omega_c, SubbundleSpec(tuple(kernel)))
             model = gotay_local_model(data, self.chart.fibre_bound)
-        except CoisoKitError as exc:
-            raise ScenarioError(str(exc), *pos)
         if model.chart != self.chart:
             raise ScenarioError(
                 f"gotay produces fibre coordinates {model.chart.fibre}, "
@@ -699,30 +687,23 @@ class RunReport:
         return 0
 
 
-class _AlgebraCache:
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._alg = None
-
-    def get(self):
-        if self._alg is None:
-            pi = self.scenario.bindings.get("pi")
-            if not isinstance(pi, MultiVectorField) or pi.degree != 2:
-                raise CoisoKitError(
-                    "checks need a degree-2 multivector bound to the name 'pi'"
-                )
-            self._alg = make_coiso_algebra(pi)
-        return self._alg
+def _algebra(scenario: Scenario):
+    pi = scenario.bindings.get("pi")
+    if not isinstance(pi, MultiVectorField) or pi.degree != 2:
+        raise CoisoKitError("checks need a degree-2 multivector bound to the name 'pi'")
+    return make_coiso_algebra(pi)
 
 
 def run(scenario: Scenario, flags: RunFlags = RunFlags()) -> RunReport:
     """Execute the checks in order; per-check errors do not abort the run."""
-    cache = _AlgebraCache(scenario)
+    # built once, by the first check that needs it; an error is not cached,
+    # so every such check reports it
+    algebra = functools.cache(functools.partial(_algebra, scenario))
     results = []
     for idx, check in enumerate(scenario.checks, start=1):
         started = time.perf_counter()
         try:
-            status, details, defect, table = _run_check(scenario, cache, check, flags)
+            status, details, defect, table = _run_check(scenario, algebra, check, flags)
         except CoisoKitError as exc:
             status, details, defect, table = (
                 "error",
@@ -753,19 +734,19 @@ def _as_section(value) -> VerticalSection:
     return as_vertical(value)
 
 
-def _run_check(scenario, cache, check, flags):
+def _run_check(scenario, algebra, check, flags):
     kind = check.kind
     if kind == "coisotropic":
-        alg = cache.get()
+        alg = algebra()
         alpha = _as_section(_binding(scenario, check.target))
         res = coisotropy_check_numeric(alg, alpha, per_axis=flags.samples)
         status = "pass" if res.coisotropic else "fail"
         details = (("max_defect", f"{res.max_defect:.12e}"),)
         return status, details, res.max_defect, None
     if kind == "mc":
-        return _run_mc(scenario, cache, check, flags)
+        return _run_mc(scenario, algebra, check, flags)
     if kind == "kuranishi":
-        alg = cache.get()
+        alg = algebra()
         a = _as_section(_binding(scenario, check.target))
         report = obstructedness_certificate(alg, a)
         status = "pass" if report.verdict == "NONZERO" else "inconclusive"
@@ -777,7 +758,7 @@ def _run_check(scenario, cache, check, flags):
         )
         return status, details, None, None
     if kind == "jacobi":
-        alg = cache.get()
+        alg = algebra()
         a = _as_section(_binding(scenario, check.target))
         w = TwistedElement.from_section(a)
         family = twisted_brackets(alg)
@@ -812,8 +793,8 @@ def _run_check(scenario, cache, check, flags):
     raise CoisoKitError(f"unknown check kind {kind!r}")
 
 
-def _run_mc(scenario, cache, check, flags):
-    alg = cache.get()
+def _run_mc(scenario, algebra, check, flags):
+    alg = algebra()
     alpha = _as_section(_binding(scenario, check.target))
     if check.param is None:
         if alg.pi.jet_order() is not None:

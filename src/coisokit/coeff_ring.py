@@ -153,6 +153,14 @@ def _times_pi_i(terms: tuple) -> tuple:
     return tuple((e + 1, -im, re, den) for e, re, im, den in terms)
 
 
+def _times_i_power(terms: tuple, p: int) -> tuple:
+    """A quad tuple times i^p (still canonical): each factor i turns (re, im)
+    into (-im, re)."""
+    for _ in range(p % 4):
+        terms = tuple((e, -im, re, den) for e, re, im, den in terms)
+    return terms
+
+
 def _acc_terms(acc: dict) -> tuple:
     """The sorted quad tuple of an accumulator: zero coefficients dropped and
     each term reduced by one gcd."""
@@ -354,29 +362,12 @@ class Scalar:
         if self.is_zero():
             return 1, "0"
         t = self.single_term()
-        if t is not None:
-            e, re, im = t
-            if im == 0:
-                return (1 if re > 0 else -1), _join_factors(
-                    _frac_text(abs(re)), _pi_text(e)
-                )
-            if re == 0:
-                return (1 if im > 0 else -1), _join_factors(
-                    _frac_text(abs(im)), "i", _pi_text(e)
-                )
-            return 1, _join_factors(
-                "(" + _gauss_text(re, im) + ")", _pi_text(e)
-            )
-        pieces = []
-        for e, re, im in self.terms:
-            if im == 0:
-                body = _join_factors(_frac_text(re), _pi_text(e))
-            elif re == 0:
-                body = _join_factors(_frac_text(im), "i", _pi_text(e))
-            else:
-                body = _join_factors("(" + _gauss_text(re, im) + ")", _pi_text(e))
-            pieces.append(body)
-        return 1, "(" + " + ".join(pieces) + ")"
+        if t is None:
+            return 1, "(" + " + ".join(_term_text(*term) for term in self.terms) + ")"
+        e, re, im = t
+        if (re < 0 and not im) or (im < 0 and not re):
+            return -1, _term_text(e, -re, -im)
+        return 1, _term_text(e, re, im)
 
 
 def _scalar_sum(parts) -> Scalar:
@@ -385,6 +376,17 @@ def _scalar_sum(parts) -> Scalar:
     for part in parts:
         _acc_add(acc, part._terms)
     return Scalar._wrap(_acc_terms(acc))
+
+
+def _term_text(e: int, re: Fraction, im: Fraction) -> str:
+    """One term re + im*i times pi^e, a real or imaginary one unbracketed."""
+    if not im:
+        coeff = (_frac_text(re),)
+    elif not re:
+        coeff = (_frac_text(im), "i")
+    else:
+        coeff = ("(" + _gauss_text(re, im) + ")",)
+    return _join_factors(*coeff, _pi_text(e))
 
 
 def _frac_text(q: Fraction) -> str:
@@ -1009,79 +1011,53 @@ class RingElement:
         if self.is_zero():
             return "0"
         chart = self.chart
+        xnames = [chart.base[i] for i in chart.poly_axes]
         pnames = [chart.base[i] for i in chart.periodic_axes]
         groups: dict[tuple, dict[tuple, Scalar]] = {}
         for xe, k, ye, s in self.terms:
             groups.setdefault((xe, ye), {})[k] = s
-        pieces = []
+        out = []
         for (xe, ye), modes in sorted(groups.items()):
             for labels, s in sorted(_real_basis(modes).items()):
                 if s.is_zero():
                     continue
-                pieces.append(((xe, ye, labels), s))
-        out = []
-        for (xe, ye, labels), s in pieces:
-            sign, stext = s.render_signed()
-            factors = [] if stext == "1" else [stext]
-            for pos, e in enumerate(xe):
-                if e:
-                    nm = chart.base[chart.poly_axes[pos]]
-                    factors.append(nm if e == 1 else f"{nm}^{e}")
-            for pos, (fn, n) in enumerate(labels):
-                if fn:
-                    arg = f"2*pi*{pnames[pos]}" if n == 1 else f"{2 * n}*pi*{pnames[pos]}"
-                    factors.append(f"{fn}({arg})")
-            for pos, e in enumerate(ye):
-                if e:
-                    nm = chart.fibre[pos]
-                    factors.append(nm if e == 1 else f"{nm}^{e}")
-            body = "*".join(factors) if factors else "1"
-            if not out:
-                out.append(body if sign > 0 else f"-{body}")
-            else:
-                out.append(f"{'+' if sign > 0 else '-'} {body}")
+                sign, stext = s.render_signed()
+                factors = [] if stext == "1" else [stext]
+                factors += _powers(xnames, xe)
+                factors += [f"{fn}({2 * n}*pi*{nm})" for nm, (fn, n) in zip(pnames, labels) if fn]
+                factors += _powers(chart.fibre, ye)
+                body = "*".join(factors) or "1"
+                if not out:
+                    out.append(body if sign > 0 else f"-{body}")
+                else:
+                    out.append(f"{'+' if sign > 0 else '-'} {body}")
         return " ".join(out)
+
+
+def _powers(names: Sequence[str], exps: tuple) -> list[str]:
+    return [nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e]
 
 
 def _real_basis(modes: Mapping[tuple, Scalar]) -> dict[tuple, Scalar]:
     """Convert exponential-mode coefficients to the sin/cos product basis.
 
-    Keys of the result are tuples of per-axis labels ('', 0) for the
-    constant factor, ('cos', n) or ('sin', n) with n > 0 otherwise.
+    Each axis expands as e^{2 pi i n x} = cos(2 pi |n| x) + i sgn(n) sin(2 pi |n| x),
+    and the products are summed per label tuple.  Keys of the result are
+    tuples of per-axis labels ('', 0) for the constant factor, ('cos', n) or
+    ('sin', n) with n > 0 otherwise.
     """
-    if not modes:
-        return {}
-    n_axes = len(next(iter(modes)))
-    cur: dict[tuple, Scalar] = dict(modes)
-    i_unit = Scalar.imag_unit()
-    for ax in range(n_axes):
-        nxt: dict[tuple, Scalar] = {}
-
-        def put(key, val):
-            if key in nxt:
-                nxt[key] = nxt[key] + val
-            else:
-                nxt[key] = val
-
-        consumed = set()
-        for key, s in cur.items():
-            if key in consumed:
-                continue
-            n = key[ax]
-            if n == 0:
-                put(key[:ax] + (("", 0),) + key[ax + 1 :], s)
-                continue
-            partner = key[:ax] + (-n,) + key[ax + 1 :]
-            sp = cur.get(partner, Scalar.zero())
-            consumed.add(partner)
-            if n < 0:
-                n, s, sp = -n, sp, s
-            cos_key = key[:ax] + (("cos", n),) + key[ax + 1 :]
-            sin_key = key[:ax] + (("sin", n),) + key[ax + 1 :]
-            put(cos_key, s + sp)
-            put(sin_key, i_unit * (s - sp))
-        cur = nxt
-    return cur
+    accs: dict[tuple, dict] = {}
+    for k, s in modes.items():
+        # per axis, (label, p) for the factor i^p: 1 for cos, i*sgn(n) for sin
+        axes = [
+            ((("cos", abs(n)), 0), (("sin", abs(n)), 1 if n > 0 else 3)) if n else ((("", 0), 0),)
+            for n in k
+        ]
+        for combo in itertools.product(*axes):
+            labels = tuple(label for label, _ in combo)
+            terms = _times_i_power(s._terms, sum(p for _, p in combo))
+            _acc_add(accs.setdefault(labels, {}), terms)
+    return {labels: Scalar._wrap(_acc_terms(acc)) for labels, acc in accs.items()}
 
 
 def _bump(t: tuple, i: int, delta: int = 1) -> tuple:

@@ -497,28 +497,25 @@ def twisted_lambda(
     chart = alg.chart
     sections = [e.section for e in elements]
     result_deg = sum(e.degree for e in elements) + 1
-    # every term is added as term + acc: a zero left summand returns the
-    # right one, and a zero bracket may have another degree ([f, g] of two
-    # functions has degree 0, not -1)
     mv_acc = MultiVectorField.zero(chart, result_deg + 2)
     sec_acc = MultiVectorField.zero(chart, result_deg + 1)
     if not any(a.is_zero() for a in sections):
-        sec_acc = lambda_n(alg, *sections) + sec_acc
+        sec_acc = sec_acc + lambda_n(alg, *sections)
     # one multivector slot X, every other slot a section
     for pos, e in enumerate(elements):
         others = sections[:pos] + sections[pos + 1 :]
         if e.mv.is_zero() or any(a.is_zero() for a in others):
             continue
         if n == 1:
-            mv_acc = -schouten_bracket(alg.pi, e.mv) + mv_acc
+            mv_acc = mv_acc - schouten_bracket(alg.pi, e.mv)
         term = _bracket_chain(e.mv, others)
         koszul = sum(o.degree for o in elements[:pos]) * e.degree
-        sec_acc = (-term if koszul % 2 else term) + sec_acc
+        sec_acc = sec_acc + (-term if koszul % 2 else term)
     # two multivector slots; three or more, or two with sections, vanish
     if n == 2 and not (elements[0].mv.is_zero() or elements[1].mv.is_zero()):
         X, Y = elements[0].mv, elements[1].mv
         term = schouten_bracket(X, Y)
-        mv_acc = (-term if (X.degree - 1) % 2 else term) + mv_acc
+        mv_acc = mv_acc + (-term if (X.degree - 1) % 2 else term)
     return TwistedElement(mv_acc, sec_acc)
 
 

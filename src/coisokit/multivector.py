@@ -143,7 +143,7 @@ def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorFie
     yx = _compose(Y, X)
     if (p - 1) * (q - 1) % 2 == 0:
         yx = [(dirs, -sign, f, g) for dirs, sign, f, g in yx]
-    return MultiVectorField(X.chart, max(p + q - 1, 0), dot_by_wedge(_compose(X, Y) + yx))
+    return MultiVectorField(X.chart, p + q - 1, dot_by_wedge(_compose(X, Y) + yx))
 
 
 def is_poisson(pi: MultiVectorField) -> bool:

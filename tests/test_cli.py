@@ -696,6 +696,21 @@ class TestMain:
              "omega = x*dx/\\dy2 + dq1/\\dp1\npi = inv_form(omega)\n",
              "line 3, col 6: form is not exactly invertible at y = 0: "
              "x^2 has a monomial factor and no inverse in the ring"),
+            # a library error is reported at the node whose evaluation raised it
+            ("chart base=(x*) fibre=(y)\n", "f = @z\n",
+             "line 2, col 5: 'z' is not a coordinate of (x, y)"),
+            ("chart base=(x*) fibre=(y)\n", "f = 1/(1+pi)\n",
+             "line 2, col 6: cannot invert Scalar((1 + pi)): not a single pi-power term"),
+            ("chart base=(x) fibre=(y)\n", "f = x/0\n",
+             "line 2, col 6: cannot invert Scalar(0): not a single pi-power term"),
+            ("chart base=(x*) fibre=(y)\n", "f = (pi+1)^-1\n",
+             "line 2, col 11: cannot invert Scalar((1 + pi)): not a single pi-power term"),
+            ("chart base=(x*) fibre=(y)\n", "a = (y,)\n",
+             "line 2, col 5: coefficient 'y' depends on a fibre coordinate"),
+            ("chart base=(x) fibre=(y1,y2)\n", "a = (x,)\n",
+             "line 2, col 5: expected 2 components, got 1"),
+            ("chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n", "w = gotay(dy1/\\dy2, q1)\n",
+             "line 2, col 5: form is degenerate along the zero section"),
         ],
         ids=[
             "form_times_vector", "vector_times_vector", "scalar_minus_form",
@@ -703,7 +718,9 @@ class TestMain:
             "superscript_exponent", "vector_symbol_digit", "chart_difference",
             "chart_double_star", "chart_digit_start", "gotay_fibre_names",
             "gotay_degenerate", "inv_form_pi_polynomial_det",
-            "inv_form_monomial_det",
+            "inv_form_monomial_det", "vector_not_a_coordinate",
+            "divide_by_non_monomial", "divide_by_zero", "negative_power_of_sum",
+            "section_in_fibre", "section_too_short", "gotay_degenerate_at_zero",
         ],
     )
     def test_parse_error_message(self, chart, body, message, tmp_path, capsys):

@@ -552,8 +552,8 @@ class TestTwistedAlgebra:
         assert z.chart == t4.algebra.chart
 
     def test_brackets_of_functions_keep_their_w_degree(self, t4):
-        # [f, g] of two functions is zero and has no degree -1 field; the
-        # results are still the zero elements of the W-degree sum + 1
+        # [f, g] of two functions is the zero field of degree -1; the
+        # results are the zero elements of the W-degree sum + 1
         chart = t4.algebra.chart
         f = MultiVectorField.function(chart, RingElement.coordinate(chart, "p1"))
         g = VerticalSection(chart, 0, (((), RingElement.sin_of(chart, {"y1": 1})),))

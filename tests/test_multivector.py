@@ -88,6 +88,16 @@ class TestSchoutenBracket:
             Y = rand_multivector(rng, chart, 1)
             assert schouten_bracket(X, Y) == lie_bracket_oracle(X, Y)
 
+    def test_bracket_of_two_functions_has_degree_minus_one(self, chart):
+        # degree p + q - 1 holds for p = q = 0 too, so a zero sum keeps its
+        # degree in either summand order
+        f = MultiVectorField.function(chart, RingElement.coordinate(chart, "x1"))
+        g = MultiVectorField.function(chart, RingElement.coordinate(chart, "y2"))
+        bracket = schouten_bracket(f, g)
+        assert bracket.is_zero() and bracket.degree == -1
+        assert (MultiVectorField.zero(chart, -1) + bracket).degree == -1
+        assert (bracket + MultiVectorField.zero(chart, -1)).degree == -1
+
     def test_self_bracket_of_vector_field_vanishes(self, chart):
         rng = rng_for("self-bracket")
         for _ in range(20):

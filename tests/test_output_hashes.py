@@ -27,7 +27,12 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
 - the exact terms of both parts of ``twisted_mc`` on the families of
   ``tests/test_linfty.py::TestTwistedAlgebra``: the four (tau, alpha) cases
   on T^4 and the seeded (tau, alpha) of each y-degree on T^4 and the small
-  chart.
+  chart;
+- ``render()`` of seeded ring elements on a chart with three periodic axes,
+  one polynomial axis and one fibre coordinate (arbitrary Fourier modes of
+  both signs with real and non-real coefficients, and products of sines
+  and cosines), and ``render()`` of Scalars of each single-term shape
+  (real, imaginary, both, negative) and of several terms.
 
 "Exact terms" spell out every coefficient as its ``Scalar.terms`` triples
 ``(pi-exponent, Fraction re, Fraction im)`` and every jet order, so a change
@@ -56,6 +61,7 @@ import sys
 from fractions import Fraction
 
 from conftest import (
+    rand_fraction,
     rand_multivector,
     rand_poisson_disjoint,
     rand_ring,
@@ -70,6 +76,7 @@ from coisokit import (
     MultiVectorField,
     PencilError,
     RingElement,
+    Scalar,
     TwistedElement,
     VerticalSection,
     build_T4_example,
@@ -272,6 +279,32 @@ def _twisted_mc_outputs():
             yield from _twisted_parts(f"twisted_mc/{label}/ydeg={ydeg}", twisted_mc(alg, w))
 
 
+def _render_outputs():
+    rng = rng_for("output-hashes-render")
+    chart = make_chart("y1* x y2* y3*", "p")
+    for n in range(16):
+        if n % 2:
+            value = rand_ring(rng, chart, max_xdeg=1, max_mode=2, max_ydeg=1,
+                              nterms=4, real=n % 4 == 1)
+        else:
+            terms = []
+            for _ in range(rng.randint(2, 8)):
+                s = Scalar.gaussian(rand_fraction(rng), rng.choice((0, rand_fraction(rng))))
+                terms.append(((rng.randint(0, 1),), tuple(rng.randint(-2, 2) for _ in range(3)),
+                              (rng.randint(0, 1),), s * Scalar.pi_power(rng.randint(0, 2))))
+            value = RingElement(chart, terms)
+        yield f"render/ring/{n}", value.render()
+    third = Fraction(1, 3)
+    scalars = (
+        ("real", Scalar.pi_power(2, Fraction(5, 2))), ("negative", Scalar.rational(-3)),
+        ("imaginary", Scalar.gaussian(0, third)), ("negative_imaginary", Scalar.gaussian(0, -1)),
+        ("both", Scalar.gaussian(-1, third) * Scalar.pi_power(1)),
+        ("sum", Scalar(((0, -2, 0), (1, 0, -third), (3, 1, 1)))),
+    )
+    for label, s in scalars:
+        yield f"render/scalar/{label}", s.render()
+
+
 def outputs():
     """(name, text) of every hashed output, in a fixed order."""
     yield from _t4_reports()
@@ -281,6 +314,7 @@ def outputs():
     yield from _gotay_outputs()
     yield from _twisted_lambda_outputs()
     yield from _twisted_mc_outputs()
+    yield from _render_outputs()
 
 
 def _digest(text: str) -> str:
