@@ -55,7 +55,7 @@ def dot_by_wedge(products) -> list:
 class GradedTerms:
     """Homogeneous graded object: degree plus wedge-indexed coefficients."""
 
-    __slots__ = ("chart", "degree", "terms")
+    __slots__ = ("chart", "degree", "terms", "_partials")
 
     def __init__(self, chart: ChartSpec, degree: int, terms):
         acc: dict[tuple, RingElement] = {}
@@ -74,6 +74,17 @@ class GradedTerms:
         self.terms = tuple(
             sorted((d, c) for d, c in acc.items() if not c.is_zero())
         )
+        self._partials = None
+
+    @classmethod
+    def _wrap(cls, chart: ChartSpec, degree: int, pairs):
+        """An object over (dirs, coeff) pairs whose wedge indices are valid
+        for ``degree`` and distinct already: zero coefficients are dropped
+        and the terms sorted, and nothing else is checked."""
+        h = object.__new__(cls)
+        h.chart, h.degree, h._partials = chart, degree, None
+        h.terms = tuple(sorted(t for t in pairs if t[1].terms))
+        return h
 
     @classmethod
     def from_matrix(cls, chart: ChartSpec, entries):
@@ -142,6 +153,21 @@ class GradedTerms:
         orders = [c.jet_order for _, c in self.terms if c.jet_order is not None]
         return min(orders) if orders else None
 
+    def partials_along(self, i: int) -> tuple:
+        """((dirs, d coeff / d u_i), ...) over the terms whose derivative
+        along direction ``i`` is nonzero.  An object never changes, so each
+        direction's row is computed once and kept on the object."""
+        table = self._partials
+        if table is None:
+            table = self._partials = {}
+        row = table.get(i)
+        if row is None:
+            name = self.chart.direction_name(i)
+            row = table[i] = tuple(
+                (dirs, dc) for dirs, c in self.terms if (dc := c.partial(name)).terms
+            )
+        return row
+
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
@@ -164,23 +190,24 @@ class GradedTerms:
             raise ValueError(
                 f"cannot add degree {self.degree} and degree {other.degree}"
             )
-        cls = self._base_kind()
-        return cls(self.chart, self.degree, self.terms + other.terms)
+        acc = dict(self.terms)
+        for d, c in other.terms:
+            mine = acc.get(d)
+            acc[d] = c if mine is None else mine + c
+        return self._base_kind()._wrap(self.chart, self.degree, acc.items())
 
     def __neg__(self):
-        cls = self._base_kind()
-        return cls(self.chart, self.degree, ((d, -c) for d, c in self.terms))
+        return self._base_kind()._wrap(self.chart, self.degree, [(d, -c) for d, c in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
         """Multiply every coefficient by a ring element or scalar."""
-        cls = self._base_kind()
         if isinstance(s, RingElement):
-            return cls(self.chart, self.degree, ((d, c * s) for d, c in self.terms))
+            return self.map_coefficients(lambda c: c * s)
         s = Scalar.of(s)
-        return cls(self.chart, self.degree, ((d, c.scale(s)) for d, c in self.terms))
+        return self.map_coefficients(lambda c: c.scale(s))
 
     def __mul__(self, s):
         if isinstance(s, (int, Fraction, Scalar, RingElement)):
@@ -195,21 +222,21 @@ class GradedTerms:
         self._check(other)
         if self._base_kind() is not other._base_kind():
             raise TypeError("cannot wedge a multivector with a form")
-        products = []
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                m = merge_dirs(d1, d2)
-                if m is not None:
-                    products.append((m[1], m[0], c1, c2))
-        cls = self._base_kind()
-        return cls(self.chart, self.degree + other.degree, dot_by_wedge(products))
+        products = (
+            (m[1], m[0], c1, c2)
+            for d1, c1 in self.terms
+            for d2, c2 in other.terms
+            if (m := merge_dirs(d1, d2)) is not None
+        )
+        return self._base_kind()._wrap(
+            self.chart, self.degree + other.degree, dot_by_wedge(products)
+        )
 
     def __xor__(self, other):
         return self.wedge(other)
 
     def map_coefficients(self, fn):
-        cls = self._base_kind()
-        return cls(self.chart, self.degree, ((d, fn(c)) for d, c in self.terms))
+        return self._base_kind()._wrap(self.chart, self.degree, [(d, fn(c)) for d, c in self.terms])
 
     def at_zero_fibre(self):
         """Evaluate all coefficients at y = 0 (keep the wedge structure)."""

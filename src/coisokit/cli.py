@@ -57,6 +57,7 @@ from .multivector import (
 )
 from .obstruction import obstructedness_certificate
 from .symplectic_model import (
+    InvertedBivector,
     PresymplecticData,
     SubbundleSpec,
     gotay_local_model,
@@ -608,7 +609,13 @@ def _require_binding(name, bindings, lineno):
 
 
 def render_scenario(s: Scenario) -> str:
-    """Canonical text whose parse equals the scenario."""
+    """Canonical text whose parse at the scenario's ``truncation`` equals it.
+
+    A bivector bound to ``inv_form(...)`` is written as the inversion of its
+    form, so it parses back to the same jet.  Any other jet binding (one
+    built by arithmetic on such a bivector) has no text that parses back to
+    it, and raises CoisoKitError naming the binding.
+    """
     lines = []
     chart = s.chart
     if chart is not None:
@@ -623,13 +630,21 @@ def render_scenario(s: Scenario) -> str:
             line += f" domain={chart.fibre_bound}"
         lines.append(line)
     for name, value in s.bindings.items():
-        lines.append(f"{name} = {_render_value(value)}")
+        lines.append(f"{name} = {_render_value(name, value)}")
     for check in s.checks:
         lines.append(f"check {check.label()}")
     return "\n".join(lines) + "\n"
 
 
-def _render_value(value) -> str:
+def _render_value(name: str, value) -> str:
+    if isinstance(value, InvertedBivector):
+        return f"inv_form({value.source_form.render()})"
+    order = value.jet_order if isinstance(value, RingElement) else value.jet_order()
+    if order is not None:
+        raise CoisoKitError(
+            f"binding {name!r} is a jet of order {order}; only an inv_form(...) "
+            "bivector is written as a jet"
+        )
     if isinstance(value, VerticalSection) and value.degree == 1:
         comps = value.components()
         inner = ", ".join(c.render() for c in comps)

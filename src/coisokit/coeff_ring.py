@@ -900,14 +900,26 @@ class RingElement:
     def without_truncation(self) -> "RingElement":
         return RingElement(self.chart, self.terms, None)
 
+    def _check_base_part_known(self):
+        if self.jet_order is not None and self.jet_order < 0:
+            raise JetOrderError(
+                f"a jet of order {self.jet_order} does not know its y-degree-0 part"
+            )
+
     def at_zero_fibre(self) -> "RingElement":
-        """Set all fibre coordinates to zero (drop positive y-degree terms)."""
+        """Set all fibre coordinates to zero (drop positive y-degree terms).
+
+        The result is exact; a jet of order < 0 raises JetOrderError."""
+        self._check_base_part_known()
         return RingElement._wrap(
             self.chart, tuple(t for t in self.terms if not any(t[2])), None
         )
 
     def restrict_to_base(self) -> "RingElement":
-        """Reinterpret a base-only element on the base chart of C."""
+        """Reinterpret a base-only element on the base chart of C.
+
+        The result is exact; a jet of order < 0 raises JetOrderError."""
+        self._check_base_part_known()
         if not self.is_base_only():
             raise FibreDependenceError("element depends on fibre coordinates")
         base = self.chart.base_chart()

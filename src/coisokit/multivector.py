@@ -102,31 +102,22 @@ def deformation_section(a: MultiVectorField) -> VerticalSection:
     return a
 
 
-def _compose(X: MultiVectorField, Y: MultiVectorField) -> list:
-    """Signed products (dirs, sign, f, g) of X o Y = sum_i (d X / d theta_i) ^
-    (d Y / d u_i), right derivative."""
-    chart = X.chart
+def _compose(X: MultiVectorField, Y: MultiVectorField, sign: int = 1):
+    """Yield the signed products (dirs, sign, f, g) of sign * (X o Y), with
+    X o Y = sum_i (d X / d theta_i) ^ (d Y / d u_i), right derivative."""
     p = X.degree
-    partials: dict[int, list] = {}
-    out = []
     for I, f in X.terms:
         for k, i in enumerate(I):
-            dY = partials.get(i)
-            if dY is None:
-                name = chart.direction_name(i)
-                dY = partials[i] = [
-                    (J, dg) for J, g in Y.terms if not (dg := g.partial(name)).is_zero()
-                ]
+            dY = Y.partials_along(i)
+            if not dY:
+                continue
             # the right derivative moves theta_i past the p - 1 - k factors after it
-            flip = (p - 1 - k) % 2 == 1
+            s = -sign if (p - 1 - k) % 2 else sign
             rest = I[:k] + I[k + 1 :]
             for J, dg in dY:
                 m = merge_dirs(rest, J)
-                if m is None:
-                    continue
-                sign, dirs = m
-                out.append((dirs, -1 if (sign < 0) != flip else 1, f, dg))
-    return out
+                if m is not None:
+                    yield m[1], s * m[0], f, dg
 
 
 def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorField:
@@ -136,14 +127,14 @@ def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorFie
     bracket on vector fields, [X, f] = X(f) for vector fields, graded
     antisymmetry [X,Y] = -(-1)^{(p-1)(q-1)}[Y,X], and the Leibniz rule
     [X, Y^Z] = [X,Y]^Z + (-1)^{(p-1) q} Y^[X,Z].  Each coefficient is one
-    ``dot`` over the products of both compositions.
+    ``dot`` over the products of both compositions, which are consumed as
+    they are made.
     """
     X._check(Y)
     p, q = X.degree, Y.degree
-    yx = _compose(Y, X)
-    if (p - 1) * (q - 1) % 2 == 0:
-        yx = [(dirs, -sign, f, g) for dirs, sign, f, g in yx]
-    return MultiVectorField(X.chart, p + q - 1, dot_by_wedge(_compose(X, Y) + yx))
+    yx_sign = -1 if (p - 1) * (q - 1) % 2 == 0 else 1
+    products = itertools.chain(_compose(X, Y), _compose(Y, X, yx_sign))
+    return MultiVectorField._wrap(X.chart, p + q - 1, dot_by_wedge(products))
 
 
 def is_poisson(pi: MultiVectorField) -> bool:
@@ -242,9 +233,14 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection):
     ``X.max_y_degree() + X.degree`` brackets are nonzero.
     ``default_exp_cap(X)`` is a guard that valid input never reaches: a
     nonzero bracket past it raises TruncationCapError.
+
+    The brackets are taken with copies of X and alpha, so the derivative
+    tables they fill (alpha's serves every bracket) go with the series
+    rather than stay on the caller's fields for as long as those live.
     """
     cap = default_exp_cap(X)
-    term, fact = X, 1
+    term, fact = MultiVectorField._wrap(X.chart, X.degree, X.terms), 1
+    alpha = MultiVectorField._wrap(alpha.chart, alpha.degree, alpha.terms)
     for k in itertools.count(1):
         term = schouten_bracket(term, alpha)
         if term.is_zero():

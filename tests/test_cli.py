@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coisokit import InvertedBivector, RingElement, ScenarioError, VerticalSection
+from coisokit import (
+    CoisoKitError,
+    InvertedBivector,
+    RingElement,
+    ScenarioError,
+    VerticalSection,
+)
 from coisokit.cli import (
     RunFlags,
     emit_report,
@@ -118,6 +124,26 @@ class TestParsing:
         )
         s = parse_scenario(text)
         assert parse_scenario(render_scenario(s)) == s
+
+    def test_round_trip_keeps_the_jet_of_an_inverted_form(self):
+        # a fibre-dependent form inverts to a jet of order `truncation`; its
+        # polynomial text would parse back as an exact field
+        chart = "chart base=(x1,x2,q1,q2) fibre=(p1,p2)\n"
+        form = "dx1/\\dx2 + dq1/\\dp1 + dq2/\\dp2 + x2*dp1/\\dx1 + p1*dx2/\\dx1"
+        text = chart + f"pi = inv_form({form})\na = (x2/10, x1/10)\ncheck mc a 4\n"
+        for truncation in (4, 6):
+            s = parse_scenario(text, truncation=truncation)
+            assert s.bindings["pi"].jet_order() == truncation
+            rendered = render_scenario(s)
+            assert "pi = inv_form(" in rendered
+            again = parse_scenario(rendered, truncation=truncation)
+            assert again == s
+            assert again.bindings["pi"].jet_order() == truncation
+        # a jet built by arithmetic has no text that parses back to it
+        s = parse_scenario(chart + f"rho = inv_form({form})\ntwice = 2*rho\n")
+        assert s.bindings["twice"].jet_order() == 6
+        with pytest.raises(CoisoKitError, match="'twice'"):
+            render_scenario(s)
 
     def test_undefined_name_in_binding(self):
         with pytest.raises(ScenarioError) as err:

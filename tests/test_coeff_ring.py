@@ -558,8 +558,13 @@ class TestWrapsAgainstConstructor:
         chart, (f,) = drawn
         jet = order if f.jet_order is None else min(order, f.jet_order)
         assert_same(f.truncate(order), RingElement(chart, f.terms, jet))
-        assert_same(f.at_zero_fibre(),
-                     RingElement(chart, [t for t in f.terms if sum(t[2]) == 0], None))
+        if f.jet_order is not None and f.jet_order < 0:
+            # an order < 0 jet knows no y-degree-0 term, so it has no exact value at y = 0
+            with pytest.raises(JetOrderError):
+                f.at_zero_fibre()
+        else:
+            assert_same(f.at_zero_fibre(),
+                         RingElement(chart, [t for t in f.terms if sum(t[2]) == 0], None))
         periodic = [chart.base[i] for i in chart.periodic_axes]
         for names in (periodic, periodic[:1], periodic[1:]):
             idxs = [chart.kind(n)[1] for n in names]
@@ -677,6 +682,20 @@ class TestTaylorShift:
         scaled = jet.substitute_fibre([y.scale(2)])
         assert scaled == (x * y).scale(2).truncate(2)
         assert scaled.jet_order == 2
+
+    def test_negative_order_jet_has_no_value_at_zero_fibre(self):
+        # an order -1 jet knows none of its terms, not even the y-degree-0
+        # one, so neither y = 0 nor the restriction to the base is exact
+        chart = make_chart("x", "y")
+        x, y = (RingElement.coordinate(chart, n) for n in ("x", "y"))
+        for order in (-1, -2):
+            jet = (x + y).truncate(order)
+            with pytest.raises(JetOrderError):
+                jet.at_zero_fibre()
+            with pytest.raises(JetOrderError):
+                jet.restrict_to_base()
+        assert (x + y).truncate(0).at_zero_fibre() == x
+        assert x.truncate(0).restrict_to_base().jet_order is None
 
     def test_fibre_dependent_shift_rejected(self, chart):
         y1 = RingElement.coordinate(chart, "y1")

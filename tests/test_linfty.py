@@ -648,6 +648,23 @@ class TestTwistedAlgebra:
                     )
             assert higher_jacobi_verify(fam, inputs)
 
+    @pytest.mark.parametrize("fibre", ["y1 y2", "y1 y2 y3"])
+    def test_higher_jacobi_twisted_odd_degrees(self, fibre):
+        # W-degree -1 draws (vector fields, base functions) make the Koszul
+        # signs of the multivector slot nonzero; rank 3 leaves room for them
+        chart = make_chart("x1 x2*", fibre)
+        rng = rng_for(f"tw-jacobi-odd/{fibre}")
+        for trial in range(20):
+            alg = make_coiso_algebra(rand_poisson_disjoint(rng, chart))
+            fam = twisted_brackets(alg)
+            inputs = []
+            for _ in range(2 + trial % 2):
+                d = rng.choice((-1, -1, 0, 1))
+                X = rand_multivector(rng, chart, d + 2, max_ydeg=2)
+                a = rand_section(rng, chart, d + 1)
+                inputs.append(TwistedElement.from_multivector(X) + TwistedElement.from_section(a))
+            assert higher_jacobi_verify(fam, inputs)
+
     def test_higher_jacobi_untwisted(self):
         chart = small_chart()
         rng = rng_for("untw-jacobi")

@@ -1,6 +1,11 @@
 """Schouten calculus: bracket axioms, projection, pushforward, adjoint series."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     rand_base_ring,
@@ -30,6 +35,7 @@ from coisokit import (
     sharp_star,
 )
 from coisokit import multivector
+from coisokit._graded import inversion_sign
 from coisokit.multivector import ad_series
 
 
@@ -465,3 +471,160 @@ class TestSharpContract:
             lhs = pair(sharp_contract(pi, xi), eta)
             rhs = pair(sharp_contract(pi, eta), xi)
             assert lhs == -rhs
+
+
+def _graded_key(w):
+    """Type, degree and every coefficient's terms and jet order."""
+    return type(w), w.degree, tuple((d, c.terms, c.jet_order) for d, c in w.terms)
+
+
+@st.composite
+def graded_pairs(draw, kinds=(MultiVectorField, DifferentialForm)):
+    """(chart, X, Y): seeded fields or forms of drawn degrees on one chart,
+    each exact or truncated to a drawn jet order (-1 included), and Y either
+    a fresh draw, X itself or -X plus a fresh draw (shared wedge indices)."""
+    chart = draw(st.sampled_from((small_chart(), make_chart("x1* x2", "y1 y2 y3"))))
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def field(degree):
+        keys = list(itertools.combinations(range(chart.n_dirs), degree))
+        terms = [(rng.choice(keys), rand_ring(rng, chart, max_ydeg=2, real=rng.random() < 0.5))
+                 for _ in range(rng.randint(0, 4))]
+        w = kind(chart, degree, terms)
+        order = draw(st.none() | st.integers(-1, 3))
+        return w if order is None else w.truncate(order)
+
+    p = draw(st.integers(0, 3))
+    X = field(p)
+    shape = draw(st.sampled_from(("fresh", "same", "cancel")))
+    if shape == "same":
+        return chart, X, X
+    if shape == "fresh":
+        return chart, X, field(draw(st.integers(0, 3)))
+    return chart, X, kind(chart, p, [(d, -c) for d, c in X.terms] + list(field(p).terms))
+
+
+class TestGradedWrapsAgainstConstructor:
+    """Each result wrapped as built (the Schouten bracket, ``wedge``, ``+``,
+    negation, ``scale`` and ``map_coefficients``) equals the validating
+    constructor applied to the same (wedge, coefficient) pairs, as the
+    operation is defined term by term: same type, degree and terms."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(graded_pairs())
+    def test_sum_negation_scale_and_maps(self, drawn):
+        chart, X, Y = drawn
+        kind = X._base_kind()
+        if X.degree == Y.degree or X.is_zero() or Y.is_zero():
+            got = X + Y
+            expected = (Y if X.is_zero() else X if Y.is_zero()
+                        else kind(chart, X.degree, X.terms + Y.terms))
+            assert _graded_key(got) == _graded_key(expected)
+        assert _graded_key(-X) == _graded_key(kind(chart, X.degree, [(d, -c) for d, c in X.terms]))
+        f = rand_ring(random.Random(len(X.terms)), chart, max_ydeg=1)
+        for s in (f, Scalar.of(Fraction(-7, 3)), 0, RingElement.zero(chart)):
+            expected = kind(chart, X.degree, [
+                (d, c * s if isinstance(s, RingElement) else c.scale(s)) for d, c in X.terms])
+            assert _graded_key(X.scale(s)) == _graded_key(expected)
+        for fn in (lambda c: c.truncate(1), RingElement.without_truncation, lambda c: c * c):
+            expected = kind(chart, X.degree, [(d, fn(c)) for d, c in X.terms])
+            assert _graded_key(X.map_coefficients(fn)) == _graded_key(expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(graded_pairs())
+    def test_wedge(self, drawn):
+        chart, X, Y = drawn
+        pairs = []
+        for d1, c1 in X.terms:
+            for d2, c2 in Y.terms:
+                if not set(d1) & set(d2):
+                    sign = inversion_sign(d1 + d2)
+                    pairs.append((tuple(sorted(d1 + d2)), c1 * c2 if sign > 0 else -(c1 * c2)))
+        expected = X._base_kind()(chart, X.degree + Y.degree, pairs)
+        assert _graded_key(X.wedge(Y)) == _graded_key(expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(graded_pairs(kinds=(MultiVectorField,)))
+    def test_schouten_bracket(self, drawn):
+        chart, X, Y = drawn
+        p, q = X.degree, Y.degree
+        yx_sign = -1 if (p - 1) * (q - 1) % 2 == 0 else 1
+        products = [*multivector._compose(X, Y), *multivector._compose(Y, X, yx_sign)]
+        pairs = [(dirs, f * g if sign > 0 else -(f * g)) for dirs, sign, f, g in products]
+        expected = MultiVectorField(chart, p + q - 1, pairs)
+        assert _graded_key(schouten_bracket(X, Y)) == _graded_key(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_pairs())
+    def test_derivative_table(self, drawn):
+        chart, X, _ = drawn
+        for i in range(chart.n_dirs):
+            name = chart.direction_name(i)
+            expected = [(d, c.partial(name)) for d, c in X.terms if not c.partial(name).is_zero()]
+            for _ in range(2):  # the second read is the kept table
+                got = X.partials_along(i)
+                assert [(d, c.terms, c.jet_order) for d, c in got] == \
+                    [(d, c.terms, c.jet_order) for d, c in expected]
+
+    def test_vertical_sections_add_to_a_field(self, chart):
+        rng = rng_for("wrap-vertical-sum")
+        for _ in range(10):
+            a, b = rand_section(rng, chart), rand_section(rng, chart)
+            expected = MultiVectorField(chart, 1, a.terms + b.terms)
+            assert _graded_key(a + b) == _graded_key(expected)
+
+
+class TestDerivativeTable:
+    def test_a_second_bracket_takes_no_derivative_of_y(self, chart, monkeypatch):
+        rng = rng_for("derivative-table")
+        X = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
+        Y = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
+        # same wedge indices as X, other coefficients
+        X2 = MultiVectorField(chart, 2, [(d, c * c + c) for d, c in X.terms])
+        original = RingElement.partial
+        seen = []
+
+        def counting(self, name):
+            seen.append(self)
+            return original(self, name)
+
+        monkeypatch.setattr(RingElement, "partial", counting)
+        first = schouten_bracket(X, Y)
+        of_y = lambda: [c for c in seen if any(c is g for _, g in Y.terms)]
+        assert of_y() and not first.is_zero()
+        del seen[:]
+        schouten_bracket(X2, Y)
+        assert seen and of_y() == []
+        assert schouten_bracket(X, Y) == first
+
+    def test_a_series_keeps_no_table_on_its_inputs(self, chart):
+        # the series' tables go with the series, not with the caller's fields
+        rng = rng_for("derivative-table-series")
+        pi = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
+        alpha = rand_section(rng, chart)
+        assert exp_ad(pi, alpha) != pi
+        assert pi._partials is None and alpha._partials is None
+        schouten_bracket(pi, alpha)
+        assert pi._partials and alpha._partials
+
+    def test_oracles_do_not_read_the_table(self, monkeypatch):
+        from coisokit import build_T4_example, coisotropy_check_numeric
+        from coisokit._graded import GradedTerms
+
+        t4 = build_T4_example()
+        chart = small_chart()
+        rng = rng_for("oracle-routing")
+        pi = rand_multivector(rng, chart, 2, max_ydeg=2)
+        a = rand_section(rng, chart)
+
+        def refuse(self, i):
+            raise AssertionError("an oracle read the derivative table")
+
+        monkeypatch.setattr(GradedTerms, "partials_along", refuse)
+        with pytest.raises(AssertionError):
+            schouten_bracket(pi, a)
+        projected_pushforward(pi, a)
+        projected_pushforward(t4.algebra.pi, t4.section)
+        assert coisotropy_check_numeric(pi, a, per_axis=4).max_defect >= 0
+        assert not coisotropy_check_numeric(t4.algebra, t4.section, per_axis=4).coisotropic

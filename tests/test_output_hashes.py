@@ -28,6 +28,11 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
   ``tests/test_linfty.py::TestTwistedAlgebra``: the four (tau, alpha) cases
   on T^4 and the seeded (tau, alpha) of each y-degree on T^4 and the small
   chart;
+- the type, degree and exact terms of the graded kernel's results on
+  seeded fields: ``schouten_bracket`` of exact fields and of jets of each
+  degree pair in 0..3, ``wedge``, ``+`` of fields sharing wedge indices and
+  of fields whose terms cancel, ``scale`` by zero, negation and the sum of
+  two ``VerticalSection``s;
 - ``render()`` of seeded ring elements on a chart with three periodic axes,
   one polynomial axis and one fibre coordinate (arbitrary Fourier modes of
   both signs with real and non-real coefficients, and products of sines
@@ -91,6 +96,7 @@ from coisokit import (
     mc_series_exact,
     parse_pencil_text,
     projected_pushforward,
+    schouten_bracket,
     symplectic_to_poisson,
     twisted_lambda,
     twisted_mc,
@@ -279,6 +285,45 @@ def _twisted_mc_outputs():
             yield from _twisted_parts(f"twisted_mc/{label}/ydeg={ydeg}", twisted_mc(alg, w))
 
 
+def _graded_text(field) -> str:
+    return f"{type(field).__name__} degree={field.degree} {_field_terms(field)}"
+
+
+def _graded_outputs():
+    rng = rng_for("output-hashes-graded")
+    charts = (("small", small_chart()), ("periodic", make_chart("x1* x2* t", "y1 y2 y3")))
+    for label, chart in charts:
+        for p, q in itertools.product(range(4), repeat=2):
+            X = rand_multivector(rng, chart, p, nterms=3, max_ydeg=2, real=False)
+            Y = rand_multivector(rng, chart, q, nterms=3, max_ydeg=2)
+            name = f"graded/{label}/p={p}/q={q}"
+            yield f"{name}/schouten", _graded_text(schouten_bracket(X, Y))
+            jx, jy = X.truncate(rng.randint(0, 2)), Y.truncate(rng.randint(1, 3))
+            yield f"{name}/schouten/jet", _graded_text(schouten_bracket(jx, jy))
+            yield f"{name}/schouten/jet_exact", _graded_text(schouten_bracket(jx, Y))
+            yield f"{name}/wedge", _graded_text(X.wedge(Y))
+            yield f"{name}/wedge/jet", _graded_text(jx.wedge(jy))
+        for d in range(4):
+            X = rand_multivector(rng, chart, d, nterms=4, max_ydeg=2, real=False)
+            Y = rand_multivector(rng, chart, d, nterms=4, max_ydeg=2)
+            # Z shares X's wedge indices; X + Z cancels all but Z's extra terms
+            Z = -X + Y.truncate(1)
+            name = f"graded/{label}/d={d}"
+            yield f"{name}/sum/overlap", _graded_text(X + Y)
+            yield f"{name}/sum/cancel", _graded_text(X + Z)
+            yield f"{name}/sum/to_zero", _graded_text(X + (-X))
+            yield f"{name}/difference/jet", _graded_text(X.truncate(2) - Y)
+            yield f"{name}/scale/zero", _graded_text(X.scale(0))
+            yield f"{name}/scale/ring", _graded_text(X.scale(rand_ring(rng, chart, max_ydeg=1)))
+            yield f"{name}/negation", _graded_text(-X)
+            yield f"{name}/negation/jet", _graded_text(-Y.truncate(1))
+        for d in (1, 2):
+            a = rand_section(rng, chart, d, nterms=3, real=False)
+            b = rand_section(rng, chart, d, nterms=3)
+            yield f"graded/{label}/section/d={d}/sum", _graded_text(a + b)
+            yield f"graded/{label}/section/d={d}/cancel", _graded_text(a + (b - a))
+
+
 def _render_outputs():
     rng = rng_for("output-hashes-render")
     chart = make_chart("y1* x y2* y3*", "p")
@@ -314,6 +359,7 @@ def outputs():
     yield from _gotay_outputs()
     yield from _twisted_lambda_outputs()
     yield from _twisted_mc_outputs()
+    yield from _graded_outputs()
     yield from _render_outputs()
 
 
