@@ -43,8 +43,8 @@ canonicalisation:
   gcd(c*re, c*im, den) == gcd(c, den);
 - negation, and ``scale`` by a nonzero Scalar: the keys stay, and a product
   of nonzero Scalars is nonzero (a zero Scalar gives the empty element);
-- the filters ``truncate``, ``at_zero_fibre`` and ``fourier_zero_mode``:
-  a subsequence of sorted terms is sorted.
+- the filters ``truncate``, ``at_zero_fibre``, ``fibre_part`` and
+  ``fourier_zero_mode``: a subsequence of sorted terms is sorted.
 
 Jets (finite fibre order) are ordinary elements with ``jet_order`` set;
 binary operations between jets truncate to the minimum order.
@@ -657,10 +657,21 @@ class RingElement:
         return not self.terms
 
     def is_constant(self) -> bool:
+        """Whether every term has the zero key.
+
+        On a jet of order N >= 0 the answer holds through order N, as
+        ``is_zero``'s does: ``(y**2).truncate(1)`` is constant through order
+        1.  A jet of order < 0 raises JetOrderError."""
+        self._check_base_part_known()
         z = self._zero_key(self.chart)
         return all((xe, k, ye) == z for xe, k, ye, _ in self.terms)
 
     def constant_scalar(self) -> Scalar:
+        """The value of a constant element (ValueError if it is not one).
+
+        Jet-relative as ``is_constant`` is; a jet of order < 0 raises
+        JetOrderError."""
+        self._check_base_part_known()
         if self.is_zero():
             return Scalar.zero()
         if not self.is_constant():
@@ -913,6 +924,13 @@ class RingElement:
         self._check_base_part_known()
         return RingElement._wrap(
             self.chart, tuple(t for t in self.terms if not any(t[2])), None
+        )
+
+    def fibre_part(self) -> "RingElement":
+        """The terms of positive y-degree, at this element's jet order: the
+        element minus its value at y = 0."""
+        return RingElement._wrap(
+            self.chart, tuple(t for t in self.terms if any(t[2])), self.jet_order
         )
 
     def restrict_to_base(self) -> "RingElement":

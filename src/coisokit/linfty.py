@@ -183,20 +183,24 @@ def _grid_chunks(chart: ChartSpec, points):
 
 
 def _pushforward_block(alg_or_pi, alpha: VerticalSection):
-    """The numeric Maurer-Cartan oracle of one check: (J Pi J^T)[m:, m:] on a grid.
+    """The numeric Maurer-Cartan oracle of one check: J_f Pi J_f^T on a grid.
 
     Pi is the true bivector at (x, -alpha(x)) (an ``InvertedBivector``'s
-    source form, inverted, else pi) and J the Jacobian of the fibre
-    translation by alpha.  The block is P of the pushed bivector at (x, 0);
-    it vanishes exactly where graph(-alpha) is coisotropic, so it is also
-    the coisotropy defect.
+    source form, inverted, else pi) and J_f = [d alpha / dx | I_n] the n
+    fibre rows of the Jacobian J of the fibre translation by alpha, so
+    J_f Pi J_f^T is the block (J Pi J^T)[m:, m:] without the other rows.
+    The block is P of the pushed bivector at (x, 0); it vanishes exactly
+    where graph(-alpha) is coisotropic, so it is also the coisotropy defect.
 
     The section's components, their base partials and the entries of the
     true matrix are compiled once (``GridEvaluator``); the returned function
     maps a (k, m) array of base points (a chunk of ``_grid_chunks``) to the
     (k, n, n) stack of blocks in one numpy pass: evaluation, a batched
-    inverse and stacked products.  Raises DegenerateBivectorError at the
-    first point where the source form is singular.
+    inverse and stacked products.  A true matrix whose terms all have the
+    zero key (every Gotay torus model's source form) is evaluated and
+    inverted at the chunk's first point only and broadcast to the others;
+    otherwise at every point.  Raises DegenerateBivectorError at the first
+    point where the source form is singular.
     """
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
     invert = isinstance(pi, InvertedBivector)
@@ -204,24 +208,29 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
     chart = alpha.chart
     m, n = chart.n_base, chart.n_fibre
     comps = alpha.components()
-    dalpha = [((m + j, i), d) for j, c in enumerate(comps)
+    dalpha = [((j, i), d) for j, c in enumerate(comps)
               for i, d in enumerate(map(c.partial, chart.base)) if d.terms]
     at_base = GridEvaluator(comps + [d for _, d in dalpha])
     entries = GridEvaluator([c for _, c in true.terms])
+    varies = any(any(xe) or any(modes) or any(ye)
+                 for _, c in true.terms for xe, modes, ye, _ in c.terms)
     mat_at = tuple(np.array([ij for ij, _ in true.terms], dtype=int).reshape(-1, 2).T)
     jac_at = tuple(np.array([ij for ij, _ in dalpha], dtype=int).reshape(-1, 2).T)
 
     def block(base: np.ndarray) -> np.ndarray:
         k = len(base)
         at_x = at_base(base)
-        mat = np.zeros((k, m + n, m + n), dtype=complex)
-        mat[(slice(None),) + mat_at] = entries(base, -at_x[:, :n])
+        # one matrix for all points when the true matrix is constant
+        at = base if varies else base[:1]
+        mat = np.zeros((len(at), m + n, m + n), dtype=complex)
+        mat[(slice(None),) + mat_at] = entries(at, -at_x[: len(at), :n])
         mat = mat - mat.transpose(0, 2, 1)
         if invert:
-            mat = -_inverse_or_degenerate(mat, base)
-        jac = np.repeat(np.eye(m + n, dtype=complex)[None], k, axis=0)
+            mat = -_inverse_or_degenerate(mat, at)
+        jac = np.zeros((k, n, m + n), dtype=complex)
+        jac[:, :, m:] = np.eye(n)
         jac[(slice(None),) + jac_at] = at_x[:, n:]
-        return (jac @ mat @ jac.transpose(0, 2, 1))[:, m:, m:]
+        return jac @ mat @ jac.transpose(0, 2, 1)
 
     return block
 
@@ -246,8 +255,8 @@ def pushforward_oracle_numeric(alg_or_pi, alpha: VerticalSection, x) -> np.ndarr
     """Vertical block of the pushed bivector at (x, 0), computed numerically.
 
     Evaluates the true matrix at (x, -alpha(x)) and conjugates with the
-    translation Jacobian; independent of the symbolic bracket machinery.
-    The same code as a grid check, on a one-point grid.
+    fibre rows of the translation Jacobian; independent of the symbolic
+    bracket machinery.  The same code as a grid check, on a one-point grid.
     """
     alpha = deformation_section(alpha)
     (_, base), = _grid_chunks(alpha.chart, [x])
@@ -392,12 +401,13 @@ def coisotropy_check_numeric(
 ) -> CoisotropyResult:
     """Measure the coisotropy defect of graph(-alpha) on a sample grid.
 
-    The defect is the max over the grid of |(J Pi J^T)[m:, m:]|, the numeric
-    pushforward block at (x, -alpha(x)): the numeric Maurer-Cartan value,
-    the same quantity as the oracle columns of ``mc_partial_table``.  The
-    graph is coisotropic exactly when it vanishes; the check passes when it
-    is at most 1e-9.  A section that leaves the chart's tubular domain
-    raises DomainBoundError.
+    The defect is the max over the grid of |J_f Pi J_f^T|, the numeric
+    pushforward block (J Pi J^T)[m:, m:] at (x, -alpha(x)) formed from the
+    fibre rows J_f of J (see ``_pushforward_block``): the numeric
+    Maurer-Cartan value, the same quantity as the oracle columns of
+    ``mc_partial_table``.  The graph is coisotropic exactly when it
+    vanishes; the check passes when it is at most 1e-9.  A section that
+    leaves the chart's tubular domain raises DomainBoundError.
     """
     alpha = deformation_section(alpha)
     _check_domain(alpha.chart, alpha)

@@ -216,13 +216,9 @@ def _neumann_inverse(m, order: int):
     its products carries the jet orders of a whole row and column)."""
     a = [[e.at_zero_fibre() for e in row] for row in m]
     ainv = ring_matrix_inverse(a)
-    # -Y is the negated positive-fibre-degree part of each entry, at its jet order
-    minus_y = [
-        [RingElement(e.chart, ((xe, k, ye, -s) for xe, k, ye, s in e.terms if any(ye)),
-                     e.jet_order) for e in row]
-        for row in m
-    ]
-    if all(e.is_zero() for row in minus_y for e in row):
+    # Y is the positive-fibre-degree part of each entry, at its jet order
+    y = [[e.fibre_part() for e in row] for row in m]
+    if all(e.is_zero() for row in y for e in row):
         return ainv
     jets = [e.jet_order for row in m for e in row if e.jet_order is not None]
     jet = min([order] + jets) if order > 0 else order
@@ -231,11 +227,11 @@ def _neumann_inverse(m, order: int):
     series = [[[e] for e in row] for row in ainv]
     for rows, cols in _components(m):
         rows, cols = list(_bits(rows)), list(_bits(cols))
-        y = [[minus_y[i][j] for j in cols] for i in rows]
-        if all(e.is_zero() for row in y for e in row):
+        block = [[y[i][j] for j in cols] for i in rows]
+        if all(e.is_zero() for row in block for e in row):
             continue
         power = [[ainv[j][i] for i in rows] for j in cols]  # the block of A^{-1}
-        x = mat_mul(power, y)  # -A^{-1} Y
+        x = mat_mul(power, [[-e for e in row] for row in block])  # -A^{-1} Y
         for _ in range(order):
             power = mat_mul(x, power)
             for j, row in zip(cols, power):

@@ -17,6 +17,7 @@ from coisokit import (
     SubbundleSpec,
     VerticalSection,
     as_vertical,
+    de_rham_d,
     gotay_local_model,
     make_chart,
 )
@@ -138,6 +139,27 @@ def torus_gotay_form(k: int, r: int) -> DifferentialForm:
     one = RingElement.one(base)
     omega_c = DifferentialForm(base, 2, (((2 * i, 2 * i + 1), one) for i in range(k)))
     return gotay_local_model(PresymplecticData(base, omega_c, SubbundleSpec(tuple(qs)))).omega
+
+
+def _jet_form(chart, theta_dir, theta):
+    one = RingElement.one(chart)
+    return (
+        DifferentialForm(chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one)))
+        + de_rham_d(DifferentialForm(chart, 1, (((theta_dir,), theta),)))
+    )
+
+
+def jet_models():
+    """Two fibre-dependent forms on x1 x2 q1 q2 | p1 p2, each with a
+    polynomial section: (omega, section) pairs whose inverses are jets."""
+    chart = make_chart("x1 x2 q1 q2", "p1 p2")
+    x1, x2, p1, p2 = (RingElement.coordinate(chart, n) for n in ("x1", "x2", "p1", "p2"))
+    models = (
+        (_jet_form(chart, 0, p1 * x2), (x1.scale(Fraction(1, 10)), (x1 * x2).scale(Fraction(1, 10)))),
+        (_jet_form(chart, 1, (p2 * x1 * x2).scale(Fraction(-1, 2))),
+         (x2.scale(Fraction(1, 8)), x1.scale(Fraction(1, 8)))),
+    )
+    return [(omega, VerticalSection.from_components(chart, comps)) for omega, comps in models]
 
 
 def small_chart():

@@ -565,6 +565,8 @@ class TestWrapsAgainstConstructor:
         else:
             assert_same(f.at_zero_fibre(),
                          RingElement(chart, [t for t in f.terms if sum(t[2]) == 0], None))
+        assert_same(f.fibre_part(),
+                    RingElement(chart, [t for t in f.terms if sum(t[2]) > 0], f.jet_order))
         periodic = [chart.base[i] for i in chart.periodic_axes]
         for names in (periodic, periodic[:1], periodic[1:]):
             idxs = [chart.kind(n)[1] for n in names]
@@ -696,6 +698,28 @@ class TestTaylorShift:
                 jet.restrict_to_base()
         assert (x + y).truncate(0).at_zero_fibre() == x
         assert x.truncate(0).restrict_to_base().jet_order is None
+
+    def test_negative_order_jet_is_not_known_to_be_constant(self):
+        chart = make_chart("x", "y")
+        x, y = (RingElement.coordinate(chart, n) for n in ("x", "y"))
+        for f in (x + y, RingElement.constant(chart, 3)):
+            jet = f.truncate(-1)
+            with pytest.raises(JetOrderError):
+                jet.is_constant()
+            with pytest.raises(JetOrderError):
+                jet.constant_scalar()
+
+    def test_constant_probes_hold_through_the_jet_order(self):
+        chart = make_chart("x", "y")
+        x, y = (RingElement.coordinate(chart, n) for n in ("x", "y"))
+        jet = (y ** 2 + RingElement.constant(chart, 3)).truncate(1)
+        assert jet.is_constant() and jet.constant_scalar() == Scalar.rational(3)
+        assert (y ** 2).truncate(1).is_constant()
+        assert (y ** 2).truncate(1).constant_scalar() == Scalar.zero()
+        assert not (y ** 2).truncate(2).is_constant()
+        assert not (x + y).truncate(0).is_constant()
+        with pytest.raises(ValueError):
+            (x + y).truncate(0).constant_scalar()
 
     def test_fibre_dependent_shift_rejected(self, chart):
         y1 = RingElement.coordinate(chart, "y1")

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    jet_models,
     rand_multivector,
     rand_poisson_disjoint,
     rand_section,
     rng_for,
     small_chart,
+    torus_gotay_form,
     zero_section,
 )
 from coisokit import (
+    CoisoAlgebra,
     DegenerateBivectorError,
     DomainBoundError,
     InvertedBivector,
@@ -53,6 +56,7 @@ from coisokit import (
     twisted_mc,
     DifferentialForm,
 )
+from coisokit.coeff_ring import GridEvaluator
 from coisokit.multivector import default_exp_cap
 
 
@@ -527,6 +531,95 @@ class TestCoisotropyNumeric:
         with pytest.raises(DegenerateBivectorError) as exc:
             mc_partial_table(alg, a, 2, per_axis=32)
         assert str(exc.value) == message
+
+
+def reference_blocks(alg_or_pi, alpha, base):
+    """(J Pi J^T)[m:, m:] point by point: the true matrix at (x, -alpha(x)),
+    one full inverse per point and the whole (m + n)-square Jacobian."""
+    pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
+    invert = isinstance(pi, InvertedBivector)
+    true = pi.source_form if invert else pi
+    chart = alpha.chart
+    m, size = chart.n_base, chart.n_dirs
+    comps = alpha.components()
+    section = GridEvaluator(comps)
+    partials = GridEvaluator([c.partial(name) for c in comps for name in chart.base])
+    entries = GridEvaluator([c for _, c in true.terms])
+    out = []
+    for x in base:
+        x = x[None]
+        mat = np.zeros((size, size), dtype=complex)
+        for ((i, j), _), v in zip(true.terms, entries(x, -section(x))[0]):
+            mat[i, j], mat[j, i] = v, -v
+        if invert:
+            mat = -np.linalg.inv(mat)
+        jac = np.eye(size, dtype=complex)
+        jac[m:, :m] = partials(x)[0].reshape(len(comps), m)
+        out.append((jac @ mat @ jac.T)[m:, m:])
+    return np.array(out)
+
+
+def fourier_section(rng, chart, coords):
+    """One seeded sine or cosine of a coordinate among ``coords`` per component."""
+    comps = []
+    for j in range(chart.n_fibre):
+        maker = rng.choice((RingElement.sin_of, RingElement.cos_of))
+        term = maker(chart, {coords[j % len(coords)]: rng.randint(1, 2)})
+        comps.append(term.scale(Fraction(rng.randint(1, 3), rng.randint(1, 2))))
+    return VerticalSection.from_components(chart, comps)
+
+
+class TestOracleReference:
+    """The chunked oracle against a per-point numpy reference (+-0 equal)."""
+
+    @staticmethod
+    def compare(monkeypatch, alg_or_pi, alpha, per_axis):
+        from coisokit import linfty
+
+        inverted = []
+        original = linfty._inverse_or_degenerate
+
+        def recording(mats, base):
+            inverted.append(len(mats))
+            return original(mats, base)
+
+        monkeypatch.setattr(linfty, "_inverse_or_degenerate", recording)
+        pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
+        names = sorted(pi.support_names() | alpha.support_names())
+        points = sample_grid(alpha.chart, names, per_axis=per_axis)
+        block = linfty._pushforward_block(alg_or_pi, alpha)
+        chunks = []
+        for _, base in linfty._grid_chunks(alpha.chart, points):
+            chunks.append(len(base))
+            got = block(base)
+            assert np.array_equal(got, reference_blocks(alg_or_pi, alpha, base))
+        return chunks, inverted
+
+    @pytest.mark.parametrize("k, r", list(itertools.product((1, 2, 3), (2, 4))))
+    def test_gotay_models_invert_one_matrix_per_chunk(self, monkeypatch, k, r):
+        alg = coiso_algebra_from_form(torus_gotay_form(k, r))
+        chart = alg.chart
+        rng = rng_for(f"oracle-reference-{k}-{r}")
+        for size in (1, 2):
+            alpha = fourier_section(rng, chart, rng.sample(chart.base, size))
+            chunks, inverted = self.compare(monkeypatch, alg, alpha, per_axis=32)
+            assert len(alpha.support_names()) == size
+            assert inverted == [1] * len(chunks)
+
+    def test_jet_models_invert_every_point(self, monkeypatch):
+        for omega, alpha in jet_models():
+            alg = coiso_algebra_from_form(omega, 12)
+            chunks, inverted = self.compare(monkeypatch, alg, alpha, per_axis=4)
+            assert inverted == chunks and max(chunks) > 1
+
+    def test_constant_plain_bivector(self, monkeypatch, t4):
+        chart = t4.algebra.chart
+        one = RingElement.one(chart)
+        pi = MultiVectorField(chart, 2, (((0, 1), one.scale(2)), ((2, 4), one),
+                                         ((3, 5), one.scale(Fraction(-1, 3)))))
+        for alpha in (t4.section, *t4_family(chart)):
+            chunks, inverted = self.compare(monkeypatch, pi, alpha, per_axis=8)
+            assert inverted == [] and chunks
 
 
 class TestTwistedAlgebra:

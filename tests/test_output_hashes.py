@@ -5,6 +5,9 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
 
 - the ``t4.scn`` report in text, json and csv, at the default samples and
   at ``--samples 8``;
+- the csv report of ``t4.scn`` with ``check mc a 3`` in place of
+  ``check mc a``, at ``--samples 8``: an ``mc_partial_table`` whose oracle
+  inverts a constant source form;
 - ``render()`` and the exact terms of ``mc_series_exact`` and ``exp_ad``
   over a seeded family of centred bivectors and degree-1 sections;
 - the exact terms of ``fibre_translate_pushforward`` of the same seeded
@@ -66,6 +69,7 @@ import sys
 from fractions import Fraction
 
 from conftest import (
+    jet_models,
     rand_fraction,
     rand_multivector,
     rand_poisson_disjoint,
@@ -77,7 +81,6 @@ from conftest import (
 )
 from coisokit import (
     AffinePencil,
-    DifferentialForm,
     MultiVectorField,
     PencilError,
     RingElement,
@@ -86,7 +89,6 @@ from coisokit import (
     VerticalSection,
     build_T4_example,
     coiso_algebra_from_form,
-    de_rham_d,
     exp_ad,
     fibre_translate_pushforward,
     invert_affine_pencil,
@@ -125,6 +127,12 @@ def _t4_reports():
         scenario = parse_scenario(_read("t4.scn"), name="t4.scn", base_dir=DATA)
         flags = RunFlags() if samples is None else RunFlags(samples=samples)
         yield f"t4/{fmt}/samples={samples or 'default'}", emit_report(run(scenario, flags), fmt)
+    # the same scenario with a convergence table: oracle columns of a
+    # constant source form (the jet tables below vary with the fibre)
+    text = _read("t4.scn").replace("check mc a\n", "check mc a 3\n")
+    assert "check mc a 3\n" in text
+    scenario = parse_scenario(text, name="t4_mc3.scn", base_dir=DATA)
+    yield "t4/mc_table/csv/samples=8", emit_report(run(scenario, RunFlags(samples=8)), "csv")
 
 
 # (base spec, fibre spec, y-degree of the bivector, complex coefficients)
@@ -200,26 +208,10 @@ def _pencil_outputs():
         yield f"{name}/terms", repr(tuple(tuple(_element_terms(e) for e in row) for row in inverse))
 
 
-def _jet_form(chart, theta_dir, theta):
-    one = RingElement.one(chart)
-    return (
-        DifferentialForm(chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one)))
-        + de_rham_d(DifferentialForm(chart, 1, (((theta_dir,), theta),)))
-    )
-
-
 def _jet_outputs():
-    chart = make_chart("x1 x2 q1 q2", "p1 p2")
-    x1, x2, p1, p2 = (RingElement.coordinate(chart, n) for n in ("x1", "x2", "p1", "p2"))
-    models = (
-        (_jet_form(chart, 0, p1 * x2), (x1.scale(Fraction(1, 10)), (x1 * x2).scale(Fraction(1, 10)))),
-        (_jet_form(chart, 1, (p2 * x1 * x2).scale(Fraction(-1, 2))),
-         (x2.scale(Fraction(1, 8)), x1.scale(Fraction(1, 8)))),
-    )
-    for n, (omega, comps) in enumerate(models):
+    for n, (omega, alpha) in enumerate(jet_models()):
         alg = coiso_algebra_from_form(omega, 12)
         yield f"jet/{n}/pi/terms", _field_terms(alg.pi)
-        alpha = VerticalSection.from_components(chart, comps)
         yield f"jet/{n}/mc_table/csv", mc_partial_table(alg, alpha, 12, per_axis=4).to_csv()
 
 
