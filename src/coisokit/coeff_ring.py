@@ -30,7 +30,10 @@ Scalar, no Fraction and no partial sum is built.
 A RingElement product is a ``dot`` too.  Its accumulator is keyed by the
 flat tuple ``xe + k + ye``, built once per operand term and added once per
 term pair; the three parts have fixed lengths per chart, so flat keys sort
-as the (xe, k, ye) keys do, and each output key is split once.
+as the (xe, k, ye) keys do, and each output key is split once.  A term pair
+whose Scalars are one real quad each (every rational coefficient) is
+multiplied inline, a negative sign folded into its numerator; every other
+pair goes through ``_acc_mul``, the one general pair loop.
 
 Results that are canonical as produced are wrapped as they are
 (``RingElement._wrap``, like ``Scalar._wrap``), with no second
@@ -46,8 +49,31 @@ canonicalisation:
 - the filters ``truncate``, ``at_zero_fibre``, ``fibre_part`` and
   ``fourier_zero_mode``: a subsequence of sorted terms is sorted.
 
-Jets (finite fibre order) are ordinary elements with ``jet_order`` set;
-binary operations between jets truncate to the minimum order.
+Jets are ordinary elements with ``jet_order`` set.  A jet of order N
+stands for every f + t, where f is its terms and the unknown tail t has
+only terms of y-degree > N; ``jet_order`` None means exact.  The contract:
+
+- A result with jet order M equals op(f + t) through y-degree M for every
+  tail t, and holds no term above M.  Orders combine by the minimum rule: a
+  sum and a ``dot`` take the minimum over all their operands, zero ones
+  included, and a ``dot`` skips the term pairs above it before any
+  arithmetic; ``partial`` along a fibre coordinate lowers the order by one
+  and ``truncate(M)`` lowers it to M.
+- A result with no jet order (an exact element, a Scalar) does not depend
+  on t.  ``at_zero_fibre`` and ``restrict_to_base`` need N >= 0, and raise
+  JetOrderError otherwise; ``substitute_fibre`` raises it for an expression
+  with a y-degree-0 term, which would move t into every order.
+- The queries that read the stored terms are jet-relative: ``is_zero``,
+  ``is_constant``, ``constant_scalar``, ``y_degree``, ``is_base_only``,
+  ``support_names``, ``eval``, ``render`` and equality answer for f, so
+  through order N (``is_constant`` and ``constant_scalar`` raise
+  JetOrderError for N < 0).  ``without_truncation`` takes t = 0 on purpose.
+
+A multivector field or form keeps one element per wedge index, each at its
+own jet order, so its components may have different orders (``jet_order()``
+of a field is their minimum).  Each component of a bracket or a wedge is one
+``dot`` over the products that feed it, at the minimum order of those
+products' operands, and no other component's order enters it.
 """
 
 from __future__ import annotations
@@ -779,19 +805,44 @@ class RingElement:
         for sign, f, g in products:
             if not f.terms or not g.terms:
                 continue
-            right = [(xe + k + ye, sum(ye), s._terms) for xe, k, ye, s in g.terms]
+            # a pair of Scalars that are one real quad each is multiplied
+            # inline, without _acc_mul; ``real`` is that quad, else None
+            right = []
+            for xe, k, ye, s in g.terms:
+                t = s._terms
+                real = t[0] if len(t) == 1 and not t[0][2] else None
+                right.append((xe + k + ye, sum(ye), t, real))
             for xe1, k1, ye1, s1 in f.terms:
                 key1 = xe1 + k1 + ye1
                 deg1 = sum(ye1)
-                left = s1._terms if sign > 0 else _neg_terms(s1._terms)
-                for key2, deg2, t2 in right:
+                left = s1._terms
+                real1 = len(left) == 1 and not left[0][2]
+                if real1:
+                    e1, a, _, d1 = left[0]
+                    if sign < 0:
+                        a = -a
+                        left = ((e1, a, 0, d1),)
+                elif sign < 0:
+                    left = _neg_terms(left)
+                for key2, deg2, t2, real2 in right:
                     if jet is not None and deg1 + deg2 > jet:
                         continue
                     key = tuple(map(add, key1, key2))
                     acc = accs.get(key)
                     if acc is None:
                         accs[key] = acc = {}
-                    _acc_mul(acc, left, t2)
+                    if real1 and real2 is not None:
+                        e2, c, _, d2 = real2
+                        e, re, den = e1 + e2, a * c, d1 * d2
+                        slot = acc.get(e)
+                        if slot is None:
+                            acc[e] = [re, 0, den]
+                        elif slot[2] == den:
+                            slot[0] += re
+                        else:
+                            _acc_put(slot, re, 0, den)
+                    else:
+                        _acc_mul(acc, left, t2)
         chart = head.chart
         nx = len(chart.poly_axes)
         nk = nx + len(chart.periodic_axes)

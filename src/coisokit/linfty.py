@@ -286,15 +286,17 @@ class ConvergenceTable:
     def __post_init__(self):
         seen: dict[tuple, int] = {}
         for row in self.rows:
-            if row.abs_error < 0:
-                raise ValueError("absolute errors must be nonnegative")
+            # a NaN compares false both ways, so it is refused here too
+            if not row.abs_error >= 0:
+                raise ValueError(f"absolute errors must be nonnegative, got {row.abs_error}")
             last = seen.get(row.point)
             if last is not None and row.n <= last:
                 raise ValueError("orders must increase per point")
             seen[row.point] = row.n
 
     def max_error_at(self, n: int) -> float:
-        return max((r.abs_error for r in self.rows if r.n == n), default=0.0)
+        # np.max keeps a NaN; Python's max drops one that is not first
+        return float(np.max([r.abs_error for r in self.rows if r.n == n], initial=0.0))
 
     def to_csv(self) -> str:
         header = (
@@ -322,13 +324,30 @@ def _component_dirs(chart: ChartSpec, degree: int):
     return list(itertools.combinations(fdirs, degree))
 
 
-def _real_parts(values: np.ndarray) -> list:
-    """Rows of real parts; the first value that is not real raises CoisoKitError."""
+def _real_parts(values: np.ndarray) -> np.ndarray:
+    """The real parts; the first value that is not real raises CoisoKitError."""
     bad = np.abs(values.imag) > 1e-9 * (np.abs(values) + 1.0)
     if bad.any():
         value = values.flat[np.flatnonzero(bad)[0]].item()
         raise CoisoKitError(f"expected a real value, got {value}")
-    return values.real.tolist()
+    return values.real
+
+
+def _weight_part(pi: MultiVectorField, order: int) -> MultiVectorField:
+    """pi_{<= order}: the terms of pi of weight at most ``order``.
+
+    The weight of a term is its fibre degree plus its number of base wedge
+    factors (see ``ad_series``).  A component with b base factors keeps its
+    coefficient through fibre order ``order - b`` (``truncate``), and one
+    with b > ``order`` is dropped.
+    """
+    m = pi.chart.n_base
+    terms = []
+    for dirs, c in pi.terms:
+        b = sum(d < m for d in dirs)
+        if b <= order:
+            terms.append((dirs, c.truncate(order - b)))
+    return MultiVectorField(pi.chart, pi.degree, terms)
 
 
 def mc_partial_table(
@@ -339,9 +358,19 @@ def mc_partial_table(
 ) -> ConvergenceTable:
     """Numeric partial sums beta_n for n = 1..order against the pushforward oracle.
 
+    beta_n = sum_{k <= n} P(ad_a^k pi) / k!.  Each bracket with the section
+    lowers the weight of every term (fibre degree plus base wedge factors)
+    by exactly one, and P keeps only weight 0, so P(ad_a^k pi) reads only
+    the weight-k terms of pi.  The series is therefore taken of pi_{<= order}
+    (``_weight_part``), the same partial sums bit for bit: a component with
+    b base factors is truncated at fibre order ``order - b``, and the jet
+    orders this gives every bracket (``order - k - b'`` for a component with
+    b' base factors after k brackets) drop no term P reads.
+
     Once the series has ended, beta_n repeats its last partial sum.  An
     order below 1 raises JetOrderError (the table would have no row).  A
-    section that leaves the chart's tubular domain raises DomainBoundError.
+    section that leaves the chart's tubular domain raises DomainBoundError,
+    and a NaN error at a grid point raises CoisoKitError naming the point.
     """
     if order < 1:
         raise JetOrderError(f"table order {order} < 1: the table would have no partial sum")
@@ -357,7 +386,7 @@ def mc_partial_table(
     comp_names = ["".join(chart.direction_name(d) for d in dirs) for dirs in comp_dirs]
     partials = []
     acc = MultiVectorField.zero(chart, alg.pi.degree)
-    for term, coeff in itertools.islice(ad_series(alg.pi, alpha), order):
+    for term, coeff in itertools.islice(ad_series(_weight_part(alg.pi, order), alpha), order):
         acc = acc + projection_P(term).scale(coeff)
         partials.append(acc)
     partials += [acc] * (order - len(partials))
@@ -374,13 +403,21 @@ def mc_partial_table(
         values = _real_parts(np.concatenate(
             [oracle_at(base)[:, at[:, 0], at[:, 1]], partial_at(base)], axis=1
         ))
-        for x, vals in zip(points[start : start + len(base)], values):
+        # per point and order, max |partial - oracle|; np.max keeps a NaN
+        # (inf - inf), which is refused just below
+        with np.errstate(invalid="ignore"):
+            diffs = values[:, width:].reshape(len(base), order, width) - values[:, None, :width]
+        errs = np.max(np.abs(diffs), axis=2, initial=0.0)
+        nan = np.flatnonzero(np.isnan(errs).any(axis=1))
+        if len(nan):
+            raise CoisoKitError(
+                f"partial sum or oracle is not a number at {points[start + nan[0]]}"
+            )
+        xs = points[start : start + len(base)]
+        for x, vals, row_errs in zip(xs, values.tolist(), errs.tolist()):
             oracle = tuple(vals[:width])
-            for n in range(1, len(partials) + 1):
+            for n, err in enumerate(row_errs, start=1):
                 part = tuple(vals[n * width : (n + 1) * width])
-                err = max(
-                    (abs(v - o) for v, o in zip(part, oracle)), default=0.0
-                )
                 rows.append(ConvergenceRow(tuple(x), n, part, oracle, err))
     return ConvergenceTable(
         tuple(comp_names), tuple(chart.base), tuple(rows)

@@ -246,15 +246,19 @@ def _neumann_inverse(m, order: int):
 
 
 def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):
-    """M(lambda) = A + sum_k lambda_k B_k as a ring matrix on ``chart``."""
-    m = [[RingElement.constant(chart, s) for s in row] for row in pencil.a]
-    for label, bk in zip(pencil.labels, pencil.b):
-        lam = RingElement.coordinate(chart, label)
-        m = [
-            [e + lam.scale(s) for e, s in zip(row, brow)]
-            for row, brow in zip(m, bk)
-        ]
-    return m
+    """M(lambda) = A + sum_k lambda_k B_k as a ring matrix on ``chart``.
+
+    Each entry is built once, from its constant term and one term per
+    lambda_k (the constructor drops the zero ones)."""
+    one = RingElement.one(chart).terms[0][:3]
+    keys = [RingElement.coordinate(chart, label).terms[0][:3] for label in pencil.labels]
+    n = pencil.size
+    return [
+        [RingElement(chart, [one + (pencil.a[i][j],)]
+                     + [key + (bk[i][j],) for key, bk in zip(keys, pencil.b)])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _check_pencil_order(order: int) -> None:

@@ -327,6 +327,20 @@ class TestRun:
             run(direct, RunFlags(samples=4)), "csv"
         )
 
+    # the overflow is the point here: the suite's error filter stays on elsewhere
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mc_table_that_overflows_to_nan_is_an_error(self):
+        # lambda_2(b, b) ~ 10^308 overflows on the grid, and inf - inf is NaN
+        text = (
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
+            "pi = inv_form(gotay(dy1/\\dy2, q1, q2))\n"
+            "b = (10^154*sin(2*pi*y1), 10^154*sin(2*pi*y2))\n"
+            "check mc b 2\n"
+        )
+        result = run(parse_scenario(text), RunFlags(samples=4)).results[0]
+        assert result.status == "error"
+        assert "not a number at (" in dict(result.details)["message"]
+
     def test_report_states_the_parse_truncation(self):
         s = parse_scenario(T4_TEXT, name="t4.scn", base_dir=DATA, truncation=9)
         assert s.truncation == 9

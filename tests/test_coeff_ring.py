@@ -399,6 +399,30 @@ def ring_elements(draw):
 
 SIGNS = st.sampled_from((1, -1))
 
+# one quad of each shape ``dot`` tells apart (real, real times a power of
+# pi, imaginary, both parts), and Scalars of several quads
+_NONZERO = st.builds(Fraction, _NUMS, _DENS).filter(bool)
+_SHAPED_SCALARS = st.one_of(
+    st.builds(lambda q: Scalar([(0, q, 0)]), _NONZERO),
+    st.builds(lambda e, q: Scalar([(e, q, 0)]), st.integers(-3, 3), _NONZERO),
+    st.builds(lambda e, q: Scalar([(e, 0, q)]), st.integers(-3, 3), _NONZERO),
+    st.builds(lambda e, p, q: Scalar([(e, p, q)]), st.integers(-3, 3), _NONZERO, _NONZERO),
+    st.builds(Scalar, _WIDE_TERMS),
+)
+
+
+@st.composite
+def shaped_elements(draw):
+    """Elements of DOT_CHART whose Scalars take every shape above, with an
+    absent or set jet order."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(-2, 2),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2)), _SHAPED_SCALARS),
+        max_size=4,
+    ))
+    jet = draw(st.none() | st.integers(0, 3))
+    return RingElement(DOT_CHART, [((a,), (k,), ye, c) for a, k, ye, c in terms], jet)
+
 
 def _pairwise(products):
     """The sum of the signed products sign * f * g, one + at a time."""
@@ -432,6 +456,28 @@ class TestDot:
         got = Scalar.dot(products)
         assert got.terms == _pairwise(products).terms
         _assert_canonical_scalar(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(SIGNS, shaped_elements(), shaped_elements()), min_size=1, max_size=4))
+    def test_ring_dot_matches_the_fraction_reference(self, products):
+        """A pair of single real quads is multiplied inline and every other
+        pair by ``_acc_mul``; both agree with Fraction arithmetic per key."""
+        got = RingElement.dot(products)
+        orders = [h.jet_order for _, f, g in products for h in (f, g)]
+        jet = min((o for o in orders if o is not None), default=None)
+        groups = {}
+        for sign, f, g in products:
+            for xe1, k1, ye1, s1 in f.terms:
+                for xe2, k2, ye2, s2 in g.terms:
+                    key = tuple(tuple(map(operator.add, u, v))
+                                for u, v in ((xe1, xe2), (k1, k2), (ye1, ye2)))
+                    if jet is None or sum(key[2]) <= jet:
+                        groups.setdefault(key, []).append((sign, s1.terms, s2.terms))
+        expected = tuple(key + (t,) for key, group in sorted(groups.items())
+                         if (t := fs.dot(group)))
+        assert _terms(got) == expected
+        assert got.jet_order == jet
+        assert_canonical_element(got)
 
     def test_zero_operands_keep_their_jet_order(self, chart):
         f = RingElement.coordinate(chart, "y1") + RingElement.coordinate(chart, "x1")

@@ -1,10 +1,13 @@
 """Multibrackets, Maurer-Cartan series, coisotropy checks, twisted algebra."""
 
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     jet_models,
@@ -18,6 +21,9 @@ from conftest import (
 )
 from coisokit import (
     CoisoAlgebra,
+    CoisoKitError,
+    ConvergenceRow,
+    ConvergenceTable,
     DegenerateBivectorError,
     DomainBoundError,
     InvertedBivector,
@@ -56,8 +62,9 @@ from coisokit import (
     twisted_mc,
     DifferentialForm,
 )
+from coisokit import linfty
 from coisokit.coeff_ring import GridEvaluator
-from coisokit.multivector import default_exp_cap
+from coisokit.multivector import ad_series, default_exp_cap
 
 
 def centered_bivector(rng, chart, **kw):
@@ -381,6 +388,43 @@ class TestConvergenceTable:
         with pytest.raises(JetOrderError, match=f"table order {order} < 1"):
             mc_partial_table(t4.algebra, t4.section, order, per_axis=2)
 
+    def test_a_nan_error_is_refused(self):
+        rows = (ConvergenceRow((0.0,), 1, (1.0,), (0.5,), 0.5),
+                ConvergenceRow((1.0,), 1, (math.nan,), (0.5,), math.nan))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ConvergenceTable(("y",), ("x",), rows)
+        negative = ConvergenceRow((1.0,), 1, (0.0,), (1.0,), -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ConvergenceTable(("y",), ("x",), (rows[0], negative))
+
+    def test_max_error_keeps_a_nan_that_is_not_first(self):
+        rows = tuple(ConvergenceRow((x,), 1, (x,), (0.0,), x) for x in (0.5, 0.25, 1.0))
+        table = ConvergenceTable(("y",), ("x",), rows)
+        assert table.max_error_at(1) == 1.0 and table.max_error_at(2) == 0.0
+        # a row the constructor would refuse, set behind its back: Python's
+        # max would read 0.5 here
+        object.__setattr__(rows[1], "abs_error", math.nan)
+        assert math.isnan(table.max_error_at(1))
+
+    def test_a_nan_at_a_grid_point_is_an_error(self, t4, monkeypatch):
+        original = linfty._pushforward_block
+
+        def with_nan(alg, alpha):
+            block = original(alg, alpha)
+
+            def poisoned(base):
+                out = block(base)
+                out[1] = math.nan
+                return out
+
+            return poisoned
+
+        table = mc_partial_table(t4.algebra, t4.section, 3, per_axis=2)
+        point = table.rows[3].point  # rows of the second grid point start here
+        monkeypatch.setattr(linfty, "_pushforward_block", with_nan)
+        with pytest.raises(CoisoKitError, match=re.escape(f"not a number at {point}")):
+            mc_partial_table(t4.algebra, t4.section, 3, per_axis=2)
+
     def test_csv_column_order(self, t4):
         table = mc_partial_table(t4.algebra, t4.section, 2, per_axis=2)
         header = table.to_csv().splitlines()[0].split(",")
@@ -620,6 +664,111 @@ class TestOracleReference:
         for alpha in (t4.section, *t4_family(chart)):
             chunks, inverted = self.compare(monkeypatch, pi, alpha, per_axis=8)
             assert inverted == [] and chunks
+
+
+def weight_parts(X: MultiVectorField) -> dict:
+    """{w: X_w}: the terms of X split by weight (fibre degree plus base wedge
+    factors), each coefficient at its jet order in X."""
+    chart = X.chart
+    parts = {}
+    for dirs, c in X.terms:
+        b = sum(d < chart.n_base for d in dirs)
+        for t in c.terms:
+            parts.setdefault(b + sum(t[2]), {}).setdefault(dirs, (c.jet_order, []))[1].append(t)
+    return {
+        w: MultiVectorField(chart, X.degree, [(dirs, RingElement(chart, ts, jet))
+                                              for dirs, (jet, ts) in by_dirs.items()])
+        for w, by_dirs in parts.items()
+    }
+
+
+def term_weights(X: MultiVectorField) -> set:
+    chart = X.chart
+    return {sum(d < chart.n_base for d in dirs) + sum(ye)
+            for dirs, c in X.terms for _, _, ye, _ in c.terms}
+
+
+def reference_partials(alg, alpha, order, points) -> np.ndarray:
+    """(point, n, component) partial sums of the unpruned series
+    sum_{k <= n} P(ad_a^k pi) / k!, evaluated at ``points``."""
+    chart = alg.chart
+    acc, sums = MultiVectorField.zero(chart, 2), []
+    for term, coeff in itertools.islice(ad_series(alg.pi, alpha), order):
+        acc = acc + projection_P(term).scale(coeff)
+        sums.append(acc)
+    sums += [acc] * (order - len(sums))
+    dirs = list(itertools.combinations(range(chart.n_base, chart.n_dirs), 2))
+    values = GridEvaluator([beta.coefficient(d) for beta in sums for d in dirs])
+    return values(np.array(points, dtype=float)).real.reshape(len(points), order, len(dirs))
+
+
+def assert_partials_match_reference(alg, alpha, order, per_axis):
+    table = mc_partial_table(alg, alpha, order, per_axis=per_axis)
+    points = list(dict.fromkeys(row.point for row in table.rows))
+    ref = reference_partials(alg, alpha, order, points)
+    at = {x: i for i, x in enumerate(points)}
+    assert len(table.rows) == len(points) * order
+    for row in table.rows:
+        expected = ref[at[row.point], row.n - 1]
+        assert [v.hex() for v in row.partial] == [float(v).hex() for v in expected]
+
+
+class TestWeightTruncation:
+    """A table takes its series of pi_{<= N}: every bracket with a vertical
+    base-only section lowers each term's weight by one, so P(ad_a^k pi)
+    reads the weight-k part of pi only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 3), st.sampled_from((None, 0, 1, 2, 3)),
+           st.sampled_from(("small", "wide")))
+    def test_bracket_lowers_every_weight_by_one(self, seed, degree, jet, chart_name):
+        rng = rng_for(f"weights-{seed}")
+        chart = small_chart() if chart_name == "small" else make_chart("b0* b1 b2", "f0 f1 f2")
+        X = rand_multivector(rng, chart, degree, nterms=4, max_ydeg=3, real=False)
+        if jet is not None:
+            X = X.truncate(jet)
+        a = rand_section(rng, chart, nterms=3, real=False)
+        parts = weight_parts(X)
+        for w, part in parts.items():
+            assert term_weights(part) == {w}
+            assert term_weights(schouten_bracket(part, a)) <= {w - 1}
+        if jet is None:
+            total = MultiVectorField.zero(chart, degree)
+            for part in parts.values():
+                total = total + schouten_bracket(part, a)
+            assert total == schouten_bracket(X, a)
+        for order in range(4):
+            kept = MultiVectorField.zero(chart, degree)
+            for w, part in parts.items():
+                if w <= order:
+                    kept = kept + part
+            pruned = linfty._weight_part(X, order)
+            assert pruned.without_truncation() == kept.without_truncation()
+            # a component with b base factors is a jet of order N - b
+            for dirs, c in pruned.terms:
+                b = sum(d < chart.n_base for d in dirs)
+                jet = X.coefficient(dirs).jet_order
+                assert c.jet_order == (order - b if jet is None else min(jet, order - b))
+
+    @pytest.mark.parametrize("order", [1, 5, 12])
+    def test_jet_tables_equal_the_unpruned_series(self, order):
+        for omega, alpha in jet_models():
+            alg = coiso_algebra_from_form(omega, 12)
+            assert_partials_match_reference(alg, alpha, order, per_axis=4)
+
+    @pytest.mark.parametrize("base, fibre", [("x1 x2*", "y1 y2"), ("b0* b1", "f0 f1 f2")])
+    def test_exact_tables_below_the_series_length_equal_the_unpruned_series(self, base, fibre):
+        chart = make_chart(base, fibre)
+        rng = rng_for(f"weight-tables-{base}")
+        lengths = []
+        for _ in range(6):
+            pi = centered_bivector(rng, chart, max_ydeg=3, nterms=4)
+            alpha = rand_section(rng, chart, nterms=3)
+            length = sum(1 for _ in ad_series(pi, alpha))
+            lengths.append(length)
+            for order in range(1, length):
+                assert_partials_match_reference(algebra_for(pi), alpha, order, per_axis=3)
+        assert max(lengths) >= 4
 
 
 class TestTwistedAlgebra:

@@ -19,8 +19,10 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
   no fibre part (its ``repr`` pins the jet orders of the zeros between the
   blocks and of the untouched block);
 - the exact terms of ``coiso_algebra_from_form(omega, 12).pi`` for two jet
-  models, and ``mc_partial_table(..., 12, per_axis=4).to_csv()`` of each
-  with a polynomial section;
+  models, and ``mc_partial_table(..., N, per_axis=4).to_csv()`` of each
+  with a polynomial section at N = 12, 1 and 5, and of one seeded exact
+  centred bivector (a ``SERIES_FAMILY`` draw) at N = 2, below the length
+  of its series;
 - the exact terms of ``symplectic_to_poisson`` of the Gotay model of the
   product torus T^{2k} x T^r (the scenario ``inv_form(gotay(...))``) for
   (k, r) in {1, 2, 3} x {2, 4};
@@ -213,6 +215,14 @@ def _jet_outputs():
         alg = coiso_algebra_from_form(omega, 12)
         yield f"jet/{n}/pi/terms", _field_terms(alg.pi)
         yield f"jet/{n}/mc_table/csv", mc_partial_table(alg, alpha, 12, per_axis=4).to_csv()
+        # orders that drop part of pi: order 1 drops the pure base wedge
+        for order in (1, 5):
+            table = mc_partial_table(alg, alpha, order, per_axis=4)
+            yield f"jet/{n}/mc_table/order={order}/csv", table.to_csv()
+    # an exact centred bivector whose series has four nonzero brackets
+    pi, a = _series_trial(rng_for("output-hashes-exact-table-0"), *SERIES_FAMILY[2])
+    table = mc_partial_table(make_coiso_algebra(pi, require_poisson=False), a, 2, per_axis=4)
+    yield "series/table/order=2/csv", table.to_csv()
 
 
 def _gotay_outputs():
