@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     DomainBoundError,
     FibreDependenceError,
+    FloatOverflowError,
     JetOrderError,
     NonAffineFibreError,
     NonInvertibleScalarError,

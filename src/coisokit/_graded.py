@@ -8,6 +8,7 @@ container plus the sign bookkeeping for wedge products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -101,19 +102,26 @@ class GradedTerms:
         """Sum of coeff(c) * images[d_1] ^ ... ^ images[d_k] over the terms of w.
 
         Pushforwards, pullbacks and the musical maps act factor by factor; a
-        term c with wedge (d_1, ..., d_k) maps to coeff(c) times the images.
-        A term with a zero image has a zero wedge; its coeff(c) is not taken.
+        term c with wedge (d_1, ..., d_k) maps to coeff(c) times the wedge of
+        the degree-1 images.  Each term's images are wedged first (they are
+        small), and the products of coeff(c) with that wedge's coefficients,
+        over all terms, are summed by one ``dot`` per output wedge index, so
+        each coefficient's jet order is the minimum over every product that
+        feeds it, also where some of them cancel.  A term with a zero image
+        has a zero wedge; its coeff(c) is not taken.  A zero coeff(c) is
+        skipped before any product, so its jet order bounds nothing.
         """
-        out = cls(chart, w.degree, ())
+        one = ((), RingElement.one(chart))
+        products = []
         for dirs, c in w.terms:
             factors = [images[d] for d in dirs]
             if any(f.is_zero() for f in factors):
                 continue
-            piece = cls(chart, 0, (((), coeff(c)),))
-            for f in factors:
-                piece = piece.wedge(f)
-            out = out + piece
-        return out
+            wedged = functools.reduce(GradedTerms.wedge, factors).terms if factors else (one,)
+            value = coeff(c)
+            if value.terms:
+                products.extend((d, 1, value, g) for d, g in wedged)
+        return cls._wrap(chart, w.degree, dot_by_wedge(products))
 
     def coefficient_matrix(self):
         """Full antisymmetric matrix of a degree-2 object."""

@@ -68,6 +68,11 @@ from .symplectic_model import (
 )
 
 CHECK_KINDS = ("coisotropic", "mc", "kuranishi", "jacobi", "omega_le", "pencil")
+# The largest order of 'check mc a N' and 'check pencil F N'.  A table has
+# one row per order and the pencil's Neumann series one term per order, so
+# an order is bounded where it is parsed; every scenario, test and workload
+# orders at most 12.
+MAX_ORDER = 100
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -566,7 +571,7 @@ def parse_scenario(
 
 
 def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
-    def int_param(text, what, minimum=None):
+    def int_param(text, what, minimum=None, maximum=None):
         try:
             value = int(text)
         except ValueError:
@@ -576,6 +581,11 @@ def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
         if minimum is not None and value < minimum:
             raise ScenarioError(
                 f"check {kind}: {what} must be at least {minimum}, found {value}",
+                lineno,
+            )
+        if maximum is not None and value > maximum:
+            raise ScenarioError(
+                f"check {kind}: {what} must be at most {maximum}, found {value}",
                 lineno,
             )
         return value
@@ -589,7 +599,7 @@ def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
         if len(args) not in (1, 2):
             raise ScenarioError("check mc takes a name and an optional order", lineno)
         _require_binding(args[0], bindings, lineno)
-        param = int_param(args[1], "order", 1) if len(args) == 2 else None
+        param = int_param(args[1], "order", 1, MAX_ORDER) if len(args) == 2 else None
         return CheckSpec(kind, args[0], param, lineno)
     if kind == "omega_le":
         if len(args) != 2:
@@ -599,7 +609,7 @@ def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
     if kind == "pencil":
         if len(args) != 2:
             raise ScenarioError("check pencil takes a file and an order", lineno)
-        return CheckSpec(kind, args[0], int_param(args[1], "order", 0), lineno)
+        return CheckSpec(kind, args[0], int_param(args[1], "order", 0, MAX_ORDER), lineno)
     raise ScenarioError(f"unknown check kind {kind!r}", lineno)
 
 

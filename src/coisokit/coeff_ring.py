@@ -94,6 +94,7 @@ from .errors import (
     ChartMismatchError,
     DimensionMismatchError,
     FibreDependenceError,
+    FloatOverflowError,
     JetOrderError,
     NonInvertibleScalarError,
     PeriodicCoordinateError,
@@ -358,10 +359,15 @@ class Scalar:
         return self * Scalar.of(other).inverse()
 
     def evalf(self) -> complex:
+        """The complex value; FloatOverflowError if a part is beyond the
+        float range."""
         # int true division rounds correctly, as float(Fraction) does
         val = 0j
-        for e, re, im, den in self._terms:
-            val += complex(re / den, im / den) * math.pi ** e
+        try:
+            for e, re, im, den in self._terms:
+                val += complex(re / den, im / den) * math.pi ** e
+        except OverflowError:
+            raise FloatOverflowError("a coefficient is beyond the float range") from None
         return val
 
     # -- structural ----------------------------------------------------
@@ -895,6 +901,12 @@ class RingElement:
     def substitute_fibre(self, exprs: Sequence["RingElement"]) -> "RingElement":
         """Replace each fibre coordinate y_j by exprs[j], fully expanded.
 
+        The terms are grouped by fibre monomial y^e into base parts B_e, and
+        the result is one ``dot`` over the products B_e * prod_j exprs[j]^e_j,
+        truncated to the minimum jet order of self and exprs.  Each power is
+        the one below it times exprs[j], from a table kept for this call; a
+        coefficient with no fibre term is returned at once.
+
         A jet admits only expressions without a y-degree-0 term: otherwise
         each unknown term y^k past its order moves into every order, and
         JetOrderError is raised.
@@ -915,23 +927,33 @@ class RingElement:
                 f"a jet of order {self.jet_order} cannot take a fibre expression "
                 "with a y-degree-0 term: its unknown terms move into every order"
             )
-        out = RingElement.zero(chart)
-        powers: dict[tuple[int, int], RingElement] = {}
-
-        def pw(j, n):
-            if (j, n) not in powers:
-                powers[(j, n)] = exprs[j] ** n
-            return powers[(j, n)]
-
+        # the base part of each fibre monomial; the terms are sorted, so each
+        # part's terms stay distinct and in order
+        parts: dict[tuple, list] = {}
         for xe, k, ye, s in self.terms:
-            piece = RingElement(chart, ((xe, k, (0,) * chart.n_fibre, s),))
-            for j, e in enumerate(ye):
-                if e:
-                    piece = piece * pw(j, e)
-            out = out + piece
-        if order is not None:
-            out = out.truncate(order)
-        return out
+            part = parts.get(ye)
+            if part is None:
+                parts[ye] = part = []
+            part.append((xe, k, s))
+        zero = (0,) * chart.n_fibre
+        if parts.keys() <= {zero}:
+            return self if order is None else self.truncate(order)
+        # powers[j][n - 1] = exprs[j]^n, each from the one below it
+        powers = [[e] for e in exprs]
+        one = RingElement.one(chart)
+        products = []
+        for ye, part in parts.items():
+            monomial = one
+            for j, n in enumerate(ye):
+                row = powers[j]
+                while len(row) < n:
+                    row.append(row[-1] * exprs[j])
+                if n:
+                    monomial = row[n - 1] if monomial is one else monomial * row[n - 1]
+            base = RingElement._wrap(chart, tuple((xe, k, zero, s) for xe, k, s in part), None)
+            products.append((1, base, monomial))
+        out = RingElement.dot(products)
+        return out if order is None else out.truncate(order)
 
     def shift_fibre(self, alphas: Sequence["RingElement"]) -> "RingElement":
         """Substitution y_j -> y_j + alphas[j] with base-only alphas."""

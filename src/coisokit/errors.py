@@ -73,6 +73,10 @@ class NotPoissonError(CoisoKitError):
     """A bivector fails the Jacobi identity (exactly, or to its jet order)."""
 
 
+class FloatOverflowError(CoisoKitError):
+    """An exact value is beyond the float range of a numeric evaluation."""
+
+
 class ScenarioError(CoisoKitError):
     """Scenario text failed to parse; carries a 1-based position."""
 

@@ -15,6 +15,7 @@ from coisokit import (
     VerticalSection,
 )
 from coisokit.cli import (
+    MAX_ORDER,
     RunFlags,
     emit_report,
     main,
@@ -215,7 +216,17 @@ class TestParsing:
             assert f.render() == value
 
     @pytest.mark.parametrize(
-        "line", ["check mc a x", "check mc a 0", "check pencil rational_pencil.txt -1"]
+        "line",
+        [
+            "check mc a x",
+            "check mc a 0",
+            "check pencil rational_pencil.txt -1",
+            # orders above MAX_ORDER, one of them past sys.maxsize
+            f"check mc a {MAX_ORDER + 1}",
+            "check mc a 99999999999999999999999",
+            f"check pencil rational_pencil.txt {MAX_ORDER + 1}",
+            "check pencil rational_pencil.txt 99999999999999999999999",
+        ],
     )
     def test_invalid_check_parameter_is_a_parse_error(self, line, tmp_path, capsys):
         text = T4_TEXT.split("check")[0] + line + "\n"
@@ -226,6 +237,12 @@ class TestParsing:
         scn.write_text(text)
         assert main(["run", str(scn)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_orders_up_to_the_bound_parse(self):
+        # parsed only: no check at this order is run
+        text = T4_TEXT.split("check")[0]
+        for line in (f"check mc a {MAX_ORDER}", f"check pencil rational_pencil.txt {MAX_ORDER}"):
+            assert parse_scenario(text + line + "\n").checks[0].param == MAX_ORDER
 
     @pytest.mark.parametrize(
         "body, value",
@@ -340,6 +357,43 @@ class TestRun:
         result = run(parse_scenario(text), RunFlags(samples=4)).results[0]
         assert result.status == "error"
         assert "not a number at (" in dict(result.details)["message"]
+
+    @pytest.mark.parametrize(
+        "section, check",
+        [
+            ("a = (10^400*sin(2*pi*y1), sin(2*pi*y2))", "coisotropic a"),
+            ("a = (10^400*sin(2*pi*y1), sin(2*pi*y2))", "mc a 2"),
+            # lambda_2(b, b) has coefficients of 10^400
+            ("b = (10^200*sin(2*pi*y1), 10^200*sin(2*pi*y2))", "mc b 2"),
+        ],
+    )
+    def test_a_coefficient_beyond_the_float_range_is_a_per_check_error(
+        self, section, check, tmp_path, capsys
+    ):
+        scn = tmp_path / "overflow.scn"
+        scn.write_text(
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
+            "pi = inv_form(gotay(dy1/\\dy2, q1, q2))\n"
+            f"{section}\ncheck {check}\n"
+        )
+        assert main(["run", str(scn)]) == 3
+        out = capsys.readouterr().out
+        assert f"[1] {check}: error\n    message: a coefficient is beyond the float range\n" in out
+
+    def test_mc_table_between_the_pass_bound_and_a_looser_one_fails(self):
+        # the order-4 error of this jet lies between 1e-8 (the bound) and
+        # 1e-4, so a looser bound would pass it
+        text = (
+            "chart base=(x1,x2,q1,q2) fibre=(p1,p2)\n"
+            "omega = dx1/\\dx2 + dq1/\\dp1 + dq2/\\dp2 + x2*dp1/\\dx1 + p1*dx2/\\dx1\n"
+            "pi = inv_form(omega)\n"
+            "a = (x2/10, x1/10)\n"
+            "check mc a 4\n"
+        )
+        result = run(parse_scenario(text)).results[0]
+        assert result.status == "fail"
+        assert dict(result.details)["max_error_at_order"] == "1.111111111111e-05"
+        assert 1e-8 < result.defect < 1e-4
 
     def test_report_states_the_parse_truncation(self):
         s = parse_scenario(T4_TEXT, name="t4.scn", base_dir=DATA, truncation=9)

@@ -1,5 +1,6 @@
 """Schouten calculus: bracket axioms, projection, pushforward, adjoint series."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -33,9 +34,10 @@ from coisokit import (
     projection_P,
     schouten_bracket,
     sharp_star,
+    sharp_star_inverse,
 )
 from coisokit import multivector
-from coisokit._graded import inversion_sign
+from coisokit._graded import GradedTerms, inversion_sign
 from coisokit.multivector import ad_series
 
 
@@ -628,3 +630,227 @@ class TestDerivativeTable:
         projected_pushforward(t4.algebra.pi, t4.section)
         assert coisotropy_check_numeric(pi, a, per_axis=4).max_defect >= 0
         assert not coisotropy_check_numeric(t4.algebra, t4.section, per_axis=4).coisotropic
+
+
+def piecewise_factor_images(cls, chart, w, images, coeff=lambda c: c):
+    """The factorwise map as one wedged piece per term, added to a running sum."""
+    out = cls(chart, w.degree, ())
+    for dirs, c in w.terms:
+        factors = [images[d] for d in dirs]
+        if any(f.is_zero() for f in factors):
+            continue
+        piece = cls(chart, 0, (((), coeff(c)),))
+        for f in factors:
+            piece = piece.wedge(f)
+        out = out + piece
+    return out
+
+
+def piecewise_substitute_fibre(f, exprs):
+    """The substitution as one product per term, one power at a time, added
+    to a running sum and truncated to the minimum jet order."""
+    chart = f.chart
+    orders = [g.jet_order for g in (f, *exprs) if g.jet_order is not None]
+    if f.jet_order is not None and any(not any(ye) for e in exprs for _, _, ye, _ in e.terms):
+        raise JetOrderError("a y-degree-0 term under a jet")
+    out = RingElement.zero(chart)
+    for xe, k, ye, s in f.terms:
+        piece = RingElement(chart, ((xe, k, (0,) * chart.n_fibre, s),))
+        for j, n in enumerate(ye):
+            if n:
+                piece = piece * exprs[j] ** n
+        out = out + piece
+    return out.truncate(min(orders)) if orders else out
+
+
+def piecewise(fn, *args):
+    """fn(*args) with both factorwise maps replaced by the loops above; fn
+    must look the maps up when called (pass a function, not a bound map)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradedTerms, "from_factor_images", classmethod(piecewise_factor_images))
+        mp.setattr(RingElement, "substitute_fibre", piecewise_substitute_fibre)
+        return fn(*args)
+
+
+def _element_key(c):
+    return c.terms, c.jet_order
+
+
+def _jet(x, order):
+    return x if order is None else x.truncate(order)
+
+
+@st.composite
+def substitutions(draw):
+    """(f, exprs): f exact, a jet (order -1 included) or base-only; exprs
+    arbitrary for an exact f, fibre-only (no y-degree-0 term) for a jet,
+    each exact or a jet."""
+    chart = draw(st.sampled_from((small_chart(), make_chart("x1* x2", "y1 y2 y3"))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ydeg = draw(st.sampled_from((0, 2, 4)))
+    f = _jet(rand_ring(rng, chart, max_ydeg=ydeg, nterms=rng.randint(0, 5),
+                       real=rng.random() < 0.5), draw(st.none() | st.integers(-1, 3)))
+    exprs = []
+    for _ in chart.fibre:
+        e = rand_ring(rng, chart, max_ydeg=2, nterms=rng.randint(0, 3))
+        if f.jet_order is not None:
+            e = e.fibre_part()
+        exprs.append(_jet(e, draw(st.none() | st.integers(0, 3))))
+    return f, exprs
+
+
+@st.composite
+def translations(draw):
+    """(X, alpha): a field, exact or with base-only coefficients, and a section."""
+    chart = draw(st.sampled_from((small_chart(), make_chart("x1* x2", "y1 y2 y3"))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ydeg = draw(st.sampled_from((0, 2)))
+    X = rand_multivector(rng, chart, draw(st.integers(0, 3)), nterms=rng.randint(0, 4),
+                         max_ydeg=ydeg)
+    return X, rand_section(rng, chart, nterms=rng.randint(0, 3))
+
+
+def _constant_bivector(rng, chart):
+    """A nondegenerate constant bivector on a 4-direction chart: c1 @0^@2 +
+    c2 @1^@3 plus constant (0, 1) and (2, 3) terms (Pfaffian -c1 c2)."""
+    nonzero = lambda: rand_fraction(rng, 1, 3) * rng.choice((1, -1))
+    return MultiVectorField(chart, 2, [
+        ((0, 2), RingElement.constant(chart, nonzero())),
+        ((1, 3), RingElement.constant(chart, nonzero())),
+        ((0, 1), RingElement.constant(chart, rand_fraction(rng))),
+        ((2, 3), RingElement.constant(chart, rand_fraction(rng))),
+    ])
+
+
+class TestFactorwiseMapsAgainstPiecewise:
+    """``from_factor_images`` and ``substitute_fibre`` sum through one
+    ``dot``; each equals the piece-by-piece loops above in every
+    coefficient's terms and jet order.  The one exception is a jet whose
+    running sum cancels to zero before its last piece: the loop drops that
+    partial sum's order with it, against the jet contract, and the ``dot``
+    keeps the minimum (``test_a_cancelled_partial_sum_keeps_its_jet_order``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(substitutions())
+    def test_substitute_fibre(self, drawn):
+        f, exprs = drawn
+        assert _element_key(f.substitute_fibre(exprs)) == \
+            _element_key(piecewise_substitute_fibre(f, exprs))
+
+    def test_substitute_fibre_by_every_power_up_to_four(self):
+        chart = make_chart("x1* x2", "y1 y2 y3")
+        rng = rng_for("substitute-powers")
+        y1, y2, y3 = (RingElement.coordinate(chart, n) for n in chart.fibre)
+        f = RingElement.zero(chart)
+        for a, b, c in itertools.product(range(5), range(3), range(2)):
+            f = f + rand_base_ring(rng, chart, nterms=1) * y1 ** a * y2 ** b * y3 ** c
+        for order in (None, 0, 3, 6):
+            exprs = [_jet(rand_ring(rng, chart, nterms=2), order),
+                     y1 + y3 + rand_base_ring(rng, chart), y2.scale(2)]
+            assert _element_key(f.substitute_fibre(exprs)) == \
+                _element_key(piecewise_substitute_fibre(f, exprs))
+
+    def test_a_zero_coefficient_bounds_no_jet_order(self, chart):
+        # dx1 and dx2 both map to dx1; coeff(y1) is zero at order 1, and
+        # the image of the exact y2 dx2 stays exact
+        y1, y2 = (RingElement.coordinate(chart, n) for n in chart.fibre)
+        w = DifferentialForm(chart, 1, (((0,), y1), ((1,), y2)))
+        dx1 = DifferentialForm.basis_covector(chart, "x1")
+        values = {y1: RingElement.zero(chart).truncate(1), y2: y2}
+
+        def image():
+            return DifferentialForm.from_factor_images(chart, w, [dx1, dx1], values.__getitem__)
+
+        got = image()
+        assert _graded_key(got) == _graded_key(piecewise(image))
+        assert got.terms == (((0,), y2),) and got.jet_order() is None
+
+    def test_a_cancelled_partial_sum_keeps_its_jet_order(self, chart):
+        # y1 + O(y^2) - y1 + O(y^6) + 1 + O(y^8) is 1 + O(y^2): known through
+        # order 1 only, though the first two pieces cancel
+        y1 = RingElement.coordinate(chart, "y1")
+        one = RingElement.one(chart)
+        w = DifferentialForm(chart, 1, (((0,), y1.truncate(1)), ((1,), (-y1).truncate(5)),
+                                        ((2,), one.truncate(7))))
+        dx1 = DifferentialForm.basis_covector(chart, "x1")
+
+        def image():
+            return DifferentialForm.from_factor_images(chart, w, [dx1] * 4)
+
+        assert _graded_key(image()) == _graded_key(DifferentialForm(chart, 1, (((0,), one.truncate(1)),)))
+        assert piecewise(image).jet_order() == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(translations())
+    def test_pushforwards_of_exact_fields(self, drawn):
+        X, alpha = drawn
+        for fn in (fibre_translate_pushforward, projected_pushforward):
+            assert _graded_key(fn(X, alpha)) == _graded_key(piecewise(fn, X, alpha))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_pairs(kinds=(MultiVectorField,)))
+    def test_pushforwards_of_jets_by_the_zero_section(self, drawn):
+        # the zero section substitutes y_j -> y_j: fibre-only expressions
+        chart, X, _ = drawn
+        zero = VerticalSection.from_components(chart, [RingElement.zero(chart)] * chart.n_fibre)
+        for fn in (fibre_translate_pushforward, projected_pushforward):
+            assert _graded_key(fn(X, zero)) == _graded_key(piecewise(fn, X, zero))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_pairs(kinds=(DifferentialForm,)), st.integers(0, 2**32))
+    def test_linear_fibre_change_of_jet_forms(self, drawn, seed):
+        # the pullback along (x, y) -> (x, M y): constant covector images and
+        # fibre-only substitutions, over exact forms and jets
+        chart, w, _ = drawn
+        rng = random.Random(seed)
+        m, n = chart.n_base, chart.n_fibre
+        M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        ys = [RingElement.coordinate(chart, name) for name in chart.fibre]
+        exprs = [sum((ys[k].scale(M[j][k]) for k in range(n)), RingElement.zero(chart))
+                 for j in range(n)]
+        images = [DifferentialForm.basis_covector(chart, chart.direction_name(d))
+                  for d in range(m)]
+        images += [DifferentialForm(chart, 1, (((m + k,), RingElement.constant(chart, M[j][k]))
+                                               for k in range(n) if M[j][k])) for j in range(n)]
+
+        def pullback():
+            return DifferentialForm.from_factor_images(
+                chart, w, images, lambda c: c.substitute_fibre(exprs))
+
+        assert _graded_key(pullback()) == _graded_key(piecewise(pullback))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_pairs(), st.integers(0, 2**32), st.none() | st.integers(0, 3))
+    def test_musical_maps_on_a_jet_bivector(self, drawn, seed, order):
+        chart, w, _ = drawn
+        if chart.n_dirs != 4:
+            return  # a nondegenerate bivector needs an even number of directions
+        pi = _jet(_constant_bivector(random.Random(seed), chart), order)
+        fn = sharp_star if isinstance(w, DifferentialForm) else sharp_star_inverse
+        assert _graded_key(fn(pi, w)) == _graded_key(piecewise(fn, pi, w))
+
+
+def test_the_factorwise_maps_leave_no_cyclic_garbage():
+    # a cycle left per call (a self-calling power closure, say) waits for
+    # the cyclic collector and adds collections to every caller's loop
+    rng = rng_for("factorwise-no-cycles")
+    trials = []
+    for nb, nf in itertools.product((1, 2, 3), repeat=2):
+        chart = make_chart(" ".join(f"b{i}{'*' if i == 0 else ''}" for i in range(nb)),
+                           " ".join(f"f{j}" for j in range(nf)))
+        X = rand_multivector(rng, chart, 2, nterms=4, max_ydeg=3)
+        trials.append((X, rand_section(rng, chart, nterms=3)))
+    gc.collect()
+    gc.disable()
+    try:
+        for X, alpha in trials:
+            fibre_translate_pushforward(X, alpha)
+            projected_pushforward(X, alpha)
+            chart = X.chart
+            exprs = [RingElement.coordinate(chart, y) - a
+                     for y, a in zip(chart.fibre, alpha.components())]
+            for _, c in X.terms:
+                c.substitute_fibre(exprs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
