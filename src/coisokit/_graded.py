@@ -185,6 +185,13 @@ class GradedTerms:
             )
 
     def __add__(self, other):
+        """The sum of two objects of one kind and degree.
+
+        A coefficient that cancels to zero is dropped with its jet order, so
+        a sum of more than two jet objects must be built in one pass (one
+        constructor call over all their terms): summed left to right, a
+        later addend's higher order would take the dropped one's place.
+        """
         if not isinstance(other, GradedTerms):
             return NotImplemented
         self._check(other)

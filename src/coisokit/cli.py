@@ -35,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .coeff_ring import NAME, ChartSpec, RingElement, Scalar, make_chart
 from .errors import CoisoKitError, ScenarioError
@@ -67,7 +67,6 @@ from .symplectic_model import (
     symplectic_to_poisson,
 )
 
-CHECK_KINDS = ("coisotropic", "mc", "kuranishi", "jacobi", "omega_le", "pencil")
 # The largest order of 'check mc a N' and 'check pencil F N'.  A table has
 # one row per order and the pencil's Neumann series one term per order, so
 # an order is bounded where it is parsed; every scenario, test and workload
@@ -546,14 +545,7 @@ def parse_scenario(
             evaluator = _Evaluator(chart, bindings, truncation)
             continue
         if stripped.startswith("check ") or stripped == "check":
-            parts = stripped.split()
-            if len(parts) < 2 or parts[1] not in CHECK_KINDS:
-                raise ScenarioError(
-                    f"unknown check (expected one of {', '.join(CHECK_KINDS)})", lineno
-                )
-            kind = parts[1]
-            args = parts[2:]
-            checks.append(_parse_check(kind, args, bindings, lineno))
+            checks.append(_parse_check(stripped.split()[1:], bindings, lineno))
             continue
         if "=" in stripped:
             lhs, rhs = stripped.split("=", 1)
@@ -570,52 +562,30 @@ def parse_scenario(
     return Scenario(chart, bindings, tuple(checks), name, base_dir, truncation)
 
 
-def _parse_check(kind, args, bindings, lineno) -> CheckSpec:
-    def int_param(text, what, minimum=None, maximum=None):
-        try:
-            value = int(text)
-        except ValueError:
-            raise ScenarioError(
-                f"check {kind}: {what} must be an integer, found {text!r}", lineno
-            ) from None
-        if minimum is not None and value < minimum:
-            raise ScenarioError(
-                f"check {kind}: {what} must be at least {minimum}, found {value}",
-                lineno,
-            )
-        if maximum is not None and value > maximum:
-            raise ScenarioError(
-                f"check {kind}: {what} must be at most {maximum}, found {value}",
-                lineno,
-            )
-        return value
-
-    if kind in ("coisotropic", "kuranishi", "jacobi"):
-        if len(args) != 1:
-            raise ScenarioError(f"check {kind} takes exactly one name", lineno)
-        _require_binding(args[0], bindings, lineno)
+def _parse_check(words, bindings, lineno) -> CheckSpec:
+    """The check of the words after 'check', read against its ``CHECKS``
+    entry: arity, then binding, then integer parameter, then its bounds."""
+    kind, *args = words or [None]
+    entry = CHECKS.get(kind)
+    if entry is None:
+        raise ScenarioError(f"unknown check (expected one of {', '.join(CHECKS)})", lineno)
+    param = entry.param
+    if len(args) not in ((1,) if param is None else (1, 2) if param.optional else (2,)):
+        raise ScenarioError(f"check {kind} takes {entry.usage}", lineno)
+    if entry.binding and args[0] not in bindings:
+        raise ScenarioError(f"undefined name {args[0]!r} in check", lineno)
+    if len(args) == 1:
         return CheckSpec(kind, args[0], None, lineno)
-    if kind == "mc":
-        if len(args) not in (1, 2):
-            raise ScenarioError("check mc takes a name and an optional order", lineno)
-        _require_binding(args[0], bindings, lineno)
-        param = int_param(args[1], "order", 1, MAX_ORDER) if len(args) == 2 else None
-        return CheckSpec(kind, args[0], param, lineno)
-    if kind == "omega_le":
-        if len(args) != 2:
-            raise ScenarioError("check omega_le takes a name and a degree", lineno)
-        _require_binding(args[0], bindings, lineno)
-        return CheckSpec(kind, args[0], int_param(args[1], "degree"), lineno)
-    if kind == "pencil":
-        if len(args) != 2:
-            raise ScenarioError("check pencil takes a file and an order", lineno)
-        return CheckSpec(kind, args[0], int_param(args[1], "order", 0, MAX_ORDER), lineno)
-    raise ScenarioError(f"unknown check kind {kind!r}", lineno)
-
-
-def _require_binding(name, bindings, lineno):
-    if name not in bindings:
-        raise ScenarioError(f"undefined name {name!r} in check", lineno)
+    what = f"check {kind}: {param.what} must be"
+    try:
+        value = int(args[1])
+    except ValueError:
+        raise ScenarioError(f"{what} an integer, found {args[1]!r}", lineno) from None
+    for word, bound, beyond in (("least", param.minimum, operator.lt),
+                                ("most", param.maximum, operator.gt)):
+        if bound is not None and beyond(value, bound):
+            raise ScenarioError(f"{what} at {word} {bound}, found {value}", lineno)
+    return CheckSpec(kind, args[0], value, lineno)
 
 
 def render_scenario(s: Scenario) -> str:
@@ -728,7 +698,10 @@ def run(scenario: Scenario, flags: RunFlags = RunFlags()) -> RunReport:
     for idx, check in enumerate(scenario.checks, start=1):
         started = time.perf_counter()
         try:
-            status, details, defect, table = _run_check(scenario, algebra, check, flags)
+            entry = CHECKS.get(check.kind)
+            if entry is None:  # a Scenario built in code may name any kind
+                raise CoisoKitError(f"unknown check kind {check.kind!r}")
+            status, details, defect, table = entry.run(scenario, algebra, check, flags)
         except CoisoKitError as exc:
             status, details, defect, table = (
                 "error",
@@ -753,74 +726,29 @@ def _binding(scenario, name):
         raise CoisoKitError(f"binding {name!r} is not defined")
 
 
-def _as_section(value) -> VerticalSection:
+def _algebra_and_section(scenario, algebra, check):
+    """The algebra and the check's target section, in that order, so a
+    scenario without a usable 'pi' reports that before its target."""
+    alg = algebra()
+    value = _binding(scenario, check.target)
     if not isinstance(value, MultiVectorField):
         raise CoisoKitError("check target must be a vertical section")
-    return as_vertical(value)
+    return alg, as_vertical(value)
 
 
-def _run_check(scenario, algebra, check, flags):
-    kind = check.kind
-    if kind == "coisotropic":
-        alg = algebra()
-        alpha = _as_section(_binding(scenario, check.target))
-        res = coisotropy_check_numeric(alg, alpha, per_axis=flags.samples)
-        status = "pass" if res.coisotropic else "fail"
-        details = (("max_defect", f"{res.max_defect:.12e}"),)
-        return status, details, res.max_defect, None
-    if kind == "mc":
-        return _run_mc(scenario, algebra, check, flags)
-    if kind == "kuranishi":
-        alg = algebra()
-        a = _as_section(_binding(scenario, check.target))
-        report = obstructedness_certificate(alg, a)
-        status = "pass" if report.verdict == "NONZERO" else "inconclusive"
-        d = report.to_dict()
-        details = tuple(
-            (k, str(d[k]) if not isinstance(d[k], bool) else ("true" if d[k] else "false"))
-            for k in ("closed", "kuranishi", "beta", "integral", "verdict")
-            if d[k] is not None
-        )
-        return status, details, None, None
-    if kind == "jacobi":
-        alg = algebra()
-        a = _as_section(_binding(scenario, check.target))
-        w = TwistedElement.from_section(a)
-        family = twisted_brackets(alg)
-        oks = [higher_jacobi_verify(family, [w] * n) for n in (1, 2)]
-        status = "pass" if all(oks) else "fail"
-        details = tuple((f"order_{n}", "ok" if ok else "violated") for n, ok in zip((1, 2), oks))
-        return status, details, None, None
-    if kind == "omega_le":
-        form = _binding(scenario, check.target)
-        if not isinstance(form, DifferentialForm):
-            raise CoisoKitError("omega_le target must be a differential form")
-        degrees = sorted(fibrewise_degree_classify(form))
-        ok = is_in_omega_le(form, check.param)
-        details = (("fibrewise_degrees", "{" + ",".join(map(str, degrees)) + "}"),)
-        return ("pass" if ok else "fail"), details, None, None
-    if kind == "pencil":
-        path = os.path.join(scenario.base_dir, check.target)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CoisoKitError(f"cannot read pencil file: {exc}")
-        pencil = parse_pencil_text(text)
-        inverse = invert_affine_pencil(pencil, check.param)
-        bad = pencil_product_defect(pencil, inverse, check.param)
-        details = (
-            ("size", str(pencil.size)),
-            ("order", str(check.param)),
-            ("exact_identity", "true" if not bad else "false"),
-        )
-        return ("pass" if not bad else "fail"), details, None, None
-    raise CoisoKitError(f"unknown check kind {kind!r}")
+# A runner takes (scenario, algebra, check, flags) and returns
+# (status, details, defect, table).
+
+
+def _run_coisotropic(scenario, algebra, check, flags):
+    alg, alpha = _algebra_and_section(scenario, algebra, check)
+    res = coisotropy_check_numeric(alg, alpha, per_axis=flags.samples)
+    status = "pass" if res.coisotropic else "fail"
+    return status, (("max_defect", f"{res.max_defect:.12e}"),), res.max_defect, None
 
 
 def _run_mc(scenario, algebra, check, flags):
-    alg = algebra()
-    alpha = _as_section(_binding(scenario, check.target))
+    alg, alpha = _algebra_and_section(scenario, algebra, check)
     if check.param is None:
         if alg.pi.jet_order() is not None:
             raise CoisoKitError("jet-mode bivector: give an order, e.g. 'check mc a 8'")
@@ -835,12 +763,98 @@ def _run_mc(scenario, algebra, check, flags):
         return ("pass" if ok else "fail"), details, None, None
     table = mc_partial_table(alg, alpha, check.param, per_axis=flags.samples)
     err = table.max_error_at(check.param)
-    ok = err <= 1e-8
     details = (
         ("order", str(check.param)),
         ("max_error_at_order", f"{err:.12e}"),
     )
-    return ("pass" if ok else "fail"), details, err, table
+    return ("pass" if err <= 1e-8 else "fail"), details, err, table
+
+
+def _run_kuranishi(scenario, algebra, check, flags):
+    report = obstructedness_certificate(*_algebra_and_section(scenario, algebra, check))
+    status = "pass" if report.verdict == "NONZERO" else "inconclusive"
+    d = report.to_dict()
+    details = tuple(
+        (k, str(d[k]) if not isinstance(d[k], bool) else ("true" if d[k] else "false"))
+        for k in ("closed", "kuranishi", "beta", "integral", "verdict")
+        if d[k] is not None
+    )
+    return status, details, None, None
+
+
+def _run_jacobi(scenario, algebra, check, flags):
+    alg, alpha = _algebra_and_section(scenario, algebra, check)
+    w = TwistedElement.from_section(alpha)
+    family = twisted_brackets(alg)
+    oks = [higher_jacobi_verify(family, [w] * n) for n in (1, 2)]
+    details = tuple((f"order_{n}", "ok" if ok else "violated") for n, ok in zip((1, 2), oks))
+    return ("pass" if all(oks) else "fail"), details, None, None
+
+
+def _run_omega_le(scenario, algebra, check, flags):
+    form = _binding(scenario, check.target)
+    if not isinstance(form, DifferentialForm):
+        raise CoisoKitError("omega_le target must be a differential form")
+    degrees = sorted(fibrewise_degree_classify(form))
+    details = (("fibrewise_degrees", "{" + ",".join(map(str, degrees)) + "}"),)
+    return ("pass" if is_in_omega_le(form, check.param) else "fail"), details, None, None
+
+
+def _run_pencil(scenario, algebra, check, flags):
+    try:
+        with open(os.path.join(scenario.base_dir, check.target), encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CoisoKitError(f"cannot read pencil file: {exc}")
+    pencil = parse_pencil_text(text)
+    bad = pencil_product_defect(pencil, invert_affine_pencil(pencil, check.param), check.param)
+    details = (
+        ("size", str(pencil.size)),
+        ("order", str(check.param)),
+        ("exact_identity", "true" if not bad else "false"),
+    )
+    return ("pass" if not bad else "fail"), details, None, None
+
+
+# -- check kinds ---------------------------------------------------------------------
+
+
+class _IntParam(NamedTuple):
+    """A check's integer parameter: its name and bounds, and whether it may
+    be left out."""
+
+    what: str
+    minimum: Optional[int] = None
+    maximum: Optional[int] = None
+    optional: bool = False
+
+
+class _CheckKind(NamedTuple):
+    """How a check kind is parsed and run.
+
+    ``usage`` ends the message 'check <kind> takes ...' for a wrong number of
+    arguments; ``binding`` says the target names a binding (not a file);
+    ``param`` is the integer parameter, if any; ``run`` is the runner.
+    """
+
+    usage: str
+    binding: bool
+    param: Optional[_IntParam]
+    run: Callable
+
+
+# The one list of check kinds: parse_scenario reads each check line against
+# its entry and run calls its runner.  README's grammar names them in order.
+CHECKS = {
+    "coisotropic": _CheckKind("exactly one name", True, None, _run_coisotropic),
+    "mc": _CheckKind("a name and an optional order", True,
+                     _IntParam("order", 1, MAX_ORDER, optional=True), _run_mc),
+    "kuranishi": _CheckKind("exactly one name", True, None, _run_kuranishi),
+    "jacobi": _CheckKind("exactly one name", True, None, _run_jacobi),
+    "omega_le": _CheckKind("a name and a degree", True, _IntParam("degree"), _run_omega_le),
+    "pencil": _CheckKind("a file and an order", False,
+                         _IntParam("order", 0, MAX_ORDER), _run_pencil),
+}
 
 
 # -- report emission ------------------------------------------------------------------
@@ -963,7 +977,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:

@@ -254,8 +254,11 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection):
 
 
 def exp_ad(X: MultiVectorField, alpha: MultiVectorField) -> MultiVectorField:
-    """The series sum_k (1/k!) [...[X, alpha], ..., alpha] of ``ad_series``."""
-    acc = X
-    for term, coeff in ad_series(X, deformation_section(alpha)):
-        acc = acc + term.scale(coeff)
-    return acc
+    """The series sum_k (1/k!) [...[X, alpha], ..., alpha] of ``ad_series``.
+
+    The terms are summed in one constructor call, so a jet coefficient whose
+    partial sum cancels still bounds the order of the total.
+    """
+    series = ad_series(X, deformation_section(alpha))
+    return MultiVectorField(X.chart, X.degree, itertools.chain(
+        X.terms, *(term.scale(coeff).terms for term, coeff in series)))

@@ -15,8 +15,11 @@ from coisokit import (
     VerticalSection,
 )
 from coisokit.cli import (
+    CHECKS,
     MAX_ORDER,
+    CheckSpec,
     RunFlags,
+    Scenario,
     emit_report,
     main,
     parse_scenario,
@@ -27,6 +30,7 @@ from coisokit.cli import (
 from coisokit.linfty import make_coiso_algebra, mc_partial_table
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 T4_TEXT = open(os.path.join(DATA, "t4.scn"), encoding="utf-8").read()
 
@@ -241,8 +245,14 @@ class TestParsing:
     def test_orders_up_to_the_bound_parse(self):
         # parsed only: no check at this order is run
         text = T4_TEXT.split("check")[0]
-        for line in (f"check mc a {MAX_ORDER}", f"check pencil rational_pencil.txt {MAX_ORDER}"):
-            assert parse_scenario(text + line + "\n").checks[0].param == MAX_ORDER
+        for line, param in (
+            (f"check mc a {MAX_ORDER}", MAX_ORDER),
+            (f"check pencil rational_pencil.txt {MAX_ORDER}", MAX_ORDER),
+            # the lower bounds, an order left out, and a degree, which has no bound
+            ("check mc a 1", 1), ("check pencil p.txt 0", 0), ("check mc a", None),
+            ("check omega_le omega -7", -7), ("check omega_le omega 10000", 10000),
+        ):
+            assert parse_scenario(text + line + "\n").checks[0].param == param
 
     @pytest.mark.parametrize(
         "body, value",
@@ -395,6 +405,22 @@ class TestRun:
         assert dict(result.details)["max_error_at_order"] == "1.111111111111e-05"
         assert 1e-8 < result.defect < 1e-4
 
+    @pytest.mark.parametrize(
+        "scale, defect", [(10000, "3.947841760436e-07"), (100000, "3.947841760436e-09")]
+    )
+    def test_coisotropic_section_past_the_bound_fails(self, scale, defect):
+        # both defects lie between the bound 1e-9 and 1e-3, so a looser bound
+        # would pass them
+        text = (
+            "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
+            "pi = inv_form(gotay(dy1/\\dy2, q1, q2))\n"
+            f"a = (1/{scale}*sin(2*pi*y1), 1/{scale}*sin(2*pi*y2))\n"
+            "check coisotropic a\n"
+        )
+        result = run(parse_scenario(text)).results[0]
+        assert result.status == "fail"
+        assert result.details == (("max_defect", defect),)
+
     def test_report_states_the_parse_truncation(self):
         s = parse_scenario(T4_TEXT, name="t4.scn", base_dir=DATA, truncation=9)
         assert s.truncation == 9
@@ -541,6 +567,100 @@ class TestRun:
         assert strict.exit_code() == 1
 
 
+# the T^4 scenario up to its first check: a check line added to it is line 7
+T4_BINDINGS = T4_TEXT.split("check")[0]
+# a bivector inverted from a fibre-dependent form is a jet
+JET_PI = (
+    "chart base=(x1,x2,q1,q2) fibre=(p1,p2)\n"
+    "pi = inv_form(dx1/\\dx2 + dq1/\\dp1 + dq2/\\dp2 + x2*dp1/\\dx1 + p1*dx2/\\dx1)\n"
+    "a = (x2/10, x1/10)\n"
+)
+
+
+class TestCheckKinds:
+    """``cli.CHECKS`` is the one list of check kinds; every message a check
+    line or a check run can give, pinned as it reads."""
+
+    def test_readme_grammar_names_the_kinds_in_order(self):
+        readme = open(README, encoding="utf-8").read()
+        production = readme.split('check    := "check" (', 1)[1].split(")", 1)[0]
+        kinds = [alt.split()[0] for alt in production.split("|")]
+        assert kinds == list(CHECKS)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("check", "unknown check (expected one of coisotropic, mc, kuranishi, "
+                      "jacobi, omega_le, pencil)"),
+            ("check bogus a", "unknown check (expected one of coisotropic, mc, "
+                              "kuranishi, jacobi, omega_le, pencil)"),
+            ("check coisotropic", "check coisotropic takes exactly one name"),
+            ("check kuranishi a a", "check kuranishi takes exactly one name"),
+            ("check jacobi", "check jacobi takes exactly one name"),
+            ("check mc", "check mc takes a name and an optional order"),
+            ("check mc a 1 2", "check mc takes a name and an optional order"),
+            ("check omega_le omega", "check omega_le takes a name and a degree"),
+            ("check pencil p.txt", "check pencil takes a file and an order"),
+            ("check coisotropic b", "undefined name 'b' in check"),
+            # the binding is read before the integer, but a pencil names a file
+            ("check mc b x", "undefined name 'b' in check"),
+            ("check omega_le b x", "undefined name 'b' in check"),
+            ("check pencil b x", "check pencil: order must be an integer, found 'x'"),
+            ("check mc a x", "check mc: order must be an integer, found 'x'"),
+            ("check mc a 0", "check mc: order must be at least 1, found 0"),
+            (f"check mc a {MAX_ORDER + 1}",
+             f"check mc: order must be at most {MAX_ORDER}, found {MAX_ORDER + 1}"),
+            ("check omega_le omega 1.5",
+             "check omega_le: degree must be an integer, found '1.5'"),
+            ("check pencil p.txt -1", "check pencil: order must be at least 0, found -1"),
+            (f"check pencil p.txt {MAX_ORDER + 1}",
+             f"check pencil: order must be at most {MAX_ORDER}, found {MAX_ORDER + 1}"),
+        ],
+    )
+    def test_parse_error_messages(self, line, message):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(T4_BINDINGS + line + "\n")
+        assert str(err.value) == f"line 7: {message}"
+
+    @pytest.mark.parametrize(
+        "text, check, message",
+        [
+            (T4_BINDINGS, CheckSpec("bogus", "a"), "unknown check kind 'bogus'"),
+            (T4_BINDINGS, CheckSpec("kuranishi", "b"), "binding 'b' is not defined"),
+            (T4_BINDINGS, CheckSpec("coisotropic", "omega"),
+             "check target must be a vertical section"),
+            (T4_BINDINGS, CheckSpec("omega_le", "a", 1),
+             "omega_le target must be a differential form"),
+            (JET_PI, CheckSpec("mc", "a"), "jet-mode bivector: give an order, e.g. 'check mc a 8'"),
+        ],
+        ids=["unknown_kind", "undefined_binding", "form_as_section", "section_as_form",
+             "jet_mc_without_order"],
+    )
+    def test_run_error_messages(self, text, check, message):
+        # a Scenario built in code holds checks no scenario line would parse to
+        s = parse_scenario(text)
+        report = run(Scenario(s.chart, s.bindings, (check,)))
+        assert [(r.status, r.details) for r in report.results] == [
+            ("error", (("message", message),))
+        ]
+        assert report.exit_code() == 3
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(None, "[Errno 2] No such file or directory"),
+         (b"1 \xff\n", "'utf-8' codec can't decode byte 0xff in position 2")],
+        ids=["missing", "not_utf8"],
+    )
+    def test_an_unreadable_pencil_file_is_a_per_check_error(self, content, reason, tmp_path):
+        if content is not None:
+            (tmp_path / "p.txt").write_bytes(content)
+        report = run(parse_scenario(T4_BINDINGS + "check pencil p.txt 2\n",
+                                    base_dir=str(tmp_path)))
+        message = dict(report.results[0].details)["message"]
+        assert message.startswith(f"cannot read pencil file: {reason}")
+        assert report.exit_code() == 3
+
+
 class TestReports:
     def test_json_round_trip(self):
         report = run(t4_scenario())
@@ -616,6 +736,12 @@ class TestMain:
 
         assert main(["run", str(tmp_path / "missing.scn")]) == 3
         capsys.readouterr()
+
+    def test_a_scenario_file_that_is_not_utf8_is_a_runtime_error(self, tmp_path, capsys):
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes(T4_TEXT.encode("utf-8") + b"# caf\xe9\n")
+        assert main(["run", str(scn)]) == 3
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
     @pytest.mark.parametrize(
         "flag", [["--truncation", "0"], ["--samples", "1"], ["--samples", "0"]]

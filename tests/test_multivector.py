@@ -16,6 +16,7 @@ from conftest import (
     rand_section,
     rng_for,
     small_chart,
+    zero_section,
 )
 from coisokit import (
     DifferentialForm,
@@ -393,6 +394,19 @@ class TestExpAd:
         monkeypatch.setattr(multivector, "default_exp_cap", lambda X: 1)
         with pytest.raises(TruncationCapError):
             exp_ad(X, alpha)
+
+    def test_a_cancelled_partial_sum_keeps_its_jet_order(self, chart, monkeypatch):
+        # X + [X, a] + [[X, a], a]/2 with coefficients y1 + O(y^2),
+        # -y1 + O(y^6) and 1 + O(y^8) on one wedge is 1 + O(y^2); summed
+        # left to right it would read 1 + O(y^8)
+        y1 = RingElement.coordinate(chart, "y1")
+        one = RingElement.one(chart)
+        X, second, third = (MultiVectorField(chart, 1, (((0,), c),))
+                            for c in (y1.truncate(1), (-y1).truncate(5), one.truncate(7)))
+        monkeypatch.setattr(multivector, "ad_series", lambda X, alpha: iter(
+            [(second, Scalar.one()), (third, Scalar.one())]))
+        total = exp_ad(X, zero_section(chart))
+        assert total.terms == (((0,), one.truncate(1)),) and total.jet_order() == 1
 
 
 class TestAdSeries:
