@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import operator
 import os
 import re
@@ -72,6 +73,15 @@ from .symplectic_model import (
 # an order is bounded where it is parsed; every scenario, test and workload
 # orders at most 12.
 MAX_ORDER = 100
+
+# The most lambda-monomials a 'check pencil F N' series may have.  A file
+# with k parameter blocks at order N asks for C(N + k, k) of them, which
+# MAX_ORDER alone does not bound (10 blocks at order 100 are about 4.7e13).
+# The bound is C(64, 2): two blocks reach order 62, one block every order.
+# Every scenario, test and workload asks for at most 101; a 4 x 4 pencil at
+# the bound (2 blocks at order 62, 3 at 20, 5 at 9) takes 0.9-1.3 s to
+# invert and check on a 2-core Xeon VM.
+MAX_PENCIL_TERMS = math.comb(64, 2)
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -807,6 +817,12 @@ def _run_pencil(scenario, algebra, check, flags):
     except (OSError, UnicodeDecodeError) as exc:
         raise CoisoKitError(f"cannot read pencil file: {exc}")
     pencil = parse_pencil_text(text)
+    count = math.comb(check.param + len(pencil.b), len(pencil.b))
+    if count > MAX_PENCIL_TERMS:
+        raise CoisoKitError(
+            f"pencil series at order {check.param} with {len(pencil.b)} parameter "
+            f"blocks has {count} monomials, above the bound {MAX_PENCIL_TERMS}"
+        )
     bad = pencil_product_defect(pencil, invert_affine_pencil(pencil, check.param), check.param)
     details = (
         ("size", str(pencil.size)),

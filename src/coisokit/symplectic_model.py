@@ -14,17 +14,39 @@ computed exactly over the ring whenever det A is an invertible element
 M, A^{-1} and Y are block diagonal over the connected components of the
 nonzero pattern of M, so the series runs on each block whose Y is nonzero,
 with b x b products, and skips the others.
+
+An affine pencil M(lambda) = A + sum_k lambda_k B_k takes the same series
+by one of two paths, chosen from its entries.  When every entry is rational
+(every pencil read from a file or built by ``AffinePencil.from_rationals``),
+the coefficient P_alpha of each lambda-monomial of the inverse is a rational
+matrix: P_0 = A^{-1} and P_alpha = sum_{k: alpha_k > 0} X_k P_{alpha - e_k}
+with X_k = -A^{-1} B_k.  If D is the denominator of A^{-1} and d_k that of
+B_k, P_alpha has the denominator D^{|alpha|+1} prod_k d_k^{alpha_k}, so the
+series is plain products of integer matrices, and each entry becomes a jet
+once, at the end.  A pencil with a pi power or an imaginary part in an
+entry takes the ring series above.  ``pencil_product_defect`` checks either
+result with ring products.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import _bits, _components, mat_mul, ring_det, ring_matrix_inverse, scalar_det
+from ._linalg import (
+    _bits,
+    _components,
+    mat_mul,
+    ring_det,
+    ring_matrix_inverse,
+    scalar_det,
+    scalar_matrix_inverse,
+)
 from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar, sample_grid
 from .errors import (
     DegenerateBivectorError,
@@ -266,11 +288,108 @@ def _check_pencil_order(order: int) -> None:
         raise JetOrderError(f"pencil order {order} < 0: a jet needs fibre order >= 0")
 
 
+def _rational(s: Scalar):
+    """``s`` as a Fraction, or None when it has a pi power or an imaginary part."""
+    terms = s.terms
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1 and terms[0][0] == 0 and not terms[0][2]:
+        return terms[0][1]
+    return None
+
+
+def _rational_matrix(mat):
+    """``mat``'s entries as Fractions, or None when one is not rational."""
+    out = [[_rational(s) for s in row] for row in mat]
+    return None if any(q is None for row in out for q in row) else out
+
+
+def _integer_matrix(mat):
+    """(numerators, den): ``mat``'s Fractions over their least common denominator."""
+    den = math.lcm(*(q.denominator for row in mat for q in row))
+    return [[q.numerator * (den // q.denominator) for q in row] for row in mat], den
+
+
+def _int_mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _rational_pencil_series(pencil: AffinePencil, order: int):
+    """The coefficients P_alpha of M(lambda)^{-1} through |alpha| = ``order``
+    as (alpha, numerators, den) triples, P_alpha = numerators / den, for a
+    pencil whose entries are all rational; None for any other pencil.
+
+    With X_k = -A^{-1} B_k the series is P_0 = A^{-1} and
+    P_alpha = sum_{k: alpha_k > 0} X_k P_{alpha - e_k}.  If A^{-1} has
+    denominator D and B_k denominator d_k, every term of that sum has the
+    denominator D^{|alpha|+1} prod_k d_k^{alpha_k}, so each P_alpha is one
+    sum of integer matrix products over that denominator.  A zero P_alpha is
+    None; a zero B_k adds no monomial.  The monomials of degree r are those
+    of degree r - 1 raised in one index at or after their last nonzero one,
+    so each is built once."""
+    mats = [_rational_matrix(m) for m in (pencil.a, *pencil.b)]
+    if any(m is None for m in mats):
+        return None
+    ainv, big_d = _integer_matrix(_rational_matrix(scalar_matrix_inverse(pencil.a)))
+    xs = {}  # k -> (integer X_k, D * d_k), for each nonzero B_k
+    for k, bk in enumerate(mats[1:]):
+        num, den = _integer_matrix(bk)
+        if any(any(row) for row in num):
+            xs[k] = ([[-e for e in row] for row in _int_mat_mul(ainv, num)], big_d * den)
+    n_params = len(pencil.b)
+    level = {(0,) * n_params: (ainv, big_d, 0)}  # alpha -> (P_alpha, den, last index)
+    out = [((0,) * n_params, ainv, big_d)]
+    for _ in range(order if xs else 0):
+        nxt = {}
+        for alpha, (_, den, last) in level.items():
+            for k, (_, xden) in xs.items():
+                if k < last:
+                    continue
+                beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
+                # X_j P_{beta - e_j} for every j with beta_j > 0, as one
+                # product of the X_j side by side with the P stacked
+                left, right = [], []
+                for j, (x, _) in xs.items():
+                    if beta[j]:
+                        prev = level[beta[:j] + (beta[j] - 1,) + beta[j + 1:]][0]
+                        if prev is not None:
+                            left.append(x)
+                            right.extend(prev)
+                num = None
+                if left:
+                    num = _int_mat_mul([sum(rows, []) for rows in zip(*left)], right)
+                    if not any(any(row) for row in num):
+                        num = None
+                nxt[beta] = (num, den * xden, k)
+                if num is not None:
+                    out.append((beta, num, den * xden))
+        level = nxt
+    return out
+
+
 def invert_affine_pencil(pencil: AffinePencil, order: int):
     """Truncated Neumann inverse; entries are jets of fibre order ``order``,
-    which must be >= 0 (JetOrderError otherwise)."""
+    which must be >= 0 (JetOrderError otherwise).
+
+    A pencil with only rational entries (every pencil read from a file or
+    built by ``from_rationals``) takes the series as integer matrices, one
+    per lambda-monomial alpha, over the denominator
+    D^{|alpha|+1} prod_k d_k^{alpha_k} (D that of A^{-1}, d_k that of B_k;
+    see ``_rational_pencil_series``).  A pencil with a pi power or an
+    imaginary part in an entry takes ``_neumann_inverse`` over the ring.
+    Both give the same jets."""
     _check_pencil_order(order)
     chart = ChartSpec((), (), pencil.labels)
+    series = _rational_pencil_series(pencil, order)
+    if series is not None:  # each entry becomes a jet once
+        n = pencil.size
+        return tuple(
+            tuple(RingElement(chart, [((), (), alpha, Scalar.of(Fraction(num[i][j], den)))
+                                      for alpha, num, den in series if num[i][j]], order)
+                  for j in range(n))
+            for i in range(n)
+        )
     try:
         total = _neumann_inverse(_pencil_matrix(pencil, chart), order)
     except (NonInvertibleScalarError, DegenerateBivectorError) as exc:

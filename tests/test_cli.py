@@ -17,6 +17,7 @@ from coisokit import (
 from coisokit.cli import (
     CHECKS,
     MAX_ORDER,
+    MAX_PENCIL_TERMS,
     CheckSpec,
     RunFlags,
     Scenario,
@@ -659,6 +660,22 @@ class TestCheckKinds:
         message = dict(report.results[0].details)["message"]
         assert message.startswith(f"cannot read pencil file: {reason}")
         assert report.exit_code() == 3
+
+    @pytest.mark.parametrize("order, count", [(62, MAX_PENCIL_TERMS), (63, 2080)])
+    def test_a_pencil_series_is_bounded_in_monomials(self, order, count, tmp_path):
+        """Two parameter blocks have C(order + 2, 2) monomials: 2016 at order
+        62, the bound, runs; 2080 at order 63 is a per-check error."""
+        (tmp_path / "p.txt").write_text("2\n\n1\n\n-1/2\n")
+        report = run(parse_scenario(T4_BINDINGS + f"check pencil p.txt {order}\n",
+                                    base_dir=str(tmp_path)))
+        result = report.results[0]
+        if count <= MAX_PENCIL_TERMS:
+            assert (result.status, report.exit_code()) == ("pass", 0)
+        else:
+            assert (result.status, report.exit_code()) == ("error", 3)
+            assert dict(result.details)["message"] == (
+                f"pencil series at order 63 with 2 parameter blocks has 2080 "
+                f"monomials, above the bound {MAX_PENCIL_TERMS}")
 
 
 class TestReports:

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from coisokit import AffinePencil, RingElement, Scalar, invert_affine_pencil, make_chart
+from coisokit import (
+    AffinePencil,
+    RingElement,
+    Scalar,
+    invert_affine_pencil,
+    make_chart,
+    pencil_product_defect,
+)
 from coisokit._linalg import (
     mat_mul,
     ring_det,
@@ -269,7 +276,31 @@ class TestFusedAgainstNaive:
             assert scalar_det(mat).terms == leibniz_det(mat).terms
 
     def test_two_parameter_pencil_inverse_is_the_naive_series(self):
+        """Sizes 1-5, 0-3 parameter blocks and orders 0-6, over every
+        (size, blocks) pair.  A has sevenths; B_k has denominator 2, 3, 5 by
+        parameter, so the products of one lambda-monomial differ in their
+        factors; some B_k are all zero."""
         rng = rng_for("fused-pencil")
+        orders = itertools.cycle(range(7))
+        for n, n_params in itertools.product(range(1, 6), range(4)):
+            labels = tuple(f"v{k + 1}" for k in range(n_params))
+            while True:
+                a = [[Fraction(rng.randint(-4, 4), rng.choice((1, 7))) for _ in range(n)]
+                     for _ in range(n)]
+                if not scalar_det([[Scalar.of(x) for x in row] for row in a]).is_zero():
+                    break
+            bs = [[[Fraction(rng.randint(-3, 3), den) if rng.randrange(4) else 0
+                    for _ in range(n)] for _ in range(n)]
+                  for den in (2, 3, 5)[:n_params]]
+            if n_params and rng.randrange(3) == 0:
+                bs[rng.randrange(n_params)] = [[0] * n for _ in range(n)]
+            order = next(orders)
+            pencil = AffinePencil.from_rationals(a, bs, labels)
+            got = invert_affine_pencil(pencil, order)
+            expected = naive_pencil_inverse(a, bs, labels, order)
+            assert all(same(g, e) for grow, erow in zip(got, expected)
+                       for g, e in zip(grow, erow))
+        # the 4 x 4 integer pencils the tests compared before
         labels = ("v1", "v2")
         for _ in range(2):
             while True:
@@ -284,6 +315,18 @@ class TestFusedAgainstNaive:
             assert any(len(e.terms) > 1 for row in got for e in row)
             assert all(same(g, e) for grow, erow in zip(got, expected)
                        for g, e in zip(grow, erow))
+
+    def test_thirty_parameter_pencil_is_the_naive_series(self):
+        """C(32, 2) = 496 monomials: the series raises the monomials of one
+        degree into the next, and never runs over all exponent tuples."""
+        labels = tuple(f"v{k + 1}" for k in range(30))
+        a = [[Fraction(2, 3)]]
+        bs = [[[Fraction(k % 5 - 2 or 1, k % 3 + 1)]] for k in range(30)]
+        pencil = AffinePencil.from_rationals(a, bs, labels)
+        got = invert_affine_pencil(pencil, 2)
+        assert len(got[0][0].terms) == 496
+        assert same(got[0][0], naive_pencil_inverse(a, bs, labels, 2)[0][0])
+        assert pencil_product_defect(pencil, got, 2) == []
 
 
 # -- the block split against the single-table Laplace of the whole matrix ------

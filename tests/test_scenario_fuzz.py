@@ -6,7 +6,8 @@ directory and runs it through ``cli.main``.  The texts reach every check kind
 with 0-3 arguments, integer parameters at and past their bounds, missing
 bindings, malformed pencil files, chart clauses in any order or broken,
 nesting one level past ``_ExprParser.MAX_DEPTH``, literals up to 10^(+-400)
-and pi^(+-400), and bytes that are not UTF-8.  Exponents stay at most 400:
+and pi^(+-400), and bytes that are not UTF-8, at --truncation 1-8 and
+--samples 2-6.  Exponents stay at most 400:
 the cost of a large power is not bounded by the grammar.
 """
 
@@ -103,8 +104,9 @@ def check_lines(draw):
 
 @st.composite
 def pencils(draw):
-    """Pencil file bytes of size at most 4: rational, empty, ragged, singular,
-    not rational or not UTF-8, or no file at all (None)."""
+    """Pencil file bytes of size at most 4 with 1-3 parameter blocks:
+    rational, empty, ragged, singular, not rational or not UTF-8, or no file
+    at all (None)."""
     shape = draw(st.sampled_from(
         ["rational", "empty", "ragged", "singular", "token", "bytes", None]))
     if shape is None:
@@ -114,8 +116,9 @@ def pencils(draw):
             [b"", b"\n\n", b"  \n"] if shape == "empty" else [b"1 \xff\n", b"\xfe0\n"]))
     n = draw(st.integers(1, 4))
     entry = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"])
-    # one parameter block keeps the Neumann series cheap at order MAX_ORDER
-    blocks = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    # more than one parameter block at order MAX_ORDER is past MAX_PENCIL_TERMS
+    blocks = [[[draw(entry) for _ in range(n)] for _ in range(n)]
+              for _ in range(draw(st.integers(2, 4)))]
     blocks[0] = [[str(int(i == j) + 1) if i <= j else "0" for j in range(n)]
                  for i in range(n)]  # upper triangular, invertible
     if shape == "singular":
@@ -143,8 +146,10 @@ FLAGS = st.lists(st.sampled_from(
 
 
 @settings(max_examples=400, deadline=None)
-@given(scenario=scenarios(), flags=FLAGS)
-def test_every_generated_scenario_ends_in_a_documented_exit_code(scenario, flags):
+@given(scenario=scenarios(), flags=FLAGS,
+       truncation=st.integers(1, 8), samples=st.integers(2, 6))
+def test_every_generated_scenario_ends_in_a_documented_exit_code(
+        scenario, flags, truncation, samples):
     text, pencil = scenario  # bytes
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "fuzz.scn")
@@ -153,5 +158,5 @@ def test_every_generated_scenario_ends_in_a_documented_exit_code(scenario, flags
         if pencil is not None:
             with open(os.path.join(directory, PENCIL), "wb") as fh:
                 fh.write(pencil)
-        argv = ["run", path, "--samples", "2", "--truncation", "1"]
+        argv = ["run", path, "--samples", str(samples), "--truncation", str(truncation)]
         assert main(argv + [flag for pair in flags for flag in pair]) in (0, 1, 2, 3)

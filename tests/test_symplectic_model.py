@@ -253,6 +253,42 @@ class TestPencilInversion:
         assert pencil_product_defect(pencil, inv, 0) == []
         assert len(pencil_product_defect(pencil, [[zero, zero], [zero, zero]], 0)) == 2
 
+    @pytest.mark.parametrize("unit, expected", [
+        (Scalar.pi_power(1), ("pi^-1 + pi^-2*v1^2", "-pi^-1*v1 - pi^-2*v1^3")),
+        (Scalar.imag_unit(), ("-i - v1^2", "i*v1 + v1^3")),
+    ])
+    def test_pi_and_i_entries_are_inverted_over_the_ring(self, unit, expected):
+        """A pencil that is not rational takes the ring series; one that read
+        only the rational part of each entry would invert diag(1, 1) here."""
+        one, zero = Scalar.one(), Scalar.zero()
+        pencil = AffinePencil(((unit, zero), (zero, one)), (((zero, one), (one, zero)),), ("v1",))
+        inv = invert_affine_pencil(pencil, 3)
+        assert (inv[0][0].render(), inv[0][1].render()) == expected
+        assert all(e.jet_order == 3 for row in inv for e in row)
+        assert pencil_product_defect(pencil, inv, 3) == []
+
+    def test_rational_pencil_takes_no_ring_product(self, monkeypatch):
+        """The series of a rational pencil runs on integer matrices: no
+        ``RingElement.dot``; a pencil with a pi entry takes the ring series."""
+        calls = []
+        original = RingElement.dot.__func__
+
+        def counting(cls, products):
+            calls.append(1)
+            return original(cls, products)
+
+        monkeypatch.setattr(RingElement, "dot", classmethod(counting))
+        rational = AffinePencil.from_rationals(
+            [[2, 1], [1, Fraction(1, 3)]], [[[1, 0], [0, -1]], [[0, Fraction(1, 2)], [1, 0]]],
+            ("v1", "v2"))
+        assert len(invert_affine_pencil(rational, 6)[0][0].terms) > 1
+        assert calls == []
+        one, zero = Scalar.one(), Scalar.zero()
+        pencil = AffinePencil(((Scalar.pi_power(1), zero), (zero, one)),
+                              (((zero, one), (one, zero)),), ("v1",))
+        invert_affine_pencil(pencil, 3)
+        assert calls
+
     def test_parse_pencil_text(self):
         text = "1 0\n0 1\n\n0 1\n1 0\n"
         pencil = parse_pencil_text(text)
