@@ -18,6 +18,10 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
   pencil and for a permuted block-diagonal pencil one of whose blocks has
   no fibre part (its ``repr`` pins the jet orders of the zeros between the
   blocks and of the untouched block);
+- ``repr`` of ``pencil_product_defect`` at orders 0, 3, 6 and 8 for those
+  three pencils and a 3x3 pencil with pi powers in A, each checked against
+  its order-6 inverse with three planted errors: a constant, a degree-2
+  term and a degree-7 term, above the inversion order;
 - the exact terms of ``coiso_algebra_from_form(omega, 12).pi`` for two jet
   models, and ``mc_partial_table(..., N, per_axis=4).to_csv()`` of each
   with a polynomial section at N = 12, 1 and 5, and of one seeded exact
@@ -99,6 +103,7 @@ from coisokit import (
     mc_partial_table,
     mc_series_exact,
     parse_pencil_text,
+    pencil_product_defect,
     projected_pushforward,
     schouten_bracket,
     symplectic_to_poisson,
@@ -198,6 +203,27 @@ def _block_pencil() -> AffinePencil:
     return AffinePencil.from_rationals(a, [b1, b2], ("v1", "v2"))
 
 
+def _pi_pencil() -> AffinePencil:
+    """A 3x3 pencil with pi and pi^-1 in A: its inverse has pi powers."""
+    one, zero, pi = Scalar.one(), Scalar.zero(), Scalar.pi_power(1)
+    a = ((pi, one, zero), (zero, Scalar.rational(2), zero), (one, zero, Scalar.pi_power(-1)))
+    b = ((zero, one, zero), (one, zero, Scalar.rational(1, 3)), (zero, zero, -one))
+    return AffinePencil(a, (b,), ("v1",))
+
+
+def _planted(pencil: AffinePencil, inverse):
+    """``inverse`` with three planted errors: a constant, a degree-2 term
+    and a degree-7 term, above the inversion order 6 (on an exact entry)."""
+    inv = [list(row) for row in inverse]
+    chart = inv[0][0].chart
+    first, last = (RingElement.coordinate(chart, v) for v in (pencil.labels[0], pencil.labels[-1]))
+    n = pencil.size
+    inv[0][1] = inv[0][1] + Fraction(1, 3)
+    inv[1][0] = inv[1][0] - (first * last).scale(2)
+    inv[n - 1][n - 1] = inv[n - 1][n - 1].without_truncation() + (first ** 7).scale(Fraction(5, 7))
+    return inv
+
+
 def _pencil_outputs():
     pencils = (
         ("pencil", parse_pencil_text(_read("rational_pencil.txt"))),
@@ -208,6 +234,10 @@ def _pencil_outputs():
         inverse = invert_affine_pencil(pencil, 6)
         yield f"{name}/repr", repr(inverse)
         yield f"{name}/terms", repr(tuple(tuple(_element_terms(e) for e in row) for row in inverse))
+    for name, pencil in pencils + (("pencil/pi", _pi_pencil()),):
+        planted = _planted(pencil, invert_affine_pencil(pencil, 6))
+        for order in (0, 3, 6, 8):
+            yield f"{name}/defect/order={order}", repr(pencil_product_defect(pencil, planted, order))
 
 
 def _jet_outputs():
