@@ -79,8 +79,9 @@ MAX_ORDER = 100
 # MAX_ORDER alone does not bound (10 blocks at order 100 are about 4.7e13).
 # The bound is C(64, 2): two blocks reach order 62, one block every order.
 # Every scenario, test and workload asks for at most 101; a 4 x 4 pencil at
-# the bound (2 blocks at order 62, 3 at 20, 5 at 9) takes 0.9-1.3 s to
-# invert and check on a 2-core Xeon VM.
+# the bound (2 blocks at order 62, 3 at 20, 5 at 9) takes 0.35-0.6 s to
+# invert and check on a 2-core Xeon VM (`coisokit run --timings`), and a
+# dense one of ``symplectic_model.MAX_PENCIL_SIZE`` up to about 6 s.
 MAX_PENCIL_TERMS = math.comb(64, 2)
 
 

@@ -256,7 +256,18 @@ class Scalar:
 
     @classmethod
     def rational(cls, num, den=1) -> "Scalar":
-        return cls.of(Fraction(num, den))
+        """num/den; two ints are reduced by one gcd, with no Fraction.  A
+        zero ``den`` raises ZeroDivisionError."""
+        if type(num) is not int or type(den) is not int:
+            return cls.of(Fraction(num, den))
+        if not den:
+            raise ZeroDivisionError(f"Scalar.rational({num}, 0)")
+        if not num:
+            return cls._wrap(())
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        return cls._wrap(((0, num // g, 0, den // g),))
 
     @classmethod
     def gaussian(cls, re, im) -> "Scalar":
@@ -290,6 +301,18 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def integer_ratio(self):
+        """(num, den) with den > 0 and num/den in lowest terms, the value of
+        a rational Scalar; None when it has a pi power or an imaginary part."""
+        terms = self._terms
+        if not terms:
+            return 0, 1
+        if len(terms) == 1:
+            e, re, im, den = terms[0]
+            if not e and not im:
+                return re, den
+        return None
 
     def single_term(self):
         """The (exponent, re, im) triple when there is exactly one, else None."""

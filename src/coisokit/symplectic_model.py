@@ -24,8 +24,15 @@ with X_k = -A^{-1} B_k.  If D is the denominator of A^{-1} and d_k that of
 B_k, P_alpha has the denominator D^{|alpha|+1} prod_k d_k^{alpha_k}, so the
 series is plain products of integer matrices, and each entry becomes a jet
 once, at the end.  A pencil with a pi power or an imaginary part in an
-entry takes the ring series above.  ``pencil_product_defect`` checks either
-result with ring products.
+entry takes the ring series above.
+
+``pencil_product_defect`` checks M(lambda) * P(lambda) = I through order N
+by the same two paths.  When the pencil and every coefficient of the
+inverse it is given are rational, the terms at each lambda-monomial alpha
+are C_alpha = A P_alpha + sum_k B_k P_{alpha - e_k} - [alpha = 0] I, one
+product of integer matrices per alpha; otherwise M * P is taken with ring
+products.  ``Scalar.integer_ratio`` is the one reader that picks the path
+in both functions.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from ._linalg import (
 )
 from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar, sample_grid
 from .errors import (
+    ChartMismatchError,
     DegenerateBivectorError,
     JetOrderError,
     NonAffineFibreError,
@@ -166,9 +174,21 @@ def _check_nondegenerate(omega: DifferentialForm) -> None:
             raise DegenerateBivectorError(f"form is numerically degenerate at {point}")
 
 
+# The largest size n of an affine pencil.  Its determinant and inverse are
+# Laplace expansions of 2^n minors, so the size is checked before either.  A
+# dense 8 x 8 pencil (entries -3..3, 30% of them over denominators 2-5)
+# takes 3.9-5.8 s to invert and check with 2 blocks at order 62, the most
+# monomials ``cli.MAX_PENCIL_TERMS`` allows, 2.8-3.3 s with 3 blocks at
+# order 20 and 2.3-2.5 s with 5 at order 9; with 2 blocks at order 62 a
+# 7 x 7 one takes 4.1 s, a 9 x 9 one 9.4 s and a 12 x 12 one 24 s (2-core
+# Xeon VM).
+MAX_PENCIL_SIZE = 8
+
+
 @dataclass(frozen=True)
 class AffinePencil:
-    """M(lambda) = A + sum_k lambda_k B_k with exact scalar entries."""
+    """M(lambda) = A + sum_k lambda_k B_k with exact scalar entries, of size
+    at most ``MAX_PENCIL_SIZE`` (PencilError otherwise)."""
 
     a: tuple
     b: tuple
@@ -176,6 +196,10 @@ class AffinePencil:
 
     def __post_init__(self):
         n = len(self.a)
+        if n > MAX_PENCIL_SIZE:
+            raise PencilError(
+                f"A has {n} rows, above the bound MAX_PENCIL_SIZE = {MAX_PENCIL_SIZE}"
+            )
         if any(len(row) != n for row in self.a):
             raise PencilError("A must be square")
         if len(self.b) != len(self.labels):
@@ -267,13 +291,18 @@ def _neumann_inverse(m, order: int):
     ]
 
 
+def _label_keys(pencil: AffinePencil, chart: ChartSpec):
+    """The (xe, k, ye) key of each lambda_k on ``chart``."""
+    return [RingElement.coordinate(chart, label).terms[0][:3] for label in pencil.labels]
+
+
 def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):
     """M(lambda) = A + sum_k lambda_k B_k as a ring matrix on ``chart``.
 
     Each entry is built once, from its constant term and one term per
     lambda_k (the constructor drops the zero ones)."""
     one = RingElement.one(chart).terms[0][:3]
-    keys = [RingElement.coordinate(chart, label).terms[0][:3] for label in pencil.labels]
+    keys = _label_keys(pencil, chart)
     n = pencil.size
     return [
         [RingElement(chart, [one + (pencil.a[i][j],)]
@@ -288,26 +317,21 @@ def _check_pencil_order(order: int) -> None:
         raise JetOrderError(f"pencil order {order} < 0: a jet needs fibre order >= 0")
 
 
-def _rational(s: Scalar):
-    """``s`` as a Fraction, or None when it has a pi power or an imaginary part."""
-    terms = s.terms
-    if not terms:
-        return Fraction(0)
-    if len(terms) == 1 and terms[0][0] == 0 and not terms[0][2]:
-        return terms[0][1]
-    return None
-
-
-def _rational_matrix(mat):
-    """``mat``'s entries as Fractions, or None when one is not rational."""
-    out = [[_rational(s) for s in row] for row in mat]
-    return None if any(q is None for row in out for q in row) else out
-
-
 def _integer_matrix(mat):
-    """(numerators, den): ``mat``'s Fractions over their least common denominator."""
-    den = math.lcm(*(q.denominator for row in mat for q in row))
-    return [[q.numerator * (den // q.denominator) for q in row] for row in mat], den
+    """(numerators, den): ``mat``'s entries over their least common
+    denominator, or None when an entry is not rational."""
+    ratios = [[s.integer_ratio() for s in row] for row in mat]
+    if any(q is None for row in ratios for q in row):
+        return None
+    den = math.lcm(*(d for row in ratios for _, d in row))
+    return [[num * (den // d) for num, d in row] for row in ratios], den
+
+
+def _integer_pencil(pencil: AffinePencil):
+    """``_integer_matrix`` of A and of each B_k, or None when an entry of the
+    pencil is not rational."""
+    mats = [_integer_matrix(m) for m in (pencil.a, *pencil.b)]
+    return None if any(m is None for m in mats) else mats
 
 
 def _int_mat_mul(a, b):
@@ -328,13 +352,12 @@ def _rational_pencil_series(pencil: AffinePencil, order: int):
     None; a zero B_k adds no monomial.  The monomials of degree r are those
     of degree r - 1 raised in one index at or after their last nonzero one,
     so each is built once."""
-    mats = [_rational_matrix(m) for m in (pencil.a, *pencil.b)]
-    if any(m is None for m in mats):
+    mats = _integer_pencil(pencil)
+    if mats is None:
         return None
-    ainv, big_d = _integer_matrix(_rational_matrix(scalar_matrix_inverse(pencil.a)))
+    ainv, big_d = _integer_matrix(scalar_matrix_inverse(pencil.a))
     xs = {}  # k -> (integer X_k, D * d_k), for each nonzero B_k
-    for k, bk in enumerate(mats[1:]):
-        num, den = _integer_matrix(bk)
+    for k, (num, den) in enumerate(mats[1:]):
         if any(any(row) for row in num):
             xs[k] = ([[-e for e in row] for row in _int_mat_mul(ainv, num)], big_d * den)
     n_params = len(pencil.b)
@@ -385,7 +408,7 @@ def invert_affine_pencil(pencil: AffinePencil, order: int):
     if series is not None:  # each entry becomes a jet once
         n = pencil.size
         return tuple(
-            tuple(RingElement(chart, [((), (), alpha, Scalar.of(Fraction(num[i][j], den)))
+            tuple(RingElement(chart, [((), (), alpha, Scalar.rational(num[i][j], den))
                                       for alpha, num, den in series if num[i][j]], order)
                   for j in range(n))
             for i in range(n)
@@ -397,13 +420,111 @@ def invert_affine_pencil(pencil: AffinePencil, order: int):
     return tuple(tuple(e.truncate(order) for e in row) for row in total)
 
 
+def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec):
+    """``pencil_product_defect`` as integer matrices, for a pencil whose
+    entries and an inverse whose coefficients through ``order`` are all
+    rational; None for any other pair.
+
+    The terms of the inverse through ``order`` are grouped by their key
+    alpha into P_alpha = numerators / den.  With e_k the key of lambda_k,
+    the terms of M(lambda) * inverse - I at alpha are
+    C_alpha = A P_alpha + sum_k B_k P_{alpha - e_k} - [alpha = 0] I, one
+    product of integer matrices (A and the B_k side by side, the P stacked,
+    each scaled to the least common denominator) for each alpha of degree
+    <= ``order`` that a term of the inverse reaches.  A RingElement is built
+    only for a nonzero C_alpha entry."""
+    mats = _integer_pencil(pencil)
+    if mats is None:
+        return None
+    n = pencil.size
+    parts = {}  # flat key xe + k + ye -> {(row, col): (num, den)}
+    for row, entries_row in enumerate(inverse):
+        for col, e in enumerate(entries_row):
+            for xe, k, ye, s in e.terms:
+                key = xe + k + ye
+                entries = parts.get(key)
+                if entries is None:
+                    if sum(ye) > order:
+                        continue
+                    parts[key] = entries = {}
+                q = s.integer_ratio()
+                if q is None:
+                    return None
+                entries[row, col] = q
+    nx = len(chart.poly_axes)
+    nk = nx + len(chart.periodic_axes)
+    ps = {}  # flat key -> (numerators, den) of P_alpha
+    for key, entries in parts.items():
+        den = math.lcm(*(d for _, d in entries.values()))
+        num = [[0] * n for _ in range(n)]
+        for (row, col), (q, d) in entries.items():
+            num[row][col] = q * (den // d)
+        ps[key] = num, den
+    zero = (0,) * (nk + chart.n_fibre)
+    shifts = []  # (B_k numerators, d_k, flat key of lambda_k, its degree), B_k nonzero
+    for (num, den), (xe, k, ye) in zip(mats[1:], _label_keys(pencil, chart)):
+        if any(any(row) for row in num):
+            shifts.append((num, den, xe + k + ye, sum(ye)))
+    targets = {zero}  # every alpha of degree <= order that a term reaches
+    for key in ps:
+        targets.add(key)
+        deg = sum(key[nk:])
+        for _, _, step, step_deg in shifts:
+            if deg + step_deg <= order:
+                targets.add(tuple(map(operator.add, key, step)))
+    anum, aden = mats[0]
+    bad = {}
+    for alpha in targets:
+        blocks = []  # (left numerators, right numerators, their denominator)
+        if alpha in ps:
+            num, den = ps[alpha]
+            blocks.append((anum, num, aden * den))
+        for bnum, bden, step, _ in shifts:
+            prev = ps.get(tuple(map(operator.sub, alpha, step)))
+            if prev is not None:
+                blocks.append((bnum, prev[0], bden * prev[1]))
+        den = math.lcm(*(d for _, _, d in blocks))
+        if blocks:
+            right = []
+            for _, num, d in blocks:
+                f = den // d
+                right.extend(num if f == 1 else [[f * x for x in r] for r in num])
+            c = _int_mat_mul([sum(rows, []) for rows in zip(*(b[0] for b in blocks))], right)
+        else:
+            c = [[0] * n for _ in range(n)]
+        if alpha == zero:
+            for i in range(n):
+                c[i][i] -= den
+        for i, row in enumerate(c):
+            for j, x in enumerate(row):
+                if x:
+                    bad.setdefault((i, j), []).append(
+                        (alpha[:nx], alpha[nx:nk], alpha[nk:], Scalar.rational(x, den)))
+    return [(ij, RingElement(chart, bad[ij], order)) for ij in sorted(bad)]
+
+
 def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
     """Exact check terms of M(lambda) * inverse - I; all must have degree > order.
 
     ``order`` must be >= 0 (JetOrderError otherwise), so that the check
-    covers at least the constant terms."""
+    covers at least the constant terms, and every entry of ``inverse`` must
+    live on one chart (ChartMismatchError otherwise).  Each nonzero entry
+    comes as ((i, j), its terms through ``order``), a jet of order ``order``.
+
+    A rational pencil with an inverse whose coefficients through ``order``
+    are rational is checked by ``_rational_defect`` on integer matrices; a
+    pi power or an imaginary part in either takes ring products."""
     _check_pencil_order(order)
     chart = inverse[0][0].chart
+    for row in inverse:
+        for e in row:
+            if e.chart is not chart and e.chart != chart:
+                raise ChartMismatchError(
+                    f"inverse entries live on different charts: {chart} vs {e.chart}"
+                )
+    bad = _rational_defect(pencil, inverse, order, chart)
+    if bad is not None:
+        return bad
     n = pencil.size
     zero = RingElement.zero(chart)
     m = _pencil_matrix(pencil, chart)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from coisokit.cli import (
     run,
 )
 from coisokit.linfty import make_coiso_algebra, mc_partial_table
+from coisokit.symplectic_model import MAX_PENCIL_SIZE
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -676,6 +678,39 @@ class TestCheckKinds:
             assert dict(result.details)["message"] == (
                 f"pencil series at order 63 with 2 parameter blocks has 2080 "
                 f"monomials, above the bound {MAX_PENCIL_TERMS}")
+
+
+    @staticmethod
+    def dense_pencil_text(n):
+        """A = I + (all ones), det n + 1, and one dense block B: no zero entry."""
+        a = "\n".join(" ".join("2" if i == j else "1" for j in range(n)) for i in range(n))
+        b = "\n".join(" ".join(f"{(i + 2 * j) % 5 - 2 or 3}/2" for j in range(n))
+                      for i in range(n))
+        return f"{a}\n\n{b}\n"
+
+    def test_a_dense_pencil_of_the_bound_size_passes(self, tmp_path):
+        (tmp_path / "p.txt").write_text(self.dense_pencil_text(MAX_PENCIL_SIZE))
+        report = run(parse_scenario(T4_BINDINGS + "check pencil p.txt 3\n",
+                                    base_dir=str(tmp_path)))
+        result = report.results[0]
+        assert (result.status, report.exit_code()) == ("pass", 0)
+        assert dict(result.details)["size"] == str(MAX_PENCIL_SIZE)
+
+    @pytest.mark.parametrize("size", [MAX_PENCIL_SIZE + 1, 24])
+    def test_a_pencil_above_the_bound_size_is_refused_at_once(self, size, tmp_path):
+        """One row more than the bound is a per-check error naming the size
+        and the bound, raised before A's determinant: a dense 24 x 24 file
+        ran for minutes in its Laplace expansion."""
+        (tmp_path / "p.txt").write_text(self.dense_pencil_text(size))
+        scenario = parse_scenario(T4_BINDINGS + "check pencil p.txt 2\n",
+                                  base_dir=str(tmp_path))
+        start = time.perf_counter()
+        report = run(scenario)
+        assert time.perf_counter() - start < 1
+        result = report.results[0]
+        assert (result.status, report.exit_code()) == ("error", 3)
+        assert dict(result.details)["message"] == (
+            f"A has {size} rows, above the bound MAX_PENCIL_SIZE = {MAX_PENCIL_SIZE}")
 
 
 class TestReports:

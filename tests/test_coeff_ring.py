@@ -218,6 +218,50 @@ class TestScalarCanonicalForm:
             assert_canonical(x)
 
 
+class TestIntegerRatio:
+    """``Scalar.rational`` of two ints takes one gcd and no Fraction;
+    ``integer_ratio`` reads a rational Scalar back as (num, den)."""
+
+    @pytest.mark.parametrize("num, den", [
+        (0, 1), (0, -5), (3, 1), (6, 4), (-6, 4), (6, -4), (-6, -4), (7, 21),
+        (10**30 + 1, -3 * 10**12), (-(2**70), 2**65),
+    ])
+    def test_rational_of_ints_is_the_fraction(self, num, den):
+        s = Scalar.rational(num, den)
+        assert s == Scalar.of(Fraction(num, den)) and s.terms == Scalar.of(Fraction(num, den)).terms
+        assert_canonical(s)
+        assert s.integer_ratio() == Fraction(num, den).as_integer_ratio()
+        assert Scalar.rational(*s.integer_ratio()) == s
+
+    @pytest.mark.parametrize("num", [0, 1, -2, 10**40])
+    def test_zero_denominator_still_raises(self, num):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.rational(num, 0)
+        with pytest.raises(ZeroDivisionError):
+            Scalar.rational(Fraction(num), 0)
+
+    def test_rational_of_fractions_is_their_quotient(self):
+        assert Scalar.rational(Fraction(1, 2), 3) == Scalar.of(Fraction(1, 6))
+        assert Scalar.rational(Fraction(3, 4), Fraction(-9, 2)) == Scalar.of(Fraction(-1, 6))
+        assert Scalar.rational(True, 2) == Scalar.of(Fraction(1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(), st.integers().filter(bool))
+    def test_integer_ratio_round_trips(self, num, den):
+        s = Scalar.rational(num, den)
+        got = s.integer_ratio()
+        assert got == Fraction(num, den).as_integer_ratio()
+        assert got[1] > 0 and Scalar.rational(*got) == s
+
+    @pytest.mark.parametrize("s", [
+        Scalar.pi_power(1), Scalar.pi_power(-2, Fraction(3, 5)), Scalar.imag_unit(),
+        Scalar.gaussian(1, 1), Scalar.gaussian(0, Fraction(-1, 2)),
+        Scalar.one() + Scalar.pi_power(1), Scalar.rational(2) + Scalar.imag_unit(),
+    ])
+    def test_pi_and_i_values_have_no_integer_ratio(self, s):
+        assert s.integer_ratio() is None
+
+
 @pytest.fixture
 def chart():
     return small_chart()

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rng_for
+from conftest import rand_fraction, rng_for
 from coisokit import (
     AffinePencil,
+    ChartMismatchError,
     DegenerateBivectorError,
     DifferentialForm,
     JetOrderError,
@@ -31,7 +32,7 @@ from coisokit import (
     schouten_bracket,
     symplectic_to_poisson,
 )
-from coisokit._linalg import ring_det
+from coisokit._linalg import mat_mul, ring_det
 
 
 def torus_base(names):
@@ -268,8 +269,9 @@ class TestPencilInversion:
         assert pencil_product_defect(pencil, inv, 3) == []
 
     def test_rational_pencil_takes_no_ring_product(self, monkeypatch):
-        """The series of a rational pencil runs on integer matrices: no
-        ``RingElement.dot``; a pencil with a pi entry takes the ring series."""
+        """The series of a rational pencil and its defect check run on
+        integer matrices: no ``RingElement.dot``.  A pencil with a pi or an
+        i entry takes the ring series and the ring check."""
         calls = []
         original = RingElement.dot.__func__
 
@@ -281,13 +283,158 @@ class TestPencilInversion:
         rational = AffinePencil.from_rationals(
             [[2, 1], [1, Fraction(1, 3)]], [[[1, 0], [0, -1]], [[0, Fraction(1, 2)], [1, 0]]],
             ("v1", "v2"))
-        assert len(invert_affine_pencil(rational, 6)[0][0].terms) > 1
+        inv = invert_affine_pencil(rational, 6)
+        assert len(inv[0][0].terms) > 1
+        assert pencil_product_defect(rational, inv, 6) == []
+        assert len(pencil_product_defect(rational, inv, 8)) == 4
         assert calls == []
         one, zero = Scalar.one(), Scalar.zero()
-        pencil = AffinePencil(((Scalar.pi_power(1), zero), (zero, one)),
-                              (((zero, one), (one, zero)),), ("v1",))
-        invert_affine_pencil(pencil, 3)
-        assert calls
+        for unit in (Scalar.pi_power(1), Scalar.imag_unit()):
+            pencil = AffinePencil(((unit, zero), (zero, one)),
+                                  (((zero, one), (one, zero)),), ("v1",))
+            inv = invert_affine_pencil(pencil, 3)
+            assert calls
+            del calls[:]
+            assert pencil_product_defect(pencil, inv, 3) == []
+            assert calls
+            del calls[:]
+
+    @staticmethod
+    def ring_defect(pencil, inverse, order):
+        """The reference: the exact product M * inverse - I through ``mat_mul``,
+        each nonzero entry cut to its terms through ``order``."""
+        chart = inverse[0][0].chart
+        lams = [RingElement.coordinate(chart, v) for v in pencil.labels]
+        n = pencil.size
+        m = [[sum((lam.scale(b[i][j]) for lam, b in zip(lams, pencil.b)),
+                  RingElement.constant(chart, pencil.a[i][j]))
+              for j in range(n)] for i in range(n)]
+        exact = mat_mul(m, [[e.without_truncation() for e in row] for row in inverse])
+        expected = []
+        for i in range(n):
+            for j in range(n):
+                low = RingElement(chart, (exact[i][j] - (1 if i == j else 0)).terms, order)
+                if not low.is_zero():
+                    expected.append(((i, j), low))
+        return expected
+
+    @staticmethod
+    def random_pencil(rng, n, k):
+        """An n x n pencil with k blocks of small rationals; about one block
+        in three is all zero."""
+        while True:
+            a = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+            bs = [[[rand_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+                   for _ in range(n)] if rng.random() < 0.7 else [[0] * n for _ in range(n)]
+                  for _ in range(k)]
+            try:
+                return AffinePencil.from_rationals(a, bs, tuple(f"v{i + 1}" for i in range(k)))
+            except PencilError:
+                continue
+
+    @staticmethod
+    def plant(rng, inverse, coeffs=(Fraction(1, 3), -2, Fraction(5, 7))):
+        """``inverse`` with one to three terms added at random entries, each a
+        random monomial in the chart's fibre coordinates of degree 0-9 (the
+        entry made exact, so a term above its jet order stays)."""
+        inv = [list(row) for row in inverse]
+        chart = inv[0][0].chart
+        n = len(inv)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            term = RingElement.constant(chart, rng.choice(coeffs))
+            for _ in range(rng.randint(0, 9)):
+                if chart.fibre:
+                    term = term * RingElement.coordinate(chart, rng.choice(chart.fibre))
+            inv[i][j] = inv[i][j].without_truncation() + term
+        return inv
+
+    def test_defect_is_the_exact_product_on_random_pencils(self):
+        """Sizes 1-5 with 0-3 blocks (some all zero), inverted at orders
+        0-8 and checked at orders 0-8, as inverted and with planted terms."""
+        rng = rng_for("pencil-defect-differential")
+        planted_seen = 0
+        for trial in range(60):
+            n, k = rng.randint(1, 5), rng.randint(0, 3)
+            pencil = self.random_pencil(rng, n, k)
+            inverse = invert_affine_pencil(pencil, rng.randint(0, 8 if k < 3 else 5))
+            candidates = [inverse, self.plant(rng, inverse)]
+            for inv in candidates:
+                order = rng.randint(0, 8 if k < 3 else 5)
+                expected = self.ring_defect(pencil, inv, order)
+                got = pencil_product_defect(pencil, inv, order)
+                assert got == expected and repr(got) == repr(expected)
+                assert all(e.jet_order == order for _, e in got)
+            planted_seen += bool(expected)
+        assert planted_seen > 40
+
+    def test_defect_of_an_inverse_with_pi_or_i_terms_is_the_exact_product(self):
+        """A rational pencil with an inverse that is not rational through the
+        order takes the ring check; a pi term above the order is not read."""
+        rng = rng_for("pencil-defect-pi-inverse")
+        for unit in (Scalar.pi_power(1), Scalar.imag_unit(), Scalar.pi_power(-2, 3)):
+            pencil = self.random_pencil(rng, 3, 2)
+            inverse = invert_affine_pencil(pencil, 4)
+            inv = self.plant(rng, inverse, coeffs=(unit,))
+            for order in (0, 3, 4, 6):
+                assert pencil_product_defect(pencil, inv, order) == self.ring_defect(pencil, inv, order)
+        high = [list(row) for row in inverse]
+        v1 = RingElement.coordinate(high[0][0].chart, "v1")
+        high[1][1] = high[1][1].without_truncation() + (v1 ** 5).scale(Scalar.pi_power(1))
+        assert pencil_product_defect(pencil, high, 4) == []
+        assert pencil_product_defect(pencil, high, 5) == self.ring_defect(pencil, high, 5) != []
+
+    @pytest.mark.parametrize("base, fibre", [("x q*", "w v1 v2"), ("v1 q*", "v2 w")])
+    def test_defect_of_an_inverse_on_a_wider_chart(self, base, fibre):
+        """The inverse lives on a chart with more coordinates than the labels:
+        terms with other base monomials, Fourier modes and fibre coordinates
+        are checked as the ring product checks them, with a label that is a
+        fibre coordinate or a polynomial base coordinate, and every entry
+        moved to the wide chart."""
+        rng = rng_for(f"pencil-defect-wide-{base}-{fibre}")
+        wide = make_chart(base, fibre)
+        x = RingElement.coordinate(wide, wide.base[0])
+        w = RingElement.coordinate(wide, "w")
+        wave = RingElement.cos_of(wide, {"q": 1})
+        for _ in range(6):
+            pencil = self.random_pencil(rng, rng.randint(1, 4), 2)
+            order = rng.randint(0, 6)
+            inverse = invert_affine_pencil(pencil, order)
+            lams = [RingElement.coordinate(wide, v) for v in pencil.labels]
+            inv = []
+            for row in inverse:
+                out = []
+                for e in row:
+                    moved = RingElement.zero(wide)
+                    for _, _, alpha, s in e.terms:
+                        mono = RingElement.constant(wide, s)
+                        for lam, a in zip(lams, alpha):
+                            mono = mono * lam ** a
+                        moved = moved + mono
+                    out.append(RingElement(wide, moved.terms, e.jet_order))
+                inv.append(out)
+            expected = self.ring_defect(pencil, inv, order)
+            assert pencil_product_defect(pencil, inv, order) == expected
+            # a jet bounds the fibre degree only, so with v1 in the base the
+            # series in v1 is cut where the jet claims to know it
+            assert expected == [] or "v1" not in fibre.split()
+            inv[0][-1] = inv[0][-1] + x * wave.scale(Fraction(2, 3)) + w * lams[1]
+            inv[-1][0] = inv[-1][0] - wave * lams[0] ** 2
+            for check in (0, order, order + 2):
+                expected = self.ring_defect(pencil, inv, check)
+                assert expected and pencil_product_defect(pencil, inv, check) == expected
+
+    def test_defect_of_entries_on_two_charts_is_a_chart_mismatch(self):
+        for pencil in (
+            AffinePencil.from_rationals([[2, 1], [1, 1]], [[[1, 0], [0, -1]]], ("v1",)),
+            AffinePencil(((Scalar.pi_power(1), Scalar.zero()), (Scalar.zero(), Scalar.one())),
+                         (((Scalar.zero(),) * 2,) * 2,), ("v1",)),
+        ):
+            inv = [list(row) for row in invert_affine_pencil(pencil, 3)]
+            other = make_chart("x", "v1")
+            inv[1][0] = RingElement.zero(other)
+            with pytest.raises(ChartMismatchError):
+                pencil_product_defect(pencil, inv, 3)
 
     def test_parse_pencil_text(self):
         text = "1 0\n0 1\n\n0 1\n1 0\n"
