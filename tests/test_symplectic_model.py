@@ -354,7 +354,7 @@ class TestPencilInversion:
         0-8 and checked at orders 0-8, as inverted and with planted terms."""
         rng = rng_for("pencil-defect-differential")
         planted_seen = 0
-        for trial in range(60):
+        for _ in range(60):
             n, k = rng.randint(1, 5), rng.randint(0, 3)
             pencil = self.random_pencil(rng, n, k)
             inverse = invert_affine_pencil(pencil, rng.randint(0, 8 if k < 3 else 5))
