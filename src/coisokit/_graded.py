@@ -88,16 +88,6 @@ class GradedTerms:
         return h
 
     @classmethod
-    def from_matrix(cls, chart: ChartSpec, entries):
-        """Degree-2 object with coefficient entries[i][j] on the pair i < j."""
-        n = chart.n_dirs
-        return cls(
-            chart,
-            2,
-            (((i, j), entries[i][j]) for i in range(n) for j in range(i + 1, n)),
-        )
-
-    @classmethod
     def from_factor_images(cls, chart: ChartSpec, w, images, coeff=lambda c: c):
         """Sum of coeff(c) * images[d_1] ^ ... ^ images[d_k] over the terms of w.
 

@@ -550,24 +550,37 @@ class ChartSpec:
     def is_periodic_dir(self, d: int) -> bool:
         return d < len(self.base) and self.periodic[d]
 
+    @functools.cached_property
+    def _kinds(self) -> dict:
+        """name -> ``kind(name)`` over every coordinate."""
+        table = {name: ("fibre", j) for j, name in enumerate(self.fibre)}
+        for kind, axes in (("poly", self.poly_axes), ("periodic", self.periodic_axes)):
+            table.update((self.base[i], (kind, pos)) for pos, i in enumerate(axes))
+        return table
+
     def kind(self, name: str) -> tuple[str, int]:
         """Classify a name: ('poly', i) / ('periodic', i) / ('fibre', j).
 
         The index is the position within the corresponding exponent tuple.
+        It is one lookup in a table built once per chart; an unknown name
+        raises UnknownCoordinateError.
         """
-        if name in self.fibre:
-            return "fibre", self.fibre.index(name)
-        if name in self.base:
-            i = self.base.index(name)
-            if self.periodic[i]:
-                return "periodic", self.periodic_axes.index(i)
-            return "poly", self.poly_axes.index(i)
-        raise UnknownCoordinateError(
-            f"{name!r} is not a coordinate of ({', '.join(self.names)})"
-        )
+        try:
+            return self._kinds[name]
+        except KeyError:
+            raise UnknownCoordinateError(
+                f"{name!r} is not a coordinate of ({', '.join(self.names)})"
+            ) from None
+
+    @functools.cached_property
+    def _base_chart(self) -> "ChartSpec":
+        return ChartSpec(self.base, self.periodic, (), None)
 
     def base_chart(self) -> "ChartSpec":
-        return ChartSpec(self.base, self.periodic, (), None)
+        """The chart of the base C, built once per chart: every call returns
+        the same object (a new one, never ``self``, so that no chart holds
+        itself)."""
+        return self._base_chart
 
     def extend(self, fibre: Sequence[str], bound=None) -> "ChartSpec":
         return ChartSpec(self.base, self.periodic, tuple(fibre), bound)

@@ -165,23 +165,20 @@ def _translation(X: MultiVectorField, alpha: MultiVectorField):
     """(images, -alpha) of the fibre translation (x, y) -> (x, y + alpha(x)).
 
     @x_i maps to @x_i + sum_j (d alpha_j / d x_i) @y_j, the fibre directions
-    are fixed, and the coefficients are taken at y - alpha.
+    are fixed, and the coefficients are taken at y - alpha.  ``images`` holds
+    only the directions that X's terms use, so alpha is differentiated only
+    along the base directions X has a wedge factor in.
     """
     chart = X.chart
     comps = deformation_section(alpha).components()
-    m = chart.n_base
+    m, one = chart.n_base, RingElement.one(chart)
     images: dict[int, MultiVectorField] = {}
-    for d in range(chart.n_dirs):
-        if chart.is_fibre_dir(d):
-            images[d] = MultiVectorField.basis_vector(chart, chart.direction_name(d))
-        else:
-            name = chart.direction_name(d)
-            terms = [((d,), RingElement.one(chart))]
-            for j, a in enumerate(comps):
-                da = a.partial(name)
-                if not da.is_zero():
-                    terms.append(((m + j,), da))
-            images[d] = MultiVectorField(chart, 1, terms)
+    for d in {d for dirs, _ in X.terms for d in dirs}:
+        name = chart.direction_name(d)
+        terms = [((d,), one)]
+        if not chart.is_fibre_dir(d):
+            terms += [((m + j,), a.partial(name)) for j, a in enumerate(comps)]
+        images[d] = MultiVectorField._wrap(chart, 1, terms)  # zero partials are dropped
     return images, [-a for a in comps]
 
 
@@ -191,7 +188,8 @@ def fibre_translate_pushforward(
     """Exact pushforward of X under the fibre translation (x, y) -> (x, y + alpha(x)).
 
     Coefficients are shifted by -alpha, while @x_i picks up
-    sum_j (d alpha_j / d x_i) @y_j and the fibre directions are fixed.
+    sum_j (d alpha_j / d x_i) @y_j and the fibre directions are fixed.  Only
+    the directions X uses get an image (``_translation``).
     """
     images, neg = _translation(X, alpha)
     return MultiVectorField.from_factor_images(
@@ -205,13 +203,13 @@ def projected_pushforward(X: MultiVectorField, alpha: MultiVectorField) -> Verti
     P keeps fibre wedge factors at y = 0, so it acts factor by factor: each
     coefficient is evaluated once at y = -alpha(x), and the image of each
     base direction in X's terms is replaced by its fibre part (the fibre
-    directions are their own images).  A jet X with alpha != 0 raises
+    directions are their own images).  ``_translation`` builds the images of
+    the directions X uses and no others.  A jet X with alpha != 0 raises
     JetOrderError (``RingElement.substitute_fibre``).
     """
     images, neg = _translation(X, alpha)
     chart = X.chart
-    used = {d for dirs, _ in X.terms for d in dirs}
-    fibre = {d: images[d] if chart.is_fibre_dir(d) else projection_P(images[d]) for d in used}
+    fibre = {d: img if chart.is_fibre_dir(d) else projection_P(img) for d, img in images.items()}
     return as_vertical(MultiVectorField.from_factor_images(
         chart, X, fibre, lambda c: c.substitute_fibre(neg)
     ))

@@ -79,7 +79,10 @@ from .multivector import MultiVectorField, is_poisson
 
 @dataclass(frozen=True)
 class PresymplecticData:
-    """A closed 2-form on a base chart together with its declared kernel."""
+    """A closed 2-form on a base chart together with its declared kernel.
+
+    Each kernel direction must be named once and annihilate the form
+    (PresymplecticError otherwise, naming the direction)."""
 
     chart: ChartSpec
     omega: DifferentialForm
@@ -95,6 +98,8 @@ class PresymplecticData:
         if not de_rham_d(self.omega).is_zero():
             raise PresymplecticError("form is not closed")
         for name in self.kernel.directions:
+            if self.kernel.directions.count(name) > 1:
+                raise PresymplecticError(f"kernel direction {name!r} is repeated")
             if not interior_product(name, self.omega).is_zero():
                 raise PresymplecticError(
                     f"declared kernel direction {name!r} is not annihilated"
@@ -113,7 +118,7 @@ class GotayModel:
 def _fibre_name(direction: str, taken: set) -> str:
     if direction.startswith("q"):
         candidate = "p" + direction[1:]
-        if candidate and candidate not in taken:
+        if candidate not in taken:
             return candidate
     candidate = f"p_{direction}"
     while candidate in taken:
@@ -122,7 +127,10 @@ def _fibre_name(direction: str, taken: set) -> str:
 
 
 def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
-    """Build the chart of E* = F* over C and Omega = pi*omega_C + j*omega_{T*C}."""
+    """Build the chart of E* = F* over C and Omega = pi*omega_C + j*omega_{T*C}.
+
+    Omega is one constructor call over the terms of omega_C, extended to the
+    bundle chart, and the r kernel pairs dq_f /\\ dp_f."""
     base = data.chart
     taken = set(base.names)
     pairs = []
@@ -134,20 +142,11 @@ def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
         tuple(fn for _, fn in pairs),
         None if bound is None else Fraction(bound),
     )
-    omega = DifferentialForm(
-        chart,
-        2,
-        (
-            (dirs, coeff.extend_to(chart))
-            for dirs, coeff in data.omega.terms
-        ),
-    )
-    m = base.n_base
-    for j, (qname, _) in enumerate(pairs):
-        q = chart.direction_index(qname)
-        omega = omega + DifferentialForm(
-            chart, 2, (((q, m + j), RingElement.one(chart)),)
-        )
+    one, m = RingElement.one(chart), base.n_base
+    omega = DifferentialForm(chart, 2, itertools.chain(
+        ((dirs, coeff.extend_to(chart)) for dirs, coeff in data.omega.terms),
+        (((chart.direction_index(q), m + j), one) for j, (q, _) in enumerate(pairs)),
+    ))
     if pullback_zero_section(omega) != data.omega:
         raise PresymplecticError("local model does not pull back to omega_C")
     if not is_in_omega_le(omega, 1):
@@ -158,7 +157,7 @@ def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
 
 def _check_nondegenerate(omega: DifferentialForm) -> None:
     mat = omega.coefficient_matrix()
-    at_zero = [[c.at_zero_fibre() for c in row] for row in mat]
+    at_zero = [[c.at_zero_fibre() if c.terms else c for c in row] for row in mat]
     det = ring_det(at_zero)
     if det.is_zero():
         raise DegenerateBivectorError("form is degenerate along the zero section")
@@ -259,12 +258,17 @@ def _neumann_inverse(m, order: int):
     A^{-1}.  Every entry, the zeros between blocks included, is summed at one
     jet order: ``order``, lowered to the lowest jet order among the entries
     of M once a power is taken, as the whole-matrix series gives it (each of
-    its products carries the jet orders of a whole row and column)."""
-    a = [[e.at_zero_fibre() for e in row] for row in m]
-    ainv = ring_matrix_inverse(a)
+    its products carries the jet orders of a whole row and column).
+
+    A and Y are read only off the entries of M that have terms: a zero entry
+    goes into A, Y and -Y as it is, with no ``at_zero_fibre``,
+    ``fibre_part`` or negation.  ``ring_matrix_inverse`` reads no jet order
+    of a zero entry, and the jet order that ``fibre_part`` and negation
+    would keep still reaches the products and the minimum above."""
+    ainv = ring_matrix_inverse([[e.at_zero_fibre() if e.terms else e for e in row] for row in m])
     # Y is the positive-fibre-degree part of each entry, at its jet order
-    y = [[e.fibre_part() for e in row] for row in m]
-    if all(e.is_zero() for row in y for e in row):
+    y = [[e.fibre_part() if e.terms else e for e in row] for row in m]
+    if not any(e.terms for row in y for e in row):
         return ainv
     jets = [e.jet_order for row in m for e in row if e.jet_order is not None]
     jet = min([order] + jets) if order > 0 else order
@@ -277,7 +281,7 @@ def _neumann_inverse(m, order: int):
         if all(e.is_zero() for row in block for e in row):
             continue
         power = [[ainv[j][i] for i in rows] for j in cols]  # the block of A^{-1}
-        x = mat_mul(power, [[-e for e in row] for row in block])  # -A^{-1} Y
+        x = mat_mul(power, [[-e if e.terms else e for e in row] for row in block])  # -A^{-1} Y
         for _ in range(order):
             power = mat_mul(x, power)
             for j, row in zip(cols, power):
@@ -564,6 +568,10 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> InvertedBi
     coefficient matrix at y = 0 must have an exactly invertible determinant.
     The result is an ``InvertedBivector`` that keeps ``omega``.  The sign is
     calibrated so that Omega = dq /\\ dp inverts to pi = @q /\\ @p.
+
+    pi is one constructor call over the entries of -M^{-1} above the
+    diagonal that have terms; M^{-1} is antisymmetric, so nothing on or
+    below the diagonal is read.
     """
     chart = omega.chart
     if not is_in_omega_le(omega, 1):
@@ -579,7 +587,9 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> InvertedBi
         ) from exc
     if order < 1 and minv[0][0].jet_order is not None:
         raise JetOrderError(f"jet order {order} < 1 checks no order of [pi, pi]")
-    pi = MultiVectorField.from_matrix(chart, [[-e for e in row] for row in minv])
+    pi = MultiVectorField(chart, 2, (
+        ((i, j), -e) for i, row in enumerate(minv) for j, e in enumerate(row) if j > i and e.terms
+    ))
     if not is_poisson(pi):
         raise NotPoissonError(
             "inverse bivector fails the Jacobi identity (through the checked "

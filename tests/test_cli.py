@@ -983,6 +983,10 @@ class TestMain:
              "line 2, col 5: expected 2 components, got 1"),
             ("chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n", "w = gotay(dy1/\\dy2, q1)\n",
              "line 2, col 5: form is degenerate along the zero section"),
+            # a kernel direction given twice is named, not blamed on the form
+            ("chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n",
+             "omega = gotay(dy1/\\dy2, q1, q1)\n",
+             "line 2, col 9: kernel direction 'q1' is repeated"),
         ],
         ids=[
             "form_times_vector", "vector_times_vector", "scalar_minus_form",
@@ -993,6 +997,7 @@ class TestMain:
             "inv_form_monomial_det", "vector_not_a_coordinate",
             "divide_by_non_monomial", "divide_by_zero", "negative_power_of_sum",
             "section_in_fibre", "section_too_short", "gotay_degenerate_at_zero",
+            "gotay_repeated_kernel_direction",
         ],
     )
     def test_parse_error_message(self, chart, body, message, tmp_path, capsys):

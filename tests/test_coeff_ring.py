@@ -1007,6 +1007,44 @@ class TestChartSpec:
     def test_base_chart_roundtrip(self, chart):
         assert chart.base_chart().extend(chart.fibre) == ChartStripBound(chart)
 
+    @pytest.mark.parametrize("base, fibre", [("x1 x2*", "y1 y2"), ("y1* y2* q1* q2*", "p1 p2"),
+                                             ("a b* c d* e", ""), ("x", "")])
+    def test_base_chart_is_built_once(self, base, fibre):
+        chart = make_chart(base, fibre, bound=2)
+        first = chart.base_chart()
+        assert chart.base_chart() is first
+        fresh = ChartSpec(chart.base, chart.periodic, (), None)
+        assert first == fresh and hash(first) == hash(fresh)
+        # a chart without fibre still gets a distinct base chart, so that no
+        # chart holds a reference to itself
+        assert first.base_chart() == first and first.base_chart() is not first
+        assert all(v is not chart for v in vars(chart).values())
+
+    @pytest.mark.parametrize("base, fibre", [("x1 x2*", "y1 y2"), ("a* b c* d e*", "p q"),
+                                             ("a b", ""), ("", "v1 v2 v3"),
+                                             ("y1* y2* q1* q2* q3*", "p1 p2 p3")])
+    def test_kind_table_matches_a_scan_of_the_chart(self, base, fibre):
+        chart = make_chart(base, fibre)
+
+        def scan(name):
+            if name in chart.fibre:
+                return "fibre", chart.fibre.index(name)
+            i = chart.base.index(name)
+            if chart.periodic[i]:
+                return "periodic", sum(chart.periodic[:i])
+            return "poly", i - sum(chart.periodic[:i])
+
+        assert [chart.kind(n) for n in chart.names] == [scan(n) for n in chart.names]
+
+    def test_kind_of_an_unknown_name_keeps_its_message(self, chart):
+        message = "'z' is not a coordinate of (x1, x2, y1, y2)"
+        with pytest.raises(UnknownCoordinateError, match=f"^{re.escape(message)}$") as err:
+            chart.kind("z")
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+        # the fibre bound is no coordinate name either
+        with pytest.raises(UnknownCoordinateError):
+            chart.kind("fibre_bound")
+
 
 def ChartStripBound(chart):
     return type(chart)(chart.base, chart.periodic, chart.fibre, None)

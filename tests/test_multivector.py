@@ -357,6 +357,97 @@ class TestProjectedPushforward:
             projected_pushforward(X, alpha)
 
 
+def every_direction_translation(X, alpha):
+    """The translation images of every direction of the chart, used or not:
+    (images, -alpha) as ``multivector._translation`` built them before it
+    kept only the directions X uses."""
+    chart = X.chart
+    comps = deformation_section(alpha).components()
+    images = {}
+    for d in range(chart.n_dirs):
+        name = chart.direction_name(d)
+        if chart.is_fibre_dir(d):
+            images[d] = MultiVectorField.basis_vector(chart, name)
+            continue
+        terms = [((d,), RingElement.one(chart))]
+        for j, a in enumerate(comps):
+            da = a.partial(name)
+            if not da.is_zero():
+                terms.append(((chart.n_base + j,), da))
+        images[d] = MultiVectorField(chart, 1, terms)
+    return images, [-a for a in comps]
+
+
+def field_on(rng, chart, dirs, degree, nterms=3):
+    """A random field of ``degree`` whose wedge factors lie in ``dirs``."""
+    keys = list(itertools.combinations(sorted(dirs), degree))
+    return MultiVectorField(chart, degree, (
+        (rng.choice(keys), rand_ring(rng, chart)) for _ in range(nterms)))
+
+
+def same_terms(got, want):
+    assert got.degree == want.degree
+    assert [(d, c.terms, c.jet_order) for d, c in got.terms] == \
+        [(d, c.terms, c.jet_order) for d, c in want.terms]
+
+
+class TestTranslationOfUsedDirections:
+    """The pushforwards build images only for the directions X uses; on
+    fields over a strict subset of a chart's directions they must agree with
+    a translation that builds the image of every direction."""
+
+    @pytest.mark.parametrize("spec", PROJECTED_CHARTS + (("x1 x2* x3", "y1 y2"),))
+    def test_fields_on_a_strict_subset_of_directions(self, spec):
+        chart = make_chart(*spec)
+        rng = rng_for(f"used-directions-{spec}")
+        n = chart.n_dirs
+        base, fibre = set(range(chart.n_base)), set(range(chart.n_base, n))
+        subsets = [base, fibre] + [set(rng.sample(range(n), rng.randint(1, n - 1)))
+                                   for _ in range(4)]
+        subsets = [dirs for dirs in subsets if len(dirs) < n]
+        checked = 0
+        for dirs in subsets:
+            for degree in range(min(3, len(dirs)) + 1):
+                for alpha in _sections(rng, chart):
+                    X = field_on(rng, chart, dirs, degree)
+                    used = {d for ds, _ in X.terms for d in ds}
+                    assert used <= dirs and len(used) < n
+                    images, neg = every_direction_translation(X, alpha)
+                    want = MultiVectorField.from_factor_images(
+                        chart, X, images, lambda c: c.shift_fibre(neg))
+                    same_terms(fibre_translate_pushforward(X, alpha), want)
+                    fibre_images = {d: img if chart.is_fibre_dir(d) else projection_P(img)
+                                    for d, img in images.items()}
+                    want = MultiVectorField.from_factor_images(
+                        chart, X, fibre_images, lambda c: c.substitute_fibre(neg))
+                    got = projected_pushforward(X, alpha)
+                    assert isinstance(got, VerticalSection)
+                    same_terms(got, want)
+                    checked += bool(X.terms) and not alpha.is_zero()
+        assert checked
+
+    def test_images_are_built_for_the_used_directions_only(self, chart):
+        rng = rng_for("used-directions-images")
+        alpha = rand_section(rng, chart, nterms=3)
+        X = MultiVectorField(chart, 2, (((0, 3), rand_ring(rng, chart)),))
+        images, _ = multivector._translation(X, alpha)
+        assert sorted(images) == [0, 3]
+        full, _ = every_direction_translation(X, alpha)
+        assert all(images[d] == full[d] for d in images)
+        assert multivector._translation(MultiVectorField.zero(chart, 1), alpha)[0] == {}
+
+    def test_a_jet_on_a_subset_keeps_its_order(self, chart):
+        rng = rng_for("used-directions-jet")
+        X = field_on(rng, chart, {1, 2}, 1).truncate(2)
+        zero = zero_section(chart)
+        images, neg = every_direction_translation(X, zero)
+        want = MultiVectorField.from_factor_images(
+            chart, X, images, lambda c: c.shift_fibre(neg))
+        got = fibre_translate_pushforward(X, zero)
+        same_terms(got, want)
+        assert got.jet_order() == 2
+
+
 class TestExpAd:
     def test_base_vector_terminates_in_two_terms(self, chart):
         rng = rng_for("expad-basis")

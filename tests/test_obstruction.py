@@ -175,6 +175,20 @@ class TestCertificate:
         assert report.verdict == "INCONCLUSIVE"
         assert report.integral.is_zero()
 
+    def test_a_nonzero_constant_integral_is_inconclusive(self, t4, monkeypatch):
+        """Only a non-constant integral function certifies NONZERO; a
+        constant one, zero or not, leaves the class undecided.  No section
+        is known whose integral is a nonzero constant (none of 169 sine and
+        cosine sections on T^4 has one), so the integral is replaced here."""
+        from coisokit import obstruction
+
+        base = t4.algebra.chart.base_chart()
+        monkeypatch.setattr(obstruction, "fibre_torus_integral",
+                            lambda beta, dirs: RingElement.constant(base, 3))
+        report = obstructedness_certificate(t4.algebra, t4.section)
+        assert report.closed and report.verdict == "INCONCLUSIVE"
+        assert report.integral.render() == "3"
+
     def test_unclosed_section_reported(self, t4):
         chart = t4.algebra.chart
         bad = VerticalSection.from_components(

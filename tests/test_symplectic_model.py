@@ -1,10 +1,13 @@
 """Gotay models, exact pencil inversion, symplectic-to-Poisson conversion."""
 
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fraction, rng_for
+import linalg_reference as reference
+from conftest import rand_fraction, rng_for, torus_gotay_form
 from coisokit import (
     AffinePencil,
     ChartMismatchError,
@@ -32,7 +35,11 @@ from coisokit import (
     schouten_bracket,
     symplectic_to_poisson,
 )
+from coisokit import symplectic_model
 from coisokit._linalg import mat_mul, ring_det
+from coisokit.cli import parse_scenario
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def torus_base(names):
@@ -104,6 +111,32 @@ class TestGotayModel:
         omega_c = DifferentialForm(base, 2, (((0, 1), RingElement.one(base)),))
         with pytest.raises(PresymplecticError):
             PresymplecticData(base, omega_c, SubbundleSpec(("y1",)))
+
+    @pytest.mark.parametrize("kernel", [("q1", "q1"), ("q1", "q2", "q1"), ("q2", "q2", "q2")])
+    def test_repeated_kernel_direction_is_named(self, kernel):
+        # without the check q1 pairs with both p1 and p_q1, and the model's
+        # degeneracy is reported as a fault of the form
+        base = torus_base(["y1", "y2", "q1", "q2"])
+        omega_c = DifferentialForm(base, 2, (((0, 1), RingElement.one(base)),))
+        with pytest.raises(PresymplecticError) as err:
+            PresymplecticData(base, omega_c, SubbundleSpec(kernel))
+        assert str(err.value) == f"kernel direction {kernel[0]!r} is repeated"
+
+    @pytest.mark.parametrize("k, r", list(itertools.product((1, 2, 3), (2, 3, 4))))
+    def test_one_constructor_equals_the_pairs_added_one_at_a_time(self, k, r):
+        names = [f"y{i + 1}" for i in range(2 * k)] + [f"q{j + 1}" for j in range(r)]
+        base = torus_base(names)
+        one = RingElement.one(base)
+        omega_c = DifferentialForm(base, 2, (((2 * i, 2 * i + 1), one) for i in range(k)))
+        kernel = SubbundleSpec(tuple(names[2 * k:]))
+        model = gotay_local_model(PresymplecticData(base, omega_c, kernel))
+        chart = model.chart
+        want = DifferentialForm(chart, 2, ((d, c.extend_to(chart)) for d, c in omega_c.terms))
+        for j in range(r):
+            pair = ((2 * k + j, len(names) + j), RingElement.one(chart))
+            want = want + DifferentialForm(chart, 2, (pair,))
+        assert model.omega == want and model.omega.render() == want.render()
+        assert model.fibre_for == tuple((f"q{j + 1}", f"p{j + 1}") for j in range(r))
 
 
 class TestGotayNondegeneracy:
@@ -534,9 +567,151 @@ class TestSymplecticToPoisson:
         with pytest.raises(NonAffineFibreError):
             symplectic_to_poisson(omega)
 
+    def test_pi_reads_only_the_strict_upper_triangle(self, monkeypatch):
+        """M^{-1} is antisymmetric, so pi is built from its entries above the
+        diagonal, negated; what lies on or below the diagonal is not read."""
+        omega = torus_gotay_form(1, 2)
+        want = symplectic_to_poisson(omega)
+        original = symplectic_model._neumann_inverse
+        junk = RingElement.constant(omega.chart, 7)
+
+        def with_junk_below(m, order):
+            out = [list(row) for row in original(m, order)]
+            for i, row in enumerate(out):
+                row[: i + 1] = [junk] * (i + 1)
+            return out
+
+        monkeypatch.setattr(symplectic_model, "_neumann_inverse", with_junk_below)
+        got = symplectic_to_poisson(omega)
+        assert got == want
+        assert got.render() == "@y1 /\\ @y2 + @q1 /\\ @p1 + @q2 /\\ @p2"
+
     def test_degenerate_rejected(self):
         chart = make_chart("x1 x2", "y1 y2")
         one = RingElement.one(chart)
         omega = DifferentialForm(chart, 2, (((0, 1), one),))
         with pytest.raises(DegenerateBivectorError):
             symplectic_to_poisson(omega)
+
+
+# -- the sparse inversion against a dense build from -M^{-1} ---------------------
+
+
+def dense_pi(omega, order):
+    """pi from -M^{-1} over all n^2 entries: the whole-matrix Neumann series of
+    ``linalg_reference``, every entry negated, every pair i < j passed to the
+    constructor; JetOrderError where a jet is asked for at order < 1."""
+    minv = reference.neumann_inverse(omega.coefficient_matrix(), order)
+    if order < 1 and minv[0][0].jet_order is not None:
+        raise JetOrderError("order < 1")
+    neg = [[-e for e in row] for row in minv]
+    n = len(neg)
+    return MultiVectorField(omega.chart, 2, (((i, j), neg[i][j])
+                                             for i in range(n) for j in range(i + 1, n)))
+
+
+def assert_same_inverse(omega, order):
+    try:
+        want = dense_pi(omega, order)
+    except JetOrderError:
+        with pytest.raises(JetOrderError):
+            symplectic_to_poisson(omega, order)
+        return None
+    got = symplectic_to_poisson(omega, order)
+    assert [(d, c.terms, c.jet_order) for d, c in got.terms] == \
+        [(d, c.terms, c.jet_order) for d, c in want.terms]
+    assert got.jet_order() == want.jet_order()
+    return got
+
+
+def bench_jet_models():
+    """Every omega = dx1/\\dx2 + dq1/\\dp1 + dq2/\\dp2 + d(c p m(x) dx_i)
+    that the jet_pencil workload draws: 32 forms."""
+    chart = make_chart("x1 x2 q1 q2", "p1 p2")
+    one = RingElement.one(chart)
+    x1, x2 = (RingElement.coordinate(chart, n) for n in ("x1", "x2"))
+    omega0 = DifferentialForm(chart, 2, (((0, 1), one), ((2, 4), one), ((3, 5), one)))
+    for i, product, p, c in itertools.product(
+            (0, 1), (False, True), ("p1", "p2"), (-1, Fraction(-1, 2), Fraction(1, 2), 1)):
+        m = x1 * x2 if product else (x2 if i == 0 else x1)
+        theta = (RingElement.coordinate(chart, p) * m).scale(c)
+        yield omega0 + de_rham_d(DifferentialForm(chart, 1, (((i,), theta),)))
+
+
+def random_closed_affine_form(rng, r):
+    """c0 dx1/\\dx2 + sum_j c_j dq_j/\\dp_j + d(theta) on x1 x2 q* | p with
+    theta a sum of p_j m(x, q) dx_i, m a monomial in x times at most one
+    Fourier mode in q.  At p = 0 only the dp_j/\\dx_i entries of d(theta)
+    survive; q_j still meets p_j alone, so every perfect matching takes the
+    pairs of the constant part and the Pfaffian is c0 prod c_j: the form is
+    exactly invertible.  A dq/\\dx_i entry of d(theta) is one fibre-linear
+    term."""
+    qs = [f"q{j + 1}" for j in range(r)]
+    chart = make_chart("x1 x2 " + " ".join(q + "*" for q in qs),
+                       " ".join(f"p{j + 1}" for j in range(r)))
+
+    def unit():
+        c = rand_fraction(rng, 1, 3) * rng.choice((1, -1))
+        return RingElement.constant(chart, Scalar.pi_power(rng.randint(-1, 1), c))
+
+    pairs = [((0, 1), unit())] + [((2 + j, 2 + r + j), unit()) for j in range(r)]
+    theta = []
+    for _ in range(rng.randint(0, 3)):
+        m = RingElement.constant(chart, rand_fraction(rng, 1, 3))
+        for name in ("x1", "x2"):
+            m = m * RingElement.coordinate(chart, name) ** rng.randint(0, 2)
+        if rng.random() < 0.6:
+            m = m * RingElement.fourier_mode(chart, {rng.choice(qs): rng.choice((-1, 1, 2))})
+        p = RingElement.coordinate(chart, rng.choice(chart.fibre))
+        theta.append(((rng.randrange(2),), p * m))
+    return DifferentialForm(chart, 2, pairs) + de_rham_d(DifferentialForm(chart, 1, theta))
+
+
+def with_one_jet_coefficient(rng, omega):
+    """``omega`` with one coefficient made a jet of order 0, 1 or 2; a
+    base-only one leaves a zero fibre part that carries the jet order."""
+    pick = rng.randrange(len(omega.terms))
+    order = rng.choice((0, 1, 2))
+    return DifferentialForm(omega.chart, 2, (
+        (d, c.truncate(order) if k == pick else c) for k, (d, c) in enumerate(omega.terms)))
+
+
+class TestSparseInversionAgainstDense:
+    """``symplectic_to_poisson`` reads only the entries that have terms; the
+    terms and jet order of every coefficient of pi must be those of a build
+    from -M^{-1} over all n^2 entries."""
+
+    @pytest.mark.parametrize("k, r", list(itertools.product((1, 2, 3), (2, 3, 4))))
+    def test_torus_gotay_shapes(self, k, r):
+        omega = torus_gotay_form(k, r)
+        for order in range(5):
+            pi = assert_same_inverse(omega, order)
+            assert pi.jet_order() is None and len(pi.terms) == k + r
+
+    def test_t4_scenario(self):
+        with open(os.path.join(DATA, "t4.scn"), encoding="utf-8") as fh:
+            scenario = parse_scenario(fh.read(), name="t4.scn", base_dir=DATA)
+        pi = assert_same_inverse(scenario.bindings["omega"], 6)
+        assert pi == scenario.bindings["pi"]
+
+    def test_jet_pencil_jet_models(self):
+        models = list(bench_jet_models())
+        assert len(models) == 32
+        for omega in models:
+            for order in (0, 1, 2, 3, 4, 12):
+                pi = assert_same_inverse(omega, order)
+                assert pi is None if order == 0 else pi.jet_order() == order
+
+    @pytest.mark.parametrize("r", (1, 2, 3))
+    def test_random_fibre_affine_forms(self, r):
+        rng = rng_for(f"sparse-inversion-{r}")
+        single_fibre_term = jets = 0
+        for trial in range(15):
+            omega = random_closed_affine_form(rng, r)
+            single_fibre_term += any(
+                len(c.terms) == 1 and not c.is_base_only() for _, c in omega.terms)
+            if trial % 3 == 2:
+                omega = with_one_jet_coefficient(rng, omega)
+                jets += 1
+            assert_same_inverse(omega, trial % 5)
+        assert single_fibre_term and jets
