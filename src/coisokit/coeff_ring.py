@@ -88,8 +88,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     ChartMismatchError,
     DimensionMismatchError,
@@ -1213,6 +1211,7 @@ def _cmul(ar, ai, br, bi):
 
 def _distinct(rows: list) -> tuple[list, np.ndarray]:
     """The distinct rows in sorted order and, per input row, its index there."""
+    import numpy as np
     distinct = sorted(set(rows))
     index = {row: i for i, row in enumerate(distinct)}
     return distinct, np.array([index[row] for row in rows], dtype=int)
@@ -1220,6 +1219,7 @@ def _distinct(rows: list) -> tuple[list, np.ndarray]:
 
 def _float_powers(col: np.ndarray, exps: list) -> np.ndarray:
     """(N, len(exps)) array of Python's ``v ** e``, taken once per distinct v."""
+    import numpy as np
     powers: dict[float, list] = {}
     rows = []
     for v in col.tolist():
@@ -1232,6 +1232,7 @@ def _float_powers(col: np.ndarray, exps: list) -> np.ndarray:
 
 def _complex_powers(vr: np.ndarray, vi: np.ndarray, exps: list):
     """(vr + i vi) ** e for each e, by Python's square-and-multiply, as (re, im)."""
+    import numpy as np
     squares = [(vr, vi)]
     while 1 << len(squares) <= exps[-1]:
         squares.append(_cmul(*squares[-1], *squares[-1]))
@@ -1268,6 +1269,7 @@ class GridEvaluator:
     """
 
     def __init__(self, elements: Sequence["RingElement"]):
+        import numpy as np
         self.n_out = len(elements)
         terms = [(out, rank, t) for out, el in enumerate(elements)
                  for rank, t in enumerate(el.terms)]
@@ -1293,6 +1295,7 @@ class GridEvaluator:
                 self._fibre.append((j, exps, at))
 
     def __call__(self, base: np.ndarray, fibre: Optional[np.ndarray] = None) -> np.ndarray:
+        import numpy as np
         n_pts = len(base)
         re = np.repeat(self._coeff.real[None, :], n_pts, axis=0)
         im = np.repeat(self._coeff.imag[None, :], n_pts, axis=0)

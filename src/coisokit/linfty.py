@@ -22,8 +22,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ._graded import inversion_sign
 from .coeff_ring import ChartSpec, GridEvaluator, Scalar, sample_grid
 from .errors import (
@@ -150,6 +148,7 @@ def _check_domain(chart: ChartSpec, alpha: VerticalSection):
     bound = chart.fibre_bound
     if bound is None:
         return
+    import numpy as np
     comps = alpha.components()
     points = sample_grid(chart, sorted(alpha.support_names()))
     values = GridEvaluator(comps)
@@ -173,6 +172,7 @@ _GRID_CHUNK = 256
 
 def _grid_chunks(chart: ChartSpec, points):
     """(start, (k, n_base) real array) for consecutive chunks of base points."""
+    import numpy as np
     base = np.array(points, dtype=float)
     if len(base) and (base.ndim != 2 or base.shape[1] != chart.n_base):
         raise DimensionMismatchError(
@@ -202,6 +202,7 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
     otherwise at every point.  Raises DegenerateBivectorError at the first
     point where the source form is singular.
     """
+    import numpy as np
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi
     invert = isinstance(pi, InvertedBivector)
     true = pi.source_form if invert else pi
@@ -237,6 +238,7 @@ def _pushforward_block(alg_or_pi, alpha: VerticalSection):
 
 def _inverse_or_degenerate(mats: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Batched inverse; the first singular matrix names its base point."""
+    import numpy as np
     try:
         return np.linalg.inv(mats)
     except np.linalg.LinAlgError:
@@ -295,6 +297,7 @@ class ConvergenceTable:
             seen[row.point] = row.n
 
     def max_error_at(self, n: int) -> float:
+        import numpy as np
         # np.max keeps a NaN; Python's max drops one that is not first
         return float(np.max([r.abs_error for r in self.rows if r.n == n], initial=0.0))
 
@@ -326,6 +329,7 @@ def _component_dirs(chart: ChartSpec, degree: int):
 
 def _real_parts(values: np.ndarray) -> np.ndarray:
     """The real parts; the first value that is not real raises CoisoKitError."""
+    import numpy as np
     bad = np.abs(values.imag) > 1e-9 * (np.abs(values) + 1.0)
     if bad.any():
         value = values.flat[np.flatnonzero(bad)[0]].item()
@@ -372,6 +376,7 @@ def mc_partial_table(
     section that leaves the chart's tubular domain raises DomainBoundError,
     and a NaN error at a grid point raises CoisoKitError naming the point.
     """
+    import numpy as np
     if order < 1:
         raise JetOrderError(f"table order {order} < 1: the table would have no partial sum")
     alpha = deformation_section(alpha)
@@ -446,6 +451,7 @@ def coisotropy_check_numeric(
     vanishes; the check passes when it is at most 1e-9.  A section that
     leaves the chart's tubular domain raises DomainBoundError.
     """
+    import numpy as np
     alpha = deformation_section(alpha)
     _check_domain(alpha.chart, alpha)
     pi = alg_or_pi.pi if isinstance(alg_or_pi, CoisoAlgebra) else alg_or_pi

@@ -43,8 +43,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._linalg import (
     _bits,
     _components,
@@ -162,6 +160,7 @@ def _check_nondegenerate(omega: DifferentialForm) -> None:
     if det.is_zero():
         raise DegenerateBivectorError("form is degenerate along the zero section")
     if not det.is_constant():
+        import numpy as np
         # sample the base for zeros of the determinant near the zero section,
         # all grid points in one numpy pass
         chart = omega.chart

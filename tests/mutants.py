@@ -188,6 +188,12 @@ MUTANTS = (
            "c[i][i] -= 1",
            ("test_symplectic_model.py",),
            "the defect check subtracts the identity at denominator 1"),
+    # -- start-up ------------------------------------------------------------
+    Mutant("eager-numpy", "linfty.py",
+           "from typing import Callable, Sequence\n",
+           "from typing import Callable, Sequence\n\nimport numpy as np\n",
+           ("test_import_contract.py",),
+           "linfty imports numpy at module level, so every import loads it"),
 )
 
 

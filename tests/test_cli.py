@@ -438,9 +438,11 @@ class TestRun:
         assert report.exit_code() == 0
 
     def test_golden_text_report(self):
-        report = run(t4_scenario())
-        golden = open(os.path.join(DATA, "t4_report.txt"), encoding="utf-8").read()
-        assert emit_report(report, "text") == golden
+        for name in ("t4", "t4_exact"):
+            text = open(os.path.join(DATA, f"{name}.scn"), encoding="utf-8").read()
+            report = run(parse_scenario(text, name=f"{name}.scn", base_dir=DATA))
+            golden = open(os.path.join(DATA, f"{name}_report.txt"), encoding="utf-8").read()
+            assert emit_report(report, "text") == golden, name
 
     def test_determinism(self):
         a = emit_report(run(t4_scenario()), "json")

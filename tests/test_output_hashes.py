@@ -8,6 +8,8 @@ terms) whose sha256 is stored in ``tests/data/output_hashes.json``:
 - the csv report of ``t4.scn`` with ``check mc a 3`` in place of
   ``check mc a``, at ``--samples 8``: an ``mc_partial_table`` whose oracle
   inverts a constant source form;
+- the text report of ``t4_exact.scn`` (``t4.scn`` without its numeric
+  ``coisotropic`` check);
 - ``render()`` and the exact terms of ``mc_series_exact`` and ``exp_ad``
   over a seeded family of centred bivectors and degree-1 sections;
 - the exact terms of ``fibre_translate_pushforward`` of the same seeded
@@ -140,6 +142,8 @@ def _t4_reports():
     assert "check mc a 3\n" in text
     scenario = parse_scenario(text, name="t4_mc3.scn", base_dir=DATA)
     yield "t4/mc_table/csv/samples=8", emit_report(run(scenario, RunFlags(samples=8)), "csv")
+    scenario = parse_scenario(_read("t4_exact.scn"), name="t4_exact.scn", base_dir=DATA)
+    yield "t4_exact/text/samples=default", emit_report(run(scenario), "text")
 
 
 # (base spec, fibre spec, y-degree of the bivector, complex coefficients)
