@@ -300,6 +300,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        """False iff the Scalar is zero, as for an int."""
+        return bool(self._terms)
+
     def integer_ratio(self):
         """(num, den) with den > 0 and num/den in lowest terms, the value of
         a rational Scalar; None when it has a pi power or an imaginary part."""

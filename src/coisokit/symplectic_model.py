@@ -16,23 +16,21 @@ nonzero pattern of M, so the series runs on each block whose Y is nonzero,
 with b x b products, and skips the others.
 
 An affine pencil M(lambda) = A + sum_k lambda_k B_k takes the same series
-by one of two paths, chosen from its entries.  When every entry is rational
-(every pencil read from a file or built by ``AffinePencil.from_rationals``),
-the coefficient P_alpha of each lambda-monomial of the inverse is a rational
-matrix: P_0 = A^{-1} and P_alpha = sum_{k: alpha_k > 0} X_k P_{alpha - e_k}
-with X_k = -A^{-1} B_k.  If D is the denominator of A^{-1} and d_k that of
-B_k, P_alpha has the denominator D^{|alpha|+1} prod_k d_k^{alpha_k}, so the
-series is plain products of integer matrices, and each entry becomes a jet
-once, at the end.  A pencil with a pi power or an imaginary part in an
-entry takes the ring series above.
+as matrices of numerators over one denominator.  The coefficient P_alpha of
+each lambda-monomial of the inverse is P_0 = A^{-1} and
+P_alpha = sum_{k: alpha_k > 0} X_k P_{alpha - e_k} with X_k = -A^{-1} B_k.
+If D is the denominator of A^{-1} and d_k that of B_k, P_alpha has the
+denominator D^{|alpha|+1} prod_k d_k^{alpha_k}, so the series is plain
+products of numerator matrices, and each entry becomes a jet once, at the
+end.  A rational entry (every entry of a pencil read from a file or built by
+``AffinePencil.from_rationals``) has an int numerator; an entry with a pi
+power or an imaginary part keeps itself as a Scalar numerator over
+denominator 1, and the same products run on it.
 
 ``pencil_product_defect`` checks M(lambda) * P(lambda) = I through order N
-by the same two paths.  When the pencil and every coefficient of the
-inverse it is given are rational, the terms at each lambda-monomial alpha
-are C_alpha = A P_alpha + sum_k B_k P_{alpha - e_k} - [alpha = 0] I, one
-product of integer matrices per alpha; otherwise M * P is taken with ring
-products.  ``Scalar.integer_ratio`` is the one reader that picks the path
-in both functions.
+the same way: the terms at each lambda-monomial alpha are
+C_alpha = A P_alpha + sum_k B_k P_{alpha - e_k} - [alpha = 0] I, one
+product of numerator matrices per alpha.
 """
 
 from __future__ import annotations
@@ -128,7 +126,9 @@ def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
     """Build the chart of E* = F* over C and Omega = pi*omega_C + j*omega_{T*C}.
 
     Omega is one constructor call over the terms of omega_C, extended to the
-    bundle chart, and the r kernel pairs dq_f /\\ dp_f."""
+    bundle chart, and the r kernel pairs dq_f /\\ dp_f.  Its coefficients
+    are base-only or 1 and each pair has one fibre factor, so Omega is
+    fibrewise affine by construction; the pullback is checked."""
     base = data.chart
     taken = set(base.names)
     pairs = []
@@ -147,8 +147,6 @@ def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
     ))
     if pullback_zero_section(omega) != data.omega:
         raise PresymplecticError("local model does not pull back to omega_C")
-    if not is_in_omega_le(omega, 1):
-        raise PresymplecticError("local model is not fibrewise affine")
     _check_nondegenerate(omega)
     return GotayModel(chart, omega, tuple(pairs))
 
@@ -299,70 +297,52 @@ def _label_keys(pencil: AffinePencil, chart: ChartSpec):
     return [RingElement.coordinate(chart, label).terms[0][:3] for label in pencil.labels]
 
 
-def _pencil_matrix(pencil: AffinePencil, chart: ChartSpec):
-    """M(lambda) = A + sum_k lambda_k B_k as a ring matrix on ``chart``.
-
-    Each entry is built once, from its constant term and one term per
-    lambda_k (the constructor drops the zero ones)."""
-    one = RingElement.one(chart).terms[0][:3]
-    keys = _label_keys(pencil, chart)
-    n = pencil.size
-    return [
-        [RingElement(chart, [one + (pencil.a[i][j],)]
-                     + [key + (bk[i][j],) for key, bk in zip(keys, pencil.b)])
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _check_pencil_order(order: int) -> None:
     if order < 0:
         raise JetOrderError(f"pencil order {order} < 0: a jet needs fibre order >= 0")
 
 
-def _integer_matrix(mat):
-    """(numerators, den): ``mat``'s entries over their least common
-    denominator, or None when an entry is not rational."""
-    ratios = [[s.integer_ratio() for s in row] for row in mat]
-    if any(q is None for row in ratios for q in row):
-        return None
+def _numerators(mat):
+    """(numerators, den): the Scalar matrix ``mat`` over the least common
+    denominator of its entries.  A rational entry's numerator is an int; an
+    entry with a pi power or an imaginary part is its own numerator, a
+    Scalar over denominator 1."""
+    ratios = [[s.integer_ratio() or (s, 1) for s in row] for row in mat]
     den = math.lcm(*(d for row in ratios for _, d in row))
     return [[num * (den // d) for num, d in row] for row in ratios], den
 
 
-def _integer_pencil(pencil: AffinePencil):
-    """``_integer_matrix`` of A and of each B_k, or None when an entry of the
-    pencil is not rational."""
-    mats = [_integer_matrix(m) for m in (pencil.a, *pencil.b)]
-    return None if any(m is None for m in mats) else mats
+def _over(num, den) -> Scalar:
+    """num / den for an int or a Scalar numerator ``num``."""
+    return Scalar.rational(num, den) if type(num) is int else num * Scalar.rational(1, den)
 
 
-def _int_mat_mul(a, b):
+def _num_mat_mul(a, b):
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def _rational_pencil_series(pencil: AffinePencil, order: int):
+def _pencil_series(pencil: AffinePencil, order: int):
     """The coefficients P_alpha of M(lambda)^{-1} through |alpha| = ``order``
-    as (alpha, numerators, den) triples, P_alpha = numerators / den, for a
-    pencil whose entries are all rational; None for any other pencil.
+    as (alpha, numerators, den) triples, P_alpha = numerators / den.
 
     With X_k = -A^{-1} B_k the series is P_0 = A^{-1} and
     P_alpha = sum_{k: alpha_k > 0} X_k P_{alpha - e_k}.  If A^{-1} has
     denominator D and B_k denominator d_k, every term of that sum has the
     denominator D^{|alpha|+1} prod_k d_k^{alpha_k}, so each P_alpha is one
-    sum of integer matrix products over that denominator.  A zero P_alpha is
-    None; a zero B_k adds no monomial.  The monomials of degree r are those
-    of degree r - 1 raised in one index at or after their last nonzero one,
-    so each is built once."""
-    mats = _integer_pencil(pencil)
-    if mats is None:
-        return None
-    ainv, big_d = _integer_matrix(scalar_matrix_inverse(pencil.a))
-    xs = {}  # k -> (integer X_k, D * d_k), for each nonzero B_k
-    for k, (num, den) in enumerate(mats[1:]):
-        if any(any(row) for row in num):
-            xs[k] = ([[-e for e in row] for row in _int_mat_mul(ainv, num)], big_d * den)
+    sum of numerator matrix products over that denominator.  A zero P_alpha
+    is None; a zero B_k adds no monomial.  The monomials of degree r are
+    those of degree r - 1 raised in one index at or after their last nonzero
+    one, so each is built once."""
+    try:
+        ainv, big_d = _numerators(scalar_matrix_inverse(pencil.a))
+    except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
+        raise PencilError(f"constant part is not exactly invertible: {exc}") from exc
+    xs = {}  # k -> (numerators of X_k, D * d_k), for each nonzero B_k
+    for k, bk in enumerate(pencil.b):
+        num, den = _numerators(bk)
+        if any(map(any, num)):
+            xs[k] = ([[-e for e in row] for row in _num_mat_mul(ainv, num)], big_d * den)
     n_params = len(pencil.b)
     level = {(0,) * n_params: (ainv, big_d, 0)}  # alpha -> (P_alpha, den, last index)
     out = [((0,) * n_params, ainv, big_d)]
@@ -384,8 +364,8 @@ def _rational_pencil_series(pencil: AffinePencil, order: int):
                             right.extend(prev)
                 num = None
                 if left:
-                    num = _int_mat_mul([sum(rows, []) for rows in zip(*left)], right)
-                    if not any(any(row) for row in num):
+                    num = _num_mat_mul([sum(rows, []) for rows in zip(*left)], right)
+                    if not any(map(any, num)):
                         num = None
                 nxt[beta] = (num, den * xden, k)
                 if num is not None:
@@ -398,47 +378,52 @@ def invert_affine_pencil(pencil: AffinePencil, order: int):
     """Truncated Neumann inverse; entries are jets of fibre order ``order``,
     which must be >= 0 (JetOrderError otherwise).
 
-    A pencil with only rational entries (every pencil read from a file or
-    built by ``from_rationals``) takes the series as integer matrices, one
-    per lambda-monomial alpha, over the denominator
-    D^{|alpha|+1} prod_k d_k^{alpha_k} (D that of A^{-1}, d_k that of B_k;
-    see ``_rational_pencil_series``).  A pencil with a pi power or an
-    imaginary part in an entry takes ``_neumann_inverse`` over the ring.
-    Both give the same jets."""
+    The series runs as numerator matrices, one per lambda-monomial alpha,
+    over the denominator D^{|alpha|+1} prod_k d_k^{alpha_k} (D that of
+    A^{-1}, d_k that of B_k; see ``_pencil_series``), and each entry becomes
+    a jet once, at the end.  The numerators are ints when the pencil is
+    rational (every pencil read from a file or built by ``from_rationals``);
+    an entry with a pi power or an imaginary part rides along as a Scalar
+    numerator.  A whose determinant has no exact inverse in the ring is a
+    PencilError."""
     _check_pencil_order(order)
     chart = ChartSpec((), (), pencil.labels)
-    series = _rational_pencil_series(pencil, order)
-    if series is not None:  # each entry becomes a jet once
-        n = pencil.size
-        return tuple(
-            tuple(RingElement(chart, [((), (), alpha, Scalar.rational(num[i][j], den))
-                                      for alpha, num, den in series if num[i][j]], order)
-                  for j in range(n))
-            for i in range(n)
-        )
-    try:
-        total = _neumann_inverse(_pencil_matrix(pencil, chart), order)
-    except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
-        raise PencilError(f"constant part is not exactly invertible: {exc}") from exc
-    return tuple(tuple(e.truncate(order) for e in row) for row in total)
+    series = _pencil_series(pencil, order)
+    n = pencil.size
+    return tuple(
+        tuple(RingElement(chart, [((), (), alpha, _over(num[i][j], den))
+                                  for alpha, num, den in series if num[i][j]], order)
+              for j in range(n))
+        for i in range(n)
+    )
 
 
-def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec):
-    """``pencil_product_defect`` as integer matrices, for a pencil whose
-    entries and an inverse whose coefficients through ``order`` are all
-    rational; None for any other pair.
+def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
+    """Exact check terms of M(lambda) * inverse - I; all must have degree > order.
+
+    ``order`` must be >= 0 (JetOrderError otherwise), so that the check
+    covers at least the constant terms, and every entry of ``inverse`` must
+    live on one chart (ChartMismatchError otherwise).  Each nonzero entry
+    comes as ((i, j), its terms through ``order``), a jet of order ``order``.
 
     The terms of the inverse through ``order`` are grouped by their key
     alpha into P_alpha = numerators / den.  With e_k the key of lambda_k,
     the terms of M(lambda) * inverse - I at alpha are
     C_alpha = A P_alpha + sum_k B_k P_{alpha - e_k} - [alpha = 0] I, one
-    product of integer matrices (A and the B_k side by side, the P stacked,
-    each scaled to the least common denominator) for each alpha of degree
-    <= ``order`` that a term of the inverse reaches.  A RingElement is built
-    only for a nonzero C_alpha entry."""
-    mats = _integer_pencil(pencil)
-    if mats is None:
-        return None
+    product of numerator matrices (A and the B_k side by side, the P
+    stacked, each scaled to the least common denominator) for each alpha of
+    degree <= ``order`` that a term of the inverse reaches.  The numerators
+    are ints for rational entries and Scalars for entries with a pi power or
+    an imaginary part, in the pencil or in the inverse.  A RingElement is
+    built only for a nonzero C_alpha entry."""
+    _check_pencil_order(order)
+    chart = inverse[0][0].chart
+    for row in inverse:
+        for e in row:
+            if e.chart is not chart and e.chart != chart:
+                raise ChartMismatchError(
+                    f"inverse entries live on different charts: {chart} vs {e.chart}"
+                )
     n = pencil.size
     parts = {}  # flat key xe + k + ye -> {(row, col): (num, den)}
     for row, entries_row in enumerate(inverse):
@@ -450,10 +435,7 @@ def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec
                     if sum(ye) > order:
                         continue
                     parts[key] = entries = {}
-                q = s.integer_ratio()
-                if q is None:
-                    return None
-                entries[row, col] = q
+                entries[row, col] = s.integer_ratio() or (s, 1)
     nx = len(chart.poly_axes)
     nk = nx + len(chart.periodic_axes)
     ps = {}  # flat key -> (numerators, den) of P_alpha
@@ -465,8 +447,9 @@ def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec
         ps[key] = num, den
     zero = (0,) * (nk + chart.n_fibre)
     shifts = []  # (B_k numerators, d_k, flat key of lambda_k, its degree), B_k nonzero
-    for (num, den), (xe, k, ye) in zip(mats[1:], _label_keys(pencil, chart)):
-        if any(any(row) for row in num):
+    for bk, (xe, k, ye) in zip(pencil.b, _label_keys(pencil, chart)):
+        num, den = _numerators(bk)
+        if any(map(any, num)):
             shifts.append((num, den, xe + k + ye, sum(ye)))
     targets = {zero}  # every alpha of degree <= order that a term reaches
     for key in ps:
@@ -475,7 +458,7 @@ def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec
         for _, _, step, step_deg in shifts:
             if deg + step_deg <= order:
                 targets.add(tuple(map(operator.add, key, step)))
-    anum, aden = mats[0]
+    anum, aden = _numerators(pencil.a)
     bad = {}
     for alpha in targets:
         blocks = []  # (left numerators, right numerators, their denominator)
@@ -492,7 +475,7 @@ def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec
             for _, num, d in blocks:
                 f = den // d
                 right.extend(num if f == 1 else [[f * x for x in r] for r in num])
-            c = _int_mat_mul([sum(rows, []) for rows in zip(*(b[0] for b in blocks))], right)
+            c = _num_mat_mul([sum(rows, []) for rows in zip(*(b[0] for b in blocks))], right)
         else:
             c = [[0] * n for _ in range(n)]
         if alpha == zero:
@@ -502,46 +485,8 @@ def _rational_defect(pencil: AffinePencil, inverse, order: int, chart: ChartSpec
             for j, x in enumerate(row):
                 if x:
                     bad.setdefault((i, j), []).append(
-                        (alpha[:nx], alpha[nx:nk], alpha[nk:], Scalar.rational(x, den)))
+                        (alpha[:nx], alpha[nx:nk], alpha[nk:], _over(x, den)))
     return [(ij, RingElement(chart, bad[ij], order)) for ij in sorted(bad)]
-
-
-def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
-    """Exact check terms of M(lambda) * inverse - I; all must have degree > order.
-
-    ``order`` must be >= 0 (JetOrderError otherwise), so that the check
-    covers at least the constant terms, and every entry of ``inverse`` must
-    live on one chart (ChartMismatchError otherwise).  Each nonzero entry
-    comes as ((i, j), its terms through ``order``), a jet of order ``order``.
-
-    A rational pencil with an inverse whose coefficients through ``order``
-    are rational is checked by ``_rational_defect`` on integer matrices; a
-    pi power or an imaginary part in either takes ring products."""
-    _check_pencil_order(order)
-    chart = inverse[0][0].chart
-    for row in inverse:
-        for e in row:
-            if e.chart is not chart and e.chart != chart:
-                raise ChartMismatchError(
-                    f"inverse entries live on different charts: {chart} vs {e.chart}"
-                )
-    bad = _rational_defect(pencil, inverse, order, chart)
-    if bad is not None:
-        return bad
-    n = pencil.size
-    zero = RingElement.zero(chart)
-    m = _pencil_matrix(pencil, chart)
-    # M has fibre degree <= 1, so the terms of M * inverse through ``order``
-    # only need the terms of the inverse through ``order``
-    inv_jet = [[RingElement(chart, e.terms, order) for e in row] for row in inverse]
-    prod = mat_mul(m, inv_jet)
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            diff = prod[i][j] - (RingElement.one(chart) if i == j else zero)
-            if not diff.is_zero():
-                bad.append(((i, j), diff))
-    return bad
 
 
 class InvertedBivector(MultiVectorField):

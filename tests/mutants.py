@@ -177,7 +177,13 @@ MUTANTS = (
            "if not e:",
            ("test_symplectic_model.py",),
            "integer_ratio reads a Gaussian rational as its real part"),
-    # -- the integer pencil paths ----------------------------------------------
+    Mutant("scalar-bool-constant", "coeff_ring.py",
+           "return bool(self._terms)",
+           "return True",
+           ("test_coeff_ring.py", "test_symplectic_model.py"),
+           "a zero Scalar is true, so the defect of an exact pi-pencil inverse "
+           "reports entries with zero terms"),
+    # -- the pencil series and check ------------------------------------------
     Mutant("pencil-shift-at-alpha", "symplectic_model.py",
            "prev = ps.get(tuple(map(operator.sub, alpha, step)))",
            "prev = ps.get(alpha)",
@@ -188,6 +194,11 @@ MUTANTS = (
            "c[i][i] -= 1",
            ("test_symplectic_model.py",),
            "the defect check subtracts the identity at denominator 1"),
+    Mutant("pencil-scalar-den-dropped", "symplectic_model.py",
+           "else num * Scalar.rational(1, den)",
+           "else num",
+           ("test_symplectic_model.py",),
+           "a Scalar numerator of the pencil series or defect skips its denominator"),
     # -- start-up ------------------------------------------------------------
     Mutant("eager-numpy", "linfty.py",
            "from typing import Callable, Sequence\n",

@@ -765,6 +765,12 @@ class TestReports:
         assert len(lines) - 2 == len(table.rows) == 32 * 32 * 3
         assert lines[2:] == table.to_csv().splitlines()[1:]
 
+    def test_unknown_format_is_refused(self, tmp_path):
+        path = tmp_path / "out.xml"
+        with pytest.raises(CoisoKitError, match=r"^unknown format 'xml' \(use text, json or csv\)$"):
+            emit_report(run(t4_scenario()), "xml", str(path))
+        assert not path.exists()
+
     def test_writes_to_file(self, tmp_path):
         report = run(t4_scenario())
         path = tmp_path / "out.json"
@@ -989,6 +995,27 @@ class TestMain:
             ("chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n",
              "omega = gotay(dy1/\\dy2, q1, q1)\n",
              "line 2, col 9: kernel direction 'q1' is repeated"),
+            # operand kinds that a constructor or an operator refuses
+            (CHART2, "a = (@x, x)\n", "line 2, col 5: tuple entries must be scalar expressions"),
+            (CHART, "f = dx^2\n",
+             "line 2, col 7: '^' needs a scalar base (negative powers: constants)"),
+            (CHART, "f = x^-1\n",
+             "line 2, col 6: '^' needs a scalar base (negative powers: constants)"),
+            (CHART, "f = dx /\\ @x\n", "line 2, col 8: wedge needs two vectors or two forms"),
+            (CHART, "f = x /\\ x\n", "line 2, col 7: wedge needs two vectors or two forms"),
+            (CHART, "f = 1/x\n", "line 2, col 6: '/' divides by a constant only"),
+            (CHART, "f = dx/@x\n", "line 2, col 7: '/' divides by a constant only"),
+            # argument lists of the built-in functions
+            (CHART, "f = cos(2*pi*y1, 2*pi*y2)\n", "line 2, col 5: cos takes one argument"),
+            (CHART, "f = inv_form(dx/\\dy1, dy2)\n",
+             "line 2, col 5: inv_form takes one form argument"),
+            ("chart base=(y1*,y2*,q*) fibre=(p)\n", "omega = gotay(dy1/\\dy2)\n",
+             "line 2, col 9: gotay(form, kernel coordinates...) expected"),
+            ("chart base=(y1*,y2*,q*) fibre=(p)\n", "omega = gotay(@q, q)\n",
+             "line 2, col 9: gotay needs a differential form"),
+            ("chart base=(y1*,y2*,q*) fibre=(p)\n", "omega = gotay(dy1/\\dy2, 2*q)\n",
+             "line 2, col 9: gotay kernel entries must be names"),
+            (CHART, "chart base=(x) fibre=(y)\n", "line 2: chart is already declared"),
         ],
         ids=[
             "form_times_vector", "vector_times_vector", "scalar_minus_form",
@@ -999,7 +1026,11 @@ class TestMain:
             "inv_form_monomial_det", "vector_not_a_coordinate",
             "divide_by_non_monomial", "divide_by_zero", "negative_power_of_sum",
             "section_in_fibre", "section_too_short", "gotay_degenerate_at_zero",
-            "gotay_repeated_kernel_direction",
+            "gotay_repeated_kernel_direction", "tuple_of_a_vector", "power_of_a_form",
+            "negative_power_of_a_coordinate", "wedge_of_form_and_vector", "wedge_of_scalars",
+            "divide_by_a_coordinate", "divide_by_a_vector", "cos_of_two_arguments",
+            "inv_form_of_two_arguments", "gotay_without_kernel", "gotay_of_a_vector",
+            "gotay_kernel_expression", "second_chart",
         ],
     )
     def test_parse_error_message(self, chart, body, message, tmp_path, capsys):
@@ -1055,6 +1086,16 @@ class TestMain:
         assert code == 0
         assert "NONZERO" in out.read_text()
         assert capsys.readouterr().out == ""
+
+    def test_out_flag_into_a_missing_directory(self, tmp_path, capsys):
+        scn = tmp_path / "t.scn"
+        scn.write_text(CHART + "w = dx\ncheck omega_le w 0\n")
+        out = tmp_path / "missing" / "report.txt"
+        assert main(["run", str(scn), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+        assert captured.err.count("\n") == 1
 
 
 # characters of the scenario grammar, a few non-ASCII digits and letters, and

@@ -261,6 +261,15 @@ class TestIntegerRatio:
     def test_pi_and_i_values_have_no_integer_ratio(self, s):
         assert s.integer_ratio() is None
 
+    @pytest.mark.parametrize("s, truth", [
+        (Scalar.zero(), False), (Scalar.rational(0, 7), False),
+        (Scalar.pi_power(1) - Scalar.pi_power(1), False),
+        (Scalar.one(), True), (Scalar.rational(-1, 3), True), (Scalar.pi_power(-2), True),
+        (Scalar.imag_unit(), True), (Scalar.one() + Scalar.pi_power(1), True),
+    ])
+    def test_truth_is_nonzero(self, s, truth):
+        assert bool(s) is truth is not s.is_zero()
+
 
 @pytest.fixture
 def chart():

@@ -138,6 +138,21 @@ class TestGotayModel:
         assert model.omega == want and model.omega.render() == want.render()
         assert model.fibre_for == tuple((f"q{j + 1}", f"p{j + 1}") for j in range(r))
 
+    @pytest.mark.parametrize("names, kernel, fibre", [
+        (["y1", "y2", "x"], ("x",), ("p_x",)),
+        (["y1", "y2", "x", "p_x"], ("x", "p_x"), ("p_x_", "p_p_x")),
+        (["y1", "y2", "q", "p"], ("q", "p"), ("p_q", "p_p")),
+    ], ids=["plain", "p_x_taken", "p_taken"])
+    def test_fibre_name_of_a_direction_without_its_p(self, names, kernel, fibre):
+        """A kernel direction that is not q... is paired with p_<name>, and
+        so is q when p is taken; a taken p_<name> gets a trailing '_'."""
+        base = torus_base(names)
+        omega_c = DifferentialForm(base, 2, (((0, 1), RingElement.one(base)),))
+        model = gotay_local_model(PresymplecticData(base, omega_c, SubbundleSpec(kernel)))
+        assert model.chart.fibre == fibre
+        assert model.fibre_for == tuple(zip(kernel, fibre))
+        assert pullback_zero_section(model.omega) == omega_c
+
 
 class TestGotayNondegeneracy:
     """A non-constant determinant at y = 0 is sampled on the base for zeros."""
@@ -239,8 +254,10 @@ class TestPencilInversion:
         zero = Scalar.zero()
         b = ((zero, zero), (zero, one))
         pencil = AffinePencil(((one, pi), (one, one)), (b,), ("v1",))
-        with pytest.raises(PencilError, match="not exactly invertible"):
+        with pytest.raises(PencilError) as err:
             invert_affine_pencil(pencil, 3)
+        assert str(err.value) == ("constant part is not exactly invertible: "
+                                  "determinant (1 + -1*pi) has no exact inverse in the ring")
 
     def test_defect_of_a_planted_error_matches_the_exact_product(self):
         rng = rng_for("pencil-planted")
@@ -292,8 +309,9 @@ class TestPencilInversion:
         (Scalar.imag_unit(), ("-i - v1^2", "i*v1 + v1^3")),
     ])
     def test_pi_and_i_entries_are_inverted_over_the_ring(self, unit, expected):
-        """A pencil that is not rational takes the ring series; one that read
-        only the rational part of each entry would invert diag(1, 1) here."""
+        """An entry with a pi power or an i is its own Scalar numerator; a
+        series that read only the rational part of each entry would invert
+        diag(1, 1) here."""
         one, zero = Scalar.one(), Scalar.zero()
         pencil = AffinePencil(((unit, zero), (zero, one)), (((zero, one), (one, zero)),), ("v1",))
         inv = invert_affine_pencil(pencil, 3)
@@ -301,10 +319,10 @@ class TestPencilInversion:
         assert all(e.jet_order == 3 for row in inv for e in row)
         assert pencil_product_defect(pencil, inv, 3) == []
 
-    def test_rational_pencil_takes_no_ring_product(self, monkeypatch):
-        """The series of a rational pencil and its defect check run on
-        integer matrices: no ``RingElement.dot``.  A pencil with a pi or an
-        i entry takes the ring series and the ring check."""
+    def test_no_pencil_takes_a_ring_product(self, monkeypatch):
+        """The series of a pencil and its defect check run on numerator
+        matrices, with no ``RingElement.dot``: ints for a rational pencil,
+        Scalars for the entries of one with a pi or an i."""
         calls = []
         original = RingElement.dot.__func__
 
@@ -326,22 +344,36 @@ class TestPencilInversion:
             pencil = AffinePencil(((unit, zero), (zero, one)),
                                   (((zero, one), (one, zero)),), ("v1",))
             inv = invert_affine_pencil(pencil, 3)
-            assert calls
-            del calls[:]
+            assert len(inv[0][0].terms) > 1
             assert pencil_product_defect(pencil, inv, 3) == []
-            assert calls
-            del calls[:]
+            assert len(pencil_product_defect(pencil, inv, 5)) == 2
+            assert calls == []
 
     @staticmethod
-    def ring_defect(pencil, inverse, order):
+    def ring_matrix(pencil, chart):
+        """M(lambda) = A + sum_k lambda_k B_k as a ring matrix on ``chart``,
+        which has a coordinate for each label."""
+        lams = [RingElement.coordinate(chart, v) for v in pencil.labels]
+        n = pencil.size
+        return [[sum((lam.scale(b[i][j]) for lam, b in zip(lams, pencil.b)),
+                     RingElement.constant(chart, pencil.a[i][j]))
+                 for j in range(n)] for i in range(n)]
+
+    @classmethod
+    def ring_inverse(cls, pencil, order):
+        """The reference: the whole-matrix Neumann series of M(lambda) over
+        the ring, each entry cut to ``order``."""
+        chart = make_chart("", " ".join(pencil.labels))
+        total = reference.neumann_inverse(cls.ring_matrix(pencil, chart), order)
+        return tuple(tuple(e.truncate(order) for e in row) for row in total)
+
+    @classmethod
+    def ring_defect(cls, pencil, inverse, order):
         """The reference: the exact product M * inverse - I through ``mat_mul``,
         each nonzero entry cut to its terms through ``order``."""
         chart = inverse[0][0].chart
-        lams = [RingElement.coordinate(chart, v) for v in pencil.labels]
         n = pencil.size
-        m = [[sum((lam.scale(b[i][j]) for lam, b in zip(lams, pencil.b)),
-                  RingElement.constant(chart, pencil.a[i][j]))
-              for j in range(n)] for i in range(n)]
+        m = cls.ring_matrix(pencil, chart)
         exact = mat_mul(m, [[e.without_truncation() for e in row] for row in inverse])
         expected = []
         for i in range(n):
@@ -352,18 +384,38 @@ class TestPencilInversion:
         return expected
 
     @staticmethod
-    def random_pencil(rng, n, k):
+    def random_pencil(rng, n, k, where=()):
         """An n x n pencil with k blocks of small rationals; about one block
-        in three is all zero."""
+        in three is all zero.
+
+        ``where`` names the parts, "a" and "b", that get pi powers and i:
+        A becomes D A U, with D diagonal of units (pi, 2/pi, i, 1) and U unit
+        upper triangular with entries such as 1/2 + pi, so det A stays one
+        pi-power term and A^{-1} has sums of pi powers; a nonzero entry of a
+        B_k is scaled by such a Scalar with probability 1/2."""
+        units = (Scalar.pi_power(1), Scalar.pi_power(-1, 2), Scalar.imag_unit(), Scalar.one())
+        mixed = lambda: Scalar.of(rand_fraction(rng)) + rng.choice(units[:3])
+        labels = tuple(f"v{i + 1}" for i in range(k))
         while True:
             a = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
             bs = [[[rand_fraction(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
                    for _ in range(n)] if rng.random() < 0.7 else [[0] * n for _ in range(n)]
                   for _ in range(k)]
             try:
-                return AffinePencil.from_rationals(a, bs, tuple(f"v{i + 1}" for i in range(k)))
+                pencil = AffinePencil.from_rationals(a, bs, labels)
             except PencilError:
                 continue
+            a, bs = pencil.a, pencil.b
+            if "a" in where:
+                d = [rng.choice(units) for _ in range(n)]
+                u = [[Scalar.one() if i == j else mixed() if i < j and rng.random() < 0.6
+                      else Scalar.zero() for j in range(n)] for i in range(n)]
+                a = tuple(tuple(sum((d[i] * a[i][m] * u[m][j] for m in range(n)), Scalar.zero())
+                                for j in range(n)) for i in range(n))
+            if "b" in where:
+                bs = tuple(tuple(tuple(e * mixed() if e and rng.random() < 0.5 else e for e in row)
+                                 for row in bk) for bk in bs)
+            return AffinePencil(a, bs, labels)
 
     @staticmethod
     def plant(rng, inverse, coeffs=(Fraction(1, 3), -2, Fraction(5, 7))):
@@ -382,28 +434,51 @@ class TestPencilInversion:
             inv[i][j] = inv[i][j].without_truncation() + term
         return inv
 
-    def test_defect_is_the_exact_product_on_random_pencils(self):
+    @pytest.mark.parametrize("where", [(), ("a",), ("b",), ("a", "b")],
+                             ids=["rational", "pi_i_in_a", "pi_i_in_b", "pi_i_in_both"])
+    def test_defect_is_the_exact_product_on_random_pencils(self, where):
         """Sizes 1-5 with 0-3 blocks (some all zero), inverted at orders
-        0-8 and checked at orders 0-8, as inverted and with planted terms."""
-        rng = rng_for("pencil-defect-differential")
+        0-8 and checked at orders 0-8, as inverted and with planted terms;
+        60 rational pencils, and 20 with pi powers and i in A, in the B_k
+        or in both (sizes 1-4, orders 0-5).  The inverse is the ring's
+        Neumann series and the defect the ring product."""
+        rng = rng_for("pencil-defect-differential" + "-".join(("",) + where))
         planted_seen = 0
-        for _ in range(60):
-            n, k = rng.randint(1, 5), rng.randint(0, 3)
-            pencil = self.random_pencil(rng, n, k)
-            inverse = invert_affine_pencil(pencil, rng.randint(0, 8 if k < 3 else 5))
+        count, size, top, seen = (60, 5, 8, 40) if not where else (20, 4, 5, 10)
+        for _ in range(count):
+            n, k = rng.randint(1, size), rng.randint(0, 3)
+            pencil = self.random_pencil(rng, n, k, where)
+            inv_order = rng.randint(0, top if k < 3 else 5)
+            inverse = invert_affine_pencil(pencil, inv_order)
+            assert inverse == self.ring_inverse(pencil, inv_order)
             candidates = [inverse, self.plant(rng, inverse)]
             for inv in candidates:
-                order = rng.randint(0, 8 if k < 3 else 5)
+                order = rng.randint(0, top if k < 3 else 5)
                 expected = self.ring_defect(pencil, inv, order)
                 got = pencil_product_defect(pencil, inv, order)
                 assert got == expected and repr(got) == repr(expected)
                 assert all(e.jet_order == order for _, e in got)
             planted_seen += bool(expected)
-        assert planted_seen > 40
+        assert planted_seen > seen
+
+    @pytest.mark.parametrize("corner", [Scalar.one(), Scalar.pi_power(1)], ids=["rational", "pi"])
+    def test_nilpotent_pencil_series_ends_at_degree_one(self, corner):
+        """A = diag(corner, 1), B = [[0, 1], [0, 0]]: X = -A^{-1} B squares to
+        zero, so every P_alpha of degree >= 2 is zero and the series stops."""
+        zero, one = Scalar.zero(), Scalar.one()
+        pencil = AffinePencil(((corner, zero), (zero, one)), (((zero, one), (zero, zero)),), ("v1",))
+        inv = invert_affine_pencil(pencil, 4)
+        assert inv == self.ring_inverse(pencil, 4)
+        v1 = RingElement.coordinate(inv[0][0].chart, "v1")
+        assert inv[0][1] == (-v1).scale(corner.inverse()).truncate(4)
+        assert max(sum(alpha) for row in inv for e in row for _, _, alpha, _ in e.terms) == 1
+        for order in (0, 1, 4, 8):
+            assert pencil_product_defect(pencil, inv, order) == []
 
     def test_defect_of_an_inverse_with_pi_or_i_terms_is_the_exact_product(self):
         """A rational pencil with an inverse that is not rational through the
-        order takes the ring check; a pi term above the order is not read."""
+        order: the pi and i terms are Scalar numerators of the check, and a
+        pi term above the order is not read."""
         rng = rng_for("pencil-defect-pi-inverse")
         for unit in (Scalar.pi_power(1), Scalar.imag_unit(), Scalar.pi_power(-2, 3)):
             pencil = self.random_pencil(rng, 3, 2)
