@@ -179,10 +179,13 @@ def ring_element_inverse(e: RingElement) -> RingElement:
     return RingElement(e.chart, ((xe, kinv, ye, s.inverse()),))
 
 
-def ring_matrix_inverse(mat: Sequence[Sequence[RingElement]]):
-    """Exact inverse of a ring matrix whose determinant is invertible."""
+def ring_matrix_inverse(mat: Sequence[Sequence[RingElement]], split=None):
+    """Exact inverse of a ring matrix whose determinant is invertible.
+
+    ``split`` is ``_split(mat, zero)`` where the caller has it already, so
+    the matrix is not split into its blocks a second time."""
     zero = RingElement.zero(mat[0][0].chart)
-    det, blocks = _split(mat, zero)
+    det, blocks = _split(mat, zero) if split is None else split
     if det.is_zero():
         raise DegenerateBivectorError("matrix is singular over the ring")
     ring_element_inverse(det)  # the error names the whole determinant

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ._graded import inversion_sign
@@ -40,11 +40,13 @@ from .multivector import (
     VerticalSection,
     ad_series,
     as_vertical,
+    default_exp_cap,
     deformation_section,
     exp_ad,
     is_poisson,
     projection_P,
     schouten_bracket,
+    weighted_series,
 )
 from .symplectic_model import InvertedBivector, symplectic_to_poisson
 
@@ -54,12 +56,17 @@ class CoisoAlgebra:
     """A chart with a bivector for which the zero section is coisotropic.
 
     ``poisson_verified`` records whether [pi, pi] = 0 was checked (exactly,
-    or through the jet order for jets).
+    or through the jet order for jets).  The algebra memoises the bracket
+    chains of its most recent sections (``_brackets``) for as long as it
+    lives; the memo takes no part in equality or repr.
     """
 
     chart: ChartSpec
     pi: MultiVectorField
     poisson_verified: bool = False
+    # (id(a_1),) -> {(id(a_1), ..., id(a_k)): (a_k, [...[pi, a_1], ..., a_k])},
+    # least recently used first
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def make_coiso_algebra(
@@ -99,21 +106,74 @@ def _bracket_chain(X: MultiVectorField, sections) -> VerticalSection:
     return projection_P(X)
 
 
+def _copy(X: MultiVectorField) -> MultiVectorField:
+    """X as a new field, with no derivative table (``partials_along``)."""
+    return MultiVectorField(X.chart, X.degree, X.terms)
+
+
+# The number of first sections a_1 whose bracket chains an algebra's memo
+# keeps.  A Jacobi check interleaves the chain of its section a with chains
+# of sections it derives, such as P([pi, a]); with one chain kept, each of
+# those evicted [pi, a] and [[pi, a], a] before the check read them again.
+_MEMO_CHAINS = 2
+
+
+def _brackets(alg: CoisoAlgebra, sections):
+    """Yield [pi, a_1], [[pi, a_1], a_2], ... for the vertical sections
+    a_1, a_2, ... in turn.
+
+    The chains are memoised on the algebra, keyed by the identity of each
+    section, so a check that reads [pi, a] or [[pi, a], a] after another
+    check took it brackets nothing.  The memo holds the section of each
+    level and a hit must be that very object, so a key whose id was reused
+    (say, in a copy of the algebra) is bracketed again.  It keeps the chains
+    of the ``_MEMO_CHAINS`` most recently used first sections a_1.  Each new
+    level is bracketed from copies of the level before and of its section,
+    so neither the memo nor the caller's fields keep a derivative table: the
+    tables go with the copies (one copy of each section serves every
+    bracket of one call).
+    """
+    chains = alg._chains
+    X, key, copies = alg.pi, (), {}
+    for a in sections:
+        key += (id(a),)
+        if len(key) == 1:
+            # the chain of a_1 becomes the most recently used one
+            chain = chains[key] = chains.pop(key, None) or {}
+            if len(chains) > _MEMO_CHAINS:
+                chains.pop(next(iter(chains)), None)
+        hit = chain.get(key)
+        if hit is not None and hit[0] is a:
+            X = hit[1]
+        else:
+            a_copy = copies.get(key[-1])
+            if a_copy is None:
+                a_copy = copies[key[-1]] = _copy(as_vertical(a))
+            X = schouten_bracket(_copy(X), a_copy)
+            chain[key] = (a, X)
+        yield X
+
+
 def lambda_n(alg: CoisoAlgebra, *sections: MultiVectorField) -> VerticalSection:
-    """P([...[pi, a_1], ..., a_n]) for vertical sections a_i."""
-    return _bracket_chain(alg.pi, sections)
+    """P([...[pi, a_1], ..., a_n]) for vertical sections a_i, read from the
+    algebra's memo (``_brackets``)."""
+    X = alg.pi
+    for X in _brackets(alg, sections):
+        pass
+    return projection_P(X)
 
 
 def kuranishi_rep(alg: CoisoAlgebra, a: MultiVectorField) -> VerticalSection:
     """The Kuranishi representative lambda_2(a, a) of a lambda_1-closed a.
 
-    [pi, a] is bracketed once and serves both lambda_1(a) and lambda_2(a, a).
+    [pi, a] serves both lambda_1(a) and lambda_2(a, a); both come from the
+    algebra's memo (``_brackets``).
     """
     a = deformation_section(a)
-    first = schouten_bracket(alg.pi, a)
-    if not projection_P(first).is_zero():
+    levels = _brackets(alg, (a, a))
+    if not projection_P(next(levels)).is_zero():
         raise NotClosedError("section is not lambda_1-closed: P([pi, a]) != 0")
-    return projection_P(schouten_bracket(first, a))
+    return projection_P(next(levels))
 
 
 def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSection:
@@ -122,9 +182,13 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
     Requires a fibrewise polynomial bivector (no jet truncation); equals
     P of the pushforward of pi under the fibre translation by alpha, which
     ``multivector.projected_pushforward(pi, alpha)`` computes without a
-    bracket: that is the identity's right-hand side.  Each
-    bracket is projected as it is summed, which measured faster than
-    P(exp_ad(pi, alpha)) projecting the full sum once.
+    bracket: that is the identity's right-hand side.  The brackets
+    [...[pi, alpha], ..., alpha] come from the algebra's memo
+    (``_brackets``) and run through the loop of ``ad_series``
+    (``weighted_series``: up to the last nonzero one, each weighted by
+    1/k!, capped at ``default_exp_cap(pi)``).  Each bracket is projected as
+    it is summed, which measured faster than P(exp_ad(pi, alpha))
+    projecting the full sum once.
     """
     alpha = deformation_section(alpha)
     if alg.pi.jet_order() is not None:
@@ -132,8 +196,9 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
     _check_domain(alg.chart, alpha)
+    brackets = _brackets(alg, itertools.repeat(alpha))
     acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
-    for term, coeff in ad_series(alg.pi, alpha):
+    for term, coeff in weighted_series(brackets, default_exp_cap(alg.pi)):
         acc = acc + projection_P(term).scale(coeff)
     return as_vertical(acc)
 

@@ -44,8 +44,8 @@ from fractions import Fraction
 from ._linalg import (
     _bits,
     _components,
+    _split,
     mat_mul,
-    ring_det,
     ring_matrix_inverse,
     scalar_det,
     scalar_matrix_inverse,
@@ -128,7 +128,9 @@ def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
     Omega is one constructor call over the terms of omega_C, extended to the
     bundle chart, and the r kernel pairs dq_f /\\ dp_f.  Its coefficients
     are base-only or 1 and each pair has one fibre factor, so Omega is
-    fibrewise affine by construction; the pullback is checked."""
+    fibrewise affine by construction; the pullback is checked.  The model's
+    Omega keeps the block split of its matrix at y = 0 that the
+    nondegeneracy check computed (``_ModelForm``)."""
     base = data.chart
     taken = set(base.names)
     pairs = []
@@ -147,14 +149,31 @@ def gotay_local_model(data: PresymplecticData, bound=None) -> GotayModel:
     ))
     if pullback_zero_section(omega) != data.omega:
         raise PresymplecticError("local model does not pull back to omega_C")
-    _check_nondegenerate(omega)
-    return GotayModel(chart, omega, tuple(pairs))
+    return GotayModel(chart, _ModelForm(omega, _check_nondegenerate(omega)), tuple(pairs))
 
 
-def _check_nondegenerate(omega: DifferentialForm) -> None:
+class _ModelForm(DifferentialForm):
+    """A Gotay model's Omega, which keeps ``zero_split``: the block split
+    (determinant and blocks, ``_split``) of its coefficient matrix at y = 0
+    that the nondegeneracy check computed.  ``symplectic_to_poisson``
+    inverts that matrix from it, so the blocks and their determinants are
+    not expanded a second time.  Arithmetic builds plain forms, so a form
+    that differs from Omega carries no split.
+    """
+
+    def __init__(self, omega: DifferentialForm, zero_split):
+        super().__init__(omega.chart, 2, omega.terms)
+        self.zero_split = zero_split
+
+
+def _check_nondegenerate(omega: DifferentialForm):
+    """The split (det, blocks) of Omega's coefficient matrix at y = 0, once
+    its determinant is checked to be nonzero and, where it is not constant,
+    to have no zero on a sample of the base."""
     mat = omega.coefficient_matrix()
     at_zero = [[c.at_zero_fibre() if c.terms else c for c in row] for row in mat]
-    det = ring_det(at_zero)
+    split = _split(at_zero, RingElement.zero(omega.chart))
+    det = split[0]
     if det.is_zero():
         raise DegenerateBivectorError("form is degenerate along the zero section")
     if not det.is_constant():
@@ -168,6 +187,7 @@ def _check_nondegenerate(omega: DifferentialForm) -> None:
         if len(small):
             point = points[small[0]] + (0.0,) * chart.n_fibre
             raise DegenerateBivectorError(f"form is numerically degenerate at {point}")
+    return split
 
 
 # The largest size n of an affine pencil.  Its determinant and inverse are
@@ -242,10 +262,11 @@ def parse_pencil_text(text: str) -> AffinePencil:
     return AffinePencil.from_rationals(a, bs, labels)
 
 
-def _neumann_inverse(m, order: int):
+def _neumann_inverse(m, order: int, split=None):
     """M^{-1} for M = A + Y, A = M at y = 0: exactly A^{-1} when Y = 0, else
     the Neumann series truncated at fibre order ``order``.  Inversion errors
-    of A are left to the caller.
+    of A are left to the caller.  ``split`` is the block split of A
+    (``_split``) where the caller has it already.
 
     The series runs block by block.  Y and A have no entry outside the
     nonzero pattern of M, so M, A^{-1}, Y and every power (-A^{-1} Y)^r A^{-1}
@@ -262,7 +283,7 @@ def _neumann_inverse(m, order: int):
     ``fibre_part`` or negation.  ``ring_matrix_inverse`` reads no jet order
     of a zero entry, and the jet order that ``fibre_part`` and negation
     would keep still reaches the products and the minimum above."""
-    ainv = ring_matrix_inverse([[e.at_zero_fibre() if e.terms else e for e in row] for row in m])
+    ainv = ring_matrix_inverse([[e.at_zero_fibre() if e.terms else e for e in row] for row in m], split)
     # Y is the positive-fibre-degree part of each entry, at its jet order
     y = [[e.fibre_part() if e.terms else e for e in row] for row in m]
     if not any(e.terms for row in y for e in row):
@@ -322,6 +343,34 @@ def _num_mat_mul(a, b):
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
+def _scalar_mat_mul(a, b):
+    """``_num_mat_mul`` for numerator matrices that hold Scalars.  An entry
+    whose row of ``a`` and column of ``b`` hold only ints is an int sum of
+    products; one that meets a Scalar numerator is one ``Scalar.dot`` of its
+    nonzero products, with no Scalar per product or partial sum."""
+    cols = list(zip(*b))
+    int_cols = list(map(_ints, cols))
+    return [[sum(map(operator.mul, row, col)) if int_row and int_col else _scalar_dot(row, col)
+             for col, int_col in zip(cols, int_cols)]
+            for row, int_row in zip(a, map(_ints, a))]
+
+
+def _ints(entries) -> bool:
+    return {int}.issuperset(map(type, entries))
+
+
+def _scalar_dot(row, col) -> Scalar:
+    products = [(1, Scalar.of(x), Scalar.of(y)) for x, y in zip(row, col) if x and y]
+    return Scalar.dot(products) if products else Scalar.zero()
+
+
+def _mat_mul_for(mats):
+    """The product for the numerator matrices built from ``mats``: the int
+    one when every entry of ``mats`` is an int, else ``_scalar_mat_mul``."""
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(mats))
+    return _num_mat_mul if _ints(entries) else _scalar_mat_mul
+
+
 def _pencil_series(pencil: AffinePencil, order: int):
     """The coefficients P_alpha of M(lambda)^{-1} through |alpha| = ``order``
     as (alpha, numerators, den) triples, P_alpha = numerators / den.
@@ -338,11 +387,12 @@ def _pencil_series(pencil: AffinePencil, order: int):
         ainv, big_d = _numerators(scalar_matrix_inverse(pencil.a))
     except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
         raise PencilError(f"constant part is not exactly invertible: {exc}") from exc
+    bs = [_numerators(bk) for bk in pencil.b]
+    num_mul = _mat_mul_for([ainv] + [num for num, _ in bs])
     xs = {}  # k -> (numerators of X_k, D * d_k), for each nonzero B_k
-    for k, bk in enumerate(pencil.b):
-        num, den = _numerators(bk)
+    for k, (num, den) in enumerate(bs):
         if any(map(any, num)):
-            xs[k] = ([[-e for e in row] for row in _num_mat_mul(ainv, num)], big_d * den)
+            xs[k] = ([[-e for e in row] for row in num_mul(ainv, num)], big_d * den)
     n_params = len(pencil.b)
     level = {(0,) * n_params: (ainv, big_d, 0)}  # alpha -> (P_alpha, den, last index)
     out = [((0,) * n_params, ainv, big_d)]
@@ -364,7 +414,7 @@ def _pencil_series(pencil: AffinePencil, order: int):
                             right.extend(prev)
                 num = None
                 if left:
-                    num = _num_mat_mul([sum(rows, []) for rows in zip(*left)], right)
+                    num = num_mul([sum(rows, []) for rows in zip(*left)], right)
                     if not any(map(any, num)):
                         num = None
                 nxt[beta] = (num, den * xden, k)
@@ -459,6 +509,7 @@ def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
             if deg + step_deg <= order:
                 targets.add(tuple(map(operator.add, key, step)))
     anum, aden = _numerators(pencil.a)
+    num_mul = _mat_mul_for([anum] + [bnum for bnum, *_ in shifts] + [num for num, _ in ps.values()])
     bad = {}
     for alpha in targets:
         blocks = []  # (left numerators, right numerators, their denominator)
@@ -475,7 +526,7 @@ def pencil_product_defect(pencil: AffinePencil, inverse, order: int):
             for _, num, d in blocks:
                 f = den // d
                 right.extend(num if f == 1 else [[f * x for x in r] for r in num])
-            c = _num_mat_mul([sum(rows, []) for rows in zip(*(b[0] for b in blocks))], right)
+            c = num_mul([sum(rows, []) for rows in zip(*(b[0] for b in blocks))], right)
         else:
             c = [[0] * n for _ in range(n)]
         if alpha == zero:
@@ -511,7 +562,8 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> InvertedBi
     a jet of the stated order, which must then be at least 1.  The
     coefficient matrix at y = 0 must have an exactly invertible determinant.
     The result is an ``InvertedBivector`` that keeps ``omega``.  The sign is
-    calibrated so that Omega = dq /\\ dp inverts to pi = @q /\\ @p.
+    calibrated so that Omega = dq /\\ dp inverts to pi = @q /\\ @p.  The Omega
+    of a Gotay model inverts from the block split its model computed.
 
     pi is one constructor call over the entries of -M^{-1} above the
     diagonal that have terms; M^{-1} is antisymmetric, so nothing on or
@@ -524,7 +576,8 @@ def symplectic_to_poisson(omega: DifferentialForm, order: int = 6) -> InvertedBi
             "exceed the affine range {0, 1}"
         )
     try:
-        minv = _neumann_inverse(omega.coefficient_matrix(), order)
+        split = omega.zero_split if isinstance(omega, _ModelForm) else None
+        minv = _neumann_inverse(omega.coefficient_matrix(), order, split)
     except (NonInvertibleScalarError, DegenerateBivectorError) as exc:
         raise DegenerateBivectorError(
             f"form is not exactly invertible at y = 0: {exc}"

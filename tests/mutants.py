@@ -156,6 +156,17 @@ MUTANTS = (
            "return jac @ (mat @ jac.transpose(0, 2, 1))",
            ("test_linfty.py", "test_output_hashes.py"),
            "the oracle block is J_f (Pi J_f^T), which moves pinned floats"),
+    Mutant("memo-keyed-by-last-section", "linfty.py",
+           "        key += (id(a),)\n",
+           "        key = (id(a),)\n",
+           ("test_linfty.py",),
+           "the bracket memo keys each level by its last section only"),
+    Mutant("memo-brackets-stored-level", "linfty.py",
+           "X = schouten_bracket(_copy(X), a_copy)",
+           "X = schouten_bracket(X, a_copy)",
+           ("test_linfty.py",),
+           "a new memo level is bracketed from the stored level, which keeps "
+           "its derivative table"),
     # -- the coefficient ring ----------------------------------------------------
     Mutant("dot-sign-fold", "coeff_ring.py",
            "                        a = -a\n",

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import os
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,7 @@ from coisokit import (
     NotVerticalError,
     RingElement,
     Scalar,
+    TruncationCapError,
     TwistedElement,
     VerticalSection,
     beta_of,
@@ -62,7 +65,7 @@ from coisokit import (
     twisted_mc,
     DifferentialForm,
 )
-from coisokit import linfty
+from coisokit import cli, linfty, multivector
 from coisokit.coeff_ring import GridEvaluator
 from coisokit.multivector import ad_series, default_exp_cap
 
@@ -1008,6 +1011,143 @@ class TestKuranishi:
         assert not lambda_n(t4.algebra, bad).is_zero()
         with pytest.raises(NotClosedError):
             kuranishi_rep(t4.algebra, bad)
+
+
+def t4_scenario():
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "t4.scn"), encoding="utf-8") as fh:
+        return cli.parse_scenario(fh.read(), name="t4.scn", base_dir=data)
+
+
+def memo_levels(alg):
+    return [level for chain in alg._chains.values() for _, level in chain.values()]
+
+
+def direct_chain(pi, sections):
+    """P([...[pi, a_1], ..., a_k]) bracketed here, with no algebra."""
+    X = pi
+    for a in sections:
+        X = schouten_bracket(X, a)
+    return projection_P(X)
+
+
+class TestBracketMemo:
+    """An algebra brackets each chain [...[pi, a_1], ..., a_k] once, keyed by
+    the identity of each section, and keeps no derivative table."""
+
+    def test_t4_scenario_takes_each_bracket_of_its_section_once(self, monkeypatch):
+        original = multivector.schouten_bracket
+        calls = []
+
+        def counting(X, Y):
+            calls.append((X, Y))
+            return original(X, Y)
+
+        for name, module in list(sys.modules.items()):
+            if name == "coisokit" or name.startswith("coisokit."):
+                if getattr(module, "schouten_bracket", None) is original:
+                    monkeypatch.setattr(module, "schouten_bracket", counting)
+        scenario = t4_scenario()
+        report = cli.run(scenario)
+        assert report.exit_code() == 0
+        pi, a = scenario.bindings["pi"], scenario.bindings["a"]
+        first = original(pi, a)
+        second = original(first, a)
+        assert sum(X == pi and Y == a for X, Y in calls) == 1
+        assert sum(X == first and Y == a for X, Y in calls) == 1
+        # [pi, pi] at the inversion, the three brackets of the MC series
+        # (the last one zero), and [pi, P([[pi, a], a])] of the Jacobi check
+        assert len(calls) == 5
+        assert original(second, a).is_zero()
+
+    def test_equal_sections_and_rebound_names_match_a_fresh_algebra(self):
+        ex = build_T4_example()
+        alg, pi, a = ex.algebra, ex.algebra.pi, ex.section
+        twin = VerticalSection(a.chart, a.degree, a.terms)  # equal, not identical
+        chart = a.chart
+        other = VerticalSection.from_components(
+            chart, [RingElement.sin_of(chart, {"y1": 1}).scale(2), RingElement.sin_of(chart, {"y2": 1})]
+        )
+        calls = [
+            ("mc", lambda g, x, y: mc_series_exact(g, x)),
+            ("kuranishi", lambda g, x, y: kuranishi_rep(g, x)),
+            ("lambda_2", lambda g, x, y: lambda_n(g, x, y)),
+            ("lambda_3", lambda g, x, y: lambda_n(g, y, x, x)),
+            ("lambda_1", lambda g, x, y: lambda_n(g, x)),
+        ]
+        for x, y in ((a, twin), (twin, a), (a, other), (other, twin), (a, a)):
+            for name, call in calls:
+                got = call(alg, x, y)
+                fresh = call(make_coiso_algebra(pi), x, y)
+                assert got == fresh, name
+        # the chains against brackets taken here
+        assert kuranishi_rep(alg, twin) == direct_chain(pi, (a, a))
+        assert not direct_chain(pi, (a, a)).is_zero()
+        assert lambda_n(alg, other, a) == direct_chain(pi, (other, a))
+        assert lambda_n(alg, a, other, a) == direct_chain(pi, (a, other, a))
+        # a key whose id now names another object (as in a copy of the
+        # algebra) is bracketed again: a hit must hold the very section
+        unclosed = VerticalSection.from_components(
+            chart, [RingElement.sin_of(chart, {"q2": 1}), RingElement.zero(chart)]
+        )
+        forged = make_coiso_algebra(pi)
+        lambda_n(forged, unclosed)
+        (chain,) = forged._chains.values()
+        forged._chains.clear()
+        forged._chains[(id(other),)] = {(id(other),): chain[(id(unclosed),)]}
+        assert lambda_n(forged, other) == direct_chain(pi, (other,)) != direct_chain(pi, (unclosed,))
+        # a name rebound to a new section: the memo holds the old one, so its
+        # id is not reused while the old chain is kept
+        s = VerticalSection(a.chart, a.degree, a.terms)
+        assert kuranishi_rep(alg, s) == direct_chain(pi, (a, a))
+        for n in range(1, 5):
+            s = VerticalSection.from_components(
+                chart, [RingElement.sin_of(chart, {"y1": 1}).scale(n), RingElement.sin_of(chart, {"y2": 1})]
+            )
+            assert kuranishi_rep(alg, s) == direct_chain(pi, (s, s))
+            assert mc_series_exact(alg, s) == projection_P(exp_ad(pi, s))
+
+    def test_no_section_or_memo_level_keeps_a_derivative_table(self):
+        ex = build_T4_example()
+        alg, a = ex.algebra, ex.section
+        w = TwistedElement.from_section(a)
+        family = twisted_brackets(alg)
+        steps = (
+            lambda: mc_series_exact(alg, a),
+            lambda: kuranishi_rep(alg, a),
+            lambda: [higher_jacobi_verify(family, [w] * n) for n in (1, 2)],
+        )
+        for step in steps:
+            step()
+            levels = memo_levels(alg)
+            assert levels and all(X._partials is None for X in levels)
+            assert a._partials is None and alg.pi._partials is None
+
+    def test_mc_series_raises_exactly_past_its_cap(self, monkeypatch):
+        ex = build_T4_example()
+        n = len(list(ad_series(ex.algebra.pi, ex.section)))
+        assert n == 2
+        want = mc_series_exact(ex.algebra, ex.section)
+        for cap in range(n + 2):
+            monkeypatch.setattr(linfty, "default_exp_cap", lambda X, cap=cap: cap)
+            alg = make_coiso_algebra(ex.algebra.pi)
+            if cap < n:
+                with pytest.raises(TruncationCapError):
+                    mc_series_exact(alg, ex.section)
+            else:
+                assert mc_series_exact(alg, ex.section) == want
+
+    def test_memo_is_not_part_of_equality_or_repr(self):
+        ex = build_T4_example()
+        used, pi = ex.algebra, ex.algebra.pi
+        fresh = make_coiso_algebra(pi)
+        kuranishi_rep(used, ex.section)
+        assert memo_levels(used) and not memo_levels(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == (
+            f"CoisoAlgebra(chart={used.chart!r}, pi={pi!r}, poisson_verified=True)"
+        )
+        assert used != CoisoAlgebra(used.chart, pi, False)
 
 
 DEFORMATION_ENTRY_POINTS = {

@@ -154,6 +154,64 @@ class TestGotayModel:
         assert pullback_zero_section(model.omega) == omega_c
 
 
+class TestGotaySplitReuse:
+    """A Gotay model's Omega keeps the block split of its matrix at y = 0,
+    which its inversion reuses; a form built any other way carries none."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        from coisokit import _linalg
+
+        original = _linalg._split
+        seen = []
+
+        def counting(mat, zero):
+            seen.append(len(mat))
+            return original(mat, zero)
+
+        monkeypatch.setattr(_linalg, "_split", counting)
+        monkeypatch.setattr(symplectic_model, "_split", counting)
+        return seen
+
+    @pytest.mark.parametrize("k, r", [(1, 2), (2, 3), (3, 4)])
+    def test_inverting_a_model_splits_its_matrix_once(self, splits, k, r):
+        omega = torus_gotay_form(k, r)
+        assert splits == [2 * (k + r)]
+        pi = symplectic_to_poisson(omega)
+        assert splits == [2 * (k + r)]
+        plain = DifferentialForm(omega.chart, 2, omega.terms)
+        assert plain == omega and not hasattr(plain, "zero_split")
+        assert symplectic_to_poisson(plain) == pi
+        assert len(splits) == 2
+        # arithmetic builds plain forms
+        assert not hasattr(omega + plain, "zero_split")
+
+    def test_scenario_splits_each_model_once(self, splits):
+        text = ("chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
+                "omega = gotay(dy1/\\dy2, q1, q2)\npi = inv_form(omega)\n")
+        scenario = parse_scenario(text)
+        assert splits == [6]
+        assert scenario.bindings["pi"].render() == "@y1 /\\ @y2 + @q1 /\\ @p1 + @q2 /\\ @p2"
+
+    def test_a_model_and_its_plain_copy_raise_the_same_messages(self):
+        base = torus_base(["y1", "y2", "q"])
+        one_plus_pi = RingElement.constant(base, 1) + RingElement.constant(base, Scalar.pi_power(1))
+        omega_c = DifferentialForm(base, 2, (((0, 1), one_plus_pi),))
+        model = gotay_local_model(PresymplecticData(base, omega_c, SubbundleSpec(("q",))))
+        message = ("form is not exactly invertible at y = 0: cannot invert "
+                   "Scalar((1 + 2*pi + pi^2)): not a single pi-power term")
+        for omega in (model.omega, DifferentialForm(model.chart, 2, model.omega.terms)):
+            with pytest.raises(DegenerateBivectorError) as err:
+                symplectic_to_poisson(omega)
+            assert str(err.value) == message
+        # q2 is in the kernel of omega_C but not declared
+        base = torus_base(["y1", "y2", "q1", "q2"])
+        omega_c = DifferentialForm(base, 2, (((0, 1), RingElement.one(base)),))
+        with pytest.raises(DegenerateBivectorError) as err:
+            gotay_local_model(PresymplecticData(base, omega_c, SubbundleSpec(("q1",))))
+        assert str(err.value) == "form is degenerate along the zero section"
+
+
 class TestGotayNondegeneracy:
     """A non-constant determinant at y = 0 is sampled on the base for zeros."""
 
@@ -461,6 +519,26 @@ class TestPencilInversion:
             planted_seen += bool(expected)
         assert planted_seen > seen
 
+    def test_numerator_products_are_the_sums_of_products(self):
+        """An entry whose row and column hold ints is an int; one that meets
+        a Scalar numerator is the same Scalar as the sum of its products."""
+        rng = rng_for("numerator-products")
+        pi, i = Scalar.pi_power(1), Scalar.imag_unit()
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            draw = lambda: [[rng.choice((0, 0, rng.randint(-5, 5), rng.choice((pi, i, pi + i, -pi * pi))))
+                             if rng.random() < 0.3 else rng.randint(-5, 5) for _ in range(n)]
+                            for _ in range(n)]
+            a, b = draw(), draw()
+            got = symplectic_model._scalar_mat_mul(a, b)
+            for row, got_row in zip(a, got):
+                for col, x in zip(zip(*b), got_row):
+                    want = sum(p * q for p, q in zip(row, col))
+                    if all(type(v) is int for v in row + list(col)):
+                        assert type(x) is int and x == want
+                    else:
+                        assert isinstance(x, Scalar) and x == Scalar.of(want)
+
     @pytest.mark.parametrize("corner", [Scalar.one(), Scalar.pi_power(1)], ids=["rational", "pi"])
     def test_nilpotent_pencil_series_ends_at_degree_one(self, corner):
         """A = diag(corner, 1), B = [[0, 1], [0, 0]]: X = -A^{-1} B squares to
@@ -650,8 +728,8 @@ class TestSymplecticToPoisson:
         original = symplectic_model._neumann_inverse
         junk = RingElement.constant(omega.chart, 7)
 
-        def with_junk_below(m, order):
-            out = [list(row) for row in original(m, order)]
+        def with_junk_below(m, order, split=None):
+            out = [list(row) for row in original(m, order, split)]
             for i, row in enumerate(out):
                 row[: i + 1] = [junk] * (i + 1)
             return out
