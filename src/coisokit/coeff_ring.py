@@ -172,6 +172,12 @@ def _times_int(terms: tuple, c: int) -> tuple:
     return tuple(out)
 
 
+def _times_int_scalar(s: "Scalar", c: int) -> "Scalar":
+    """s * c for a positive int c; s itself when c is 1, so a derivative of
+    a linear term keeps its coefficient rather than copying it."""
+    return s if c == 1 else Scalar._wrap(_times_int(s._terms, c))
+
+
 def _times_pi_i(terms: tuple) -> tuple:
     """A quad tuple times pi*i (still canonical): each pi-exponent goes up
     by one and (re, im) turns into (-im, re)."""
@@ -890,11 +896,17 @@ class RingElement:
         chart = head.chart
         nx = len(chart.poly_axes)
         nk = nx + len(chart.periodic_axes)
-        out = []
+        # terms with equal coefficients share one Scalar: a product's
+        # coefficients repeat (1, -1, 2, ...), and each new Scalar is an
+        # object the cyclic garbage collector counts and traverses
+        out, scalars = [], {}
         for key, acc in sorted(accs.items()):
             terms = _acc_terms(acc)
             if terms:
-                out.append((key[:nx], key[nx:nk], key[nk:], Scalar._wrap(terms)))
+                s = scalars.get(terms)
+                if s is None:
+                    s = scalars[terms] = Scalar._wrap(terms)
+                out.append((key[:nx], key[nx:nk], key[nk:], s))
         return cls._wrap(chart, tuple(out), jet)
 
     def __pow__(self, n: int):
@@ -926,12 +938,12 @@ class RingElement:
             for xe, k, ye, s in self.terms:
                 e = xe[idx]
                 if e:
-                    out.append((_bump(xe, idx, -1), k, ye, Scalar._wrap(_times_int(s._terms, e))))
+                    out.append((_bump(xe, idx, -1), k, ye, _times_int_scalar(s, e)))
         else:
             for xe, k, ye, s in self.terms:
                 e = ye[idx]
                 if e:
-                    out.append((xe, k, _bump(ye, idx, -1), Scalar._wrap(_times_int(s._terms, e))))
+                    out.append((xe, k, _bump(ye, idx, -1), _times_int_scalar(s, e)))
             if jet is not None:
                 jet -= 1  # y^N + O(y^(N+1)) differentiates to order N - 1
         return RingElement._wrap(self.chart, tuple(out), jet)

@@ -40,13 +40,11 @@ from .multivector import (
     VerticalSection,
     ad_series,
     as_vertical,
-    default_exp_cap,
     deformation_section,
     exp_ad,
     is_poisson,
     projection_P,
     schouten_bracket,
-    weighted_series,
 )
 from .symplectic_model import InvertedBivector, symplectic_to_poisson
 
@@ -56,15 +54,15 @@ class CoisoAlgebra:
     """A chart with a bivector for which the zero section is coisotropic.
 
     ``poisson_verified`` records whether [pi, pi] = 0 was checked (exactly,
-    or through the jet order for jets).  The algebra memoises the bracket
-    chains of its most recent sections (``_brackets``) for as long as it
+    or through the jet order for jets).  The algebra memoises lambda_1 and
+    lambda_2 of its most recent sections (``_lambdas``) for as long as it
     lives; the memo takes no part in equality or repr.
     """
 
     chart: ChartSpec
     pi: MultiVectorField
     poisson_verified: bool = False
-    # (id(a_1),) -> {(id(a_1), ..., id(a_k)): (a_k, [...[pi, a_1], ..., a_k])},
+    # (id(a_1),) -> {(id(a_1), ..., id(a_k)): (a_k, lambda_k(a_1, ..., a_k))},
     # least recently used first
     _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -111,69 +109,92 @@ def _copy(X: MultiVectorField) -> MultiVectorField:
     return MultiVectorField(X.chart, X.degree, X.terms)
 
 
-# The number of first sections a_1 whose bracket chains an algebra's memo
-# keeps.  A Jacobi check interleaves the chain of its section a with chains
-# of sections it derives, such as P([pi, a]); with one chain kept, each of
-# those evicted [pi, a] and [[pi, a], a] before the check read them again.
+# The number of first sections a_1 whose chains an algebra's memo keeps.  A
+# Jacobi check interleaves the chain of its section a with chains of
+# sections it derives, such as P([pi, a]); with one chain kept, each of
+# those evicted lambda_1(a) and lambda_2(a, a) before the check read them
+# again.
 _MEMO_CHAINS = 2
+# The memo keeps lambda_k(a_1, ..., a_k) for k <= _MEMO_DEPTH: the values the
+# mc, kuranishi and jacobi checks share.  It keeps no bracket
+# [...[pi, a_1], ..., a_k] itself; those are the largest fields of an op, and
+# a memo that held them (and the deeper levels of an MC series) kept them
+# live to the end of the op.
+_MEMO_DEPTH = 2
 
 
-def _brackets(alg: CoisoAlgebra, sections):
-    """Yield [pi, a_1], [[pi, a_1], a_2], ... for the vertical sections
-    a_1, a_2, ... in turn.
+def _chain(alg: CoisoAlgebra, a: MultiVectorField) -> dict:
+    """The memo of the chains that start with section a, made the most
+    recently used one."""
+    chains, key = alg._chains, (id(a),)
+    chain = chains[key] = chains.pop(key, None) or {}
+    if len(chains) > _MEMO_CHAINS:
+        chains.pop(next(iter(chains)))
+    return chain
 
-    The chains are memoised on the algebra, keyed by the identity of each
-    section, so a check that reads [pi, a] or [[pi, a], a] after another
-    check took it brackets nothing.  The memo holds the section of each
-    level and a hit must be that very object, so a key whose id was reused
-    (say, in a copy of the algebra) is bracketed again.  It keeps the chains
-    of the ``_MEMO_CHAINS`` most recently used first sections a_1.  Each new
-    level is bracketed from copies of the level before and of its section,
-    so neither the memo nor the caller's fields keep a derivative table: the
-    tables go with the copies (one copy of each section serves every
-    bracket of one call).
+
+def _lambdas(alg: CoisoAlgebra, sections: Sequence[MultiVectorField]):
+    """Yield P([pi, a_1]), P([[pi, a_1], a_2]), ... for the vertical
+    sections a_1, ..., a_n in turn.
+
+    The values through level ``_MEMO_DEPTH`` are memoised on the algebra,
+    keyed by the identity of each section, so a check that reads
+    lambda_1(a) or lambda_2(a, a) after another check took it brackets
+    nothing.  The memo holds the section of each level and a hit must be
+    that very object, so a key whose id was reused (say, in a copy of the
+    algebra) is bracketed again.  A level after a hit is bracketed from pi
+    through the sections before it.  The brackets are taken with copies of
+    pi and of the sections (one of each per call), whose derivative tables
+    go with the brackets, and each value is handed out as a new section, so
+    neither the memo nor the caller's fields keep a table.
     """
-    chains = alg._chains
-    X, key, copies = alg.pi, (), {}
-    for a in sections:
+    if not sections:
+        return
+    chain, key, X, copies = _chain(alg, sections[0]), (), None, {}
+
+    def bracket(X, a):
+        a_copy = copies.get(id(a))
+        if a_copy is None:
+            a_copy = copies[id(a)] = _copy(as_vertical(a))
+        return schouten_bracket(X, a_copy)
+
+    for k, a in enumerate(sections, start=1):
         key += (id(a),)
-        if len(key) == 1:
-            # the chain of a_1 becomes the most recently used one
-            chain = chains[key] = chains.pop(key, None) or {}
-            if len(chains) > _MEMO_CHAINS:
-                chains.pop(next(iter(chains)), None)
         hit = chain.get(key)
         if hit is not None and hit[0] is a:
-            X = hit[1]
+            X, value = None, hit[1]
         else:
-            a_copy = copies.get(key[-1])
-            if a_copy is None:
-                a_copy = copies[key[-1]] = _copy(as_vertical(a))
-            X = schouten_bracket(_copy(X), a_copy)
-            chain[key] = (a, X)
-        yield X
+            if X is None:
+                X = _copy(alg.pi)
+                for b in sections[: k - 1]:
+                    X = bracket(X, b)
+            X = bracket(X, a)
+            value = projection_P(X)
+            if k <= _MEMO_DEPTH:
+                chain[key] = (a, value)
+        yield VerticalSection(value.chart, value.degree, value.terms)
 
 
 def lambda_n(alg: CoisoAlgebra, *sections: MultiVectorField) -> VerticalSection:
     """P([...[pi, a_1], ..., a_n]) for vertical sections a_i, read from the
-    algebra's memo (``_brackets``)."""
-    X = alg.pi
-    for X in _brackets(alg, sections):
+    algebra's memo (``_lambdas``)."""
+    value = None
+    for value in _lambdas(alg, sections):
         pass
-    return projection_P(X)
+    return projection_P(alg.pi) if value is None else value
 
 
 def kuranishi_rep(alg: CoisoAlgebra, a: MultiVectorField) -> VerticalSection:
     """The Kuranishi representative lambda_2(a, a) of a lambda_1-closed a.
 
     [pi, a] serves both lambda_1(a) and lambda_2(a, a); both come from the
-    algebra's memo (``_brackets``).
+    algebra's memo (``_lambdas``).
     """
     a = deformation_section(a)
-    levels = _brackets(alg, (a, a))
-    if not projection_P(next(levels)).is_zero():
+    values = _lambdas(alg, (a, a))
+    if not next(values).is_zero():
         raise NotClosedError("section is not lambda_1-closed: P([pi, a]) != 0")
-    return projection_P(next(levels))
+    return next(values)
 
 
 def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSection:
@@ -182,13 +203,12 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
     Requires a fibrewise polynomial bivector (no jet truncation); equals
     P of the pushforward of pi under the fibre translation by alpha, which
     ``multivector.projected_pushforward(pi, alpha)`` computes without a
-    bracket: that is the identity's right-hand side.  The brackets
-    [...[pi, alpha], ..., alpha] come from the algebra's memo
-    (``_brackets``) and run through the loop of ``ad_series``
-    (``weighted_series``: up to the last nonzero one, each weighted by
-    1/k!, capped at ``default_exp_cap(pi)``).  Each bracket is projected as
-    it is summed, which measured faster than P(exp_ad(pi, alpha))
-    projecting the full sum once.
+    bracket: that is the identity's right-hand side.  Each
+    bracket is projected as it is summed, which measured faster than
+    P(exp_ad(pi, alpha)) projecting the full sum once.  The projections of
+    the first ``_MEMO_DEPTH`` brackets (zero past the series' end) are
+    lambda_1(alpha) and lambda_2(alpha, alpha), and the series leaves them in
+    the algebra's memo (``_lambdas``) for a later check to read.
     """
     alpha = deformation_section(alpha)
     if alg.pi.jet_order() is not None:
@@ -196,10 +216,19 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
     _check_domain(alg.chart, alpha)
-    brackets = _brackets(alg, itertools.repeat(alpha))
+    chain, key = _chain(alg, alpha), ()
     acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
-    for term, coeff in weighted_series(brackets, default_exp_cap(alg.pi)):
-        acc = acc + projection_P(term).scale(coeff)
+    for term, coeff in ad_series(alg.pi, alpha):
+        value = projection_P(term)
+        key += (id(alpha),)
+        if len(key) <= _MEMO_DEPTH:
+            chain[key] = (alpha, value)
+        acc = acc + value.scale(coeff)
+    # the series ends at a zero bracket, and every bracket after it is zero
+    zero = VerticalSection(alg.pi.chart, alg.pi.degree, ())
+    while len(key) < _MEMO_DEPTH:
+        key += (id(alpha),)
+        chain[key] = (alpha, zero)
     return as_vertical(acc)
 
 

@@ -230,31 +230,17 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection):
     for a fibre one and differentiates alpha along the base).  So at most
     ``X.max_y_degree() + X.degree`` brackets are nonzero.
     ``default_exp_cap(X)`` is a guard that valid input never reaches: a
-    nonzero bracket past it raises TruncationCapError (``weighted_series``).
+    nonzero bracket past it raises TruncationCapError.
 
     The brackets are taken with copies of X and alpha, so the derivative
     tables they fill (alpha's serves every bracket) go with the series
     rather than stay on the caller's fields for as long as those live.
     """
     cap = default_exp_cap(X)
-    term = MultiVectorField._wrap(X.chart, X.degree, X.terms)
+    term, fact = MultiVectorField._wrap(X.chart, X.degree, X.terms), 1
     alpha = MultiVectorField._wrap(alpha.chart, alpha.degree, alpha.terms)
-
-    def brackets(term):
-        while True:
-            term = schouten_bracket(term, alpha)
-            yield term
-
-    return weighted_series(brackets(term), cap)
-
-
-def weighted_series(brackets, cap: int):
-    """Yield (B_k, 1/k!) for the brackets B_1, B_2, ... of an adjoint series,
-    up to the last nonzero one; a nonzero B_k with k > ``cap`` raises
-    TruncationCapError.  The one loop of ``ad_series``, and of
-    ``linfty.mc_series_exact`` over an algebra's memoised brackets."""
-    fact = 1
-    for k, term in enumerate(brackets, start=1):
+    for k in itertools.count(1):
+        term = schouten_bracket(term, alpha)
         if term.is_zero():
             return
         if k > cap:

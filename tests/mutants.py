@@ -161,13 +161,29 @@ MUTANTS = (
            "        key = (id(a),)\n",
            ("test_linfty.py",),
            "the bracket memo keys each level by its last section only"),
-    Mutant("memo-brackets-stored-level", "linfty.py",
-           "X = schouten_bracket(_copy(X), a_copy)",
-           "X = schouten_bracket(X, a_copy)",
+    Mutant("memo-hands-out-its-value", "linfty.py",
+           "        yield VerticalSection(value.chart, value.degree, value.terms)\n",
+           "        yield value\n",
            ("test_linfty.py",),
-           "a new memo level is bracketed from the stored level, which keeps "
-           "its derivative table"),
+           "the bracket memo hands out the value it keeps, so a caller's "
+           "bracket leaves a derivative table in the memo"),
+    Mutant("memo-brackets-pi-itself", "linfty.py",
+           "                X = _copy(alg.pi)\n",
+           "                X = alg.pi\n",
+           ("test_linfty.py",),
+           "a memo chain is bracketed from the algebra's pi, not from a copy, "
+           "so pi keeps a derivative table for as long as the algebra lives"),
     # -- the coefficient ring ----------------------------------------------------
+    Mutant("product-scalars-unshared", "coeff_ring.py",
+           "                s = scalars.get(terms)\n",
+           "                s = None\n",
+           ("test_coeff_ring.py",),
+           "a product builds a new Scalar for every term, equal ones included"),
+    Mutant("partial-copies-unit-scalar", "coeff_ring.py",
+           "    return s if c == 1 else Scalar._wrap(_times_int(s._terms, c))\n",
+           "    return Scalar._wrap(_times_int(s._terms, c))\n",
+           ("test_coeff_ring.py",),
+           "a derivative copies the Scalar of a term whose exponent is 1"),
     Mutant("dot-sign-fold", "coeff_ring.py",
            "                        a = -a\n",
            "                        a = a\n",

@@ -613,6 +613,34 @@ def assert_same(got: RingElement, expected: RingElement):
     assert_canonical_element(got)
 
 
+class TestSharedScalars:
+    """A product's terms with equal coefficients hold one Scalar, and a
+    derivative keeps the Scalar of a term whose exponent is 1: fewer objects
+    for the cyclic garbage collector, the same values."""
+
+    def test_equal_coefficients_of_a_product_share_one_scalar(self, chart):
+        x1, y1, y2 = (RingElement.coordinate(chart, n) for n in ("x1", "y1", "y2"))
+        prod = (y1 + y2) * (x1 + 1)
+        assert len(prod.terms) == 4
+        assert len({id(t[3]) for t in prod.terms}) == 1
+        rng = rng_for("shared-scalars")
+        for _ in range(50):
+            f, g, u = (rand_ring(rng, chart) for _ in range(3))
+            got = RingElement.dot([(1, f, g), (-1, u, f)])
+            by_value = {}
+            for t in got.terms:
+                assert by_value.setdefault(t[3]._terms, t[3]) is t[3]
+
+    def test_a_linear_term_keeps_its_scalar_under_a_derivative(self, chart):
+        y1, y2 = RingElement.coordinate(chart, "y1"), RingElement.coordinate(chart, "y2")
+        f = y1.scale(Fraction(3, 4)) * y2 + (y1 ** 2).scale(5)
+        (_, _, _, c_lin), (_, _, _, c_sq) = sorted(f.terms, key=lambda t: t[2])
+        # d/dy1: (3/4) y1 y2 -> (3/4) y2 keeps its Scalar, 5 y1^2 -> 10 y1
+        (_, _, _, d_lin), (_, _, _, d_sq) = sorted(f.partial("y1").terms, key=lambda t: t[2])
+        assert d_lin is c_lin
+        assert d_sq == c_sq * Scalar.of(2) and d_sq is not c_sq
+
+
 class TestWrapsAgainstConstructor:
     """Each result wrapped as produced (``partial``, negation, ``scale``,
     the filters and ``dot``) equals the canonicalising constructor applied

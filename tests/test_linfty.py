@@ -1123,13 +1123,50 @@ class TestBracketMemo:
             assert levels and all(X._partials is None for X in levels)
             assert a._partials is None and alg.pi._partials is None
 
+    def test_memo_keeps_lambda_values_and_hands_out_copies(self):
+        ex = build_T4_example()
+        alg, pi, a = ex.algebra, ex.algebra.pi, ex.section
+        chart = a.chart
+        b = VerticalSection.from_components(
+            chart, [RingElement.sin_of(chart, {"q2": 1}), RingElement.sin_of(chart, {"y1": 1})]
+        )
+        mc_series_exact(alg, a)
+        lambda_n(alg, b, a, b)
+        # lambda_1 and lambda_2 of each chain; no bracket and no deeper level
+        want = [direct_chain(pi, s) for s in ((a,), (a, a), (b,), (b, a))]
+        assert sorted(map(repr, memo_levels(alg))) == sorted(map(repr, want))
+        assert all(type(X) is VerticalSection for X in memo_levels(alg))
+        # a value read from the memo is a new section: a caller's bracket
+        # fills its table, not the memo's
+        for got in (lambda_n(alg, b), lambda_n(alg, b, a), kuranishi_rep(alg, a)):
+            assert all(got is not X for X in memo_levels(alg))
+            schouten_bracket(pi, got)
+            assert got._partials is not None
+        assert all(X._partials is None for X in memo_levels(alg))
+
+    def test_mc_series_leaves_the_levels_past_its_end_as_zero(self, monkeypatch):
+        ex = build_T4_example()
+        alg, pi = ex.algebra, ex.algebra.pi
+        chart = pi.chart
+        flat = VerticalSection.from_components(
+            chart, [RingElement.constant(chart, Fraction(1, 4)), RingElement.zero(chart)]
+        )
+        assert len(list(ad_series(pi, flat))) < 2
+        mc_series_exact(alg, flat)
+        calls = []
+        monkeypatch.setattr(linfty, "schouten_bracket", lambda X, Y: calls.append(X))
+        assert lambda_n(alg, flat) == direct_chain(pi, (flat,))
+        assert lambda_n(alg, flat, flat) == direct_chain(pi, (flat, flat))
+        assert lambda_n(alg, flat, flat).is_zero()
+        assert calls == []
+
     def test_mc_series_raises_exactly_past_its_cap(self, monkeypatch):
         ex = build_T4_example()
         n = len(list(ad_series(ex.algebra.pi, ex.section)))
         assert n == 2
         want = mc_series_exact(ex.algebra, ex.section)
         for cap in range(n + 2):
-            monkeypatch.setattr(linfty, "default_exp_cap", lambda X, cap=cap: cap)
+            monkeypatch.setattr(multivector, "default_exp_cap", lambda X, cap=cap: cap)
             alg = make_coiso_algebra(ex.algebra.pi)
             if cap < n:
                 with pytest.raises(TruncationCapError):
