@@ -31,9 +31,14 @@ A RingElement product is a ``dot`` too.  Its accumulator is keyed by the
 flat tuple ``xe + k + ye``, built once per operand term and added once per
 term pair; the three parts have fixed lengths per chart, so flat keys sort
 as the (xe, k, ye) keys do, and each output key is split once.  A term pair
-whose Scalars are one real quad each (every rational coefficient) is
-multiplied inline, a negative sign folded into its numerator; every other
-pair goes through ``_acc_mul``, the one general pair loop.
+whose Scalars are one quad each (every rational coefficient, and the
+2*pi*i*n of a Fourier derivative) is multiplied inline, a negative sign
+folded into its numerators, into the key's one-exponent slot
+``[re, im, den, e]`` (the exponent last, so ``_acc_put`` serves it as it
+is).  The slot becomes the dict of the other operations only when its key
+meets a second pi-exponent or a pair with a multi-quad Scalar; such a pair
+goes through ``_acc_mul``, the one general pair loop.  A one-exponent slot
+is reduced by one gcd, with no sort.
 
 Results that are canonical as produced are wrapped as they are
 (``RingElement._wrap``, like ``Scalar._wrap``), with no second
@@ -849,50 +854,66 @@ class RingElement:
             head._check_chart(f)
             head._check_chart(g)
             jet = _min_order(_min_order(jet, f.jet_order), g.jet_order)
-        # one flat key xe + k + ye per operand term, added once per term pair
-        accs: dict[tuple, dict] = {}
+        # one flat key xe + k + ye per operand term, added once per term pair;
+        # each key's slot is [re, im, den, e] while it meets one pi-exponent,
+        # and a dict {e: [re, im, den]} from its second exponent or its first
+        # multi-quad operand on
+        accs: dict[tuple, list | dict] = {}
         add = operator.add
+        # without a jet order every degree reads 0, so no pair is skipped
+        room = 0
         for sign, f, g in products:
             if not f.terms or not g.terms:
                 continue
-            # a pair of Scalars that are one real quad each is multiplied
-            # inline, without _acc_mul; ``real`` is that quad, else None
+            # a pair of single-quad Scalars is multiplied inline, without
+            # _acc_mul; ``quad`` is that quad, else None
             right = []
             for xe, k, ye, s in g.terms:
                 t = s._terms
-                real = t[0] if len(t) == 1 and not t[0][2] else None
-                right.append((xe + k + ye, sum(ye), t, real))
+                right.append((xe + k + ye, 0 if jet is None else sum(ye),
+                              t[0] if len(t) == 1 else None, t))
             for xe1, k1, ye1, s1 in f.terms:
                 key1 = xe1 + k1 + ye1
-                deg1 = sum(ye1)
+                if jet is not None:
+                    room = jet - sum(ye1)
                 left = s1._terms
-                real1 = len(left) == 1 and not left[0][2]
-                if real1:
-                    e1, a, _, d1 = left[0]
+                single = len(left) == 1
+                if single:
+                    e1, a, b, d1 = left[0]
                     if sign < 0:
-                        a = -a
-                        left = ((e1, a, 0, d1),)
+                        a, b = -a, -b
+                        left = ((e1, a, b, d1),)
                 elif sign < 0:
                     left = _neg_terms(left)
-                for key2, deg2, t2, real2 in right:
-                    if jet is not None and deg1 + deg2 > jet:
+                for key2, deg2, quad, t2 in right:
+                    if deg2 > room:
                         continue
                     key = tuple(map(add, key1, key2))
-                    acc = accs.get(key)
-                    if acc is None:
-                        accs[key] = acc = {}
-                    if real1 and real2 is not None:
-                        e2, c, _, d2 = real2
-                        e, re, den = e1 + e2, a * c, d1 * d2
-                        slot = acc.get(e)
+                    slot = accs.get(key)
+                    if single and quad is not None:
+                        e2, c, d, d2 = quad
+                        if b or d:
+                            re, im = a * c - b * d, a * d + b * c
+                        else:  # both real: no imaginary cross terms
+                            re, im = a * c, 0
+                        e, den = e1 + e2, d1 * d2
                         if slot is None:
-                            acc[e] = [re, 0, den]
+                            accs[key] = [re, im, den, e]
+                        elif type(slot) is dict:
+                            _acc_add(slot, ((e, re, im, den),))
+                        elif slot[3] != e:  # a second exponent: promote
+                            accs[key] = {slot[3]: slot[:3], e: [re, im, den]}
                         elif slot[2] == den:
                             slot[0] += re
+                            slot[1] += im
                         else:
-                            _acc_put(slot, re, 0, den)
+                            _acc_put(slot, re, im, den)
                     else:
-                        _acc_mul(acc, left, t2)
+                        if slot is None:
+                            slot = accs[key] = {}
+                        elif type(slot) is list:
+                            slot = accs[key] = {slot[3]: slot[:3]}
+                        _acc_mul(slot, left, t2)
         chart = head.chart
         nx = len(chart.poly_axes)
         nk = nx + len(chart.periodic_axes)
@@ -900,13 +921,25 @@ class RingElement:
         # coefficients repeat (1, -1, 2, ...), and each new Scalar is an
         # object the cyclic garbage collector counts and traverses
         out, scalars = [], {}
-        for key, acc in sorted(accs.items()):
-            terms = _acc_terms(acc)
-            if terms:
-                s = scalars.get(terms)
-                if s is None:
-                    s = scalars[terms] = Scalar._wrap(terms)
-                out.append((key[:nx], key[nx:nk], key[nk:], s))
+        gcd = math.gcd
+        for key, slot in sorted(accs.items()):
+            if type(slot) is list:
+                re, im, den, e = slot
+                if not (re or im):
+                    continue
+                if den != 1:
+                    g = gcd(re, im, den)
+                    if g != 1:
+                        re, im, den = re // g, im // g, den // g
+                terms = ((e, re, im, den),)
+            else:
+                terms = _acc_terms(slot)
+                if not terms:
+                    continue
+            s = scalars.get(terms)
+            if s is None:
+                s = scalars[terms] = Scalar._wrap(terms)
+            out.append((key[:nx], key[nx:nk], key[nk:], s))
         return cls._wrap(chart, tuple(out), jet)
 
     def __pow__(self, n: int):

@@ -22,8 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ._graded import inversion_sign
-from .coeff_ring import ChartSpec, GridEvaluator, Scalar, sample_grid
+from ._graded import dot_by_wedge, inversion_sign
+from .coeff_ring import ChartSpec, GridEvaluator, RingElement, Scalar, sample_grid
 from .errors import (
     CoisoKitError,
     DegenerateBivectorError,
@@ -204,8 +204,10 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
     P of the pushforward of pi under the fibre translation by alpha, which
     ``multivector.projected_pushforward(pi, alpha)`` computes without a
     bracket: that is the identity's right-hand side.  Each
-    bracket is projected as it is summed, which measured faster than
-    P(exp_ad(pi, alpha)) projecting the full sum once.  The projections of
+    bracket is projected as it is taken, which measured faster than
+    P(exp_ad(pi, alpha)) projecting the full sum once, and the projections
+    are summed by one ``dot`` per wedge index over the products of each
+    coefficient with the constant 1/k!.  The projections of
     the first ``_MEMO_DEPTH`` brackets (zero past the series' end) are
     lambda_1(alpha) and lambda_2(alpha, alpha), and the series leaves them in
     the algebra's memo (``_lambdas``) for a later check to read.
@@ -216,20 +218,20 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
     _check_domain(alg.chart, alpha)
-    chain, key = _chain(alg, alpha), ()
-    acc = MultiVectorField.zero(alg.chart, alg.pi.degree)
+    chain, key, products = _chain(alg, alpha), (), []
     for term, coeff in ad_series(alg.pi, alpha):
         value = projection_P(term)
         key += (id(alpha),)
         if len(key) <= _MEMO_DEPTH:
             chain[key] = (alpha, value)
-        acc = acc + value.scale(coeff)
+        factor = RingElement.constant(alg.chart, coeff)
+        products.extend((dirs, 1, c, factor) for dirs, c in value.terms)
     # the series ends at a zero bracket, and every bracket after it is zero
     zero = VerticalSection(alg.pi.chart, alg.pi.degree, ())
     while len(key) < _MEMO_DEPTH:
         key += (id(alpha),)
         chain[key] = (alpha, zero)
-    return as_vertical(acc)
+    return VerticalSection(alg.chart, alg.pi.degree, dot_by_wedge(products))
 
 
 def _check_domain(chart: ChartSpec, alpha: VerticalSection):
@@ -710,19 +712,33 @@ def higher_jacobi_verify(family: Callable, inputs: Sequence) -> bool:
             lambda_{n-i+1}(lambda_i(x_{s(1)}, ..), x_{s(i+1)}, ..) = 0,
 
     where eps is the Koszul sign of the unshuffle on the input degrees.
+    The same inner bracket serves every unshuffle that chooses the same
+    inputs, so each distinct argument tuple, keyed by the identity of its
+    arguments, is passed to ``family`` once per call.
     """
     n = len(inputs)
     if n > 3:
         raise ValueError("identities are verified through order 3 only")
     degrees = [_w_degree(x) for x in inputs]
+    # (id(x_1), ...) -> (args, family(args)); holding the arguments keeps
+    # their ids from being reused while the memo lives
+    memo: dict = {}
+
+    def bracket(args):
+        key = tuple(map(id, args))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (args, family(args))
+        return hit[1]
+
     acc = None
     for i in range(1, n + 1):
         for chosen in itertools.combinations(range(n), i):
             rest = tuple(k for k in range(n) if k not in chosen)
             # the Koszul sign: only odd-degree inputs anticommute
             sign = inversion_sign([k for k in chosen + rest if degrees[k] % 2])
-            inner = family(tuple(inputs[k] for k in chosen))
-            term = family((inner,) + tuple(inputs[k] for k in rest))
+            inner = bracket(tuple(inputs[k] for k in chosen))
+            term = bracket((inner,) + tuple(inputs[k] for k in rest))
             if sign < 0:
                 term = -term
             acc = term if acc is None else acc + term

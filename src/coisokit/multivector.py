@@ -254,9 +254,14 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection):
 def exp_ad(X: MultiVectorField, alpha: MultiVectorField) -> MultiVectorField:
     """The series sum_k (1/k!) [...[X, alpha], ..., alpha] of ``ad_series``.
 
-    The terms are summed in one constructor call, so a jet coefficient whose
+    Each wedge index is summed by one ``dot`` over the products of every
+    term's coefficient with the constant 1/k!, so a jet coefficient whose
     partial sum cancels still bounds the order of the total.
     """
-    series = ad_series(X, deformation_section(alpha))
-    return MultiVectorField(X.chart, X.degree, itertools.chain(
-        X.terms, *(term.scale(coeff).terms for term, coeff in series)))
+    chart = X.chart
+    one = RingElement.one(chart)
+    products = [(dirs, 1, c, one) for dirs, c in X.terms]
+    for term, coeff in ad_series(X, deformation_section(alpha)):
+        factor = RingElement.constant(chart, coeff)
+        products.extend((dirs, 1, c, factor) for dirs, c in term.terms)
+    return MultiVectorField._wrap(chart, X.degree, dot_by_wedge(products))

@@ -167,6 +167,12 @@ MUTANTS = (
            ("test_linfty.py",),
            "the bracket memo hands out the value it keeps, so a caller's "
            "bracket leaves a derivative table in the memo"),
+    Mutant("jacobi-memo-keyed-by-last-argument", "linfty.py",
+           "        key = tuple(map(id, args))\n",
+           "        key = (id(args[-1]),)\n",
+           ("test_linfty.py",),
+           "the Jacobi check's bracket memo keys each argument tuple by its "
+           "last argument only"),
     Mutant("memo-brackets-pi-itself", "linfty.py",
            "                X = _copy(alg.pi)\n",
            "                X = alg.pi\n",
@@ -175,8 +181,8 @@ MUTANTS = (
            "so pi keeps a derivative table for as long as the algebra lives"),
     # -- the coefficient ring ----------------------------------------------------
     Mutant("product-scalars-unshared", "coeff_ring.py",
-           "                s = scalars.get(terms)\n",
-           "                s = None\n",
+           "            s = scalars.get(terms)\n",
+           "            s = None\n",
            ("test_coeff_ring.py",),
            "a product builds a new Scalar for every term, equal ones included"),
     Mutant("partial-copies-unit-scalar", "coeff_ring.py",
@@ -185,15 +191,35 @@ MUTANTS = (
            ("test_coeff_ring.py",),
            "a derivative copies the Scalar of a term whose exponent is 1"),
     Mutant("dot-sign-fold", "coeff_ring.py",
-           "                        a = -a\n",
-           "                        a = a\n",
+           "                        a, b = -a, -b\n",
+           "                        a, b = a, b\n",
            ("test_coeff_ring.py",),
-           "dot's inline real path drops the sign of a negative product"),
+           "dot's single-quad path drops the sign of a negative product"),
     Mutant("dot-unsorted", "coeff_ring.py",
-           "for key, acc in sorted(accs.items()):",
-           "for key, acc in accs.items():",
+           "for key, slot in sorted(accs.items()):",
+           "for key, slot in accs.items():",
            ("test_coeff_ring.py",),
            "dot wraps its terms unsorted"),
+    Mutant("dot-promotion-drops-slot", "coeff_ring.py",
+           "accs[key] = {slot[3]: slot[:3], e: [re, im, den]}",
+           "accs[key] = {e: [re, im, den]}",
+           ("test_coeff_ring.py",),
+           "a one-exponent slot that meets a second pi-exponent loses what it held"),
+    Mutant("dot-multi-quad-promotion-drops-slot", "coeff_ring.py",
+           "slot = accs[key] = {slot[3]: slot[:3]}",
+           "slot = accs[key] = {}",
+           ("test_coeff_ring.py",),
+           "a one-exponent slot that meets a multi-quad Scalar loses what it held"),
+    Mutant("dot-slot-output-unreduced", "coeff_ring.py",
+           "                if den != 1:\n                    g = gcd(re, im, den)\n",
+           "                if False:\n                    g = gcd(re, im, den)\n",
+           ("test_coeff_ring.py",),
+           "dot wraps a one-exponent slot without its gcd, so not in lowest terms"),
+    Mutant("dot-complex-product-drops-bd", "coeff_ring.py",
+           "re, im = a * c - b * d, a * d + b * c\n                        else:",
+           "re, im = a * c, a * d + b * c\n                        else:",
+           ("test_coeff_ring.py",),
+           "dot's inline complex product drops the real part -b*d"),
     Mutant("partial-keeps-fibre-jet", "coeff_ring.py",
            "jet -= 1  # y^N",
            "jet -= 0  # y^N",

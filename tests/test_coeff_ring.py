@@ -486,6 +486,31 @@ def _pairwise(products):
     return total
 
 
+def _fraction_reference(products):
+    """(terms, jet order) of the signed sum of products in Fraction
+    arithmetic: each output key's term pairs summed by ``fs.dot``, the pairs
+    above the minimum jet order over all operands left out."""
+    orders = [h.jet_order for _, f, g in products for h in (f, g)]
+    jet = min((o for o in orders if o is not None), default=None)
+    groups = {}
+    for sign, f, g in products:
+        for xe1, k1, ye1, s1 in f.terms:
+            for xe2, k2, ye2, s2 in g.terms:
+                key = tuple(tuple(map(operator.add, u, v))
+                            for u, v in ((xe1, xe2), (k1, k2), (ye1, ye2)))
+                if jet is None or sum(key[2]) <= jet:
+                    groups.setdefault(key, []).append((sign, s1.terms, s2.terms))
+    terms = tuple(key + (t,) for key, group in sorted(groups.items())
+                  if (t := fs.dot(group)))
+    return terms, jet
+
+
+def _dot_element(terms, jet=None):
+    """An element of DOT_CHART from (x1 exponent, x2 mode, (y1, y2) exponents,
+    Scalar) tuples."""
+    return RingElement(DOT_CHART, [((a,), (k,), ye, c) for a, k, ye, c in terms], jet)
+
+
 class TestDot:
     """``dot`` against the pairwise sum of its signed products."""
 
@@ -513,24 +538,71 @@ class TestDot:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(SIGNS, shaped_elements(), shaped_elements()), min_size=1, max_size=4))
     def test_ring_dot_matches_the_fraction_reference(self, products):
-        """A pair of single real quads is multiplied inline and every other
-        pair by ``_acc_mul``; both agree with Fraction arithmetic per key."""
+        """A pair of single-quad Scalars (real, pi-power, imaginary or
+        complex) is multiplied inline into a one-exponent slot, and a pair
+        with a multi-quad Scalar by ``_acc_mul`` into a promoted slot; both
+        agree with Fraction arithmetic per key."""
         got = RingElement.dot(products)
-        orders = [h.jet_order for _, f, g in products for h in (f, g)]
-        jet = min((o for o in orders if o is not None), default=None)
-        groups = {}
-        for sign, f, g in products:
-            for xe1, k1, ye1, s1 in f.terms:
-                for xe2, k2, ye2, s2 in g.terms:
-                    key = tuple(tuple(map(operator.add, u, v))
-                                for u, v in ((xe1, xe2), (k1, k2), (ye1, ye2)))
-                    if jet is None or sum(key[2]) <= jet:
-                        groups.setdefault(key, []).append((sign, s1.terms, s2.terms))
-        expected = tuple(key + (t,) for key, group in sorted(groups.items())
-                         if (t := fs.dot(group)))
-        assert _terms(got) == expected
-        assert got.jet_order == jet
+        assert (_terms(got), got.jet_order) == _fraction_reference(products)
         assert_canonical_element(got)
+
+    @staticmethod
+    def assert_dot(products, expected):
+        """dot equals ``expected``, the pairwise sum and the Fraction reference."""
+        got = RingElement.dot(products)
+        assert_same(got, expected)
+        assert_same(got, _pairwise(products))
+        assert (_terms(got), got.jet_order) == _fraction_reference(products)
+
+    def test_a_second_pi_exponent_promotes_a_one_exponent_slot(self):
+        x, x_pi = _dot_element([(1, 0, (0, 0), Scalar.one())]), _dot_element(
+            [(1, 0, (0, 0), Scalar.pi_power(1, 3))])
+        one = RingElement.one(DOT_CHART)
+        # x meets pi^0, then pi^1, then pi^0 again in the promoted slot
+        self.assert_dot([(1, x, one), (1, x_pi, one), (1, one, x)], _dot_element(
+            [(1, 0, (0, 0), Scalar([(0, 2, 0), (1, 3, 0)]))]))
+
+    def test_unequal_denominators_meet_in_a_one_exponent_slot(self):
+        half = _dot_element([(1, 1, (0, 0), Scalar.rational(1, 2))])
+        third = _dot_element([(1, 1, (0, 0), Scalar.gaussian(0, Fraction(-1, 3)))])
+        sixth = _dot_element([(1, 1, (0, 0), Scalar.rational(1, 6))])
+        one = RingElement.one(DOT_CHART)
+        # [1, 0, 2, 0] meets denominator 3 (_acc_put: [3, 2, 6, 0]), then 6:
+        # (4 + 2i)/6, reduced to (2 + i)/3 by the one gcd of the output
+        self.assert_dot([(1, half, one), (-1, one, third), (1, sixth, one)], _dot_element(
+            [(1, 1, (0, 0), Scalar.gaussian(Fraction(2, 3), Fraction(1, 3)))]))
+
+    def test_a_key_that_cancels_is_dropped(self):
+        x = _dot_element([(1, 0, (0, 0), Scalar.gaussian(2, 3))])
+        y = _dot_element([(0, 1, (0, 1), Scalar.rational(1, 4)), (0, 0, (1, 0), 1)])
+        got = RingElement.dot([(1, x, y), (-1, y, x)])
+        assert got.is_zero() and got.jet_order is None
+        self.assert_dot([(1, x, y), (1, x, x), (-1, y, x)], x * x)
+
+    def test_a_multi_quad_operand_lands_on_a_one_exponent_slot(self):
+        x = _dot_element([(1, 0, (0, 0), Scalar.rational(1, 2))])
+        wide = _dot_element([(0, 0, (0, 0), Scalar([(0, 1, 0), (-1, 0, 2)]))])
+        one = RingElement.one(DOT_CHART)
+        # the key holds [1, 0, 2, 0] when wide's two quads arrive, and a
+        # single quad after them goes into the promoted dict
+        self.assert_dot([(1, x, one), (-1, x, wide), (1, one, x)], _dot_element(
+            [(1, 0, (0, 0), Scalar([(-1, 0, -1), (0, Fraction(1, 2), 0)]))]))
+
+    def test_complex_single_quads_under_sign_minus_one(self):
+        f = _dot_element([(1, 0, (0, 0), Scalar.gaussian(Fraction(2, 5), Fraction(3, 5)))])
+        g = _dot_element([(0, 0, (1, 0), Scalar([(1, Fraction(1, 7), Fraction(-4, 7))]))])
+        # -(2 + 3i)(1 - 4i)/35 pi = -(14 - 5i)/35 pi, and the real part of
+        # the second product cancels it: -(2/5) pi + (1/7) i pi + (2/5) pi
+        real = _dot_element([(1, 0, (1, 0), Scalar.pi_power(1, Fraction(2, 5)))])
+        self.assert_dot([(-1, f, g), (1, real, RingElement.one(DOT_CHART))],
+                        _dot_element([(1, 0, (1, 0), Scalar([(1, 0, Fraction(1, 7))]))]))
+
+    def test_a_pair_above_the_jet_order_is_skipped_by_room(self):
+        y = _dot_element([(0, 0, (1, 0), 1), (1, 0, (0, 0), 1)], 1)
+        z = _dot_element([(0, 0, (0, 1), Scalar.imag_unit())])
+        # y1 * y2 has degree 2 > 1 and is skipped; x1 * y2 is kept
+        self.assert_dot([(1, y, z), (-1, z, y)], RingElement.zero(DOT_CHART).truncate(1))
+        self.assert_dot([(1, y, z)], _dot_element([(1, 0, (0, 1), Scalar.imag_unit())], 1))
 
     def test_zero_operands_keep_their_jet_order(self, chart):
         f = RingElement.coordinate(chart, "y1") + RingElement.coordinate(chart, "x1")

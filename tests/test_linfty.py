@@ -1031,22 +1031,30 @@ def direct_chain(pi, sections):
     return projection_P(X)
 
 
+def count_brackets(monkeypatch) -> list:
+    """The (X, Y) of every ``schouten_bracket`` call that coisokit makes from
+    now on, in order."""
+    original = multivector.schouten_bracket
+    calls = []
+
+    def counting(X, Y):
+        calls.append((X, Y))
+        return original(X, Y)
+
+    for name, module in list(sys.modules.items()):
+        if name == "coisokit" or name.startswith("coisokit."):
+            if getattr(module, "schouten_bracket", None) is original:
+                monkeypatch.setattr(module, "schouten_bracket", counting)
+    return calls
+
+
 class TestBracketMemo:
     """An algebra brackets each chain [...[pi, a_1], ..., a_k] once, keyed by
     the identity of each section, and keeps no derivative table."""
 
     def test_t4_scenario_takes_each_bracket_of_its_section_once(self, monkeypatch):
         original = multivector.schouten_bracket
-        calls = []
-
-        def counting(X, Y):
-            calls.append((X, Y))
-            return original(X, Y)
-
-        for name, module in list(sys.modules.items()):
-            if name == "coisokit" or name.startswith("coisokit."):
-                if getattr(module, "schouten_bracket", None) is original:
-                    monkeypatch.setattr(module, "schouten_bracket", counting)
+        calls = count_brackets(monkeypatch)
         scenario = t4_scenario()
         report = cli.run(scenario)
         assert report.exit_code() == 0
@@ -1059,6 +1067,28 @@ class TestBracketMemo:
         # (the last one zero), and [pi, P([[pi, a], a])] of the Jacobi check
         assert len(calls) == 5
         assert original(second, a).is_zero()
+
+    def test_jacobi_check_brackets_each_argument_tuple_once(self, monkeypatch):
+        ex = build_T4_example()
+        alg, pi = ex.algebra, ex.algebra.pi
+        chart = pi.chart
+        unclosed = VerticalSection.from_components(
+            chart, [RingElement.sin_of(chart, {"q2": 1}), RingElement.zero(chart)]
+        )
+        # as in a scenario, the mc check has left [pi, a] and [[pi, a], a]
+        # in the memo before the Jacobi check runs
+        mc_series_exact(alg, unclosed)
+        calls = count_brackets(monkeypatch)
+        w = TwistedElement.from_section(unclosed)
+        family = twisted_brackets(alg)
+        assert [higher_jacobi_verify(family, [w] * n) for n in (1, 2)] == [True, True]
+        first = direct_chain(pi, (unclosed,))
+        assert not first.is_zero() and direct_chain(pi, (unclosed, unclosed)).is_zero()
+        # order 1 takes [pi, P([pi, a])]; order 2 takes it and
+        # [[pi, P([pi, a])], a] once for both unshuffles that choose one input
+        assert [(X == pi, Y == first, Y == unclosed) for X, Y in calls] == [
+            (True, True, False), (True, True, False), (False, False, True),
+        ]
 
     def test_equal_sections_and_rebound_names_match_a_fresh_algebra(self):
         ex = build_T4_example()
