@@ -56,7 +56,7 @@ def dot_by_wedge(products) -> list:
 class GradedTerms:
     """Homogeneous graded object: degree plus wedge-indexed coefficients."""
 
-    __slots__ = ("chart", "degree", "terms", "_partials")
+    __slots__ = ("chart", "degree", "terms", "_partials", "_hash")
 
     def __init__(self, chart: ChartSpec, degree: int, terms):
         acc: dict[tuple, RingElement] = {}
@@ -75,7 +75,7 @@ class GradedTerms:
         self.terms = tuple(
             sorted((d, c) for d, c in acc.items() if not c.is_zero())
         )
-        self._partials = None
+        self._partials = self._hash = None
 
     @classmethod
     def _wrap(cls, chart: ChartSpec, degree: int, pairs):
@@ -83,7 +83,7 @@ class GradedTerms:
         for ``degree`` and distinct already: zero coefficients are dropped
         and the terms sorted, and nothing else is checked."""
         h = object.__new__(cls)
-        h.chart, h.degree, h._partials = chart, degree, None
+        h.chart, h.degree, h._partials, h._hash = chart, degree, None, None
         h.terms = tuple(sorted(t for t in pairs if t[1].terms))
         return h
 
@@ -270,7 +270,12 @@ class GradedTerms:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.chart, self.terms))
+        """The hash of the terms, computed once, since an object never
+        changes.  Equal objects hash equal, zero objects of any two degrees
+        too; the chart is left to ``__eq__`` (each coefficient hashes it)."""
+        if self._hash is None:
+            self._hash = hash(self.terms)
+        return self._hash
 
     def render(self) -> str:
         if self.is_zero():

@@ -1180,7 +1180,9 @@ class RingElement:
         )
 
     def __hash__(self):
-        return hash((self.chart, self.terms, self.jet_order))
+        # equal elements share a chart, so hashing it too (a dataclass hash,
+        # computed afresh each time) would cost without telling them apart
+        return hash((self.terms, self.jet_order))
 
     def __repr__(self):
         tag = "" if self.jet_order is None else f", jet<= {self.jet_order}"

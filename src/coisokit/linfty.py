@@ -55,16 +55,17 @@ class CoisoAlgebra:
 
     ``poisson_verified`` records whether [pi, pi] = 0 was checked (exactly,
     or through the jet order for jets).  The algebra memoises lambda_1 and
-    lambda_2 of its most recent sections (``_lambdas``) for as long as it
-    lives; the memo takes no part in equality or repr.
+    lambda_2 of its most recently used sections (``_lambdas``), keyed by the
+    value of each section, for as long as it lives; the memo takes no part
+    in equality or repr.
     """
 
     chart: ChartSpec
     pi: MultiVectorField
     poisson_verified: bool = False
-    # (id(a_1),) -> {(id(a_1), ..., id(a_k)): (a_k, lambda_k(a_1, ..., a_k))},
-    # least recently used first
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (_memo_item(a_1), ..., _memo_item(a_k)) -> lambda_k(a_1, ..., a_k) for
+    # k <= _MEMO_DEPTH, least recently used first
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def make_coiso_algebra(
@@ -97,24 +98,23 @@ def coiso_algebra_from_form(
 # -- brackets -----------------------------------------------------------------
 
 
-def _bracket_chain(X: MultiVectorField, sections) -> VerticalSection:
-    """P([...[X, a_1], ..., a_n]) for vertical sections a_i."""
-    for a in sections:
-        X = schouten_bracket(X, as_vertical(a))
-    return projection_P(X)
-
-
 def _copy(X: MultiVectorField) -> MultiVectorField:
     """X as a new field, with no derivative table (``partials_along``)."""
     return MultiVectorField(X.chart, X.degree, X.terms)
 
 
-# The number of first sections a_1 whose chains an algebra's memo keeps.  A
-# Jacobi check interleaves the chain of its section a with chains of
-# sections it derives, such as P([pi, a]); with one chain kept, each of
-# those evicted lambda_1(a) and lambda_2(a, a) before the check read them
-# again.
-_MEMO_CHAINS = 2
+def _bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorField:
+    """[X, Y], taken with copies, so neither field keeps a derivative table."""
+    return schouten_bracket(_copy(X), _copy(Y))
+
+
+# The number of values lambda_k(a_1, ..., a_k) an algebra's memo keeps, the
+# least recently used one evicted first.  A Jacobi check on section a writes
+# up to three values of sections it derives, such as P([pi, a]), before it
+# reads lambda_1(a) and lambda_2(a, a) again, and a scenario's other
+# sections write theirs in between; with fewer than 6 values kept, torus
+# scenarios bracket some levels twice.
+_MEMO_SIZE = 8
 # The memo keeps lambda_k(a_1, ..., a_k) for k <= _MEMO_DEPTH: the values the
 # mc, kuranishi and jacobi checks share.  It keeps no bracket
 # [...[pi, a_1], ..., a_k] itself; those are the largest fields of an op, and
@@ -123,14 +123,20 @@ _MEMO_CHAINS = 2
 _MEMO_DEPTH = 2
 
 
-def _chain(alg: CoisoAlgebra, a: MultiVectorField) -> dict:
-    """The memo of the chains that start with section a, made the most
-    recently used one."""
-    chains, key = alg._chains, (id(a),)
-    chain = chains[key] = chains.pop(key, None) or {}
-    if len(chains) > _MEMO_CHAINS:
-        chains.pop(next(iter(chains)))
-    return chain
+def _memo_item(a: MultiVectorField) -> tuple:
+    """Section a as an entry of a memo key: its value with its degree, since
+    zero sections of any two degrees are equal.  The key of
+    lambda_k(a_1, ..., a_k) holds the entries of a_1, ..., a_k."""
+    return a.degree, a
+
+
+def _remember(alg: CoisoAlgebra, key: tuple, value: VerticalSection):
+    """Keep ``value`` under ``key`` as the most recently used value, and
+    drop the least recently used ones past ``_MEMO_SIZE``."""
+    memo = alg._memo
+    memo[key] = value
+    if len(memo) > _MEMO_SIZE:
+        memo.pop(next(iter(memo)), None)
 
 
 def _lambdas(alg: CoisoAlgebra, sections: Sequence[MultiVectorField]):
@@ -138,40 +144,36 @@ def _lambdas(alg: CoisoAlgebra, sections: Sequence[MultiVectorField]):
     sections a_1, ..., a_n in turn.
 
     The values through level ``_MEMO_DEPTH`` are memoised on the algebra,
-    keyed by the identity of each section, so a check that reads
-    lambda_1(a) or lambda_2(a, a) after another check took it brackets
-    nothing.  The memo holds the section of each level and a hit must be
-    that very object, so a key whose id was reused (say, in a copy of the
-    algebra) is bracketed again.  A level after a hit is bracketed from pi
-    through the sections before it.  The brackets are taken with copies of
-    pi and of the sections (one of each per call), whose derivative tables
-    go with the brackets, and each value is handed out as a new section, so
-    neither the memo nor the caller's fields keep a table.
+    keyed by the value and degree of each section (``_memo_item``), so a
+    check that reads lambda_1(a) or lambda_2(a, a) after another check took
+    it brackets nothing, also when its section is an equal object.  A level
+    after a hit is bracketed from pi through the sections before it.  The
+    brackets are taken with copies of pi and of the sections (one per call
+    for each distinct section and degree), whose derivative tables go with
+    the brackets, and each value is handed out as a new section, so neither
+    the memo nor the caller's fields keep a table.
     """
-    if not sections:
-        return
-    chain, key, X, copies = _chain(alg, sections[0]), (), None, {}
+    X, key, copies = None, (), {}
 
     def bracket(X, a):
-        a_copy = copies.get(id(a))
-        if a_copy is None:
-            a_copy = copies[id(a)] = _copy(as_vertical(a))
-        return schouten_bracket(X, a_copy)
+        item = _memo_item(a)
+        copy = copies.get(item)
+        if copy is None:
+            copy = copies[item] = _copy(as_vertical(a))
+        return schouten_bracket(X, copy)
 
     for k, a in enumerate(sections, start=1):
-        key += (id(a),)
-        hit = chain.get(key)
-        if hit is not None and hit[0] is a:
-            X, value = None, hit[1]
-        else:
+        key = key + (_memo_item(a),) if k <= _MEMO_DEPTH else None
+        value = alg._memo.pop(key, None) if key else None
+        if value is None:
             if X is None:
-                X = _copy(alg.pi)
-                for b in sections[: k - 1]:
-                    X = bracket(X, b)
+                X = functools.reduce(bracket, sections[: k - 1], _copy(alg.pi))
             X = bracket(X, a)
             value = projection_P(X)
-            if k <= _MEMO_DEPTH:
-                chain[key] = (a, value)
+        else:
+            X = None
+        if key:
+            _remember(alg, key, value)
         yield VerticalSection(value.chart, value.degree, value.terms)
 
 
@@ -218,19 +220,15 @@ def mc_series_exact(alg: CoisoAlgebra, alpha: MultiVectorField) -> VerticalSecti
             "mc_series_exact needs polynomial mode; use mc_partial_table for jets"
         )
     _check_domain(alg.chart, alpha)
-    chain, key, products = _chain(alg, alpha), (), []
+    levels, products = [], []
     for term, coeff in ad_series(alg.pi, alpha):
-        value = projection_P(term)
-        key += (id(alpha),)
-        if len(key) <= _MEMO_DEPTH:
-            chain[key] = (alpha, value)
+        levels.append(projection_P(term))
         factor = RingElement.constant(alg.chart, coeff)
-        products.extend((dirs, 1, c, factor) for dirs, c in value.terms)
+        products.extend((dirs, 1, c, factor) for dirs, c in levels[-1].terms)
     # the series ends at a zero bracket, and every bracket after it is zero
-    zero = VerticalSection(alg.pi.chart, alg.pi.degree, ())
-    while len(key) < _MEMO_DEPTH:
-        key += (id(alpha),)
-        chain[key] = (alpha, zero)
+    levels += [VerticalSection(alg.chart, alg.pi.degree, ())] * _MEMO_DEPTH
+    for k in range(1, _MEMO_DEPTH + 1):
+        _remember(alg, (_memo_item(alpha),) * k, levels[k - 1])
     return VerticalSection(alg.chart, alg.pi.degree, dot_by_wedge(products))
 
 
@@ -656,14 +654,14 @@ def twisted_lambda(
         if e.mv.is_zero() or any(a.is_zero() for a in others):
             continue
         if n == 1:
-            mv_acc = mv_acc - schouten_bracket(alg.pi, e.mv)
-        term = _bracket_chain(e.mv, others)
+            mv_acc = mv_acc - _bracket(alg.pi, e.mv)
+        term = projection_P(functools.reduce(_bracket, map(as_vertical, others), e.mv))
         koszul = sum(o.degree for o in elements[:pos]) * e.degree
         sec_acc = sec_acc + (-term if koszul % 2 else term)
     # two multivector slots; three or more, or two with sections, vanish
     if n == 2 and not (elements[0].mv.is_zero() or elements[1].mv.is_zero()):
         X, Y = elements[0].mv, elements[1].mv
-        term = schouten_bracket(X, Y)
+        term = _bracket(X, Y)
         mv_acc = mv_acc + (-term if (X.degree - 1) % 2 else term)
     return TwistedElement(mv_acc, sec_acc)
 
@@ -685,9 +683,7 @@ def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
     if w.degree != 0:
         raise ValueError("twisted Maurer-Cartan input must have W-degree 0")
     tau = w.mv
-    mv = -schouten_bracket(alg.pi, tau) - schouten_bracket(tau, tau).scale(
-        Scalar.rational(1, 2)
-    )
+    mv = -_bracket(alg.pi, tau) - _bracket(tau, tau).scale(Scalar.rational(1, 2))
     return TwistedElement(mv, projection_P(exp_ad(alg.pi + tau, w.section)))
 
 
@@ -713,23 +709,25 @@ def higher_jacobi_verify(family: Callable, inputs: Sequence) -> bool:
 
     where eps is the Koszul sign of the unshuffle on the input degrees.
     The same inner bracket serves every unshuffle that chooses the same
-    inputs, so each distinct argument tuple, keyed by the identity of its
-    arguments, is passed to ``family`` once per call.
+    inputs, so each distinct argument tuple is passed to ``family`` once
+    per call.  An argument tuple is keyed by the values of the inputs it is
+    made of: each input by the first input equal to it in value and
+    W-degree (zero elements of any two W-degrees are equal), and an inner
+    bracket by the inputs it brackets, so no new value is hashed.
     """
     n = len(inputs)
     if n > 3:
         raise ValueError("identities are verified through order 3 only")
     degrees = [_w_degree(x) for x in inputs]
-    # (id(x_1), ...) -> (args, family(args)); holding the arguments keeps
-    # their ids from being reused while the memo lives
+    keyed = list(zip(degrees, inputs))
+    first = [keyed.index(x) for x in keyed]
     memo: dict = {}
 
-    def bracket(args):
-        key = tuple(map(id, args))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (args, family(args))
-        return hit[1]
+    def bracket(key, args):
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = family(args)
+        return value
 
     acc = None
     for i in range(1, n + 1):
@@ -737,8 +735,10 @@ def higher_jacobi_verify(family: Callable, inputs: Sequence) -> bool:
             rest = tuple(k for k in range(n) if k not in chosen)
             # the Koszul sign: only odd-degree inputs anticommute
             sign = inversion_sign([k for k in chosen + rest if degrees[k] % 2])
-            inner = bracket(tuple(inputs[k] for k in chosen))
-            term = bracket((inner,) + tuple(inputs[k] for k in rest))
+            key = tuple(first[k] for k in chosen)
+            inner = bracket(key, tuple(inputs[k] for k in chosen))
+            term = bracket((key, tuple(first[k] for k in rest)),
+                           (inner,) + tuple(inputs[k] for k in rest))
             if sign < 0:
                 term = -term
             acc = term if acc is None else acc + term

@@ -138,8 +138,13 @@ def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorFie
 
 
 def is_poisson(pi: MultiVectorField) -> bool:
-    """[pi, pi] = 0: exactly, or through fibre order N - 1 for a jet of order N."""
-    jac = schouten_bracket(pi, pi)
+    """[pi, pi] = 0: exactly, or through fibre order N - 1 for a jet of order N.
+
+    The bracket is taken with a copy of pi, so the derivative table it
+    fills goes with the bracket rather than stay on the caller's pi.
+    """
+    copy = MultiVectorField._wrap(pi.chart, pi.degree, pi.terms)
+    jac = schouten_bracket(copy, copy)
     order = pi.jet_order()
     return (jac if order is None else jac.truncate(order - 1)).is_zero()
 

@@ -157,10 +157,16 @@ MUTANTS = (
            ("test_linfty.py", "test_output_hashes.py"),
            "the oracle block is J_f (Pi J_f^T), which moves pinned floats"),
     Mutant("memo-keyed-by-last-section", "linfty.py",
-           "        key += (id(a),)\n",
-           "        key = (id(a),)\n",
+           "key = key + (_memo_item(a),) if k <= _MEMO_DEPTH else None",
+           "key = (_memo_item(a),) if k <= _MEMO_DEPTH else None",
            ("test_linfty.py",),
            "the bracket memo keys each level by its last section only"),
+    Mutant("memo-key-drops-degree", "linfty.py",
+           "    return a.degree, a\n",
+           "    return a\n",
+           ("test_linfty.py",),
+           "the bracket memo keys each level by the sections' values alone, "
+           "so zero sections of two degrees share a value"),
     Mutant("memo-hands-out-its-value", "linfty.py",
            "        yield VerticalSection(value.chart, value.degree, value.terms)\n",
            "        yield value\n",
@@ -168,14 +174,14 @@ MUTANTS = (
            "the bracket memo hands out the value it keeps, so a caller's "
            "bracket leaves a derivative table in the memo"),
     Mutant("jacobi-memo-keyed-by-last-argument", "linfty.py",
-           "        key = tuple(map(id, args))\n",
-           "        key = (id(args[-1]),)\n",
+           "key = tuple(first[k] for k in chosen)",
+           "key = (first[chosen[-1]],)",
            ("test_linfty.py",),
            "the Jacobi check's bracket memo keys each argument tuple by its "
            "last argument only"),
     Mutant("memo-brackets-pi-itself", "linfty.py",
-           "                X = _copy(alg.pi)\n",
-           "                X = alg.pi\n",
+           "functools.reduce(bracket, sections[: k - 1], _copy(alg.pi))",
+           "functools.reduce(bracket, sections[: k - 1], alg.pi)",
            ("test_linfty.py",),
            "a memo chain is bracketed from the algebra's pi, not from a copy, "
            "so pi keeps a derivative table for as long as the algebra lives"),

@@ -1020,7 +1020,7 @@ def t4_scenario():
 
 
 def memo_levels(alg):
-    return [level for chain in alg._chains.values() for _, level in chain.values()]
+    return list(alg._memo.values())
 
 
 def direct_chain(pi, sections):
@@ -1050,7 +1050,7 @@ def count_brackets(monkeypatch) -> list:
 
 class TestBracketMemo:
     """An algebra brackets each chain [...[pi, a_1], ..., a_k] once, keyed by
-    the identity of each section, and keeps no derivative table."""
+    the value and degree of each section, and keeps no derivative table."""
 
     def test_t4_scenario_takes_each_bracket_of_its_section_once(self, monkeypatch):
         original = multivector.schouten_bracket
@@ -1115,19 +1115,7 @@ class TestBracketMemo:
         assert not direct_chain(pi, (a, a)).is_zero()
         assert lambda_n(alg, other, a) == direct_chain(pi, (other, a))
         assert lambda_n(alg, a, other, a) == direct_chain(pi, (a, other, a))
-        # a key whose id now names another object (as in a copy of the
-        # algebra) is bracketed again: a hit must hold the very section
-        unclosed = VerticalSection.from_components(
-            chart, [RingElement.sin_of(chart, {"q2": 1}), RingElement.zero(chart)]
-        )
-        forged = make_coiso_algebra(pi)
-        lambda_n(forged, unclosed)
-        (chain,) = forged._chains.values()
-        forged._chains.clear()
-        forged._chains[(id(other),)] = {(id(other),): chain[(id(unclosed),)]}
-        assert lambda_n(forged, other) == direct_chain(pi, (other,)) != direct_chain(pi, (unclosed,))
-        # a name rebound to a new section: the memo holds the old one, so its
-        # id is not reused while the old chain is kept
+        # a name rebound to a new section reads the value of the new one
         s = VerticalSection(a.chart, a.degree, a.terms)
         assert kuranishi_rep(alg, s) == direct_chain(pi, (a, a))
         for n in range(1, 5):
@@ -1136,6 +1124,53 @@ class TestBracketMemo:
             )
             assert kuranishi_rep(alg, s) == direct_chain(pi, (s, s))
             assert mc_series_exact(alg, s) == projection_P(exp_ad(pi, s))
+
+    def test_an_equal_section_reads_the_memo(self, monkeypatch):
+        ex = build_T4_example()
+        alg, pi, a = ex.algebra, ex.algebra.pi, ex.section
+        twin = VerticalSection(a.chart, a.degree, a.terms)  # equal, not identical
+        mc_series_exact(alg, a)
+        calls = count_brackets(monkeypatch)
+        assert kuranishi_rep(alg, twin) == direct_chain(pi, (a, a))
+        assert lambda_n(alg, twin).is_zero()
+        assert lambda_n(alg, twin, a) == lambda_n(alg, a, twin) == direct_chain(pi, (a, a))
+        assert calls == []
+
+    def test_zero_sections_of_two_degrees_get_values_of_their_own_degrees(self):
+        ex = build_T4_example()
+        alg = ex.algebra
+        zeros = [VerticalSection(alg.chart, q, ()) for q in (1, 2)]
+        # equal and of one hash, so a key without the degree would mix them
+        assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
+        for _ in range(2):
+            for z in zeros:
+                assert lambda_n(alg, z).degree == z.degree + 1
+                assert lambda_n(alg, z, z).degree == 2 * z.degree
+                assert lambda_n(alg, zeros[0], z).degree == z.degree + 1
+        # a series leaves its levels under the keys lambda_n reads
+        mc_series_exact(alg, zeros[0])
+        assert lambda_n(alg, zeros[1]).degree == 3
+
+    def test_jacobi_check_with_zero_arguments_of_two_w_degrees(self):
+        ex = build_T4_example()
+        alg = ex.algebra
+        w = TwistedElement.from_section(ex.section)
+        z0, z1 = TwistedElement.zero(alg.chart, 0), TwistedElement.zero(alg.chart, 1)
+        assert z0 == z1 and hash(z0) == hash(z1)
+        family = twisted_brackets(alg)
+        calls = []
+
+        def recording(args):
+            calls.append(tuple(x.degree for x in args))
+            return family(args)
+
+        for inputs in ([z0, z1], [z1, z0], [w, z0, z1], [z1, w, z0], [w, w, z1]):
+            assert higher_jacobi_verify(recording, inputs)
+        calls.clear()
+        assert higher_jacobi_verify(recording, [z0, z1])
+        # the W-degrees of each call's arguments: lambda_1(z0) has W-degree 1
+        # and lambda_1(z1) W-degree 2
+        assert sorted(calls) == [(0,), (0, 1), (1,), (1, 1), (2,), (2, 0)]
 
     def test_no_section_or_memo_level_keeps_a_derivative_table(self):
         ex = build_T4_example()
@@ -1215,6 +1250,41 @@ class TestBracketMemo:
             f"CoisoAlgebra(chart={used.chart!r}, pi={pi!r}, poisson_verified=True)"
         )
         assert used != CoisoAlgebra(used.chart, pi, False)
+
+
+class TestCallersFieldsKeepNoDerivativeTable:
+    """Brackets are taken with copies: neither ``alg.pi`` nor a field that a
+    caller passes in keeps a derivative table (``partials_along``)."""
+
+    @staticmethod
+    def fields():
+        ex = build_T4_example()
+        chart = ex.algebra.chart
+        tau = MultiVectorField(chart, 2, (((0, 4), RingElement.coordinate(chart, "p1")),))
+        sigma = MultiVectorField(chart, 2, (((1, 5), RingElement.sin_of(chart, {"y1": 1})),))
+        return ex.algebra, tau, sigma, ex.section
+
+    def test_jacobi_check_of_a_plain_bivector(self):
+        alg, _, _, _ = self.fields()
+        plain = MultiVectorField(alg.chart, 2, alg.pi.terms)
+        got = make_coiso_algebra(plain)
+        assert got.pi is plain and got.poisson_verified
+        assert plain._partials is None
+
+    def test_twisted_mc(self):
+        alg, tau, _, a = self.fields()
+        mc = twisted_mc(alg, TwistedElement(tau, a))
+        assert not mc.mv.is_zero() and not mc.section.is_zero()
+        assert all(X._partials is None for X in (alg.pi, tau, a))
+
+    def test_twisted_lambda_with_a_multivector_slot(self):
+        alg, tau, sigma, a = self.fields()
+        X, Y, s = (TwistedElement.from_multivector(tau), TwistedElement.from_multivector(sigma),
+                   TwistedElement.from_section(a))
+        for elements in ([X], [X, s], [s, X], [X, Y], [X + s, Y + s]):
+            twisted_lambda(alg, elements)
+            assert all(F._partials is None for F in (alg.pi, tau, sigma, a))
+            assert all(F._partials is None for e in elements for F in (e.mv, e.section))
 
 
 DEFORMATION_ENTRY_POINTS = {
