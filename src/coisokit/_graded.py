@@ -56,7 +56,7 @@ def dot_by_wedge(products) -> list:
 class GradedTerms:
     """Homogeneous graded object: degree plus wedge-indexed coefficients."""
 
-    __slots__ = ("chart", "degree", "terms", "_partials", "_hash")
+    __slots__ = ("chart", "degree", "terms", "_hash")
 
     def __init__(self, chart: ChartSpec, degree: int, terms):
         acc: dict[tuple, RingElement] = {}
@@ -75,7 +75,7 @@ class GradedTerms:
         self.terms = tuple(
             sorted((d, c) for d, c in acc.items() if not c.is_zero())
         )
-        self._partials = self._hash = None
+        self._hash = None
 
     @classmethod
     def _wrap(cls, chart: ChartSpec, degree: int, pairs):
@@ -83,7 +83,7 @@ class GradedTerms:
         for ``degree`` and distinct already: zero coefficients are dropped
         and the terms sorted, and nothing else is checked."""
         h = object.__new__(cls)
-        h.chart, h.degree, h._partials, h._hash = chart, degree, None, None
+        h.chart, h.degree, h._hash = chart, degree, None
         h.terms = tuple(sorted(t for t in pairs if t[1].terms))
         return h
 
@@ -150,21 +150,6 @@ class GradedTerms:
         """Reliable fibre order: None when exact, else the minimum over terms."""
         orders = [c.jet_order for _, c in self.terms if c.jet_order is not None]
         return min(orders) if orders else None
-
-    def partials_along(self, i: int) -> tuple:
-        """((dirs, d coeff / d u_i), ...) over the terms whose derivative
-        along direction ``i`` is nonzero.  An object never changes, so each
-        direction's row is computed once and kept on the object."""
-        table = self._partials
-        if table is None:
-            table = self._partials = {}
-        row = table.get(i)
-        if row is None:
-            name = self.chart.direction_name(i)
-            row = table[i] = tuple(
-                (dirs, dc) for dirs, c in self.terms if (dc := c.partial(name)).terms
-            )
-        return row
 
     # -- arithmetic --------------------------------------------------------
 

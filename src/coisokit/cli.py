@@ -507,10 +507,14 @@ class Scenario:
 
 def _parse_chart_line(body: str, line: int) -> ChartSpec:
     base, fibre, bound = None, "", None
-    rest = body
+    rest, seen = body, set()
     try:
         while rest.strip():
             rest = rest.strip()
+            clause = rest.split("=", 1)[0]
+            if clause in seen:
+                raise ScenarioError(f"chart clause {clause}= is given more than once", line)
+            seen.add(clause)
             if rest.startswith("base=("):
                 end = rest.index(")")
                 base = rest[len("base=(") : end]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -56,8 +57,8 @@ class CoisoAlgebra:
     ``poisson_verified`` records whether [pi, pi] = 0 was checked (exactly,
     or through the jet order for jets).  The algebra memoises lambda_1 and
     lambda_2 of its most recently used sections (``_lambdas``), keyed by the
-    value of each section, for as long as it lives; the memo takes no part
-    in equality or repr.
+    value of each section, for as long as it lives, and hands each value
+    out as it keeps it; the memo takes no part in equality or repr.
     """
 
     chart: ChartSpec
@@ -96,16 +97,6 @@ def coiso_algebra_from_form(
 
 
 # -- brackets -----------------------------------------------------------------
-
-
-def _copy(X: MultiVectorField) -> MultiVectorField:
-    """X as a new field, with no derivative table (``partials_along``)."""
-    return MultiVectorField(X.chart, X.degree, X.terms)
-
-
-def _bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorField:
-    """[X, Y], taken with copies, so neither field keeps a derivative table."""
-    return schouten_bracket(_copy(X), _copy(Y))
 
 
 # The number of values lambda_k(a_1, ..., a_k) an algebra's memo keeps, the
@@ -147,34 +138,24 @@ def _lambdas(alg: CoisoAlgebra, sections: Sequence[MultiVectorField]):
     keyed by the value and degree of each section (``_memo_item``), so a
     check that reads lambda_1(a) or lambda_2(a, a) after another check took
     it brackets nothing, also when its section is an equal object.  A level
-    after a hit is bracketed from pi through the sections before it.  The
-    brackets are taken with copies of pi and of the sections (one per call
-    for each distinct section and degree), whose derivative tables go with
-    the brackets, and each value is handed out as a new section, so neither
-    the memo nor the caller's fields keep a table.
+    after a hit is bracketed from pi through the sections before it.  A
+    memo value is handed out as it is kept: fields never change.
     """
-    X, key, copies = None, (), {}
-
-    def bracket(X, a):
-        item = _memo_item(a)
-        copy = copies.get(item)
-        if copy is None:
-            copy = copies[item] = _copy(as_vertical(a))
-        return schouten_bracket(X, copy)
-
+    sections = [as_vertical(a) for a in sections]
+    X, key = None, ()
     for k, a in enumerate(sections, start=1):
         key = key + (_memo_item(a),) if k <= _MEMO_DEPTH else None
         value = alg._memo.pop(key, None) if key else None
         if value is None:
             if X is None:
-                X = functools.reduce(bracket, sections[: k - 1], _copy(alg.pi))
-            X = bracket(X, a)
+                X = functools.reduce(schouten_bracket, sections[: k - 1], alg.pi)
+            X = schouten_bracket(X, a)
             value = projection_P(X)
         else:
             X = None
         if key:
             _remember(alg, key, value)
-        yield VerticalSection(value.chart, value.degree, value.terms)
+        yield value
 
 
 def lambda_n(alg: CoisoAlgebra, *sections: MultiVectorField) -> VerticalSection:
@@ -237,22 +218,24 @@ def _check_domain(chart: ChartSpec, alpha: VerticalSection):
 
     The one ``domain=`` rule: ``mc_series_exact``, ``mc_partial_table`` and
     ``coisotropy_check_numeric`` deform by graph(-alpha), so each refuses a
-    section that leaves the tubular domain (DomainBoundError).
+    section that leaves the tubular domain (DomainBoundError).  A bound past
+    the largest float is read as that float, so only a sampled |alpha| that
+    overflows to infinity exceeds it.
     """
-    bound = chart.fibre_bound
-    if bound is None:
+    if chart.fibre_bound is None:
         return
     import numpy as np
+    bound = float(min(chart.fibre_bound, sys.float_info.max))
     comps = alpha.components()
     points = sample_grid(chart, sorted(alpha.support_names()))
     values = GridEvaluator(comps)
     for start, base in _grid_chunks(chart, points):
         sups = np.abs(values(base)).max(axis=1, initial=0.0)
-        over = np.flatnonzero(sups > float(bound))
+        over = np.flatnonzero(sups > bound)
         if len(over):
             raise DomainBoundError(
                 f"graph(-alpha) leaves the tubular domain: |alpha| = {sups[over[0]]:.6g} "
-                f"> {float(bound):.6g} at {points[start + over[0]]}"
+                f"> {bound:.6g} at {points[start + over[0]]}"
             )
 
 
@@ -654,14 +637,14 @@ def twisted_lambda(
         if e.mv.is_zero() or any(a.is_zero() for a in others):
             continue
         if n == 1:
-            mv_acc = mv_acc - _bracket(alg.pi, e.mv)
-        term = projection_P(functools.reduce(_bracket, map(as_vertical, others), e.mv))
+            mv_acc = mv_acc - schouten_bracket(alg.pi, e.mv)
+        term = projection_P(functools.reduce(schouten_bracket, others, e.mv))
         koszul = sum(o.degree for o in elements[:pos]) * e.degree
         sec_acc = sec_acc + (-term if koszul % 2 else term)
     # two multivector slots; three or more, or two with sections, vanish
     if n == 2 and not (elements[0].mv.is_zero() or elements[1].mv.is_zero()):
         X, Y = elements[0].mv, elements[1].mv
-        term = _bracket(X, Y)
+        term = schouten_bracket(X, Y)
         mv_acc = mv_acc + (-term if (X.degree - 1) % 2 else term)
     return TwistedElement(mv_acc, sec_acc)
 
@@ -683,7 +666,7 @@ def twisted_mc(alg: CoisoAlgebra, w: TwistedElement) -> TwistedElement:
     if w.degree != 0:
         raise ValueError("twisted Maurer-Cartan input must have W-degree 0")
     tau = w.mv
-    mv = -_bracket(alg.pi, tau) - _bracket(tau, tau).scale(Scalar.rational(1, 2))
+    mv = -schouten_bracket(alg.pi, tau) - schouten_bracket(tau, tau).scale(Scalar.rational(1, 2))
     return TwistedElement(mv, projection_P(exp_ad(alg.pi + tau, w.section)))
 
 

@@ -102,13 +102,23 @@ def deformation_section(a: MultiVectorField) -> VerticalSection:
     return a
 
 
-def _compose(X: MultiVectorField, Y: MultiVectorField, sign: int = 1):
+def _compose(X: MultiVectorField, Y: MultiVectorField, rows: dict, sign: int = 1):
     """Yield the signed products (dirs, sign, f, g) of sign * (X o Y), with
-    X o Y = sum_i (d X / d theta_i) ^ (d Y / d u_i), right derivative."""
+    X o Y = sum_i (d X / d theta_i) ^ (d Y / d u_i), right derivative.
+
+    ``rows`` maps a direction i to Y's derivative row
+    ((dirs, d coeff / d u_i), ...) over its nonzero derivatives; a row is
+    computed when its direction is first met and kept in ``rows``.
+    """
     p = X.degree
     for I, f in X.terms:
         for k, i in enumerate(I):
-            dY = Y.partials_along(i)
+            dY = rows.get(i)
+            if dY is None:
+                name = Y.chart.direction_name(i)
+                dY = rows[i] = tuple(
+                    (J, dg) for J, g in Y.terms if (dg := g.partial(name)).terms
+                )
             if not dY:
                 continue
             # the right derivative moves theta_i past the p - 1 - k factors after it
@@ -128,23 +138,22 @@ def schouten_bracket(X: MultiVectorField, Y: MultiVectorField) -> MultiVectorFie
     antisymmetry [X,Y] = -(-1)^{(p-1)(q-1)}[Y,X], and the Leibniz rule
     [X, Y^Z] = [X,Y]^Z + (-1)^{(p-1) q} Y^[X,Z].  Each coefficient is one
     ``dot`` over the products of both compositions, which are consumed as
-    they are made.
+    they are made.  Each operand's derivative rows live for this call only,
+    so each coefficient is differentiated along a direction at most once;
+    [X, X] reads one set of rows.
     """
     X._check(Y)
     p, q = X.degree, Y.degree
     yx_sign = -1 if (p - 1) * (q - 1) % 2 == 0 else 1
-    products = itertools.chain(_compose(X, Y), _compose(Y, X, yx_sign))
+    rows_y: dict = {}
+    rows_x = rows_y if X is Y else {}
+    products = itertools.chain(_compose(X, Y, rows_y), _compose(Y, X, rows_x, yx_sign))
     return MultiVectorField._wrap(X.chart, p + q - 1, dot_by_wedge(products))
 
 
 def is_poisson(pi: MultiVectorField) -> bool:
-    """[pi, pi] = 0: exactly, or through fibre order N - 1 for a jet of order N.
-
-    The bracket is taken with a copy of pi, so the derivative table it
-    fills goes with the bracket rather than stay on the caller's pi.
-    """
-    copy = MultiVectorField._wrap(pi.chart, pi.degree, pi.terms)
-    jac = schouten_bracket(copy, copy)
+    """[pi, pi] = 0: exactly, or through fibre order N - 1 for a jet of order N."""
+    jac = schouten_bracket(pi, pi)
     order = pi.jet_order()
     return (jac if order is None else jac.truncate(order - 1)).is_zero()
 
@@ -235,15 +244,11 @@ def ad_series(X: MultiVectorField, alpha: VerticalSection):
     for a fibre one and differentiates alpha along the base).  So at most
     ``X.max_y_degree() + X.degree`` brackets are nonzero.
     ``default_exp_cap(X)`` is a guard that valid input never reaches: a
-    nonzero bracket past it raises TruncationCapError.
-
-    The brackets are taken with copies of X and alpha, so the derivative
-    tables they fill (alpha's serves every bracket) go with the series
-    rather than stay on the caller's fields for as long as those live.
+    nonzero bracket past it raises TruncationCapError.  Each bracket
+    differentiates alpha afresh (``schouten_bracket``).
     """
     cap = default_exp_cap(X)
-    term, fact = MultiVectorField._wrap(X.chart, X.degree, X.terms), 1
-    alpha = MultiVectorField._wrap(alpha.chart, alpha.degree, alpha.terms)
+    term, fact = X, 1
     for k in itertools.count(1):
         term = schouten_bracket(term, alpha)
         if term.is_zero():

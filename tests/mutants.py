@@ -131,6 +131,11 @@ MUTANTS = (
            "s = sign if (p - 1 - k) % 2 else -sign",
            ("test_multivector.py",),
            "the right theta-derivative in _compose takes the wrong sign"),
+    Mutant("bracket-rows-shared", "multivector.py",
+           "rows_x = rows_y if X is Y else {}",
+           "rows_x = rows_y",
+           ("test_multivector.py",),
+           "[X, Y] reads Y's derivative rows for X too"),
     Mutant("inversion-sign", "_graded.py",
            "return -1 if inversions % 2 else 1",
            "return 1 if inversions % 2 else -1",
@@ -167,24 +172,12 @@ MUTANTS = (
            ("test_linfty.py",),
            "the bracket memo keys each level by the sections' values alone, "
            "so zero sections of two degrees share a value"),
-    Mutant("memo-hands-out-its-value", "linfty.py",
-           "        yield VerticalSection(value.chart, value.degree, value.terms)\n",
-           "        yield value\n",
-           ("test_linfty.py",),
-           "the bracket memo hands out the value it keeps, so a caller's "
-           "bracket leaves a derivative table in the memo"),
     Mutant("jacobi-memo-keyed-by-last-argument", "linfty.py",
            "key = tuple(first[k] for k in chosen)",
            "key = (first[chosen[-1]],)",
            ("test_linfty.py",),
            "the Jacobi check's bracket memo keys each argument tuple by its "
            "last argument only"),
-    Mutant("memo-brackets-pi-itself", "linfty.py",
-           "functools.reduce(bracket, sections[: k - 1], _copy(alg.pi))",
-           "functools.reduce(bracket, sections[: k - 1], alg.pi)",
-           ("test_linfty.py",),
-           "a memo chain is bracketed from the algebra's pi, not from a copy, "
-           "so pi keeps a derivative table for as long as the algebra lives"),
     # -- the coefficient ring ----------------------------------------------------
     Mutant("product-scalars-unshared", "coeff_ring.py",
            "            s = scalars.get(terms)\n",

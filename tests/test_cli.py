@@ -556,6 +556,30 @@ class TestRun:
         assert main(["run", str(scn), "--samples", "2"]) == 3
         assert "error=3" in capsys.readouterr().out
 
+    # the grid evaluation of b overflows, which numpy warns of
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("bound", ["1e400", "1" + "0" * 309], ids=["1e400", "310_digits"])
+    def test_a_bound_past_every_float_is_read_as_the_largest_float(
+        self, bound, tmp_path, capsys
+    ):
+        # only a section whose |a| overflows to infinity leaves such a tube
+        scn = tmp_path / "huge.scn"
+        scn.write_text(
+            f"chart base=(x1*,x2*) fibre=(p1) domain={bound}\n"
+            "pi = @x1/\\@p1\n"
+            "a = (1,)\n"
+            "b = (10^308*sin(2*pi*x1) + 10^308*sin(2*pi*x2),)\n"
+            "check mc a\n"
+            "check mc a 2\n"
+            "check coisotropic a\n"
+            "check mc b\n"
+        )
+        assert main(["run", str(scn), "--samples", "4"]) == 3
+        out = capsys.readouterr().out
+        assert "pass=3 fail=0 inconclusive=0 error=1" in out
+        assert "[4] mc b: error\n    message: graph(-alpha) leaves the tubular domain: " \
+            "|alpha| = inf > 1.79769e+308 at (0.15625, 0.21875)\n" in out
+
     def test_inconclusive_with_strict(self):
         text = (
             "chart base=(y1*,y2*,q1*,q2*) fibre=(p1,p2)\n"
@@ -1016,6 +1040,13 @@ class TestMain:
             ("chart base=(y1*,y2*,q*) fibre=(p)\n", "omega = gotay(dy1/\\dy2, 2*q)\n",
              "line 2, col 9: gotay kernel entries must be names"),
             (CHART, "chart base=(x) fibre=(y)\n", "line 2: chart is already declared"),
+            # each chart clause is given at most once
+            ("chart base=(x1) fibre=(p1) base=(x2)\n", "pi = @x1/\\@p1\n",
+             "line 1: chart clause base= is given more than once"),
+            ("chart fibre=(p1) base=(x1) fibre=(p2)\n", "pi = @x1/\\@p1\n",
+             "line 1: chart clause fibre= is given more than once"),
+            ("chart base=(x1) fibre=(p1) domain=1/2 domain=1/3\n", "a = (x1,)\n",
+             "line 1: chart clause domain= is given more than once"),
         ],
         ids=[
             "form_times_vector", "vector_times_vector", "scalar_minus_form",
@@ -1031,6 +1062,7 @@ class TestMain:
             "divide_by_a_coordinate", "divide_by_a_vector", "cos_of_two_arguments",
             "inv_form_of_two_arguments", "gotay_without_kernel", "gotay_of_a_vector",
             "gotay_kernel_expression", "second_chart",
+            "chart_repeated_base", "chart_repeated_fibre", "chart_repeated_domain",
         ],
     )
     def test_parse_error_message(self, chart, body, message, tmp_path, capsys):

@@ -55,6 +55,7 @@ from coisokit import (
     mc_partial_table,
     mc_series_exact,
     obstructedness_certificate,
+    projected_pushforward,
     projection_P,
     pushforward_oracle_numeric,
     sample_grid,
@@ -509,6 +510,8 @@ class TestCoisotropyNumeric:
         def forbid_symbolic():
             for name in ("schouten_bracket", "projection_P", "ad_series"):
                 monkeypatch.setattr(linfty, name, forbidden)
+            # the bracket's derivative rows, wherever a bracket is taken
+            monkeypatch.setattr(multivector, "_compose", forbidden)
 
         build_oracle = linfty._pushforward_block
 
@@ -524,6 +527,16 @@ class TestCoisotropyNumeric:
         assert max(abs(v) for r in table.rows for v in r.oracle) > 1.0
         res = coisotropy_check_numeric(t4.algebra, t4.section, per_axis=4)
         assert not res.coisotropic
+        # the identity's right-hand side and the oracles on a field of their
+        # own take no bracket either
+        rng = rng_for("oracle-routing")
+        chart = small_chart()
+        pi, a = rand_multivector(rng, chart, 2, max_ydeg=2), rand_section(rng, chart)
+        with pytest.raises(AssertionError):
+            multivector.schouten_bracket(pi, a)
+        projected_pushforward(pi, a)
+        projected_pushforward(t4.algebra.pi, t4.section)
+        assert coisotropy_check_numeric(pi, a, per_axis=4).max_defect >= 0
 
     def test_grid_of_several_chunks_matches_the_pointwise_oracle(self, t4):
         from coisokit.linfty import _GRID_CHUNK
@@ -1050,7 +1063,7 @@ def count_brackets(monkeypatch) -> list:
 
 class TestBracketMemo:
     """An algebra brackets each chain [...[pi, a_1], ..., a_k] once, keyed by
-    the value and degree of each section, and keeps no derivative table."""
+    the value and degree of each section."""
 
     def test_t4_scenario_takes_each_bracket_of_its_section_once(self, monkeypatch):
         original = multivector.schouten_bracket
@@ -1172,23 +1185,7 @@ class TestBracketMemo:
         # and lambda_1(z1) W-degree 2
         assert sorted(calls) == [(0,), (0, 1), (1,), (1, 1), (2,), (2, 0)]
 
-    def test_no_section_or_memo_level_keeps_a_derivative_table(self):
-        ex = build_T4_example()
-        alg, a = ex.algebra, ex.section
-        w = TwistedElement.from_section(a)
-        family = twisted_brackets(alg)
-        steps = (
-            lambda: mc_series_exact(alg, a),
-            lambda: kuranishi_rep(alg, a),
-            lambda: [higher_jacobi_verify(family, [w] * n) for n in (1, 2)],
-        )
-        for step in steps:
-            step()
-            levels = memo_levels(alg)
-            assert levels and all(X._partials is None for X in levels)
-            assert a._partials is None and alg.pi._partials is None
-
-    def test_memo_keeps_lambda_values_and_hands_out_copies(self):
+    def test_memo_keeps_lambda_values_and_hands_them_out(self):
         ex = build_T4_example()
         alg, pi, a = ex.algebra, ex.algebra.pi, ex.section
         chart = a.chart
@@ -1201,13 +1198,9 @@ class TestBracketMemo:
         want = [direct_chain(pi, s) for s in ((a,), (a, a), (b,), (b, a))]
         assert sorted(map(repr, memo_levels(alg))) == sorted(map(repr, want))
         assert all(type(X) is VerticalSection for X in memo_levels(alg))
-        # a value read from the memo is a new section: a caller's bracket
-        # fills its table, not the memo's
+        # a value read from the memo is the section the memo keeps
         for got in (lambda_n(alg, b), lambda_n(alg, b, a), kuranishi_rep(alg, a)):
-            assert all(got is not X for X in memo_levels(alg))
-            schouten_bracket(pi, got)
-            assert got._partials is not None
-        assert all(X._partials is None for X in memo_levels(alg))
+            assert any(got is X for X in memo_levels(alg))
 
     def test_mc_series_leaves_the_levels_past_its_end_as_zero(self, monkeypatch):
         ex = build_T4_example()
@@ -1250,41 +1243,6 @@ class TestBracketMemo:
             f"CoisoAlgebra(chart={used.chart!r}, pi={pi!r}, poisson_verified=True)"
         )
         assert used != CoisoAlgebra(used.chart, pi, False)
-
-
-class TestCallersFieldsKeepNoDerivativeTable:
-    """Brackets are taken with copies: neither ``alg.pi`` nor a field that a
-    caller passes in keeps a derivative table (``partials_along``)."""
-
-    @staticmethod
-    def fields():
-        ex = build_T4_example()
-        chart = ex.algebra.chart
-        tau = MultiVectorField(chart, 2, (((0, 4), RingElement.coordinate(chart, "p1")),))
-        sigma = MultiVectorField(chart, 2, (((1, 5), RingElement.sin_of(chart, {"y1": 1})),))
-        return ex.algebra, tau, sigma, ex.section
-
-    def test_jacobi_check_of_a_plain_bivector(self):
-        alg, _, _, _ = self.fields()
-        plain = MultiVectorField(alg.chart, 2, alg.pi.terms)
-        got = make_coiso_algebra(plain)
-        assert got.pi is plain and got.poisson_verified
-        assert plain._partials is None
-
-    def test_twisted_mc(self):
-        alg, tau, _, a = self.fields()
-        mc = twisted_mc(alg, TwistedElement(tau, a))
-        assert not mc.mv.is_zero() and not mc.section.is_zero()
-        assert all(X._partials is None for X in (alg.pi, tau, a))
-
-    def test_twisted_lambda_with_a_multivector_slot(self):
-        alg, tau, sigma, a = self.fields()
-        X, Y, s = (TwistedElement.from_multivector(tau), TwistedElement.from_multivector(sigma),
-                   TwistedElement.from_section(a))
-        for elements in ([X], [X, s], [s, X], [X, Y], [X + s, Y + s]):
-            twisted_lambda(alg, elements)
-            assert all(F._partials is None for F in (alg.pi, tau, sigma, a))
-            assert all(F._partials is None for e in elements for F in (e.mv, e.section))
 
 
 DEFORMATION_ENTRY_POINTS = {

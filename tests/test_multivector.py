@@ -657,22 +657,24 @@ class TestGradedWrapsAgainstConstructor:
         chart, X, Y = drawn
         p, q = X.degree, Y.degree
         yx_sign = -1 if (p - 1) * (q - 1) % 2 == 0 else 1
-        products = [*multivector._compose(X, Y), *multivector._compose(Y, X, yx_sign)]
+        products = [*multivector._compose(X, Y, {}), *multivector._compose(Y, X, {}, yx_sign)]
         pairs = [(dirs, f * g if sign > 0 else -(f * g)) for dirs, sign, f, g in products]
         expected = MultiVectorField(chart, p + q - 1, pairs)
         assert _graded_key(schouten_bracket(X, Y)) == _graded_key(expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(graded_pairs())
-    def test_derivative_table(self, drawn):
-        chart, X, _ = drawn
-        for i in range(chart.n_dirs):
+    @given(graded_pairs(kinds=(MultiVectorField,)))
+    def test_derivative_rows(self, drawn):
+        chart, X, Y = drawn
+        rows = {}
+        list(multivector._compose(X, Y, rows))
+        # a row for each direction X has a wedge factor in, and no other
+        assert set(rows) == {i for dirs, _ in X.terms for i in dirs}
+        for i, got in rows.items():
             name = chart.direction_name(i)
-            expected = [(d, c.partial(name)) for d, c in X.terms if not c.partial(name).is_zero()]
-            for _ in range(2):  # the second read is the kept table
-                got = X.partials_along(i)
-                assert [(d, c.terms, c.jet_order) for d, c in got] == \
-                    [(d, c.terms, c.jet_order) for d, c in expected]
+            expected = [(d, c.partial(name)) for d, c in Y.terms if not c.partial(name).is_zero()]
+            assert [(d, c.terms, c.jet_order) for d, c in got] == \
+                [(d, c.terms, c.jet_order) for d, c in expected]
 
     def test_vertical_sections_add_to_a_field(self, chart):
         rng = rng_for("wrap-vertical-sum")
@@ -682,59 +684,63 @@ class TestGradedWrapsAgainstConstructor:
             assert _graded_key(a + b) == _graded_key(expected)
 
 
-class TestDerivativeTable:
-    def test_a_second_bracket_takes_no_derivative_of_y(self, chart, monkeypatch):
-        rng = rng_for("derivative-table")
-        X = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
-        Y = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
-        # same wedge indices as X, other coefficients
-        X2 = MultiVectorField(chart, 2, [(d, c * c + c) for d, c in X.terms])
+class TestDerivativeRows:
+    """A bracket keeps its operands' derivative rows for the call only:
+    within one bracket each coefficient is differentiated along a direction
+    at most once, [X, X] reads one set of rows, and no field keeps one."""
+
+    @staticmethod
+    def count_partials(monkeypatch) -> list:
+        """(coefficient, direction name) of every ``RingElement.partial``
+        call from now on."""
         original = RingElement.partial
         seen = []
 
         def counting(self, name):
-            seen.append(self)
+            seen.append((self, name))
             return original(self, name)
 
         monkeypatch.setattr(RingElement, "partial", counting)
-        first = schouten_bracket(X, Y)
-        of_y = lambda: [c for c in seen if any(c is g for _, g in Y.terms)]
-        assert of_y() and not first.is_zero()
-        del seen[:]
-        schouten_bracket(X2, Y)
-        assert seen and of_y() == []
-        assert schouten_bracket(X, Y) == first
+        return seen
 
-    def test_a_series_keeps_no_table_on_its_inputs(self, chart):
-        # the series' tables go with the series, not with the caller's fields
-        rng = rng_for("derivative-table-series")
-        pi = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
-        alpha = rand_section(rng, chart)
-        assert exp_ad(pi, alpha) != pi
-        assert pi._partials is None and alpha._partials is None
-        schouten_bracket(pi, alpha)
-        assert pi._partials and alpha._partials
+    @staticmethod
+    def wedge_dirs(X) -> set:
+        return {i for dirs, _ in X.terms for i in dirs}
 
-    def test_oracles_do_not_read_the_table(self, monkeypatch):
-        from coisokit import build_T4_example, coisotropy_check_numeric
-        from coisokit._graded import GradedTerms
-
-        t4 = build_T4_example()
-        chart = small_chart()
-        rng = rng_for("oracle-routing")
-        pi = rand_multivector(rng, chart, 2, max_ydeg=2)
+    def test_one_bracket_takes_each_derivative_once(self, chart, monkeypatch):
+        rng = rng_for("derivative-rows")
+        X = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
+        Y = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
         a = rand_section(rng, chart)
+        seen = self.count_partials(monkeypatch)
+        for A, B in ((X, Y), (Y, X), (X, a), (X, X)):
+            del seen[:]
+            assert not schouten_bracket(A, B).is_zero()
+            # each coefficient of one operand along each direction the other
+            # has a wedge factor in, and for [X, X] once, not twice
+            want = {(id(c), chart.direction_name(i))
+                    for F, G in ((A, B), (B, A)) for i in self.wedge_dirs(F) for _, c in G.terms}
+            assert len(seen) == len(want)
+            assert {(id(c), name) for c, name in seen} == want
 
-        def refuse(self, i):
-            raise AssertionError("an oracle read the derivative table")
+    def test_is_poisson_reads_one_set_of_rows(self, chart, monkeypatch):
+        rng = rng_for("derivative-rows-poisson")
+        pi = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
+        seen = self.count_partials(monkeypatch)
+        assert not multivector.is_poisson(pi)
+        assert len(seen) == len(pi.terms) * len(self.wedge_dirs(pi))
 
-        monkeypatch.setattr(GradedTerms, "partials_along", refuse)
-        with pytest.raises(AssertionError):
-            schouten_bracket(pi, a)
-        projected_pushforward(pi, a)
-        projected_pushforward(t4.algebra.pi, t4.section)
-        assert coisotropy_check_numeric(pi, a, per_axis=4).max_defect >= 0
-        assert not coisotropy_check_numeric(t4.algebra, t4.section, per_axis=4).coisotropic
+    def test_no_field_keeps_a_table(self, chart, monkeypatch):
+        assert GradedTerms.__slots__ == ("chart", "degree", "terms", "_hash")
+        rng = rng_for("derivative-rows-twice")
+        X = rand_multivector(rng, chart, 2, nterms=3, max_ydeg=2)
+        a = rand_section(rng, chart)
+        seen = self.count_partials(monkeypatch)
+        first = schouten_bracket(X, a)
+        taken = len(seen)
+        # the second bracket differentiates afresh and gives an equal field
+        assert schouten_bracket(X, a) == first and not first.is_zero()
+        assert taken and len(seen) == 2 * taken
 
 
 def piecewise_factor_images(cls, chart, w, images, coeff=lambda c: c):

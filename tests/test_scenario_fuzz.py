@@ -4,11 +4,11 @@ Each example writes a scenario built from the grammar in README (a chart
 line, the T^4 bindings, check lines) and a pencil file to a temporary
 directory and runs it through ``cli.main``.  The texts reach every check kind
 with 0-3 arguments, integer parameters at and past their bounds, missing
-bindings, malformed pencil files, chart clauses in any order or broken,
-nesting one level past ``_ExprParser.MAX_DEPTH``, literals up to 10^(+-400)
-and pi^(+-400), and bytes that are not UTF-8, at --truncation 1-8 and
---samples 2-6.  Exponents stay at most 400:
-the cost of a large power is not bounded by the grammar.
+bindings, malformed pencil files, chart clauses in any order, broken or
+repeated, a domain bound past every float, nesting one level past
+``_ExprParser.MAX_DEPTH``, literals up to 10^(+-400) and pi^(+-400), and
+bytes that are not UTF-8, at --truncation 1-8 and --samples 2-6.  Exponents
+stay at most 400: the cost of a large power is not bounded by the grammar.
 """
 
 import os
@@ -35,11 +35,12 @@ def literals(draw):
 @st.composite
 def chart_lines(draw):
     """The T^4 chart line, its clauses in any order; some lines carry a
-    domain bound, a bad one, or lose a clause or a ')'."""
+    domain bound, a bad one, lose a clause or a ')', or repeat a clause."""
     clauses = ["base=(y1*,y2*,q1*,q2*)", "fibre=(p1,p2)"]
-    fault = draw(st.sampled_from([None] * 8 + ["paren", "drop", "domain"]))
+    fault = draw(st.sampled_from([None] * 8 + ["paren", "drop", "domain", "repeat"]))
     domain = draw(st.sampled_from(
-        ["0", "-1", "abc", "", "1/0"] if fault == "domain" else [None, None, "1/2", "4"]))
+        ["0", "-1", "abc", "", "1/0", "1e400"] if fault == "domain"
+        else [None, None, "1/2", "4"]))
     if domain is not None:
         clauses.append("domain=" + domain)
     clauses = draw(st.permutations(clauses))
@@ -48,6 +49,9 @@ def chart_lines(draw):
         clauses[k] = clauses[k].replace(")", "", 1)
     elif fault == "drop":
         del clauses[draw(st.integers(0, len(clauses) - 1))]
+    elif fault == "repeat":
+        again = draw(st.sampled_from(clauses))
+        clauses.insert(draw(st.integers(0, len(clauses))), again)
     return "chart " + " ".join(clauses)
 
 
